@@ -2,8 +2,8 @@
 with integer QIF neurons, 4-bit synaptic weight SRAM, and cycle accounting."""
 
 from .neuron import NeuronParams, NeuronState, delta_vm, neuron_step, pde_threshold
+from .netio import NetworkDescription, StimulusTrace, run, simulate
 from .npu import (
-    ExternalEvent,
     GlobalNeuronConfig,
     Npu,
     NpuConfig,
@@ -16,17 +16,15 @@ from .npu import (
 from .processor import (
     CycleReport,
     Processor,
-    SchedulerBuffer,
     hierarchy_op_reduction,
     synapse_count,
 )
 from .synapse import (
+    Crossbar,
     GroupSparseConfig,
     PostSynapticState,
     WeightMemory,
-    accumulate_spike,
     decay_value,
-    decode_spike_stream,
     pack_weights,
     steps_to_fraction,
 )

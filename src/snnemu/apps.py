@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .neuron import NeuronParams, NeuronState, neuron_step
-from .npu import ExternalEvent, GlobalNeuronConfig, NpuConfig
+from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
     DcSource,
     Lcg,
     NetworkDescription,
     NoiseSource,
     StimulusTrace,
+    simulate,
 )
 from .processor import CycleReport
 
@@ -338,27 +339,13 @@ def solve_sudoku(
 ) -> SudokuResult:
     """Run the network, decoding every `check_every` steps over the trailing
     window, until the decoded grid verifies or the step budget runs out."""
-    desc, _ = build_sudoku_network(puzzle, weights)
-    proc = desc.build_processor()
-    lcg = Lcg(seed)
+    desc, trace = build_sudoku_network(puzzle, weights)
     agg = CycleReport()
     raster: list[tuple[int, int, int]] = []
     n = puzzle.n
-    for t in range(max_steps):
-        events = [
-            (dc.npu, ExternalEvent(neuron_addr=dc.addr, value=dc.value))
-            for dc in desc.dc
-        ]
-        for ns in desc.noise:
-            for addr in ns.addrs:
-                events.append(
-                    (ns.npu, ExternalEvent(neuron_addr=addr,
-                                           value=lcg.int_range(ns.low, ns.high)))
-                )
-        _, s2, rep = proc.timestep(events)
+    for t, _, s2, rep in simulate(desc, trace, max_steps, seed):
         agg.merge(rep)
-        for addr in np.nonzero(s2)[0]:
-            raster.append((t, 2, int(addr)))
+        raster += [(t, 2, int(addr)) for addr in np.flatnonzero(s2)]
         if (t + 1) % check_every == 0:
             try:
                 decode = decode_sudoku_solution(raster, (t + 1 - check_every, t + 1), n)

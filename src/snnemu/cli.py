@@ -15,16 +15,16 @@ from .netio import (
     ConfigError,
     NetworkDescription,
     StimulusTrace,
-    load_network,
     run,
     save_cycles,
     save_raster,
 )
 from .processor import hierarchy_op_reduction, synapse_count
+from .synapse import WeightMemory
 
 
 def _cmd_run(args) -> int:
-    desc = load_network(args.config)
+    desc = NetworkDescription.load(args.config)
     stim = StimulusTrace.load(args.stimulus) if args.stimulus else None
     raster, rows, agg = run(desc, stim, steps=args.steps, seed=args.seed)
     save_raster(args.raster_out, raster)
@@ -70,10 +70,10 @@ def _cmd_avoid(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    desc = load_network(args.config)
+    desc = NetworkDescription.load(args.config)
     t1 = desc.npu1.total_neurons
     t2 = desc.npu2.total_neurons
-    words = desc.weights1.shape[0] * -(-t1 // 8) + desc.weights2.shape[0] * -(-t2 // 8)
+    words = sum(WeightMemory.from_matrix(w).words.size for w in (desc.weights1, desc.weights2))
     print(f"npu1_neurons={t1} npu2_neurons={t2}")
     print(f"synapse_count={synapse_count(t1, t2)}")
     print(f"hierarchy_op_reduction={hierarchy_op_reduction(t1, t2):.4f}")

@@ -25,7 +25,6 @@ from .neuron import NeuronParams
 from .npu import GlobalNeuronConfig, Npu, NpuConfig
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor
 from .synapse import GroupSparseConfig, WeightMemory
-from .npu import ExternalEvent
 
 WEIGHT_MAGIC = b"SNNW"
 WEIGHT_VERSION = 1
@@ -87,19 +86,20 @@ def load_weight_image(path: str) -> list[WeightMemory]:
         data = f.read()
     if data[:4] != WEIGHT_MAGIC:
         raise ConfigError(path, "not a weight image (bad magic)")
-    version, n_sections = struct.unpack_from("<II", data, 4)
-    if version != WEIGHT_VERSION:
-        raise ConfigError(path, f"unsupported weight image version {version}")
-    off = 12
-    geoms = []
-    for _ in range(n_sections):
-        geoms.append(struct.unpack_from("<III", data, off))
-        off += 12
-    (crc,) = struct.unpack_from("<I", data, off)
-    off += 4
-    payload = data[off:]
+    try:
+        version, n_sections = struct.unpack_from("<II", data, 4)
+        if version != WEIGHT_VERSION:
+            raise ConfigError(path, f"unsupported weight image version {version}")
+        geoms = [struct.unpack_from("<III", data, 12 + 12 * i) for i in range(n_sections)]
+        off = 12 + 12 * n_sections
+        (crc,) = struct.unpack_from("<I", data, off)
+    except struct.error:
+        raise ConfigError(path, "weight image truncated inside its header") from None
+    payload = data[off + 4:]
     if zlib.crc32(payload) != crc:
         raise ConfigError(path, "weight image checksum mismatch")
+    if len(payload) != 4 * sum(rows * stride for rows, stride, _ in geoms):
+        raise ConfigError(path, "weight image payload does not match its header")
     mems = []
     pos = 0
     for rows, stride, n_targets in geoms:
@@ -162,6 +162,15 @@ def _params_from_dict(d: dict, path: str) -> NeuronParams:
         raise ConfigError(path, f"missing neuron field {e}") from e
     except ValueError as e:
         raise ConfigError(path, str(e)) from e
+
+
+def _chop_from(chop, path: str) -> tuple[int, int] | None:
+    if chop is None:
+        return None
+    if not (isinstance(chop, list) and len(chop) == 2
+            and all(type(n) is int for n in chop)):
+        raise ConfigError(path, f"must be a list of two integers, got {chop!r}")
+    return tuple(chop)
 
 
 def _params_to_dict(p: NeuronParams) -> dict:
@@ -270,8 +279,10 @@ class NetworkDescription:
                     mode=g.get("mode", "excitatory"),
                 ),
                 decay_a=int(d.get("decay_a", 3)),
-                chop=tuple(d["chop"]) if "chop" in d else None,
+                chop=_chop_from(d.get("chop"), f"{path}.chop"),
             )
+        except ConfigError:
+            raise
         except KeyError as e:
             raise ConfigError(path, f"missing field {e}") from e
         except ValueError as e:
@@ -311,12 +322,18 @@ class NetworkDescription:
     @classmethod
     def load(cls, path: str) -> "NetworkDescription":
         with open(path) as f:
-            doc = yaml.safe_load(f)
+            try:
+                doc = yaml.safe_load(f)
+            except yaml.YAMLError as e:
+                raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
         if not isinstance(doc, dict):
             raise ConfigError(path, "not a mapping")
         version = doc.get("version")
         if version != CONFIG_VERSION:
             raise ConfigError("version", f"unsupported config version {version}")
+        for key in ("npu1", "npu2", "weight_image"):
+            if key not in doc:
+                raise ConfigError(path, f"missing field '{key}'")
         npu1 = cls._npu_from_dict(doc["npu1"], "npu1")
         npu2 = cls._npu_from_dict(doc["npu2"], "npu2")
         mems = load_weight_image(
@@ -350,11 +367,6 @@ class NetworkDescription:
         )
 
 
-def load_network(path: str) -> NetworkDescription:
-    """Load and fully validate a network description file."""
-    return NetworkDescription.load(path)
-
-
 # ---------------------------------------------------------------------------
 # stimulus trace / raster / cycles
 
@@ -374,12 +386,6 @@ class StimulusTrace:
                 raise ValueError(f"record {i}: npu must be 1 or 2, got {npu}")
             if not -128 <= value <= 127:
                 raise ValueError(f"record {i}: value must fit signed 8-bit")
-
-    def by_timestep(self) -> dict[int, list[tuple[int, int, int]]]:
-        out: dict[int, list[tuple[int, int, int]]] = {}
-        for t, npu, addr, value in self.records:
-            out.setdefault(t, []).append((npu, addr, value))
-        return out
 
     def save(self, path: str) -> None:
         with open(path, "w") as f:
@@ -451,6 +457,62 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
 # ---------------------------------------------------------------------------
 # run harness
 
+def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
+    """One function per NPU from (t, the step's noise draws) to that NPU's
+    (addresses, values): its trace records for step t, its DC sources, then
+    its noise sources. An out-of-range trace address fails here, before any
+    step runs."""
+    totals = np.array([0, desc.npu1.total_neurons, desc.npu2.total_neurons])
+    trace = np.array(stimulus.records if stimulus else [], dtype=np.int64).reshape(-1, 4)
+    bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"record {i}: address {trace[i, 2]} out of range for npu{trace[i, 1]}"
+        )
+    noise_npu = np.array([ns.npu for ns in desc.noise for _ in ns.addrs], dtype=np.int64)
+
+    def compile_npu(k: int):
+        rows = trace[trace[:, 1] == k]
+        ts, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
+        slices = {int(t): slice(a, a + n) for t, a, n in zip(ts, starts, counts)}
+        dc = [s for s in desc.dc if s.npu == k]
+        addrs = [s.addr for s in dc] + [a for ns in desc.noise if ns.npu == k for a in ns.addrs]
+        addrs = np.array(addrs, dtype=np.int64)
+        dc_values = np.array([s.value for s in dc], dtype=np.int64)
+        noise = np.flatnonzero(noise_npu == k)
+
+        def events(t: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            sl = slices.get(t, slice(0))
+            return (np.concatenate((rows[sl, 2], addrs)),
+                    np.concatenate((rows[sl, 3], dc_values, draws[noise])))
+
+        return events
+
+    return compile_npu(1), compile_npu(2)
+
+
+def simulate(
+    desc: NetworkDescription,
+    stimulus: StimulusTrace | None,
+    steps: int,
+    seed: int = 0,
+):
+    """Run `steps` timesteps of a fresh processor, yielding
+    (t, spikes1, spikes2, report) after each.
+
+    The stimulus is compiled once, before step 0. Noise values come from one
+    Lcg(seed), drawn each step source by source in declaration order."""
+    proc = desc.build_processor()
+    events1, events2 = _compile_stimulus(desc, stimulus)
+    ranges = [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs]
+    lcg = Lcg(seed)
+    for t in range(steps):
+        draws = np.array([lcg.int_range(lo, hi) for lo, hi in ranges], dtype=np.int64)
+        s1, s2, rep = proc.timestep(events1(t, draws), events2(t, draws))
+        yield t, s1, s2, rep
+
+
 def run(
     desc: NetworkDescription,
     stimulus: StimulusTrace | None,
@@ -459,29 +521,12 @@ def run(
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, CycleReport]], CycleReport]:
     """Execute `steps` timesteps; returns (raster records, per-step cycle
     rows, aggregate report). Only declared noise generators consume the seed."""
-    proc = desc.build_processor()
-    by_t = stimulus.by_timestep() if stimulus is not None else {}
-    lcg = Lcg(seed)
     raster: list[tuple[int, int, int]] = []
     cycle_rows: list[tuple[int, CycleReport]] = []
     agg = CycleReport()
-    for t in range(steps):
-        events: list[tuple[int, ExternalEvent]] = []
-        for npu, addr, value in by_t.get(t, []):
-            events.append((npu, ExternalEvent(neuron_addr=addr, value=value)))
-        for dc in desc.dc:
-            events.append((dc.npu, ExternalEvent(neuron_addr=dc.addr, value=dc.value)))
-        for ns in desc.noise:
-            for addr in ns.addrs:
-                events.append(
-                    (ns.npu, ExternalEvent(neuron_addr=addr,
-                                           value=lcg.int_range(ns.low, ns.high)))
-                )
-        s1, s2, rep = proc.timestep(events)
-        for addr in np.nonzero(s1)[0]:
-            raster.append((t, 1, int(addr)))
-        for addr in np.nonzero(s2)[0]:
-            raster.append((t, 2, int(addr)))
+    for t, s1, s2, rep in simulate(desc, stimulus, steps, seed):
+        raster += [(t, 1, int(a)) for a in np.flatnonzero(s1)]
+        raster += [(t, 2, int(a)) for a in np.flatnonzero(s2)]
         cycle_rows.append((t, rep))
         agg.merge(rep)
     return raster, cycle_rows, agg

@@ -9,23 +9,22 @@ therefore reach accumulators at t+1, never earlier.
 
 Each NPU carries one extra neuron at the highest address: the global
 excitatory/inhibitory neuron. Its fan-out is a single shared weight broadcast
-to every accumulator instead of an SRAM row.
+to every accumulator instead of an SRAM row; the compiled crossbar holds it
+as one more row that costs one cycle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .neuron import NeuronParams, pde_threshold, step_arrays
-from .synapse import (
-    GroupSparseConfig,
-    PostSynapticState,
-    WeightMemory,
-    decode_spike_stream,
-)
+from .synapse import Crossbar, GroupSparseConfig, PostSynapticState, WeightMemory
+
+# External events of one timestep for one NPU: (addresses, values).
+NO_EVENTS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
 
 def _is_pow2(n: int) -> bool:
@@ -133,16 +132,6 @@ def check_chop_weights(mem: WeightMemory, n_ff: int, n1: int, n2: int) -> None:
 
 
 @dataclass
-class ExternalEvent:
-    neuron_addr: int
-    value: int
-
-    def __post_init__(self):
-        if not -128 <= self.value <= 127:
-            raise ValueError(f"event value must fit signed 8-bit, got {self.value}")
-
-
-@dataclass
 class PhaseCycles:
     """Clock cycles charged per timestep phase (sequential model)."""
 
@@ -178,7 +167,8 @@ class Npu:
     `memory` holds one row per non-global source: first `n_ff_sources`
     feedforward rows (sources in the upstream NPU, global included), then
     `active_neurons` recurrent rows. Every row spans `total_neurons` targets,
-    so the global neuron can receive ordinary synaptic weight.
+    so the global neuron can receive ordinary synaptic weight. The crossbar
+    is compiled from it once, with the global broadcast as its last row.
     """
 
     def __init__(
@@ -201,9 +191,14 @@ class Npu:
         if cfg.chop is not None:
             check_chop_weights(memory, n_ff_sources, *cfg.chop)
         self.cfg = cfg
-        self.memory = memory
-        self.gs = gs if gs is not None else GroupSparseConfig.dense(total)
         self.n_ff_sources = n_ff_sources
+        self.crossbar = Crossbar.compile(
+            memory,
+            gs if gs is not None else GroupSparseConfig.dense(total),
+            broadcast=cfg.global_neuron.effective_weight,
+        )
+        # Each spike stream is scanned two bits per clock, odd lengths padded.
+        self._scan = (n_ff_sources + 1) // 2 + (total + 1) // 2
 
         all_params = list(cfg.params) + [cfg.global_neuron.params]
         self._a = np.array([p.a_num for p in all_params], dtype=np.int64)
@@ -225,59 +220,40 @@ class Npu:
     def timestep(
         self,
         state: NpuState,
-        external: list[ExternalEvent],
+        external: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
         feedforward: np.ndarray | None = None,
     ) -> tuple[NpuState, np.ndarray, PhaseCycles]:
-        """Run one timestep in place; returns (state, fresh spikes, cycles)."""
-        cfg = self.cfg
-        total = cfg.total_neurons
-        cycles = PhaseCycles()
+        """Run one timestep in place; returns (state, fresh spikes, cycles).
+        `external` holds the addresses and values of this step's events."""
+        total = self.cfg.total_neurons
         y = state.psp.y
 
         # Phase 1: external stimulus, one input-bus cycle per event.
-        for ev in external:
-            if not 0 <= ev.neuron_addr < total:
+        addrs, values = external
+        if len(addrs):
+            bad = (addrs < 0) | (addrs >= total)
+            if bad.any():
                 raise IndexError(
-                    f"external event address {ev.neuron_addr} out of range "
+                    f"external event address {int(addrs[bad][0])} out of range "
                     f"(total neurons {total})"
                 )
-            y[ev.neuron_addr] += ev.value
-            cycles.external += 1
+            np.add.at(y, addrs, values)
 
-        # Phase 2: inter-spike accumulation from the previous timestep.
-        if self.n_ff_sources:
-            if feedforward is None or len(feedforward) != self.n_ff_sources:
-                got = 0 if feedforward is None else len(feedforward)
-                raise ValueError(
-                    f"feedforward stream length {got}, expected {self.n_ff_sources}"
-                )
-            schedule, scan = decode_spike_stream(feedforward, self.gs)
-            cycles.scan += scan
-            for src, mac in schedule:
-                y += self.memory.row_weights(src, gs_code=self.gs.code_for(src))
-                cycles.mac += mac
-        elif feedforward is not None and len(feedforward):
-            raise ValueError("this NPU accepts no feedforward stream")
-
-        rec_sched, rec_scan = decode_spike_stream(state.last_spikes, self.gs)
-        cycles.scan += rec_scan
-        for src, _ in rec_sched:
-            if src == cfg.active_neurons:
-                # Global neuron: dedicated broadcast path, one cycle.
-                y += cfg.global_neuron.effective_weight
-                cycles.mac += 1
-            else:
-                # Per-source group masks are indexed by memory row.
-                row = self.n_ff_sources + src
-                code = self.gs.code_for(row)
-                y += self.memory.row_weights(row, gs_code=code)
-                cycles.mac += bin(code).count("1")
-
+        # Phase 2: one MAC over the feedforward stream and the previous
+        # step's own spikes, global broadcast included.
+        got = 0 if feedforward is None else len(feedforward)
+        if got != self.n_ff_sources:
+            raise ValueError(
+                f"feedforward stream length {got}, expected {self.n_ff_sources}"
+            )
+        sources = state.last_spikes
+        if got:
+            sources = np.concatenate((feedforward, sources))
+        mac = self.crossbar.mac(sources, y)
         state.psp.saturate()
 
         # Phase 3: reciprocal decay, one shifter pass per accumulator.
         state.psp.decay()
-        cycles.decay += total
 
         # Phase 4: neuron update with i_t sampled after decay.
         state.v_m, spiked = step_arrays(
@@ -290,8 +266,10 @@ class Npu:
             self._pde_th,
             state.psp.y,
         )
-        cycles.pde += total
 
         spikes = spiked.astype(np.uint8)
         state.last_spikes = spikes
+        cycles = PhaseCycles(
+            external=len(addrs), scan=self._scan, mac=mac, decay=total, pde=total
+        )
         return state, spikes, cycles

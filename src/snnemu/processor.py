@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .npu import ExternalEvent, Npu, NpuConfig, NpuState, PhaseCycles
+from .npu import NO_EVENTS, Npu, PhaseCycles
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -46,13 +46,6 @@ class CycleReport:
         return clock_hz * self.timesteps / self.total_parallel
 
 
-@dataclass
-class SchedulerBuffer:
-    """Holds exactly one timestep of NPU1 spikes awaiting delivery to NPU2."""
-
-    pending: np.ndarray
-
-
 class Processor:
     """Two hierarchically connected NPUs plus the spike scheduler."""
 
@@ -78,32 +71,21 @@ class Processor:
         self.clock_hz = clock_hz
         self.state1 = npu1.initial_state()
         self.state2 = npu2.initial_state()
-        self.scheduler = SchedulerBuffer(
-            pending=np.zeros(npu1.cfg.total_neurons, dtype=np.uint8)
-        )
+        # The scheduler: one timestep of NPU1 spikes awaiting NPU2.
+        self.pending = np.zeros(npu1.cfg.total_neurons, dtype=np.uint8)
 
     def timestep(
-        self, stimulus: list[tuple[int, ExternalEvent]]
+        self,
+        events1: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
+        events2: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
     ) -> tuple[np.ndarray, np.ndarray, CycleReport]:
-        """Advance both NPUs one timestep.
-
-        `stimulus` is a list of (npu_id, event) with npu_id 1 or 2. Returns
-        the fresh spike vectors of both NPUs and the cycle report.
-        """
-        ev1 = [ev for nid, ev in stimulus if nid == 1]
-        ev2 = [ev for nid, ev in stimulus if nid == 2]
-        for nid, _ in stimulus:
-            if nid not in (1, 2):
-                raise ValueError(f"unknown npu id {nid}")
-
-        _, spikes1, cyc1 = self.npu1.timestep(self.state1, ev1, None)
-        _, spikes2, cyc2 = self.npu2.timestep(
-            self.state2, ev2, self.scheduler.pending
-        )
-        self.scheduler.pending = spikes1.copy()
-
-        report = CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)
-        return spikes1, spikes2, report
+        """Advance both NPUs one timestep, each with its (addresses, values)
+        external events. Returns the fresh spike vectors of both NPUs and
+        the cycle report."""
+        _, spikes1, cyc1 = self.npu1.timestep(self.state1, events1)
+        _, spikes2, cyc2 = self.npu2.timestep(self.state2, events2, self.pending)
+        self.pending = spikes1
+        return spikes1, spikes2, CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -1,5 +1,5 @@
-"""Synaptic weight memory, group-sparse spike decoding, post-synaptic
-accumulation and reciprocal decay.
+"""Synaptic weight memory, group-sparse masks, the compiled crossbar,
+post-synaptic accumulation and reciprocal decay.
 
 Weights are signed 4-bit (-8..+7), packed eight to a 32-bit word with nibble 0
 holding the lowest-indexed target. One word read costs one clock cycle in the
@@ -9,7 +9,7 @@ selects which words are actually read for a given presynaptic source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,8 +146,41 @@ class GroupSparseConfig:
     def gs_num(self) -> int:
         return _popcount(self.gs_code)
 
-    def mac_cycles(self, source: int) -> int:
-        return _popcount(self.code_for(source))
+
+@dataclass(frozen=True)
+class Crossbar:
+    """The weights a spike can reach, compiled once from the SRAM image: one
+    signed row per source with its masked groups zeroed, and the word reads
+    each row costs (popcount of its group mask)."""
+
+    weights: np.ndarray  # (sources, targets) int64
+    cost: np.ndarray  # (sources,) int64
+
+    @classmethod
+    def compile(
+        cls, mem: WeightMemory, gs: GroupSparseConfig, broadcast: int | None = None
+    ) -> "Crossbar":
+        """Rows of `mem` under the masks of `gs`, plus an optional last row
+        holding `broadcast` in every column at a cost of one cycle."""
+        codes = [gs.code_for(r) for r in range(mem.n_rows)]
+        rows = [mem.row_weights(r, gs_code=c) for r, c in enumerate(codes)]
+        cost = [_popcount(c) for c in codes]
+        if broadcast is not None:
+            rows.append(np.full(mem.n_targets, broadcast, dtype=np.int64))
+            cost.append(1)
+        weights = np.array(rows, dtype=np.int64).reshape(len(cost), mem.n_targets)
+        return cls(weights, np.array(cost, dtype=np.int64))
+
+    def mac(self, spikes: np.ndarray, y: np.ndarray) -> int:
+        """Add the row of every spiking source into `y`, unsaturated (callers
+        clamp once per timestep, so order never matters). Returns the word
+        reads charged."""
+        if len(spikes) != len(self.cost):
+            raise ValueError(
+                f"spike vector length {len(spikes)}, expected {len(self.cost)} sources"
+            )
+        y += spikes @ self.weights
+        return int(spikes @ self.cost)
 
 
 @dataclass
@@ -212,42 +245,3 @@ def steps_to_fraction(y0: int, decay_a: int, fraction: float) -> int:
         y = decay_value(y, decay_a)
         n += 1
     return n
-
-
-def decode_spike_stream(
-    bits, gs: GroupSparseConfig
-) -> tuple[list[tuple[int, int]], int]:
-    """Scan a spike stream two bits per clock from the LSB (circular shift),
-    yielding (source, mac_cycles) per set bit.
-
-    Returns (schedule, scan_cycles). Odd-length streams are padded with a zero
-    bit. Total cycle charge under the sequential model is scan_cycles plus the
-    sum of mac_cycles.
-    """
-    bits = list(bits)
-    if len(bits) % 2:
-        bits.append(0)
-    scan_cycles = len(bits) // 2
-    schedule = [
-        (src, gs.mac_cycles(src)) for src, b in enumerate(bits) if b
-    ]
-    return schedule, scan_cycles
-
-
-def accumulate_spike(
-    source: int,
-    mem: WeightMemory,
-    gs: GroupSparseConfig,
-    psp: PostSynapticState,
-) -> int:
-    """Add one source row into the accumulators (enabled groups only).
-
-    Returns the cycle charge: one word read per enabled group. Saturation is
-    deliberately NOT applied here; callers clamp once per timestep so results
-    are independent of accumulation order.
-    """
-    if not 0 <= source < mem.n_rows:
-        raise IndexError(f"source {source} out of range (rows={mem.n_rows})")
-    code = gs.code_for(source)
-    psp.y[: mem.n_targets] += mem.row_weights(source, gs_code=code)
-    return _popcount(code)

@@ -22,16 +22,15 @@ from snnemu.apps import (
 )
 from snnemu.neuron import step_arrays
 from snnemu.netio import run as run_network
-from snnemu.npu import ExternalEvent
 from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
+    Crossbar,
     GroupSparseConfig,
     PostSynapticState,
     WeightMemory,
-    accumulate_spike,
     decay_array,
 )
-from test_processor import make_processor
+from test_processor import events, make_processor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -106,8 +105,9 @@ def test_2_decay_exhaustive():
 
 
 def test_3_crossbar_equivalence():
-    """200 random instances up to 160x160 match the dense matrix-vector
-    oracle, with cycle charge = popcount(gs_code) per spike."""
+    """200 random instances up to 160x160: the compiled crossbar's MAC (the
+    one Npu.timestep runs) matches the dense matrix-vector oracle, with
+    cycle charge = popcount(gs_code) per spike."""
     rng = np.random.default_rng(7)
     failures = 0
     for trial in range(200):
@@ -120,9 +120,7 @@ def test_3_crossbar_equivalence():
         gs_code = int(rng.integers(0, 1 << n_groups))
         gs = GroupSparseConfig(n_groups=n_groups, gs_code=gs_code)
         psp = PostSynapticState.zeros(n_tgt)
-        cycles = sum(
-            accumulate_spike(int(s), mem, gs, psp) for s in np.nonzero(spikes)[0]
-        )
+        cycles = Crossbar.compile(mem, gs).mac(spikes, psp.y)
         psp.saturate()
         mask = np.zeros(n_groups * 8, dtype=bool)
         for g in range(n_groups):
@@ -157,13 +155,12 @@ def test_5_scheduler_delay():
         proc = make_processor(n1=2, n2=4)
         prev = np.zeros(3, dtype=np.uint8)
         for t in range(40):
-            if not np.array_equal(proc.scheduler.pending, prev):
+            if not np.array_equal(proc.pending, prev):
                 ok = False
-            stim = [
-                (1, ExternalEvent(neuron_addr=int(rng.integers(0, 3)),
-                                  value=int(rng.integers(-60, 128))))
+            stim = events(*[
+                (int(rng.integers(0, 3)), int(rng.integers(-60, 128)))
                 for _ in range(rng.integers(0, 5))
-            ]
+            ])
             prev, _, _ = proc.timestep(stim)
     report("5 scheduler-delay", ok)
 

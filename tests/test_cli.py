@@ -7,7 +7,7 @@ from snnemu.cli import main
 from snnemu.apps import make_direction_stimulus
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
-from snnemu.netio import DcSource, NetworkDescription, load_raster
+from snnemu.netio import DcSource, NetworkDescription, StimulusTrace, load_raster
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -90,3 +90,72 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "synapse_count=8" in out  # 2^2 + 2^2
         assert "hierarchy_op_reduction=" in out
+
+    def test_weight_words_of_known_shape(self, tmp_path, capsys):
+        # NPU1: 4 rows of 5 targets, one word each. NPU2: 5 + 16 rows of
+        # 17 targets, three words each. 4 + 63 = 67 words.
+        desc = NetworkDescription(
+            npu1=NpuConfig(max_neurons=32, active_neurons=4, params=[QUIET] * 4,
+                           global_neuron=GlobalNeuronConfig(params=QUIET)),
+            npu2=NpuConfig(max_neurons=128, active_neurons=16, params=[QUIET] * 16,
+                           global_neuron=GlobalNeuronConfig(params=QUIET)),
+            weights1=np.zeros((4, 5), dtype=int),
+            weights2=np.zeros((21, 17), dtype=int),
+        )
+        path = tmp_path / "net.yaml"
+        desc.save(str(path))
+        assert main(["inspect", "--config", str(path)]) == 0
+        assert "weight_memory_words=67" in capsys.readouterr().out
+
+
+class TestErrorContract:
+    """Malformed inputs exit 2 with exactly one `error: <category>: ...` line."""
+
+    @staticmethod
+    def one_error_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix), err
+
+    def inspect(self, path):
+        return main(["inspect", "--config", str(path)])
+
+    def test_weight_image_truncated_in_header(self, config_path, tmp_path, capsys):
+        image = tmp_path / "net.weights.bin"
+        image.write_bytes(image.read_bytes()[:14])
+        assert self.inspect(config_path) == 2
+        self.one_error_line(capsys, f"error: config: {image}: ")
+
+    def test_malformed_yaml(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("version: 1\nnpu1: [1, 2\n")
+        assert self.inspect(path) == 2
+        self.one_error_line(capsys, f"error: config: {path}: malformed YAML")
+
+    @pytest.mark.parametrize("key", ["npu1", "npu2", "weight_image"])
+    def test_missing_top_level_key(self, config_path, capsys, key):
+        lines = open(config_path).read().splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+        end = next((i for i in range(start + 1, len(lines))
+                    if not lines[i].startswith(" ")), len(lines))
+        with open(config_path, "w") as f:
+            f.writelines(lines[:start] + lines[end:])
+        assert self.inspect(config_path) == 2
+        self.one_error_line(capsys, f"error: config: {config_path}: missing field '{key}'")
+
+    @pytest.mark.parametrize("chop", ["[a, b]", "4", "[0.5, 0.5]"])
+    def test_non_integer_chop(self, config_path, capsys, chop):
+        text = open(config_path).read()
+        with open(config_path, "w") as f:
+            f.write(text.replace("npu2:\n", f"npu2:\n  chop: {chop}\n"))
+        assert self.inspect(config_path) == 2
+        self.one_error_line(capsys, "error: config: npu2.chop: must be a list of two integers")
+
+    def test_trace_address_out_of_range_before_step_0(self, config_path, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5), (40, 2, 2, 1)]).save(str(stim))
+        raster = tmp_path / "raster.csv"
+        rc = main(["run", "--config", config_path, "--stimulus", str(stim),
+                   "--steps", "50", "--raster-out", str(raster)])
+        assert rc == 2
+        self.one_error_line(capsys, "error: ValueError: record 1: address 2 out of range for npu2")
+        assert not raster.exists()

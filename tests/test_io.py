@@ -12,13 +12,13 @@ from snnemu.netio import (
     NetworkDescription,
     NoiseSource,
     StimulusTrace,
-    load_network,
     load_raster,
     load_weight_image,
     run,
     save_cycles,
     save_raster,
     save_weight_image,
+    simulate,
 )
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
@@ -71,12 +71,24 @@ class TestWeightImage:
             load_weight_image(str(p))
 
 
+    def test_header_disagrees_with_payload(self, tmp_path):
+        # The CRC covers the payload only: a header claiming a second row
+        # passes the checksum but not the size check.
+        p = tmp_path / "w.bin"
+        save_weight_image(str(p), [np.zeros((1, 2), dtype=int)])
+        data = bytearray(p.read_bytes())
+        data[12] += 1  # section 0 rows: 1 -> 2
+        p.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match="does not match its header"):
+            load_weight_image(str(p))
+
+
 class TestNetworkDescription:
     def test_minimal_round_trip(self, tmp_path):
         desc = minimal_desc()
         path = tmp_path / "net.yaml"
         desc.save(str(path))
-        loaded = load_network(str(path))
+        loaded = NetworkDescription.load(str(path))
         assert desc_equal(desc, loaded)
 
     def test_full_round_trip(self, tmp_path):
@@ -90,7 +102,7 @@ class TestNetworkDescription:
         desc.weights2 = rng.integers(-8, 8, size=desc.weights2.shape)
         path = tmp_path / "net.yaml"
         desc.save(str(path))
-        assert desc_equal(desc, load_network(str(path)))
+        assert desc_equal(desc, NetworkDescription.load(str(path)))
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -158,6 +170,24 @@ class TestRun:
         trace = StimulusTrace(records=[(0, 1, 0, 127), (1, 1, 0, 127), (2, 1, 0, 127)])
         raster, _, _ = run(desc, trace, steps=4, seed=0)
         assert any(npu == 1 and addr == 0 for _, npu, addr in raster)
+
+
+    def test_trace_address_checked_before_step_0(self):
+        trace = StimulusTrace(records=[(0, 1, 1, 5), (90, 1, 2, 5)])
+        steps = simulate(minimal_desc(), trace, steps=100)
+        with pytest.raises(ValueError, match="record 1: address 2 out of range for npu1"):
+            next(steps)
+
+    def test_simulate_yields_every_step(self):
+        desc = minimal_desc(dc=[DcSource(npu=2, addr=1, value=3)],
+                            noise=[NoiseSource(npu=1, addrs=[0, 1], low=0, high=9)])
+        trace = StimulusTrace(records=[(1, 2, 0, 4), (1, 2, 0, 4), (1, 1, 1, 7)])
+        out = list(simulate(desc, trace, steps=3, seed=4))
+        assert [t for t, *_ in out] == [0, 1, 2]
+        # DC every step on npu2, two trace events at step 1 on npu2 and one on
+        # npu1, noise on two npu1 addresses every step
+        assert [rep.npu1.external for *_, rep in out] == [2, 3, 2]
+        assert [rep.npu2.external for *_, rep in out] == [1, 3, 1]
 
 
 class TestLcg:

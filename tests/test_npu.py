@@ -8,7 +8,6 @@ import pytest
 
 from snnemu.neuron import NeuronParams
 from snnemu.npu import (
-    ExternalEvent,
     GlobalNeuronConfig,
     Npu,
     NpuConfig,
@@ -18,6 +17,7 @@ from snnemu.npu import (
     dense_op_count,
 )
 from snnemu.synapse import GroupSparseConfig, WeightMemory
+from test_processor import events
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 LEAKY = NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)
@@ -97,7 +97,7 @@ class TestTimestep:
                        global_cfg=GlobalNeuronConfig(params=LEAKY))
         state = npu.initial_state()
         for _ in range(10):
-            state, spikes, _ = npu.timestep(state, [])
+            state, spikes, _ = npu.timestep(state)
             assert not spikes.any()
             assert not state.psp.y.any()
 
@@ -107,8 +107,7 @@ class TestTimestep:
         state = npu.initial_state()
         spiked_at = None
         for t in range(5):
-            ev = [ExternalEvent(neuron_addr=0, value=127)]
-            state, spikes, _ = npu.timestep(state, ev)
+            state, spikes, _ = npu.timestep(state, events((0, 127)))
             if spikes[0]:
                 spiked_at = t
                 break
@@ -128,8 +127,7 @@ class TestTimestep:
 
         raster = []
         for t in range(20):
-            ev = [ExternalEvent(neuron_addr=a, value=v) for a, v in stim(t)]
-            state, spikes, _ = npu.timestep(state, ev)
+            state, spikes, _ = npu.timestep(state, events(*stim(t)))
             raster.append(spikes.copy())
         ref = dense_reference(w, params, 2, stim, 20)
         assert np.array_equal(np.array(raster), ref)
@@ -140,26 +138,24 @@ class TestTimestep:
         w[0, 1] = 7
         npu = make_npu(active=2, weights=w)
         state = npu.initial_state()
-        state, spikes, _ = npu.timestep(
-            state, [ExternalEvent(neuron_addr=0, value=127)] * 3
-        )
+        state, spikes, _ = npu.timestep(state, events(*[(0, 127)] * 3))
         assert spikes[0] == 1
         assert state.psp.y[1] == 0
-        state, _, _ = npu.timestep(state, [])
+        state, _, _ = npu.timestep(state)
         # +7 arrived this step, then decayed once (7 - 0 -> selector 1 -> 6)
         assert state.psp.y[1] == 6
 
     def test_event_address_out_of_range(self):
         npu = make_npu(active=2)
         with pytest.raises(IndexError, match="address 5"):
-            npu.timestep(npu.initial_state(), [ExternalEvent(neuron_addr=5, value=1)])
+            npu.timestep(npu.initial_state(), events((5, 1)))
 
     def test_phase_order_decay_before_pde(self):
         # i_t is sampled after decay: a lone +8 event decays to +7 before the
         # neuron sees it.
         npu = make_npu(active=1, decay_a=3)
         state = npu.initial_state()
-        state, _, _ = npu.timestep(state, [ExternalEvent(neuron_addr=0, value=8)])
+        state, _, _ = npu.timestep(state, events((0, 8)))
         assert state.psp.y[0] == 7
         assert state.v_m[0] == 7
 
@@ -171,12 +167,10 @@ class TestGlobalNeuron:
         npu = make_npu(active=2, global_cfg=g, decay_a=7)
         state = npu.initial_state()
         # force the global neuron (addr 2) to spike
-        state, spikes, _ = npu.timestep(
-            state, [ExternalEvent(neuron_addr=2, value=127)] * 3
-        )
+        state, spikes, _ = npu.timestep(state, events(*[(2, 127)] * 3))
         assert spikes[2] == 1
         y_before = state.psp.y.copy()
-        state, _, cyc = npu.timestep(state, [])
+        state, _, cyc = npu.timestep(state)
         expected = y_before + delta
         # then one decay step
         for k, e in enumerate(expected):
@@ -193,14 +187,14 @@ class TestGlobalNeuron:
         npu = make_npu(active=2, global_cfg=g)
         state = npu.initial_state()
         state.last_spikes[2] = 1
-        _, _, cyc = npu.timestep(state, [])
+        _, _, cyc = npu.timestep(state)
         assert cyc.mac == 1
 
 
 class TestCycles:
     def test_scan_only_when_silent(self):
         npu = make_npu(active=4)
-        _, _, cyc = npu.timestep(npu.initial_state(), [])
+        _, _, cyc = npu.timestep(npu.initial_state())
         total = 5
         assert cyc.scan == math.ceil(total / 2)
         assert cyc.mac == 0
@@ -216,7 +210,7 @@ class TestCycles:
         npu = make_npu(active=8, weights=w, gs=gs)
         state = npu.initial_state()
         state.last_spikes[0] = 1
-        _, _, cyc = npu.timestep(state, [])
+        _, _, cyc = npu.timestep(state)
         assert cyc.mac == 1
 
 
@@ -258,7 +252,7 @@ class TestChop:
             state = npu.initial_state()
             rows = []
             for t in range(30):
-                ev = [ExternalEvent(neuron_addr=k, value=70) for k in range(4)]
+                ev = events(*[(k, 70) for k in range(4)])
                 state, spikes, _ = npu.timestep(state, ev)
                 rows.append(spikes)
             raster[chopped] = np.array(rows)

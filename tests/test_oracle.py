@@ -1,0 +1,207 @@
+"""Independent scalar reference of one Processor timestep, diffed against
+the executed datapath.
+
+The reference works on plain Python ints and lists, straight from the phase
+order in the README: external events, then the spike MACs of the previous
+step (NPU2's feedforward stream is NPU1's raster of the step before, the
+scheduler's one-step delay), then 12-bit saturation, decay, and the neuron
+update. Group masks are applied per target from the mask bits; nothing is
+shared with the packed weight memory or the compiled crossbar.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from snnemu.neuron import NeuronParams
+from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
+from snnemu.processor import Processor
+from snnemu.synapse import GroupSparseConfig, WeightMemory
+from test_processor import events
+
+PHASES = ("external", "scan", "mac", "decay", "pde")
+
+
+class RefNpu:
+    """One NPU as lists of ints: `weights[row][target]` with feedforward
+    rows first, `masks[row]` the group bits read for that row."""
+
+    def __init__(self, params, global_weight, decay_a, weights, masks, n_ff):
+        self.params = params  # active neurons, then the global neuron
+        self.global_weight = global_weight
+        self.decay_a = decay_a
+        self.weights = weights
+        self.masks = masks
+        self.n_ff = n_ff
+        self.total = len(params)
+        self.v = [p.v_r for p in params]
+        self.y = [0] * self.total
+        self.last = [0] * self.total
+
+    def _read(self, row):
+        """Masked weights of one SRAM row and its word-read count."""
+        mask = self.masks[row]
+        w = [
+            self.weights[row][i] if (mask >> (i // 8)) & 1 else 0
+            for i in range(self.total)
+        ]
+        return w, bin(mask).count("1")
+
+    def step(self, events, feedforward):
+        cyc = dict.fromkeys(PHASES, 0)
+        y = self.y
+        for addr, value in events:
+            y[addr] += value
+            cyc["external"] += 1
+        if self.n_ff:
+            cyc["scan"] += -(-len(feedforward) // 2)
+            for src, bit in enumerate(feedforward):
+                if bit:
+                    w, reads = self._read(src)
+                    y = [a + b for a, b in zip(y, w)]
+                    cyc["mac"] += reads
+        cyc["scan"] += -(-self.total // 2)
+        for src, bit in enumerate(self.last):
+            if not bit:
+                continue
+            if src == self.total - 1:
+                y = [a + self.global_weight for a in y]
+                cyc["mac"] += 1
+            else:
+                w, reads = self._read(self.n_ff + src)
+                y = [a + b for a, b in zip(y, w)]
+                cyc["mac"] += reads
+        y = [min(max(a, -2048), 2047) for a in y]
+        decayed = []
+        for a in y:
+            shifted = a // (1 << self.decay_a)
+            if shifted == 0 and a != 0:
+                shifted = 1 if a > 0 else -1
+            decayed.append(a - shifted)
+        self.y = decayed
+        cyc["decay"] = cyc["pde"] = self.total
+        spikes = []
+        for k, p in enumerate(self.params):
+            v = self.v[k]
+            if p.a_num + p.b_num:
+                switch = (p.a_num * p.v_r + p.b_num * p.v_t) // (p.a_num + p.b_num)
+            else:
+                switch = p.v_t
+            if v < switch:
+                drift = (p.a_num * (p.v_r - v)) // 8
+            else:
+                drift = (p.b_num * (v - p.v_t)) // 8
+            s = v + drift + self.y[k]
+            spikes.append(int(s > 255))
+            self.v[k] = p.v_reset if s > 255 else max(s, 0)
+        self.last = spikes
+        return spikes, cyc
+
+
+class RefProcessor:
+    def __init__(self, ref1, ref2):
+        self.ref1, self.ref2 = ref1, ref2
+        self.pending = [0] * ref1.total
+
+    def step(self, stimulus):
+        s1, c1 = self.ref1.step([(a, v) for n, a, v in stimulus if n == 1], [])
+        s2, c2 = self.ref2.step([(a, v) for n, a, v in stimulus if n == 2], self.pending)
+        self.pending = s1
+        return s1, s2, c1, c2
+
+
+def _params(rng):
+    v_r = int(rng.integers(0, 200))
+    return NeuronParams(
+        a_num=int(rng.integers(0, 8)), b_num=int(rng.integers(0, 8)),
+        v_r=v_r, v_t=int(rng.integers(v_r, 256)), v_reset=int(rng.integers(0, 256)),
+    )
+
+
+def _masks(rng, weights, gs_mode):
+    """Per-row mask bits: every group, the non-zero groups, or random bits
+    (which may also drop non-zero weights)."""
+    n_groups = -(-weights.shape[1] // 8)
+    full = (1 << n_groups) - 1
+    if gs_mode == "dense":
+        return [full] * weights.shape[0]
+    if gs_mode == "auto":
+        return [
+            sum(1 << g for g in range(n_groups) if row[8 * g:8 * g + 8].any())
+            for row in weights
+        ]
+    return [int(rng.integers(0, full + 1)) for _ in range(weights.shape[0])]
+
+
+def _pair(n, rng, chopped, n_ff, gs_mode, g_mode, g_weight, max_neurons):
+    """A random NPU of n active neurons and its reference twin."""
+    total = n + 1
+    params = [_params(rng) for _ in range(total)]
+    chop = (n // 2, n // 2) if chopped and n >= 2 else None
+    weights = rng.integers(-8, 8, size=(n_ff + n, total))
+    weights[:, rng.random(total) < 0.3] = 0  # some all-zero groups and columns
+    if chop is not None:
+        # sub-population 2 never feeds sub-population 1
+        weights[n_ff + chop[0]:n_ff + n, :chop[0]] = 0
+    masks = _masks(rng, weights, gs_mode)
+    g = GlobalNeuronConfig(params=params[-1], out_weight=g_weight, mode=g_mode)
+    cfg = NpuConfig(max_neurons=max_neurons, active_neurons=n, params=params[:-1],
+                    global_neuron=g, decay_a=int(rng.integers(0, 8)), chop=chop)
+    n_groups = -(-total // 8)
+    gs = GroupSparseConfig(n_groups=n_groups, gs_code=(1 << n_groups) - 1,
+                           per_source=masks)
+    npu = Npu(cfg, WeightMemory.from_matrix(weights), gs=gs, n_ff_sources=n_ff)
+    ref = RefNpu(params, g.effective_weight, cfg.decay_a,
+                 weights.tolist(), masks, n_ff)
+    return npu, ref
+
+
+def _stimulus(rng, totals):
+    stimulus = []
+    for _ in range(int(rng.integers(0, 12))):
+        npu = int(rng.integers(1, 3))
+        stimulus.append((npu, int(rng.integers(0, totals[npu - 1])),
+                         int(rng.integers(-40, 128))))
+    return stimulus
+
+
+def drive(proc, stimulus):
+    """Feed (npu, addr, value) events through the public Processor API."""
+    return proc.timestep(*(
+        events(*[(a, v) for n, a, v in stimulus if n == k]) for k in (1, 2)
+    ))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([1, 2, 4, 8, 16, 32]),
+    n2=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+    gs_mode=st.sampled_from(["dense", "auto", "random"]),
+    chop=st.tuples(st.booleans(), st.booleans()),
+    globals_=st.tuples(
+        st.sampled_from(["excitatory", "inhibitory"]), st.integers(-8, 7),
+        st.sampled_from(["excitatory", "inhibitory"]), st.integers(-8, 7),
+    ),
+    steps=st.integers(1, 12),
+)
+def test_processor_matches_scalar_reference(seed, n1, n2, gs_mode, chop, globals_, steps):
+    rng = np.random.default_rng(seed)
+    g1_mode, g1_weight, g2_mode, g2_weight = globals_
+    npu1, ref1 = _pair(n1, rng, chop[0], 0, gs_mode, g1_mode, g1_weight, 32)
+    npu2, ref2 = _pair(n2, rng, chop[1], n1 + 1, gs_mode, g2_mode, g2_weight, 128)
+    proc = Processor(npu1, npu2)
+    ref = RefProcessor(ref1, ref2)
+    for t in range(steps):
+        stimulus = _stimulus(rng, (n1 + 1, n2 + 1))
+        s1, s2, rep = drive(proc, stimulus)
+        r1, r2, c1, c2 = ref.step(stimulus)
+        assert s1.tolist() == r1, f"step {t}: npu1 spikes"
+        assert s2.tolist() == r2, f"step {t}: npu2 spikes"
+        for name in PHASES:
+            assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
+            assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"
+        assert proc.state1.psp.y.tolist() == ref1.y, f"step {t}: npu1 accumulators"
+        assert proc.state2.psp.y.tolist() == ref2.y, f"step {t}: npu2 accumulators"
+        assert proc.state1.v_m.tolist() == ref1.v, f"step {t}: npu1 membranes"
+        assert proc.state2.v_m.tolist() == ref2.v, f"step {t}: npu2 membranes"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu.neuron import NeuronParams
-from snnemu.npu import ExternalEvent, GlobalNeuronConfig, Npu, NpuConfig
+from snnemu.netio import DcSource, NoiseSource, StimulusTrace
+from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.processor import (
     CycleReport,
     Processor,
@@ -16,6 +17,12 @@ from snnemu.processor import (
 from snnemu.synapse import WeightMemory
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
+
+
+def events(*pairs):
+    """(addresses, values) arrays of one step's (addr, value) events."""
+    return (np.array([a for a, _ in pairs], dtype=np.int64),
+            np.array([v for _, v in pairs], dtype=np.int64))
 
 
 def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
@@ -42,10 +49,10 @@ class TestScheduler:
         ff[0, 2] = 7
         proc = make_processor(ff=ff, decay_a=7)
         # drive NPU1 neuron 0 over threshold at t=0
-        s1, s2, _ = proc.timestep([(1, ExternalEvent(neuron_addr=0, value=127))] * 3)
+        s1, s2, _ = proc.timestep(events(*[(0, 127)] * 3))
         assert s1[0] == 1
         assert proc.state2.psp.y[2] == 0  # not yet delivered
-        s1, s2, _ = proc.timestep([])
+        s1, s2, _ = proc.timestep()
         assert proc.state2.psp.y[2] == 6  # +7 delivered, one decay step
 
     @settings(max_examples=15, deadline=None)
@@ -55,28 +62,32 @@ class TestScheduler:
         proc = make_processor()
         prev = None
         for t in range(15):
-            stim = [
-                (1, ExternalEvent(neuron_addr=int(rng.integers(0, 3)),
-                                  value=int(rng.integers(-50, 120))))
+            stim = events(*[
+                (int(rng.integers(0, 3)), int(rng.integers(-50, 120)))
                 for _ in range(rng.integers(0, 4))
-            ]
+            ])
             if prev is not None:
-                assert np.array_equal(proc.scheduler.pending, prev)
+                assert np.array_equal(proc.pending, prev)
             s1, _, _ = proc.timestep(stim)
             prev = s1
-            assert np.array_equal(proc.scheduler.pending, s1)
+            assert np.array_equal(proc.pending, s1)
 
     def test_empty_run_scan_only(self):
         proc = make_processor()
-        s1, s2, rep = proc.timestep([])
+        s1, s2, rep = proc.timestep()
         assert not s1.any() and not s2.any()
         assert rep.npu1.mac == 0 and rep.npu2.mac == 0
         assert rep.npu1.scan > 0 and rep.npu2.scan > 0
 
     def test_unknown_npu_id(self):
-        proc = make_processor()
-        with pytest.raises(ValueError, match="npu id"):
-            proc.timestep([(3, ExternalEvent(neuron_addr=0, value=1))])
+        # Events reach the processor per NPU, so an unknown NPU id is
+        # rejected wherever stimulus is declared.
+        with pytest.raises(ValueError, match="npu must be 1 or 2"):
+            StimulusTrace(records=[(0, 3, 0, 1)])
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            DcSource(npu=3, addr=0, value=1)
+        with pytest.raises(ValueError, match="must be 1 or 2"):
+            NoiseSource(npu=0, addrs=[0], low=0, high=1)
 
 
 class TestAnalytics:
@@ -113,7 +124,7 @@ class TestCycleReport:
         agg = CycleReport()
         per = []
         for _ in range(5):
-            _, _, rep = proc.timestep([])
+            _, _, rep = proc.timestep()
             per.append(rep)
             agg.merge(rep)
         assert agg.npu1.total == sum(r.npu1.total for r in per)
@@ -122,7 +133,7 @@ class TestCycleReport:
 
     def test_parallel_is_max(self):
         proc = make_processor(n1=2, n2=16)
-        _, _, rep = proc.timestep([])
+        _, _, rep = proc.timestep()
         assert rep.total_parallel == max(rep.npu1.total, rep.npu2.total)
         assert rep.npu2.total > rep.npu1.total
 

@@ -1,4 +1,5 @@
-"""Tests for weight packing, group-sparse decode, accumulation, and decay."""
+"""Tests for weight packing, group-sparse masks, the compiled crossbar, the
+spike-stream scan charge, and decay."""
 
 import math
 
@@ -7,16 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnemu.neuron import NeuronParams
+from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.synapse import (
+    Crossbar,
     GroupSparseConfig,
     PostSynapticState,
     WeightMemory,
-    accumulate_spike,
     decay_value,
-    decode_spike_stream,
     pack_weights,
     steps_to_fraction,
 )
+
+QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
+
+
+def silent_npu(active, n_ff=0, gs=None):
+    """An NPU of pure integrators with all-ones weights, so any spiking
+    source costs its mask's popcount in MAC cycles."""
+    total = active + 1
+    cfg = NpuConfig(max_neurons=128, active_neurons=active, params=[QUIET] * active,
+                    global_neuron=GlobalNeuronConfig(params=QUIET))
+    mem = WeightMemory.from_matrix(np.ones((n_ff + active, total), dtype=int))
+    return Npu(cfg, mem, gs=gs, n_ff_sources=n_ff)
 
 
 class TestPacking:
@@ -86,33 +100,38 @@ class TestDecay:
 
 
 class TestDecode:
+    """Npu.timestep scans each spike stream two bits per clock, and charges
+    every spiking source its enabled groups."""
+
     def test_all_zero_stream(self):
-        gs = GroupSparseConfig.dense(128)
-        sched, scan = decode_spike_stream([0] * 128, gs)
-        assert sched == []
-        assert scan == 64
+        npu = silent_npu(active=1, n_ff=128)
+        _, _, cyc = npu.timestep(npu.initial_state(), feedforward=np.zeros(128, np.uint8))
+        assert cyc.mac == 0
+        assert cyc.scan == 64 + 1  # 128-bit feedforward stream, 2-bit own stream
 
     def test_single_spike_dense_groups(self):
-        gs = GroupSparseConfig.dense(128)
-        sched, scan = decode_spike_stream([1] + [0] * 127, gs)
-        assert sched == [(0, 16)]
-        assert scan == 64
+        npu = silent_npu(active=128)  # 129 targets -> 17 groups, all read
+        state = npu.initial_state()
+        state.last_spikes[0] = 1
+        _, _, cyc = npu.timestep(state)
+        assert cyc.mac == 17
+        assert cyc.scan == 65
 
     def test_half_enabled_groups(self):
-        # 64 targets -> 8 groups; enable 4 of them
-        gs = GroupSparseConfig(n_groups=8, gs_code=0b01010101)
+        # 65 targets -> 9 groups; enable 4 of them
+        gs = GroupSparseConfig(n_groups=9, gs_code=0b001010101)
         assert gs.gs_num == 4
-        bits = [0] * 64
+        npu = silent_npu(active=64, n_ff=64, gs=gs)
+        bits = np.zeros(64, dtype=np.uint8)
         bits[0] = bits[5] = 1
-        sched, scan = decode_spike_stream(bits, gs)
-        assert sched == [(0, 4), (5, 4)]
-        assert sum(m for _, m in sched) == 8
-        assert scan == 32
+        _, _, cyc = npu.timestep(npu.initial_state(), feedforward=bits)
+        assert cyc.mac == 8
+        assert cyc.scan == 32 + 33
 
     def test_odd_length_padded(self):
-        gs = GroupSparseConfig.dense(8)
-        _, scan = decode_spike_stream([0] * 9, gs)
-        assert scan == 5
+        npu = silent_npu(active=8)  # 9-bit own stream
+        _, _, cyc = npu.timestep(npu.initial_state())
+        assert cyc.scan == 5
 
 
 class TestAccumulate:
@@ -121,7 +140,7 @@ class TestAccumulate:
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig.dense(64)
         psp = PostSynapticState.zeros(64)
-        cycles = accumulate_spike(0, mem, gs, psp)
+        cycles = Crossbar.compile(mem, gs).mac(np.array([1]), psp.y)
         assert cycles == gs.gs_num == 8
         assert list(psp.y) == row
 
@@ -130,26 +149,34 @@ class TestAccumulate:
         gs = GroupSparseConfig.dense(8)
         psp = PostSynapticState.zeros(8)
         psp.y[:] = 2040
-        accumulate_spike(0, mem, gs, psp)
-        accumulate_spike(1, mem, gs, psp)
+        Crossbar.compile(mem, gs).mac(np.array([1, 1]), psp.y)
         assert psp.y[0] == 2054  # wide intermediate, not yet clamped
         psp.saturate()
         assert list(psp.y) == [2047] * 8
 
     def test_source_out_of_range(self):
         mem = WeightMemory.from_matrix([[0] * 8])
-        gs = GroupSparseConfig.dense(8)
-        with pytest.raises(IndexError):
-            accumulate_spike(3, mem, gs, PostSynapticState.zeros(8))
+        xbar = Crossbar.compile(mem, GroupSparseConfig.dense(8))
+        spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row memory
+        with pytest.raises(ValueError, match="expected 1 sources"):
+            xbar.mac(spikes, PostSynapticState.zeros(8).y)
 
     def test_disabled_groups_skipped(self):
         row = [5] * 16
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig(n_groups=2, gs_code=0b01)
         psp = PostSynapticState.zeros(16)
-        cycles = accumulate_spike(0, mem, gs, psp)
+        cycles = Crossbar.compile(mem, gs).mac(np.array([1]), psp.y)
         assert cycles == 1
         assert list(psp.y) == [5] * 8 + [0] * 8
+
+    def test_broadcast_row(self):
+        mem = WeightMemory.from_matrix([[3] * 12])
+        xbar = Crossbar.compile(mem, GroupSparseConfig.dense(12), broadcast=-4)
+        assert xbar.cost.tolist() == [2, 1]
+        y = np.zeros(12, dtype=np.int64)
+        assert xbar.mac(np.array([1, 1]), y) == 3
+        assert y.tolist() == [-1] * 12
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -162,9 +189,7 @@ class TestAccumulate:
         mem = WeightMemory.from_matrix(w)
         gs = GroupSparseConfig.dense(n_tgt)
         psp = PostSynapticState.zeros(n_tgt)
-        total = 0
-        for s in np.nonzero(spikes)[0]:
-            total += accumulate_spike(int(s), mem, gs, psp)
+        total = Crossbar.compile(mem, gs).mac(spikes, psp.y)
         psp.saturate()
         oracle = np.clip(w.T @ spikes, -2048, 2047)
         assert np.array_equal(psp.y, oracle)
@@ -178,7 +203,7 @@ class TestGroupSparse:
         gs = GroupSparseConfig.from_memory(WeightMemory.from_matrix(w))
         assert gs.code_for(0) == 0b10
         assert gs.code_for(1) == 0
-        assert gs.mac_cycles(0) == 1
+        assert Crossbar.compile(WeightMemory.from_matrix(w), gs).cost.tolist() == [1, 0]
 
     def test_gs_num_is_popcount(self):
         gs = GroupSparseConfig(n_groups=16, gs_code=0b1010101010101010)
