@@ -209,10 +209,11 @@ def decode_sudoku_solution(
     """Per cell, pick the digit whose neuron spiked most inside
     [window[0], window[1]). Ties go to the lowest digit and are flagged."""
     t0, t1 = window
-    counts = np.zeros(n**3, dtype=np.int64)
+    counts = [0] * n**3
     for t, npu, addr in raster:
         if npu == 2 and t0 <= t < t1 and addr < n**3:
             counts[addr] += 1
+    counts = np.array(counts)
     grid = [[0] * n for _ in range(n)]
     low_conf: set[tuple[int, int]] = set()
     for r in range(n):
@@ -343,12 +344,15 @@ def solve_sudoku(
     agg = CycleReport()
     raster: list[tuple[int, int, int]] = []
     n = puzzle.n
+    window_start = 0  # index of the trailing window's first raster record
     for t, _, s2, rep in simulate(desc, trace, max_steps, seed):
         agg.merge(rep)
-        raster += [(t, 2, int(addr)) for addr in np.flatnonzero(s2)]
+        raster += [(t, 2, addr) for addr in s2.nonzero()[0].tolist()]
         if (t + 1) % check_every == 0:
+            window = raster[window_start:]
+            window_start = len(raster)
             try:
-                decode = decode_sudoku_solution(raster, (t + 1 - check_every, t + 1), n)
+                decode = decode_sudoku_solution(window, (t + 1 - check_every, t + 1), n)
             except NoDecisionError:
                 continue
             if verify_sudoku(decode.grid, puzzle):

@@ -33,6 +33,13 @@ CONFIG_VERSION = 1
 LCG_MULT = 1664525
 LCG_INC = 1013904223
 
+# The highest neuron address on the chip: NPU2's global neuron.
+MAX_ADDRESS = 128
+
+# libyaml's loader when PyYAML was built with it; it returns the same
+# documents as the pure-Python SafeLoader, several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Invalid network description; message starts with the field path."""
@@ -56,6 +63,39 @@ class Lcg:
         """Uniform-ish integer in [lo, hi] (modulo bias is acceptable and
         fully reproducible)."""
         return lo + self.next_u32() % (hi - lo + 1)
+
+
+class NoiseDraws:
+    """Draws `lcg.int_range(lo, hi)` for each (lo, hi) of `ranges`, in
+    order, all at once per call and bit-identical to drawing them one by one.
+
+    The j-th state after x is x_j = (A_j * x + C_j) mod 2^32, with
+    A_j = a^j and C_j = c * (a^(j-1) + ... + 1) tabled once (jump-ahead,
+    F. Brown, "Random number generation with arbitrary strides", Trans. ANS
+    1994). uint32 arithmetic wraps modulo 2^32, the generator's modulus.
+    """
+
+    def __init__(self, lcg: Lcg, ranges: list[tuple[int, int]]):
+        self.lcg = lcg
+        mult, inc = [], []
+        a, c = 1, 0
+        for _ in ranges:
+            a, c = (LCG_MULT * a) & 0xFFFFFFFF, (LCG_MULT * c + LCG_INC) & 0xFFFFFFFF
+            mult.append(a)
+            inc.append(c)
+        self._mult = np.array(mult, dtype=np.uint32)
+        self._inc = np.array(inc, dtype=np.uint32)
+        self._low = np.array([lo for lo, _ in ranges], dtype=np.int64)
+        self._span = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.uint32)
+
+    def draw(self) -> np.ndarray:
+        """The next value of every range, as a fresh int64 array."""
+        if not len(self._span):
+            return self._low.copy()
+        xs = self._mult * np.uint32(self.lcg.state)
+        xs += self._inc
+        self.lcg.state = int(xs[-1])
+        return self._low + xs % self._span
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +189,50 @@ class DcSource:
             raise ConfigError("stimulus.dc.value", f"must fit signed 8-bit, got {self.value}")
 
 
-def _params_from_dict(d: dict, path: str) -> NeuronParams:
+PARAM_FIELDS = ("a_num", "b_num", "v_r", "v_t", "v_reset")
+
+
+def _show(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a mapping, got {_show(value)}")
+    return value
+
+
+def _list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(path, f"must be a list, got {_show(value)}")
+    return value
+
+
+def _get(d: dict, key: str, path: str):
+    if key not in d:
+        raise ConfigError(path, f"missing field '{key}'")
+    return d[key]
+
+
+def _int(value, path: str) -> int:
+    if type(value) is not int:
+        raise ConfigError(path, f"must be an integer, got {_show(value)}")
+    return value
+
+
+def _ints(d: dict, keys, path: str) -> dict:
+    """The integer fields `keys` of mapping `d`."""
+    d = _mapping(d, path)
+    return {k: _int(_get(d, k, path), f"{path}.{k}") for k in keys}
+
+
+def _params_from_dict(d, path: str) -> NeuronParams:
+    values = _ints(d, PARAM_FIELDS, path)
     try:
-        return NeuronParams(
-            a_num=int(d["a_num"]),
-            b_num=int(d["b_num"]),
-            v_r=int(d["v_r"]),
-            v_t=int(d["v_t"]),
-            v_reset=int(d["v_reset"]),
-        )
-    except KeyError as e:
-        raise ConfigError(path, f"missing neuron field {e}") from e
+        return NeuronParams(**values)
     except ValueError as e:
-        raise ConfigError(path, str(e)) from e
+        raise ConfigError(path, str(e)) from None
 
 
 def _chop_from(chop, path: str) -> tuple[int, int] | None:
@@ -174,13 +245,7 @@ def _chop_from(chop, path: str) -> tuple[int, int] | None:
 
 
 def _params_to_dict(p: NeuronParams) -> dict:
-    return {
-        "a_num": p.a_num,
-        "b_num": p.b_num,
-        "v_r": p.v_r,
-        "v_t": p.v_t,
-        "v_reset": p.v_reset,
-    }
+    return {f: getattr(p, f) for f in PARAM_FIELDS}
 
 
 @dataclass
@@ -214,6 +279,11 @@ class NetworkDescription:
                 "weights.npu2",
                 f"shape {self.weights2.shape}, expected {(t1 + self.npu2.active_neurons, t2)}",
             )
+        self.check_stimulus()
+
+    def check_stimulus(self) -> None:
+        """Every DC and noise address names a neuron of its NPU. The source
+        lists may be reassigned after construction, so runs check again."""
         for src in self.dc + self.noise:
             cfg = self.npu1 if src.npu == 1 else self.npu2
             addrs = src.addrs if isinstance(src, NoiseSource) else [src.addr]
@@ -257,37 +327,44 @@ class NetworkDescription:
         return d
 
     @staticmethod
-    def _npu_from_dict(d: dict, path: str) -> NpuConfig:
+    def _npu_from_dict(d, path: str) -> NpuConfig:
+        d = _mapping(d, path)
+        active = _int(_get(d, "active_neurons", path), f"{path}.active_neurons")
+        if not 1 <= active <= 128:
+            raise ConfigError(f"{path}.active_neurons", f"must be 1..128, got {active}")
+        neurons = _get(d, "neurons", path)
+        if isinstance(neurons, dict):
+            params = [_params_from_dict(neurons, f"{path}.neurons")] * active
+        elif isinstance(neurons, list):
+            params = [
+                _params_from_dict(nd, f"{path}.neurons[{i}]")
+                for i, nd in enumerate(neurons)
+            ]
+        else:
+            raise ConfigError(
+                f"{path}.neurons",
+                f"must be a mapping or a list of mappings, got {_show(neurons)}",
+            )
+        gpath = f"{path}.global"
+        g = _mapping(_get(d, "global", path), gpath)
+        global_params = _params_from_dict(_get(g, "params", gpath), f"{gpath}.params")
         try:
-            active = int(d["active_neurons"])
-            neurons = d["neurons"]
-            if isinstance(neurons, dict):
-                params = [_params_from_dict(neurons, f"{path}.neurons")] * active
-            else:
-                params = [
-                    _params_from_dict(nd, f"{path}.neurons[{i}]")
-                    for i, nd in enumerate(neurons)
-                ]
-            g = d["global"]
-            cfg = NpuConfig(
-                max_neurons=int(d["max_neurons"]),
+            return NpuConfig(
+                max_neurons=_int(_get(d, "max_neurons", path), f"{path}.max_neurons"),
                 active_neurons=active,
                 params=params,
                 global_neuron=GlobalNeuronConfig(
-                    params=_params_from_dict(g["params"], f"{path}.global.params"),
-                    out_weight=int(g.get("out_weight", 0)),
+                    params=global_params,
+                    out_weight=_int(g.get("out_weight", 0), f"{gpath}.out_weight"),
                     mode=g.get("mode", "excitatory"),
                 ),
-                decay_a=int(d.get("decay_a", 3)),
+                decay_a=_int(d.get("decay_a", 3), f"{path}.decay_a"),
                 chop=_chop_from(d.get("chop"), f"{path}.chop"),
             )
         except ConfigError:
             raise
-        except KeyError as e:
-            raise ConfigError(path, f"missing field {e}") from e
         except ValueError as e:
-            raise ConfigError(path, str(e)) from e
-        return cfg
+            raise ConfigError(path, str(e)) from None
 
     def save(self, path: str) -> None:
         """Write the YAML description plus the weight image next to it."""
@@ -323,45 +400,46 @@ class NetworkDescription:
     def load(cls, path: str) -> "NetworkDescription":
         with open(path) as f:
             try:
-                doc = yaml.safe_load(f)
+                doc = yaml.load(f, Loader=_YAML_LOADER)
             except yaml.YAMLError as e:
                 raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
         if not isinstance(doc, dict):
             raise ConfigError(path, "not a mapping")
         version = doc.get("version")
         if version != CONFIG_VERSION:
-            raise ConfigError("version", f"unsupported config version {version}")
+            raise ConfigError("version", f"unsupported config version {_show(version)}")
         for key in ("npu1", "npu2", "weight_image"):
             if key not in doc:
                 raise ConfigError(path, f"missing field '{key}'")
         npu1 = cls._npu_from_dict(doc["npu1"], "npu1")
         npu2 = cls._npu_from_dict(doc["npu2"], "npu2")
+        if not isinstance(doc["weight_image"], str):
+            raise ConfigError("weight_image", f"must be a file name, got {_show(doc['weight_image'])}")
         mems = load_weight_image(
             os.path.join(os.path.dirname(path) or ".", doc["weight_image"])
         )
         if len(mems) != 2:
             raise ConfigError("weight_image", f"expected 2 sections, got {len(mems)}")
-        stim = doc.get("stimulus", {}) or {}
+        stim = doc.get("stimulus")
+        stim = {} if stim is None else _mapping(stim, "stimulus")
         dc = [
-            DcSource(npu=int(s["npu"]), addr=int(s["addr"]), value=int(s["value"]))
-            for s in stim.get("dc", [])
+            DcSource(**_ints(s, ("npu", "addr", "value"), f"stimulus.dc[{i}]"))
+            for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc"))
         ]
-        noise = [
-            NoiseSource(
-                npu=int(s["npu"]),
-                addrs=[int(a) for a in s["addrs"]],
-                low=int(s["low"]),
-                high=int(s["high"]),
-            )
-            for s in stim.get("noise", [])
-        ]
+        noise = []
+        for i, s in enumerate(_list(stim.get("noise", []), "stimulus.noise")):
+            spath = f"stimulus.noise[{i}]"
+            fields = _ints(s, ("npu", "low", "high"), spath)
+            addrs = _list(_get(s, "addrs", spath), f"{spath}.addrs")
+            fields["addrs"] = [_int(a, f"{spath}.addrs[{j}]") for j, a in enumerate(addrs)]
+            noise.append(NoiseSource(**fields))
         return cls(
             npu1=npu1,
             npu2=npu2,
             weights1=mems[0].unpack(),
             weights2=mems[1].unpack(),
             gs_mode=doc.get("gs_mode", "auto"),
-            clock_hz=int(doc.get("clock_hz", DEFAULT_CLOCK_HZ)),
+            clock_hz=_int(doc.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz"),
             dc=dc,
             noise=noise,
         )
@@ -377,11 +455,15 @@ class StimulusTrace:
     records: list[tuple[int, int, int, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        last = -1
+        last = 0
         for i, (t, npu, addr, value) in enumerate(self.records):
             if t < last:
-                raise ValueError(f"record {i}: timesteps must be non-decreasing")
+                raise ValueError(f"record {i}: timesteps must be non-negative and non-decreasing")
+            if t >= 2**63:
+                raise ValueError(f"record {i}: timestep {t} does not fit 64 bits")
             last = t
+            if not 0 <= addr <= MAX_ADDRESS:
+                raise ValueError(f"record {i}: neuron address must be 0..{MAX_ADDRESS}, got {addr}")
             if npu not in (1, 2):
                 raise ValueError(f"record {i}: npu must be 1 or 2, got {npu}")
             if not -128 <= value <= 127:
@@ -400,11 +482,17 @@ class StimulusTrace:
             header = f.readline().strip()
             if header != "timestep,npu,neuron,value":
                 raise ValueError(f"{path}: unexpected stimulus header {header!r}")
-            for line in f:
+            for lineno, line in enumerate(f, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                t, npu, addr, value = (int(x) for x in line.split(","))
+                try:
+                    t, npu, addr, value = (int(x) for x in line.split(","))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected four integers "
+                        f"timestep,npu,neuron,value, got {_show(line)}"
+                    ) from None
                 records.append((t, npu, addr, value))
         return cls(records=records)
 
@@ -460,8 +548,8 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
 def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     """One function per NPU from (t, the step's noise draws) to that NPU's
     (addresses, values): its trace records for step t, its DC sources, then
-    its noise sources. An out-of-range trace address fails here, before any
-    step runs."""
+    its noise sources. Every address is checked here, before any step runs."""
+    desc.check_stimulus()
     totals = np.array([0, desc.npu1.total_neurons, desc.npu2.total_neurons])
     trace = np.array(stimulus.records if stimulus else [], dtype=np.int64).reshape(-1, 4)
     bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
@@ -474,6 +562,7 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
 
     def compile_npu(k: int):
         rows = trace[trace[:, 1] == k]
+        trace_addrs, trace_values = rows[:, 2].copy(), rows[:, 3].copy()
         ts, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
         slices = {int(t): slice(a, a + n) for t, a, n in zip(ts, starts, counts)}
         dc = [s for s in desc.dc if s.npu == k]
@@ -483,9 +572,12 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
         noise = np.flatnonzero(noise_npu == k)
 
         def events(t: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sl = slices.get(t, slice(0))
-            return (np.concatenate((rows[sl, 2], addrs)),
-                    np.concatenate((rows[sl, 3], dc_values, draws[noise])))
+            values = np.concatenate((dc_values, draws[noise])) if noise.size else dc_values
+            sl = slices.get(t)
+            if sl is None:
+                return addrs, values
+            return (np.concatenate((trace_addrs[sl], addrs)),
+                    np.concatenate((trace_values[sl], values)))
 
         return events
 
@@ -505,10 +597,9 @@ def simulate(
     Lcg(seed), drawn each step source by source in declaration order."""
     proc = desc.build_processor()
     events1, events2 = _compile_stimulus(desc, stimulus)
-    ranges = [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs]
-    lcg = Lcg(seed)
+    noise = NoiseDraws(Lcg(seed), [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
     for t in range(steps):
-        draws = np.array([lcg.int_range(lo, hi) for lo, hi in ranges], dtype=np.int64)
+        draws = noise.draw()
         s1, s2, rep = proc.timestep(events1(t, draws), events2(t, draws))
         yield t, s1, s2, rep
 
@@ -525,8 +616,8 @@ def run(
     cycle_rows: list[tuple[int, CycleReport]] = []
     agg = CycleReport()
     for t, s1, s2, rep in simulate(desc, stimulus, steps, seed):
-        raster += [(t, 1, int(a)) for a in np.flatnonzero(s1)]
-        raster += [(t, 2, int(a)) for a in np.flatnonzero(s2)]
+        raster += [(t, 1, a) for a in s1.nonzero()[0].tolist()]
+        raster += [(t, 2, a) for a in s2.nonzero()[0].tolist()]
         cycle_rows.append((t, rep))
         agg.merge(rep)
     return raster, cycle_rows, agg

@@ -86,9 +86,10 @@ def neuron_step(
 
 def step_arrays(v, a, b, v_r, v_t, v_reset, pde_th, i_t):
     """Vectorized neuron_step over int64 arrays; bit-identical to the scalar
-    form element-wise. Used by the NPU neuron cluster."""
+    form element-wise. Used by the NPU neuron cluster. A candidate that does
+    not spike is at most V_MAX already, so only underflow needs clamping."""
     drift = np.where(v < pde_th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
     s = v + drift + i_t
     spiked = s > V_MAX
-    v_new = np.where(spiked, v_reset, np.clip(s, 0, V_MAX))
+    v_new = np.where(spiked, v_reset, np.maximum(s, 0))
     return v_new, spiked

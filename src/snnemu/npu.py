@@ -5,7 +5,9 @@ per-phase cycle accounting.
 A timestep runs four phases in fixed order: external stimulus accumulation,
 inter-spike accumulation (previous-step recurrent spikes plus any feedforward
 stream), synaptic decay, then the neuron update. Spikes emitted at timestep t
-therefore reach accumulators at t+1, never earlier.
+therefore reach accumulators at t+1, never earlier. `Datapath.step` holds the
+only copy of these phases; it steps one NPU, or both NPUs of the chip at
+once.
 
 Each NPU carries one extra neuron at the highest address: the global
 excitatory/inhibitory neuron. Its fan-out is a single shared weight broadcast
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -161,6 +164,107 @@ class NpuState:
     last_spikes: np.ndarray
 
 
+class Datapath:
+    """The compiled phase pipeline of one NPU, or of NPUs side by side.
+
+    Targets are the neurons of every NPU, in order; sources are the rows of
+    the crossbar. Each NPU is a unit with its own span of targets, its own
+    cost column and its own scan charge. `step` is the one copy of the
+    phase code: external events, one MAC over the spiking sources,
+    saturation, decay and the neuron update.
+    """
+
+    def __init__(self, crossbar: Crossbar, cfgs: list[NpuConfig], scan: list[int]):
+        self.crossbar = Crossbar(
+            crossbar.weights, crossbar.cost.reshape(len(crossbar.cost), -1)
+        )
+        self.cfgs = cfgs
+        self.scan = scan
+        self._totals = totals = [cfg.total_neurons for cfg in cfgs]
+        bounds = list(accumulate(totals, initial=0))
+        self.spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        params = [p for cfg in cfgs for p in list(cfg.params) + [cfg.global_neuron.params]]
+        self._a = np.array([p.a_num for p in params], dtype=np.int64)
+        self._b = np.array([p.b_num for p in params], dtype=np.int64)
+        self._vr = np.array([p.v_r for p in params], dtype=np.int64)
+        self._vt = np.array([p.v_t for p in params], dtype=np.int64)
+        self._vreset = np.array([p.v_reset for p in params], dtype=np.int64)
+        self._pde_th = np.array([pde_threshold(p) for p in params], dtype=np.int64)
+        self._decay_a = np.repeat([cfg.decay_a for cfg in cfgs], totals)
+
+    @classmethod
+    def chain(cls, first: "Datapath", second: "Datapath") -> "Datapath":
+        """Both pipelines in one: the feedforward rows of `second` read the
+        spikes of `first` that `first` reads for its own recurrence, so
+        both see them one step after they fire."""
+        return cls(
+            Crossbar.chain(first.crossbar, second.crossbar),
+            first.cfgs + second.cfgs,
+            first.scan + second.scan,
+        )
+
+    def initial_state(self, v_m: int | None = None) -> NpuState:
+        n = len(self._vr)
+        return NpuState(
+            v_m=self._vr.copy() if v_m is None else np.full(n, v_m, dtype=np.int64),
+            psp=PostSynapticState.zeros(n, decay_a=self._decay_a),
+            last_spikes=np.zeros(n, dtype=np.uint8),
+        )
+
+    def unit_state(self, state: NpuState, k: int) -> NpuState:
+        """Views of unit k's part of `state`."""
+        sl = self.spans[k]
+        return NpuState(
+            v_m=state.v_m[sl],
+            psp=PostSynapticState(state.psp.y[sl], decay_a=self.cfgs[k].decay_a),
+            last_spikes=state.last_spikes[sl],
+        )
+
+    def step(self, state: NpuState, events, sources: np.ndarray) -> list[PhaseCycles]:
+        """Advance `state` one timestep in place, with one (addresses,
+        values) event pair per unit and the 0/1 spikes of every crossbar
+        source. The fresh spikes replace `state.last_spikes`; earlier spike
+        vectors are never written to."""
+        y = state.psp.y
+
+        # Phase 1: external stimulus, one input-bus cycle per event.
+        for (addrs, values), sl in zip(events, self.spans):
+            if len(addrs):
+                total = sl.stop - sl.start
+                bad = (addrs < 0) | (addrs >= total)
+                if bad.any():
+                    raise IndexError(
+                        f"external event address {int(addrs[bad][0])} out of range "
+                        f"(total neurons {total})"
+                    )
+                np.add.at(y[sl], addrs, values)
+
+        # Phase 2: one MAC over every spiking source, global broadcasts
+        # included; each unit is charged its own word reads.
+        mac = self.crossbar.mac(sources, y).tolist()
+        state.psp.saturate()
+
+        # Phase 3: reciprocal decay, one shifter pass per accumulator.
+        state.psp.decay()
+
+        # Phase 4: neuron update with i_t sampled after decay.
+        state.v_m, spiked = step_arrays(
+            state.v_m,
+            self._a,
+            self._b,
+            self._vr,
+            self._vt,
+            self._vreset,
+            self._pde_th,
+            state.psp.y,
+        )
+        state.last_spikes = spiked.view(np.uint8)
+        return [
+            PhaseCycles(external=len(ev[0]), scan=scan, mac=m, decay=n, pde=n)
+            for ev, scan, m, n in zip(events, self.scan, mac, self._totals)
+        ]
+
+
 class Npu:
     """Execution engine for one NPU.
 
@@ -192,30 +296,17 @@ class Npu:
             check_chop_weights(memory, n_ff_sources, *cfg.chop)
         self.cfg = cfg
         self.n_ff_sources = n_ff_sources
-        self.crossbar = Crossbar.compile(
+        crossbar = Crossbar.compile(
             memory,
             gs if gs is not None else GroupSparseConfig.dense(total),
             broadcast=cfg.global_neuron.effective_weight,
         )
         # Each spike stream is scanned two bits per clock, odd lengths padded.
-        self._scan = (n_ff_sources + 1) // 2 + (total + 1) // 2
-
-        all_params = list(cfg.params) + [cfg.global_neuron.params]
-        self._a = np.array([p.a_num for p in all_params], dtype=np.int64)
-        self._b = np.array([p.b_num for p in all_params], dtype=np.int64)
-        self._vr = np.array([p.v_r for p in all_params], dtype=np.int64)
-        self._vt = np.array([p.v_t for p in all_params], dtype=np.int64)
-        self._vreset = np.array([p.v_reset for p in all_params], dtype=np.int64)
-        self._pde_th = np.array([pde_threshold(p) for p in all_params], dtype=np.int64)
+        scan = (n_ff_sources + 1) // 2 + (total + 1) // 2
+        self.datapath = Datapath(crossbar, [cfg], [scan])
 
     def initial_state(self, v_m: int | None = None) -> NpuState:
-        total = self.cfg.total_neurons
-        v0 = self._vr.copy() if v_m is None else np.full(total, v_m, dtype=np.int64)
-        return NpuState(
-            v_m=v0,
-            psp=PostSynapticState.zeros(total, decay_a=self.cfg.decay_a),
-            last_spikes=np.zeros(total, dtype=np.uint8),
-        )
+        return self.datapath.initial_state(v_m)
 
     def timestep(
         self,
@@ -225,22 +316,6 @@ class Npu:
     ) -> tuple[NpuState, np.ndarray, PhaseCycles]:
         """Run one timestep in place; returns (state, fresh spikes, cycles).
         `external` holds the addresses and values of this step's events."""
-        total = self.cfg.total_neurons
-        y = state.psp.y
-
-        # Phase 1: external stimulus, one input-bus cycle per event.
-        addrs, values = external
-        if len(addrs):
-            bad = (addrs < 0) | (addrs >= total)
-            if bad.any():
-                raise IndexError(
-                    f"external event address {int(addrs[bad][0])} out of range "
-                    f"(total neurons {total})"
-                )
-            np.add.at(y, addrs, values)
-
-        # Phase 2: one MAC over the feedforward stream and the previous
-        # step's own spikes, global broadcast included.
         got = 0 if feedforward is None else len(feedforward)
         if got != self.n_ff_sources:
             raise ValueError(
@@ -249,27 +324,5 @@ class Npu:
         sources = state.last_spikes
         if got:
             sources = np.concatenate((feedforward, sources))
-        mac = self.crossbar.mac(sources, y)
-        state.psp.saturate()
-
-        # Phase 3: reciprocal decay, one shifter pass per accumulator.
-        state.psp.decay()
-
-        # Phase 4: neuron update with i_t sampled after decay.
-        state.v_m, spiked = step_arrays(
-            state.v_m,
-            self._a,
-            self._b,
-            self._vr,
-            self._vt,
-            self._vreset,
-            self._pde_th,
-            state.psp.y,
-        )
-
-        spikes = spiked.astype(np.uint8)
-        state.last_spikes = spikes
-        cycles = PhaseCycles(
-            external=len(addrs), scan=self._scan, mac=mac, decay=total, pde=total
-        )
-        return state, spikes, cycles
+        (cycles,) = self.datapath.step(state, [external], sources)
+        return state, state.last_spikes, cycles

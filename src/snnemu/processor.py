@@ -1,6 +1,6 @@
-"""Top controller: two NPUs (32+1 and 128+1 neurons max), the
-hierarchy-population scheduler that delays NPU1 spikes by exactly one
-timestep on their way to NPU2, and whole-chip analytics.
+"""Top controller: two NPUs (32+1 and 128+1 neurons max) stepped as one
+datapath, the hierarchy-population scheduling that delays NPU1 spikes by
+exactly one timestep on their way to NPU2, and whole-chip analytics.
 
 The two NPUs compute independently within a timestep, so the parallel cycle
 total is the max of the two; the serial sum is reported alongside.
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .npu import NO_EVENTS, Npu, PhaseCycles
+from .npu import NO_EVENTS, Datapath, Npu, NpuState, PhaseCycles
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -47,7 +47,12 @@ class CycleReport:
 
 
 class Processor:
-    """Two hierarchically connected NPUs plus the spike scheduler."""
+    """Two hierarchically connected NPUs, compiled into one datapath.
+
+    The scheduler's one-step delay needs no buffer: NPU2's feedforward rows
+    sit in the same block crossbar as NPU1's recurrent rows, so both read
+    the chip's spikes of the previous step.
+    """
 
     def __init__(
         self,
@@ -69,10 +74,22 @@ class Processor:
         self.npu1 = npu1
         self.npu2 = npu2
         self.clock_hz = clock_hz
-        self.state1 = npu1.initial_state()
-        self.state2 = npu2.initial_state()
-        # The scheduler: one timestep of NPU1 spikes awaiting NPU2.
-        self.pending = np.zeros(npu1.cfg.total_neurons, dtype=np.uint8)
+        self.datapath = Datapath.chain(npu1.datapath, npu2.datapath)
+        self.state = self.datapath.initial_state()
+
+    @property
+    def state1(self) -> NpuState:
+        return self.datapath.unit_state(self.state, 0)
+
+    @property
+    def state2(self) -> NpuState:
+        return self.datapath.unit_state(self.state, 1)
+
+    @property
+    def pending(self) -> np.ndarray:
+        """NPU1's spikes of the last step, which NPU2's feedforward rows
+        read at the next one."""
+        return self.state.last_spikes[self.datapath.spans[0]]
 
     def timestep(
         self,
@@ -82,10 +99,12 @@ class Processor:
         """Advance both NPUs one timestep, each with its (addresses, values)
         external events. Returns the fresh spike vectors of both NPUs and
         the cycle report."""
-        _, spikes1, cyc1 = self.npu1.timestep(self.state1, events1)
-        _, spikes2, cyc2 = self.npu2.timestep(self.state2, events2, self.pending)
-        self.pending = spikes1
-        return spikes1, spikes2, CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)
+        cyc1, cyc2 = self.datapath.step(
+            self.state, (events1, events2), self.state.last_spikes
+        )
+        spikes = self.state.last_spikes
+        span1, span2 = self.datapath.spans
+        return spikes[span1], spikes[span2], CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -20,10 +20,6 @@ SAT_MAX = 2047
 SAT_MIN = -2048
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class WeightMemory:
     """Word-addressable synaptic SRAM: one row per presynaptic source, each
     row zero-padded to a whole number of 32-bit words."""
@@ -77,20 +73,35 @@ class WeightMemory:
         """Unpack one row to signed weights; groups cleared in gs_code read 0."""
         if not 0 <= source < self.n_rows:
             raise IndexError(f"source {source} out of range (rows={self.n_rows})")
-        w = self.words[source]
-        shifts = (4 * np.arange(GROUP_SIZE, dtype=np.uint32))[None, :]
-        nib = ((w[:, None] >> shifts) & np.uint32(0xF)).astype(np.int64)
-        nib[nib >= 8] -= 16
+        row = _signed_nibbles(self.words[source : source + 1])[0]
         if gs_code is not None:
-            mask = np.array(
-                [(gs_code >> g) & 1 for g in range(self.n_groups)], dtype=bool
-            )
-            nib[~mask] = 0
-        return nib.reshape(-1)[: self.n_targets]
+            row *= _group_bits([gs_code], self.n_groups)[0].repeat(GROUP_SIZE)
+        return row[: self.n_targets]
 
     def unpack(self) -> np.ndarray:
         """Full (sources, targets) signed weight matrix."""
-        return np.stack([self.row_weights(r) for r in range(self.n_rows)])
+        return _signed_nibbles(self.words)[:, : self.n_targets]
+
+
+def _signed_nibbles(words: np.ndarray) -> np.ndarray:
+    """(rows, stride) packed words -> (rows, 8 * stride) signed weights."""
+    shifts = 4 * np.arange(GROUP_SIZE, dtype=np.uint32)
+    nib = ((words[:, :, None] >> shifts) & np.uint32(0xF)).astype(np.int64)
+    nib[nib >= 8] -= 16
+    return nib.reshape(words.shape[0], GROUP_SIZE * words.shape[1])
+
+
+def _code_dtype(n_groups: int):
+    """Group masks of more than 62 groups do not fit int64; hold them as
+    Python ints."""
+    return np.int64 if n_groups < 63 else object
+
+
+def _group_bits(codes, n_groups: int) -> np.ndarray:
+    """(rows, n_groups) 0/1 array of the group masks in `codes`."""
+    dtype = _code_dtype(n_groups)
+    codes = np.asarray(codes, dtype=dtype).reshape(-1, 1)
+    return ((codes >> np.arange(n_groups).astype(dtype)) & 1).astype(np.int64)
 
 
 def pack_weights(weights) -> WeightMemory:
@@ -128,11 +139,10 @@ class GroupSparseConfig:
     @classmethod
     def from_memory(cls, mem: WeightMemory) -> "GroupSparseConfig":
         """Per-source masks with all-zero words disabled."""
-        per_source = [
-            int(sum(1 << g for g in range(mem.n_groups) if mem.words[r, g] != 0))
-            for r in range(mem.n_rows)
-        ]
         n_groups = mem.n_groups
+        dtype = _code_dtype(n_groups)
+        place = np.array([1 << g for g in range(n_groups)], dtype=dtype)
+        per_source = ((mem.words != 0).astype(dtype) @ place).tolist()
         return cls(
             n_groups=n_groups, gs_code=(1 << n_groups) - 1, per_source=per_source
         )
@@ -144,17 +154,18 @@ class GroupSparseConfig:
 
     @property
     def gs_num(self) -> int:
-        return _popcount(self.gs_code)
+        return bin(self.gs_code).count("1")
 
 
 @dataclass(frozen=True)
 class Crossbar:
     """The weights a spike can reach, compiled once from the SRAM image: one
     signed row per source with its masked groups zeroed, and the word reads
-    each row costs (popcount of its group mask)."""
+    each row costs (popcount of its group mask). A chained crossbar keeps one
+    cost column per SRAM it was built from."""
 
     weights: np.ndarray  # (sources, targets) int64
-    cost: np.ndarray  # (sources,) int64
+    cost: np.ndarray  # (sources,) or (sources, memories) int64
 
     @classmethod
     def compile(
@@ -162,46 +173,79 @@ class Crossbar:
     ) -> "Crossbar":
         """Rows of `mem` under the masks of `gs`, plus an optional last row
         holding `broadcast` in every column at a cost of one cycle."""
-        codes = [gs.code_for(r) for r in range(mem.n_rows)]
-        rows = [mem.row_weights(r, gs_code=c) for r, c in enumerate(codes)]
-        cost = [_popcount(c) for c in codes]
+        codes = np.full(
+            mem.n_rows, gs.gs_code, dtype=_code_dtype(max(gs.n_groups, mem.n_groups))
+        )
+        if gs.per_source is not None:
+            k = min(len(gs.per_source), mem.n_rows)
+            codes[:k] = gs.per_source[:k]
+        bits = _group_bits(codes, mem.n_groups)
+        weights = _signed_nibbles(mem.words) * bits.repeat(GROUP_SIZE, axis=1)
+        weights = weights[:, : mem.n_targets]
+        cost = bits.sum(axis=1)
         if broadcast is not None:
-            rows.append(np.full(mem.n_targets, broadcast, dtype=np.int64))
-            cost.append(1)
-        weights = np.array(rows, dtype=np.int64).reshape(len(cost), mem.n_targets)
-        return cls(weights, np.array(cost, dtype=np.int64))
+            weights = np.vstack((weights, np.full(mem.n_targets, broadcast)))
+            cost = np.append(cost, 1)
+        return cls(weights, cost)
 
-    def mac(self, spikes: np.ndarray, y: np.ndarray) -> int:
-        """Add the row of every spiking source into `y`, unsaturated (callers
-        clamp once per timestep, so order never matters). Returns the word
-        reads charged."""
+    @classmethod
+    def chain(cls, first: "Crossbar", second: "Crossbar") -> "Crossbar":
+        """One block crossbar over the targets of both: `first` reads its
+        own targets, and so do the leading rows of `second`, ahead of the
+        rows of its own targets. Spikes of `first` reach `second` at the
+        same step as they reach `first`."""
+        n1, t1 = first.weights.shape
+        n2, t2 = second.weights.shape
+        if n1 != t1 or n2 != t1 + t2:
+            raise ValueError(
+                f"cannot chain a {n1}x{t1} crossbar into a {n2}x{t2} one"
+            )
+        weights = np.zeros((n2, t1 + t2), dtype=np.int64)
+        weights[:t1, :t1] = first.weights
+        weights[:, t1:] = second.weights
+        c1, c2 = (c.reshape(len(c), -1) for c in (first.cost, second.cost))
+        k = c1.shape[1]
+        cost = np.zeros((n2, k + c2.shape[1]), dtype=np.int64)
+        cost[:t1, :k] = c1
+        cost[:, k:] = c2
+        return cls(weights, cost)
+
+    def mac(self, spikes: np.ndarray, y: np.ndarray):
+        """Add the row of every spiking source (a 0/1 vector) into `y`,
+        unsaturated: callers clamp once per timestep, so order never
+        matters. Returns the word reads charged, one per cost column."""
         if len(spikes) != len(self.cost):
             raise ValueError(
                 f"spike vector length {len(spikes)}, expected {len(self.cost)} sources"
             )
-        y += spikes @ self.weights
-        return int(spikes @ self.cost)
+        rows = spikes.nonzero()[0]
+        if rows.size:
+            y += self.weights.take(rows, axis=0).sum(axis=0)
+        return spikes @ self.cost
 
 
 @dataclass
 class PostSynapticState:
     """Per-target accumulators y with once-per-timestep signed-12-bit
-    saturation and power-of-two reciprocal decay."""
+    saturation and power-of-two reciprocal decay, with one decay exponent
+    or one per accumulator."""
 
     y: np.ndarray
-    decay_a: int = 3
+    decay_a: int | np.ndarray = 3
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.int64)
-        if not 0 <= self.decay_a <= 7:
+        a = np.asarray(self.decay_a)
+        if ((a < 0) | (a > 7)).any():
             raise ValueError(f"decay_a must be 0..7, got {self.decay_a}")
 
     @classmethod
-    def zeros(cls, n: int, decay_a: int = 3) -> "PostSynapticState":
+    def zeros(cls, n: int, decay_a: int | np.ndarray = 3) -> "PostSynapticState":
         return cls(y=np.zeros(n, dtype=np.int64), decay_a=decay_a)
 
     def saturate(self) -> None:
-        np.clip(self.y, SAT_MIN, SAT_MAX, out=self.y)
+        np.minimum(self.y, SAT_MAX, out=self.y)
+        np.maximum(self.y, SAT_MIN, out=self.y)
 
     def decay(self) -> None:
         self.y = decay_array(self.y, self.decay_a)
@@ -223,13 +267,13 @@ def decay_value(y: int, decay_a: int) -> int:
     return y - s
 
 
-def decay_array(y: np.ndarray, decay_a: int) -> np.ndarray:
-    """Vectorized decay_value; bit-identical to the scalar form."""
+def decay_array(y: np.ndarray, decay_a: int | np.ndarray) -> np.ndarray:
+    """Vectorized decay_value, with one exponent or one per element;
+    bit-identical to the scalar form. The arithmetic shift truncates to 0
+    only for 0 <= y < 2**decay_a, where the selector is min(y, 1) (1, or 0
+    at y == 0); everywhere else the shift is already at least min(y, 1)."""
     y = np.asarray(y, dtype=np.int64)
-    s = y >> decay_a
-    s = np.where((s == 0) & (y > 0), 1, s)
-    s = np.where((s == 0) & (y < 0), -1, s)
-    return y - s
+    return y - np.maximum(y >> decay_a, np.minimum(y, 1))
 
 
 def steps_to_fraction(y0: int, decay_a: int, fraction: float) -> int:

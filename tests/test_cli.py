@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from snnemu.cli import main
 from snnemu.apps import make_direction_stimulus
@@ -149,6 +150,31 @@ class TestErrorContract:
             f.write(text.replace("npu2:\n", f"npu2:\n  chop: {chop}\n"))
         assert self.inspect(config_path) == 2
         self.one_error_line(capsys, "error: config: npu2.chop: must be a list of two integers")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["stimulus"]["dc"][0].pop("value"),
+         "stimulus.dc[0]: missing field 'value'"),
+        (lambda d: d.update(stimulus=[1, 2]), "stimulus: must be a mapping"),
+        (lambda d: d.update(npu1=[1]), "npu1: must be a mapping"),
+        (lambda d: d["stimulus"].update(
+            noise=[{"npu": 1, "addrs": 3, "low": 0, "high": 1}]),
+         "stimulus.noise[0].addrs: must be a list"),
+        (lambda d: d["npu1"].update(neurons="abc"),
+         "npu1.neurons: must be a mapping or a list of mappings"),
+        (lambda d: d["npu2"].update(active_neurons=[4]),
+         "npu2.active_neurons: must be an integer"),
+        (lambda d: d["npu2"]["global"].update(params=5), "npu2.global.params: must be a mapping"),
+        (lambda d: d.update(weight_image=[1]), "weight_image: must be a file name"),
+        (lambda d: d["npu1"]["neurons"].update(v_t=1e9), "npu1.neurons.v_t: must be an integer"),
+    ])
+    def test_malformed_field_names_its_path(self, config_path, capsys, edit, message):
+        with open(config_path) as f:
+            doc = yaml.safe_load(f)
+        edit(doc)
+        with open(config_path, "w") as f:
+            yaml.safe_dump(doc, f)
+        assert self.inspect(config_path) == 2
+        self.one_error_line(capsys, f"error: config: {message}")
 
     def test_trace_address_out_of_range_before_step_0(self, config_path, tmp_path, capsys):
         stim = tmp_path / "stim.csv"

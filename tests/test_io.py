@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
@@ -10,6 +12,7 @@ from snnemu.netio import (
     DcSource,
     Lcg,
     NetworkDescription,
+    NoiseDraws,
     NoiseSource,
     StimulusTrace,
     load_raster,
@@ -132,6 +135,23 @@ class TestStimulusTrace:
         trace.save(str(p))
         assert StimulusTrace.load(str(p)).records == trace.records
 
+    @pytest.mark.parametrize("row", ["1,1,0", "1,1,0,4,5", "1,1,x,4", "1;1;0;4"])
+    def test_bad_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "stim.csv"
+        p.write_text(f"timestep,npu,neuron,value\n0,1,0,5\n\n{row}\n")
+        with pytest.raises(ValueError, match="line 4: expected four integers"):
+            StimulusTrace.load(str(p))
+
+    @pytest.mark.parametrize("record, message", [
+        ((-1, 1, 0, 1), "non-negative"),
+        ((2**63, 1, 0, 1), "64 bits"),
+        ((0, 1, -1, 1), "neuron address must be 0..128"),
+        ((0, 2, 10**30, 1), "neuron address must be 0..128"),
+    ])
+    def test_record_out_of_bounds(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            StimulusTrace(records=[record])
+
     def test_decreasing_timestep_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             StimulusTrace(records=[(5, 1, 0, 1), (2, 1, 0, 1)])
@@ -178,6 +198,20 @@ class TestRun:
         with pytest.raises(ValueError, match="record 1: address 2 out of range for npu1"):
             next(steps)
 
+    @pytest.mark.parametrize("source", [
+        DcSource(npu=2, addr=2, value=1),
+        NoiseSource(npu=1, addrs=[0, 2], low=0, high=1),
+    ])
+    def test_reassigned_source_address_checked_before_step_0(self, source):
+        desc = minimal_desc()
+        if isinstance(source, DcSource):
+            desc.dc = [source]
+        else:
+            desc.noise = [source]
+        steps = simulate(desc, None, steps=5)
+        with pytest.raises(ConfigError, match="address 2 out of range for npu"):
+            next(steps)
+
     def test_simulate_yields_every_step(self):
         desc = minimal_desc(dc=[DcSource(npu=2, addr=1, value=3)],
                             noise=[NoiseSource(npu=1, addrs=[0, 1], low=0, high=9)])
@@ -200,3 +234,33 @@ class TestLcg:
         g = Lcg(12345)
         vals = [g.int_range(-5, 5) for _ in range(1000)]
         assert min(vals) >= -5 and max(vals) <= 5
+
+
+class TestNoiseDraws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+        ranges=st.lists(
+            st.integers(-128, 127).flatmap(
+                lambda lo: st.tuples(st.just(lo), st.integers(lo, min(127, lo + 255)))
+            ),
+            max_size=300,
+        ),
+        steps=st.integers(1, 4),
+    )
+    def test_equals_scalar_draws(self, seed, ranges, steps):
+        """Jump-ahead draws equal Lcg.int_range drawn one at a time, in
+        order, step after step."""
+        scalar = Lcg(seed)
+        noise = NoiseDraws(Lcg(seed), ranges)
+        for _ in range(steps):
+            want = [scalar.int_range(lo, hi) for lo, hi in ranges]
+            assert noise.draw().tolist() == want
+            assert noise.lcg.state == scalar.state
+
+    def test_spans_one_to_256(self):
+        ranges = [(lo, lo + span - 1) for span in range(1, 257) for lo in (-128, 127 - span + 1)]
+        scalar = Lcg(7)
+        assert NoiseDraws(Lcg(7), ranges).draw().tolist() == [
+            scalar.int_range(lo, hi) for lo, hi in ranges
+        ]

@@ -1,5 +1,5 @@
 """Independent scalar reference of one Processor timestep, diffed against
-the executed datapath.
+the executed datapath, alone and inside the `simulate` run loop.
 
 The reference works on plain Python ints and lists, straight from the phase
 order in the README: external events, then the spike MACs of the previous
@@ -13,6 +13,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnemu.netio import (
+    DcSource,
+    Lcg,
+    NetworkDescription,
+    NoiseSource,
+    StimulusTrace,
+    simulate,
+)
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.processor import Processor
@@ -205,3 +213,72 @@ def test_processor_matches_scalar_reference(seed, n1, n2, gs_mode, chop, globals
         assert proc.state2.psp.y.tolist() == ref2.y, f"step {t}: npu2 accumulators"
         assert proc.state1.v_m.tolist() == ref1.v, f"step {t}: npu1 membranes"
         assert proc.state2.v_m.tolist() == ref2.v, f"step {t}: npu2 membranes"
+
+
+def _desc_and_reference(rng, n1, n2, gs_mode):
+    """A random NetworkDescription with DC and noise on both NPUs, and the
+    scalar reference processor of the same network."""
+    cfgs, refs, weights = [], [], []
+    for n, n_ff, max_neurons in ((n1, 0, 32), (n2, n1 + 1, 128)):
+        total = n + 1
+        params = [_params(rng) for _ in range(total)]
+        w = rng.integers(-8, 8, size=(n_ff + n, total))
+        w[:, rng.random(total) < 0.3] = 0
+        g = GlobalNeuronConfig(params=params[-1], out_weight=int(rng.integers(-8, 8)),
+                               mode=str(rng.choice(["excitatory", "inhibitory"])))
+        cfg = NpuConfig(max_neurons=max_neurons, active_neurons=n, params=params[:-1],
+                        global_neuron=g, decay_a=int(rng.integers(0, 8)))
+        cfgs.append(cfg)
+        weights.append(w)
+        refs.append(RefNpu(params, g.effective_weight, cfg.decay_a, w.tolist(),
+                           _masks(rng, w, gs_mode), n_ff))
+    totals = (n1 + 1, n2 + 1)
+    dc = [DcSource(npu=k, addr=int(rng.integers(0, totals[k - 1])),
+                   value=int(rng.integers(-128, 128)))
+          for k in rng.integers(1, 3, size=int(rng.integers(0, 4)))]
+    noise = []
+    for k in rng.integers(1, 3, size=int(rng.integers(0, 4))):
+        low = int(rng.integers(-128, 128))
+        addrs = rng.integers(0, totals[k - 1], size=int(rng.integers(1, 6))).tolist()
+        noise.append(NoiseSource(npu=int(k), addrs=addrs, low=low,
+                                 high=int(rng.integers(low, 128))))
+    desc = NetworkDescription(npu1=cfgs[0], npu2=cfgs[1], weights1=weights[0],
+                              weights2=weights[1], gs_mode=gs_mode, dc=dc, noise=noise)
+    return desc, RefProcessor(*refs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([1, 2, 4, 8, 32]),
+    n2=st.sampled_from([1, 2, 8, 16, 64]),
+    gs_mode=st.sampled_from(["dense", "auto"]),
+    steps=st.integers(1, 25),
+)
+def test_simulate_matches_scalar_reference(seed, n1, n2, gs_mode, steps):
+    """The whole run loop against a scalar one: noise drawn one value at a
+    time with Lcg.int_range in declaration order, per-NPU event lists (trace,
+    then DC, then noise), and the reference processor with its one-step
+    scheduler delay."""
+    rng = np.random.default_rng(seed)
+    desc, ref = _desc_and_reference(rng, n1, n2, gs_mode)
+    totals = (n1 + 1, n2 + 1)
+    records = sorted(
+        (int(rng.integers(0, steps)), k, int(rng.integers(0, totals[k - 1])),
+         int(rng.integers(-128, 128)))
+        for k in rng.integers(1, 3, size=int(rng.integers(0, 3 * steps)))
+    )
+    noise_seed = int(rng.integers(0, 2**32))
+    lcg = Lcg(noise_seed)
+    got = simulate(desc, StimulusTrace(records=records), steps, seed=noise_seed)
+    for t, s1, s2, rep in got:
+        stimulus = [(k, a, v) for ts, k, a, v in records if ts == t]
+        stimulus += [(s.npu, s.addr, s.value) for s in desc.dc]
+        stimulus += [(ns.npu, a, lcg.int_range(ns.low, ns.high))
+                     for ns in desc.noise for a in ns.addrs]
+        r1, r2, c1, c2 = ref.step(stimulus)
+        assert s1.tolist() == r1, f"step {t}: npu1 spikes"
+        assert s2.tolist() == r2, f"step {t}: npu2 spikes"
+        for name in PHASES:
+            assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
+            assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"

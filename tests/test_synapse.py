@@ -15,6 +15,7 @@ from snnemu.synapse import (
     GroupSparseConfig,
     PostSynapticState,
     WeightMemory,
+    decay_array,
     decay_value,
     pack_weights,
     steps_to_fraction,
@@ -97,6 +98,58 @@ class TestDecay:
             assert nxt * y >= 0
             y = nxt
         assert y == 0
+
+
+    def test_per_element_exponents(self):
+        y = np.tile(np.arange(-2048, 2048), 8)
+        a = np.repeat(np.arange(8), 4096)
+        want = [decay_value(int(v), int(k)) for v, k in zip(y, a)]
+        assert decay_array(y, a).tolist() == want
+        psp = PostSynapticState(y.copy(), decay_a=a)
+        psp.decay()
+        assert psp.y.tolist() == want
+
+class TestWholeArray:
+    """The whole-array unpack, masks and crossbar compile against the
+    row-by-row forms they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_against_row_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, targets = int(rng.integers(0, 40)), int(rng.integers(1, 140))
+        w = rng.integers(-8, 8, size=(rows, targets))
+        w[:, rng.random(targets) < 0.5] = 0
+        mem = WeightMemory.from_matrix(w)
+        g = mem.n_groups
+        assert np.array_equal(mem.unpack().reshape(rows, targets), w)
+
+        gs = GroupSparseConfig.from_memory(mem)
+        assert gs.per_source == [
+            sum(1 << k for k in range(g) if mem.words[r, k] != 0) for r in range(rows)
+        ]
+        # a shorter per-source list: later rows take the default mask
+        per_source = [int(c) for c in rng.integers(0, 1 << g, size=rows // 2)]
+        masks = GroupSparseConfig(n_groups=g, gs_code=int(rng.integers(0, 1 << g)),
+                                  per_source=per_source)
+        for cfg in (gs, masks):
+            xbar = Crossbar.compile(mem, cfg, broadcast=-2)
+            want = [mem.row_weights(r, gs_code=cfg.code_for(r)) for r in range(rows)]
+            want.append(np.full(targets, -2))
+            assert np.array_equal(xbar.weights, np.array(want).reshape(rows + 1, targets))
+            assert xbar.cost.tolist() == [
+                bin(cfg.code_for(r)).count("1") for r in range(rows)
+            ] + [1]
+
+    def test_masks_beyond_62_groups(self):
+        w = np.zeros((2, 8 * 70), dtype=int)
+        w[0, 8 * 66] = 3
+        mem = WeightMemory.from_matrix(w)
+        gs = GroupSparseConfig.from_memory(mem)
+        assert gs.per_source == [1 << 66, 0]
+        xbar = Crossbar.compile(mem, gs)
+        assert xbar.cost.tolist() == [1, 0]
+        assert np.array_equal(xbar.weights, w)
 
 
 class TestDecode:
