@@ -115,21 +115,21 @@ def conflict_matrix(n: int, kind: str = "all") -> np.ndarray:
     kind selects the subset: "cell" for same-cell/different-digit pairs,
     "unit" for same-digit row/column/box pairs, "all" for their union.
     """
-    size = n**3
-    conflicts = np.zeros((size, size), dtype=bool)
-    for r1 in range(n):
-        for c1 in range(n):
-            for d1 in range(1, n + 1):
-                i = neuron_index(n, r1, c1, d1)
-                if kind in ("cell", "all"):
-                    for d2 in range(1, n + 1):
-                        if d2 != d1:
-                            conflicts[i, neuron_index(n, r1, c1, d2)] = True
-                if kind in ("unit", "all"):
-                    for r2 in range(n):
-                        for c2 in range(n):
-                            if (r2, c2) != (r1, c1) and _same_unit(n, r1, c1, r2, c2):
-                                conflicts[i, neuron_index(n, r2, c2, d1)] = True
+    idx = np.arange(n**3)
+    r, c, d = idx // (n * n), idx // n % n, idx % n
+    same_cell = (r[:, None] == r) & (c[:, None] == c)
+    same_digit = d[:, None] == d
+    same_unit = (r[:, None] == r) | (c[:, None] == c)
+    box = box_shape(n)
+    if box is not None:
+        bh, bw = box
+        b = r // bh * n + c // bw
+        same_unit |= b[:, None] == b
+    conflicts = np.zeros((n**3, n**3), dtype=bool)
+    if kind in ("cell", "all"):
+        conflicts |= same_cell & ~same_digit
+    if kind in ("unit", "all"):
+        conflicts |= same_unit & same_digit & ~same_cell
     return conflicts
 
 

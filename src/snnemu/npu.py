@@ -6,8 +6,7 @@ A timestep runs four phases in fixed order: external stimulus accumulation,
 inter-spike accumulation (previous-step recurrent spikes plus any feedforward
 stream), synaptic decay, then the neuron update. Spikes emitted at timestep t
 therefore reach accumulators at t+1, never earlier. `Datapath.step` holds the
-only copy of these phases; it steps one NPU, or both NPUs of the chip at
-once.
+only copy of these phases, and it steps both NPUs of the chip at once.
 
 Each NPU carries one extra neuron at the highest address: the global
 excitatory/inhibitory neuron. Its fan-out is a single shared weight broadcast
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -65,6 +63,14 @@ class NpuConfig:
     def __post_init__(self):
         if self.max_neurons not in (32, 128):
             raise ValueError(f"max_neurons must be 32 or 128, got {self.max_neurons}")
+        if self.chop is not None:
+            n1, n2 = self.chop
+            if not (_is_pow2(n1) and _is_pow2(n2)):
+                raise ValueError(f"chop sizes must be powers of two, got {self.chop}")
+            if n1 + n2 > self.max_neurons:
+                raise ValueError(f"chop sizes exceed max_neurons: {self.chop}")
+            if n1 + n2 != self.active_neurons:
+                raise ValueError("chop sizes must sum to active_neurons")
         if not _is_pow2(self.active_neurons) or self.active_neurons > self.max_neurons:
             raise ValueError(
                 f"active_neurons must be a power of two <= {self.max_neurons}, "
@@ -76,14 +82,6 @@ class NpuConfig:
             )
         if not 0 <= self.decay_a <= 7:
             raise ValueError(f"decay_a must be 0..7, got {self.decay_a}")
-        if self.chop is not None:
-            n1, n2 = self.chop
-            if not (_is_pow2(n1) and _is_pow2(n2)):
-                raise ValueError(f"chop sizes must be powers of two, got {self.chop}")
-            if n1 + n2 > self.max_neurons:
-                raise ValueError(f"chop sizes exceed max_neurons: {self.chop}")
-            if n1 + n2 != self.active_neurons:
-                raise ValueError("chop sizes must sum to active_neurons")
 
     @property
     def total_neurons(self) -> int:
@@ -93,11 +91,8 @@ class NpuConfig:
 
 def configure_chop(cfg: NpuConfig, n1: int, n2: int) -> NpuConfig:
     """Split the population into two uni-directional sub-populations
-    (sub-population 1 feeds 2, never the reverse)."""
-    if not (_is_pow2(n1) and _is_pow2(n2)):
-        raise ValueError(f"chop sizes must be powers of two, got ({n1}, {n2})")
-    if n1 + n2 > cfg.max_neurons:
-        raise ValueError(f"chop sizes {n1}+{n2} exceed max_neurons {cfg.max_neurons}")
+    (sub-population 1 feeds 2, never the reverse). `NpuConfig` checks the
+    sizes."""
     new_params = cfg.params
     if n1 + n2 != cfg.active_neurons:
         if len(cfg.params) < n1 + n2:
@@ -124,14 +119,13 @@ def check_chop_weights(mem: WeightMemory, n_ff: int, n1: int, n2: int) -> None:
     Rows n_ff..n_ff+n1+n2-1 are the NPU's own sources; the last n2 of them
     must carry zero weight toward targets 0..n1-1.
     """
-    for src in range(n1, n1 + n2):
-        row = mem.row_weights(n_ff + src)
-        bad = np.nonzero(row[:n1])[0]
-        if bad.size:
-            raise ValueError(
-                f"chop violation: source {src} (sub-population 2) has weight "
-                f"to target {int(bad[0])} (sub-population 1)"
-            )
+    bad = np.argwhere(mem.unpack()[n_ff + n1 : n_ff + n1 + n2, :n1])
+    if bad.size:
+        src, tgt = bad[0]
+        raise ValueError(
+            f"chop violation: source {n1 + src} (sub-population 2) has weight "
+            f"to target {tgt} (sub-population 1)"
+        )
 
 
 @dataclass
@@ -165,54 +159,48 @@ class NpuState:
 
 
 class Datapath:
-    """The compiled phase pipeline of one NPU, or of NPUs side by side.
+    """The compiled phase pipeline of the chip: NPU1's neurons, then NPU2's.
 
-    Targets are the neurons of every NPU, in order; sources are the rows of
-    the crossbar. Each NPU is a unit with its own span of targets, its own
-    cost column and its own scan charge. `step` is the one copy of the
+    The crossbar is one block matrix `[[W1, W2_ff], [0, W2_rec]]` whose
+    sources are every neuron of the chip, with one cost column per NPU:
+    NPU2's feedforward rows read NPU1's spikes of the previous step, the
+    same vector NPU1's recurrent rows read. `step` is the one copy of the
     phase code: external events, one MAC over the spiking sources,
     saturation, decay and the neuron update.
     """
 
-    def __init__(self, crossbar: Crossbar, cfgs: list[NpuConfig], scan: list[int]):
-        self.crossbar = Crossbar(
-            crossbar.weights, crossbar.cost.reshape(len(crossbar.cost), -1)
-        )
-        self.cfgs = cfgs
-        self.scan = scan
-        self._totals = totals = [cfg.total_neurons for cfg in cfgs]
-        bounds = list(accumulate(totals, initial=0))
-        self.spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        params = [p for cfg in cfgs for p in list(cfg.params) + [cfg.global_neuron.params]]
+    def __init__(self, npu1: Npu, npu2: Npu):
+        t1, t2 = npu1.cfg.total_neurons, npu2.cfg.total_neurons
+        weights = np.zeros((t1 + t2, t1 + t2), dtype=np.int64)
+        weights[:t1, :t1] = npu1.crossbar.weights
+        weights[:, t1:] = npu2.crossbar.weights
+        cost = np.zeros((t1 + t2, 2), dtype=np.int64)
+        cost[:t1, 0] = npu1.crossbar.cost
+        cost[:, 1] = npu2.crossbar.cost
+        self.crossbar = Crossbar(weights, cost)
+        self.cfgs = (npu1.cfg, npu2.cfg)
+        self.scan = (npu1.scan, npu2.scan)
+        self._totals = (t1, t2)
+        self.spans = (slice(0, t1), slice(t1, t1 + t2))
+        params = [p for cfg in self.cfgs for p in cfg.params + [cfg.global_neuron.params]]
         self._a = np.array([p.a_num for p in params], dtype=np.int64)
         self._b = np.array([p.b_num for p in params], dtype=np.int64)
         self._vr = np.array([p.v_r for p in params], dtype=np.int64)
         self._vt = np.array([p.v_t for p in params], dtype=np.int64)
         self._vreset = np.array([p.v_reset for p in params], dtype=np.int64)
         self._pde_th = np.array([pde_threshold(p) for p in params], dtype=np.int64)
-        self._decay_a = np.repeat([cfg.decay_a for cfg in cfgs], totals)
+        self._decay_a = np.repeat([cfg.decay_a for cfg in self.cfgs], self._totals)
 
-    @classmethod
-    def chain(cls, first: "Datapath", second: "Datapath") -> "Datapath":
-        """Both pipelines in one: the feedforward rows of `second` read the
-        spikes of `first` that `first` reads for its own recurrence, so
-        both see them one step after they fire."""
-        return cls(
-            Crossbar.chain(first.crossbar, second.crossbar),
-            first.cfgs + second.cfgs,
-            first.scan + second.scan,
-        )
-
-    def initial_state(self, v_m: int | None = None) -> NpuState:
+    def initial_state(self) -> NpuState:
         n = len(self._vr)
         return NpuState(
-            v_m=self._vr.copy() if v_m is None else np.full(n, v_m, dtype=np.int64),
+            v_m=self._vr.copy(),
             psp=PostSynapticState.zeros(n, decay_a=self._decay_a),
             last_spikes=np.zeros(n, dtype=np.uint8),
         )
 
     def unit_state(self, state: NpuState, k: int) -> NpuState:
-        """Views of unit k's part of `state`."""
+        """Views of NPU k's part of `state` (0 for NPU1, 1 for NPU2)."""
         sl = self.spans[k]
         return NpuState(
             v_m=state.v_m[sl],
@@ -220,17 +208,16 @@ class Datapath:
             last_spikes=state.last_spikes[sl],
         )
 
-    def step(self, state: NpuState, events, sources: np.ndarray) -> list[PhaseCycles]:
+    def step(self, state: NpuState, events) -> list[PhaseCycles]:
         """Advance `state` one timestep in place, with one (addresses,
-        values) event pair per unit and the 0/1 spikes of every crossbar
-        source. The fresh spikes replace `state.last_spikes`; earlier spike
-        vectors are never written to."""
+        values) event pair per NPU. The MAC reads `state.last_spikes`; the
+        fresh spikes replace it, and earlier spike vectors are never
+        written to."""
         y = state.psp.y
 
         # Phase 1: external stimulus, one input-bus cycle per event.
-        for (addrs, values), sl in zip(events, self.spans):
+        for (addrs, values), sl, total in zip(events, self.spans, self._totals):
             if len(addrs):
-                total = sl.stop - sl.start
                 bad = (addrs < 0) | (addrs >= total)
                 if bad.any():
                     raise IndexError(
@@ -240,8 +227,8 @@ class Datapath:
                 np.add.at(y[sl], addrs, values)
 
         # Phase 2: one MAC over every spiking source, global broadcasts
-        # included; each unit is charged its own word reads.
-        mac = self.crossbar.mac(sources, y).tolist()
+        # included; each NPU is charged its own word reads.
+        mac = self.crossbar.mac(state.last_spikes, y).tolist()
         state.psp.saturate()
 
         # Phase 3: reciprocal decay, one shifter pass per accumulator.
@@ -266,13 +253,14 @@ class Datapath:
 
 
 class Npu:
-    """Execution engine for one NPU.
+    """The compile step of one NPU.
 
     `memory` holds one row per non-global source: first `n_ff_sources`
     feedforward rows (sources in the upstream NPU, global included), then
     `active_neurons` recurrent rows. Every row spans `total_neurons` targets,
     so the global neuron can receive ordinary synaptic weight. The crossbar
-    is compiled from it once, with the global broadcast as its last row.
+    is compiled from it once, with the global broadcast as its last row;
+    `Processor` joins two compiled NPUs into the chip's `Datapath`.
     """
 
     def __init__(
@@ -296,33 +284,10 @@ class Npu:
             check_chop_weights(memory, n_ff_sources, *cfg.chop)
         self.cfg = cfg
         self.n_ff_sources = n_ff_sources
-        crossbar = Crossbar.compile(
+        self.crossbar = Crossbar.compile(
             memory,
             gs if gs is not None else GroupSparseConfig.dense(total),
             broadcast=cfg.global_neuron.effective_weight,
         )
         # Each spike stream is scanned two bits per clock, odd lengths padded.
-        scan = (n_ff_sources + 1) // 2 + (total + 1) // 2
-        self.datapath = Datapath(crossbar, [cfg], [scan])
-
-    def initial_state(self, v_m: int | None = None) -> NpuState:
-        return self.datapath.initial_state(v_m)
-
-    def timestep(
-        self,
-        state: NpuState,
-        external: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
-        feedforward: np.ndarray | None = None,
-    ) -> tuple[NpuState, np.ndarray, PhaseCycles]:
-        """Run one timestep in place; returns (state, fresh spikes, cycles).
-        `external` holds the addresses and values of this step's events."""
-        got = 0 if feedforward is None else len(feedforward)
-        if got != self.n_ff_sources:
-            raise ValueError(
-                f"feedforward stream length {got}, expected {self.n_ff_sources}"
-            )
-        sources = state.last_spikes
-        if got:
-            sources = np.concatenate((feedforward, sources))
-        (cycles,) = self.datapath.step(state, [external], sources)
-        return state, state.last_spikes, cycles
+        self.scan = (n_ff_sources + 1) // 2 + (total + 1) // 2

@@ -71,10 +71,8 @@ class Processor:
                 f"NPU2 expects {npu1.cfg.total_neurons} feedforward sources, "
                 f"configured for {npu2.n_ff_sources}"
             )
-        self.npu1 = npu1
-        self.npu2 = npu2
         self.clock_hz = clock_hz
-        self.datapath = Datapath.chain(npu1.datapath, npu2.datapath)
+        self.datapath = Datapath(npu1, npu2)
         self.state = self.datapath.initial_state()
 
     @property
@@ -99,9 +97,7 @@ class Processor:
         """Advance both NPUs one timestep, each with its (addresses, values)
         external events. Returns the fresh spike vectors of both NPUs and
         the cycle report."""
-        cyc1, cyc2 = self.datapath.step(
-            self.state, (events1, events2), self.state.last_spikes
-        )
+        cyc1, cyc2 = self.datapath.step(self.state, (events1, events2))
         spikes = self.state.last_spikes
         span1, span2 = self.datapath.spans
         return spikes[span1], spikes[span2], CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)

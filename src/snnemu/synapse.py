@@ -161,11 +161,11 @@ class GroupSparseConfig:
 class Crossbar:
     """The weights a spike can reach, compiled once from the SRAM image: one
     signed row per source with its masked groups zeroed, and the word reads
-    each row costs (popcount of its group mask). A chained crossbar keeps one
-    cost column per SRAM it was built from."""
+    each row costs (popcount of its group mask). The chip's crossbar keeps
+    one cost column per NPU."""
 
     weights: np.ndarray  # (sources, targets) int64
-    cost: np.ndarray  # (sources,) or (sources, memories) int64
+    cost: np.ndarray  # (sources,) or (sources, NPUs) int64
 
     @classmethod
     def compile(
@@ -186,28 +186,6 @@ class Crossbar:
         if broadcast is not None:
             weights = np.vstack((weights, np.full(mem.n_targets, broadcast)))
             cost = np.append(cost, 1)
-        return cls(weights, cost)
-
-    @classmethod
-    def chain(cls, first: "Crossbar", second: "Crossbar") -> "Crossbar":
-        """One block crossbar over the targets of both: `first` reads its
-        own targets, and so do the leading rows of `second`, ahead of the
-        rows of its own targets. Spikes of `first` reach `second` at the
-        same step as they reach `first`."""
-        n1, t1 = first.weights.shape
-        n2, t2 = second.weights.shape
-        if n1 != t1 or n2 != t1 + t2:
-            raise ValueError(
-                f"cannot chain a {n1}x{t1} crossbar into a {n2}x{t2} one"
-            )
-        weights = np.zeros((n2, t1 + t2), dtype=np.int64)
-        weights[:t1, :t1] = first.weights
-        weights[:, t1:] = second.weights
-        c1, c2 = (c.reshape(len(c), -1) for c in (first.cost, second.cost))
-        k = c1.shape[1]
-        cost = np.zeros((n2, k + c2.shape[1]), dtype=np.int64)
-        cost[:t1, :k] = c1
-        cost[:, k:] = c2
         return cls(weights, cost)
 
     def mac(self, spikes: np.ndarray, y: np.ndarray):

@@ -32,9 +32,10 @@ from snnemu.netio import run
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def brute_force_conflicts(n):
+def brute_force_conflicts(n, kind="all"):
     """Constraint-pair oracle: enumerate every pair of assignments and test
-    mutual exclusivity straight from the Sudoku rules."""
+    mutual exclusivity straight from the Sudoku rules; kind "cell" keeps
+    only the same-cell branch, "unit" only the same-digit one."""
     size = n**3
     out = np.zeros((size, size), dtype=bool)
     box = box_shape(n)
@@ -45,8 +46,8 @@ def brute_force_conflicts(n):
                 continue
             r2, c2, d2 = j // (n * n), (j // n) % n, j % n + 1
             if (r1, c1) == (r2, c2) and d1 != d2:
-                out[i, j] = True
-            elif d1 == d2 and (r1, c1) != (r2, c2):
+                out[i, j] = kind in ("cell", "all")
+            elif d1 == d2 and (r1, c1) != (r2, c2) and kind in ("unit", "all"):
                 same_box = False
                 if box is not None:
                     bh, bw = box
@@ -60,6 +61,8 @@ class TestSudokuTopology:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_conflicts_match_rule_oracle(self, n):
         assert np.array_equal(conflict_matrix(n), brute_force_conflicts(n))
+        for kind in ("cell", "unit"):
+            assert np.array_equal(conflict_matrix(n, kind), brute_force_conflicts(n, kind))
 
     def test_network_sizes(self):
         desc, trace = build_sudoku_network(SudokuPuzzle(n=4, clues=[]))

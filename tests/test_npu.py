@@ -1,5 +1,6 @@
-"""NPU timestep semantics: phase ordering, recurrent delay, global neuron
-broadcast, chop validation, and agreement with a dense reference simulator."""
+"""NPU timestep semantics, each NPU stepped on a chip: phase ordering,
+recurrent delay, global neuron broadcast, chop validation, and agreement with
+a dense reference simulator."""
 
 import math
 
@@ -17,7 +18,7 @@ from snnemu.npu import (
     dense_op_count,
 )
 from snnemu.synapse import GroupSparseConfig, WeightMemory
-from test_processor import events
+from test_processor import events, on_chip
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 LEAKY = NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)
@@ -93,21 +94,19 @@ def dense_reference(weights, params, decay_a, stim_fn, steps, v0=None):
 
 class TestTimestep:
     def test_resting_network_stays_silent(self):
-        npu = make_npu(active=4, params=[LEAKY] * 4,
-                       global_cfg=GlobalNeuronConfig(params=LEAKY))
-        state = npu.initial_state()
+        proc = on_chip(make_npu(active=4, params=[LEAKY] * 4,
+                                global_cfg=GlobalNeuronConfig(params=LEAKY)))
         for _ in range(10):
-            state, spikes, _ = npu.timestep(state)
+            spikes, _, _ = proc.timestep()
             assert not spikes.any()
-            assert not state.psp.y.any()
+            assert not proc.state1.psp.y.any()
 
     def test_constant_stimulus_spikes_within_three_steps(self):
         # pure integrator fed 127 each step; psp decays between steps
-        npu = make_npu(active=4, decay_a=3)
-        state = npu.initial_state()
+        proc = on_chip(make_npu(active=4, decay_a=3))
         spiked_at = None
         for t in range(5):
-            state, spikes, _ = npu.timestep(state, events((0, 127)))
+            spikes, _, _ = proc.timestep(events((0, 127)))
             if spikes[0]:
                 spiked_at = t
                 break
@@ -118,16 +117,15 @@ class TestTimestep:
         active, total = 4, 5
         w = rng.integers(-4, 5, size=(active, total))
         params = [LEAKY, QUIET, LEAKY, QUIET, LEAKY]
-        npu = make_npu(active=active, params=params[:4], weights=w,
-                       global_cfg=GlobalNeuronConfig(params=LEAKY), decay_a=2)
-        state = npu.initial_state()
+        proc = on_chip(make_npu(active=active, params=params[:4], weights=w,
+                                global_cfg=GlobalNeuronConfig(params=LEAKY), decay_a=2))
 
         def stim(t):
             return [(0, 90), (1, 60)] if t < 10 else []
 
         raster = []
         for t in range(20):
-            state, spikes, _ = npu.timestep(state, events(*stim(t)))
+            spikes, _, _ = proc.timestep(events(*stim(t)))
             raster.append(spikes.copy())
         ref = dense_reference(w, params, 2, stim, 20)
         assert np.array_equal(np.array(raster), ref)
@@ -136,41 +134,38 @@ class TestTimestep:
         # source 0 spikes at t0; weight reaches target accumulator at t0+1
         w = np.zeros((2, 3), dtype=int)
         w[0, 1] = 7
-        npu = make_npu(active=2, weights=w)
-        state = npu.initial_state()
-        state, spikes, _ = npu.timestep(state, events(*[(0, 127)] * 3))
+        proc = on_chip(make_npu(active=2, weights=w))
+        spikes, _, _ = proc.timestep(events(*[(0, 127)] * 3))
         assert spikes[0] == 1
-        assert state.psp.y[1] == 0
-        state, _, _ = npu.timestep(state)
+        assert proc.state1.psp.y[1] == 0
+        proc.timestep()
         # +7 arrived this step, then decayed once (7 - 0 -> selector 1 -> 6)
-        assert state.psp.y[1] == 6
+        assert proc.state1.psp.y[1] == 6
 
     def test_event_address_out_of_range(self):
-        npu = make_npu(active=2)
+        proc = on_chip(make_npu(active=2))
         with pytest.raises(IndexError, match="address 5"):
-            npu.timestep(npu.initial_state(), events((5, 1)))
+            proc.timestep(events((5, 1)))
 
     def test_phase_order_decay_before_pde(self):
         # i_t is sampled after decay: a lone +8 event decays to +7 before the
         # neuron sees it.
-        npu = make_npu(active=1, decay_a=3)
-        state = npu.initial_state()
-        state, _, _ = npu.timestep(state, events((0, 8)))
-        assert state.psp.y[0] == 7
-        assert state.v_m[0] == 7
+        proc = on_chip(make_npu(active=1, decay_a=3))
+        proc.timestep(events((0, 8)))
+        assert proc.state1.psp.y[0] == 7
+        assert proc.state1.v_m[0] == 7
 
 
 class TestGlobalNeuron:
     @pytest.mark.parametrize("mode,delta", [("excitatory", 5), ("inhibitory", -5)])
     def test_broadcast_sign(self, mode, delta):
         g = GlobalNeuronConfig(params=QUIET, out_weight=5, mode=mode)
-        npu = make_npu(active=2, global_cfg=g, decay_a=7)
-        state = npu.initial_state()
+        proc = on_chip(make_npu(active=2, global_cfg=g, decay_a=7))
         # force the global neuron (addr 2) to spike
-        state, spikes, _ = npu.timestep(state, events(*[(2, 127)] * 3))
+        spikes, _, _ = proc.timestep(events(*[(2, 127)] * 3))
         assert spikes[2] == 1
-        y_before = state.psp.y.copy()
-        state, _, cyc = npu.timestep(state)
+        y_before = proc.state1.psp.y.copy()
+        proc.timestep()
         expected = y_before + delta
         # then one decay step
         for k, e in enumerate(expected):
@@ -180,21 +175,20 @@ class TestGlobalNeuron:
                 if sh == 0:
                     sh = 1 if e > 0 else -1
                 e -= sh
-            assert state.psp.y[k] == e
+            assert proc.state1.psp.y[k] == e
 
     def test_broadcast_costs_one_cycle(self):
         g = GlobalNeuronConfig(params=QUIET, out_weight=3, mode="excitatory")
-        npu = make_npu(active=2, global_cfg=g)
-        state = npu.initial_state()
-        state.last_spikes[2] = 1
-        _, _, cyc = npu.timestep(state)
-        assert cyc.mac == 1
+        proc = on_chip(make_npu(active=2, global_cfg=g))
+        proc.state1.last_spikes[2] = 1
+        _, _, rep = proc.timestep()
+        assert rep.npu1.mac == 1
 
 
 class TestCycles:
     def test_scan_only_when_silent(self):
-        npu = make_npu(active=4)
-        _, _, cyc = npu.timestep(npu.initial_state())
+        proc = on_chip(make_npu(active=4))
+        cyc = proc.timestep()[2].npu1
         total = 5
         assert cyc.scan == math.ceil(total / 2)
         assert cyc.mac == 0
@@ -207,11 +201,10 @@ class TestCycles:
         w = np.zeros((8, 9), dtype=int)
         w[0, :] = 1
         gs = GroupSparseConfig(n_groups=2, gs_code=0b11, per_source=[0b01] * 8)
-        npu = make_npu(active=8, weights=w, gs=gs)
-        state = npu.initial_state()
-        state.last_spikes[0] = 1
-        _, _, cyc = npu.timestep(state)
-        assert cyc.mac == 1
+        proc = on_chip(make_npu(active=8, weights=w, gs=gs))
+        proc.state1.last_spikes[0] = 1
+        _, _, rep = proc.timestep()
+        assert rep.npu1.mac == 1
 
 
 class TestChop:
@@ -248,12 +241,11 @@ class TestChop:
                 global_neuron=GlobalNeuronConfig(params=LEAKY), decay_a=3,
                 chop=(4, 4) if chopped else None,
             )
-            npu = Npu(cfg, WeightMemory.from_matrix(w))
-            state = npu.initial_state()
+            proc = on_chip(Npu(cfg, WeightMemory.from_matrix(w)))
             rows = []
             for t in range(30):
                 ev = events(*[(k, 70) for k in range(4)])
-                state, spikes, _ = npu.timestep(state, ev)
+                spikes, _, _ = proc.timestep(ev)
                 rows.append(spikes)
             raster[chopped] = np.array(rows)
         assert np.array_equal(raster[False], raster[True])

@@ -25,6 +25,24 @@ def events(*pairs):
             np.array([v for _, v in pairs], dtype=np.int64))
 
 
+def quiet_npu(active, max_neurons, n_ff=0):
+    """An NPU of silent integrators with all-zero weights."""
+    cfg = NpuConfig(max_neurons=max_neurons, active_neurons=active,
+                    params=[QUIET] * active,
+                    global_neuron=GlobalNeuronConfig(params=QUIET))
+    mem = WeightMemory.from_matrix(np.zeros((n_ff + active, active + 1), dtype=int))
+    return Npu(cfg, mem, n_ff_sources=n_ff)
+
+
+def on_chip(npu):
+    """A Processor around the NPU under test: as NPU1 ahead of a quiet
+    one-neuron NPU2 when it takes no feedforward stream, else as NPU2 behind
+    a quiet NPU1 whose spikes are that stream."""
+    if npu.n_ff_sources == 0:
+        return Processor(npu, quiet_npu(1, 128, n_ff=npu.cfg.total_neurons))
+    return Processor(quiet_npu(npu.n_ff_sources - 1, 32), npu)
+
+
 def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
     t1, t2 = n1 + 1, n2 + 1
     cfg1 = NpuConfig(max_neurons=32, active_neurons=n1, params=[QUIET] * n1,
@@ -88,6 +106,20 @@ class TestScheduler:
             DcSource(npu=3, addr=0, value=1)
         with pytest.raises(ValueError, match="must be 1 or 2"):
             NoiseSource(npu=0, addrs=[0], low=0, high=1)
+
+
+class TestAssembly:
+    def test_rejects_malformed_chip(self):
+        npu1, npu2 = quiet_npu(2, 32), quiet_npu(4, 128, n_ff=3)
+        for bad, match in (
+            ((quiet_npu(2, 128), npu2), "NPU1 must be the 32-neuron"),
+            ((npu1, quiet_npu(4, 32, n_ff=3)), "NPU2 must be the 128-neuron"),
+            ((quiet_npu(2, 32, n_ff=1), npu2), "NPU1 accepts no feedforward"),
+            ((npu1, quiet_npu(4, 128, n_ff=4)), "expects 3 feedforward sources"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                Processor(*bad)
+        assert Processor(npu1, npu2).datapath.crossbar.weights.shape == (8, 8)
 
 
 class TestAnalytics:

@@ -20,15 +20,18 @@ from snnemu.synapse import (
     pack_weights,
     steps_to_fraction,
 )
+from test_processor import on_chip
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
 
 def silent_npu(active, n_ff=0, gs=None):
     """An NPU of pure integrators with all-ones weights, so any spiking
-    source costs its mask's popcount in MAC cycles."""
+    source costs its mask's popcount in MAC cycles; NPU2 of a chip if it
+    reads a feedforward stream, else NPU1."""
     total = active + 1
-    cfg = NpuConfig(max_neurons=128, active_neurons=active, params=[QUIET] * active,
+    cfg = NpuConfig(max_neurons=128 if n_ff else 32, active_neurons=active,
+                    params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
     mem = WeightMemory.from_matrix(np.ones((n_ff + active, total), dtype=int))
     return Npu(cfg, mem, gs=gs, n_ff_sources=n_ff)
@@ -153,37 +156,36 @@ class TestWholeArray:
 
 
 class TestDecode:
-    """Npu.timestep scans each spike stream two bits per clock, and charges
-    every spiking source its enabled groups."""
+    """The chip scans each spike stream two bits per clock, and charges every
+    spiking source its enabled groups. The NPU under test is NPU2 when it
+    needs a feedforward stream (NPU1's t1 <= 33 spikes) or 128 neurons."""
 
     def test_all_zero_stream(self):
-        npu = silent_npu(active=1, n_ff=128)
-        _, _, cyc = npu.timestep(npu.initial_state(), feedforward=np.zeros(128, np.uint8))
+        proc = on_chip(silent_npu(active=1, n_ff=33))
+        cyc = proc.timestep()[2].npu2
         assert cyc.mac == 0
-        assert cyc.scan == 64 + 1  # 128-bit feedforward stream, 2-bit own stream
+        assert cyc.scan == 17 + 1  # 33-bit feedforward stream, 2-bit own stream
 
     def test_single_spike_dense_groups(self):
-        npu = silent_npu(active=128)  # 129 targets -> 17 groups, all read
-        state = npu.initial_state()
-        state.last_spikes[0] = 1
-        _, _, cyc = npu.timestep(state)
+        proc = on_chip(silent_npu(active=128, n_ff=2))  # 129 targets -> 17 groups
+        proc.state2.last_spikes[0] = 1
+        cyc = proc.timestep()[2].npu2
         assert cyc.mac == 17
-        assert cyc.scan == 65
+        assert cyc.scan == 1 + 65
 
     def test_half_enabled_groups(self):
         # 65 targets -> 9 groups; enable 4 of them
         gs = GroupSparseConfig(n_groups=9, gs_code=0b001010101)
         assert gs.gs_num == 4
-        npu = silent_npu(active=64, n_ff=64, gs=gs)
-        bits = np.zeros(64, dtype=np.uint8)
-        bits[0] = bits[5] = 1
-        _, _, cyc = npu.timestep(npu.initial_state(), feedforward=bits)
+        proc = on_chip(silent_npu(active=64, n_ff=33, gs=gs))
+        proc.state1.last_spikes[[0, 5]] = 1
+        cyc = proc.timestep()[2].npu2
         assert cyc.mac == 8
-        assert cyc.scan == 32 + 33
+        assert cyc.scan == 17 + 33
 
     def test_odd_length_padded(self):
-        npu = silent_npu(active=8)  # 9-bit own stream
-        _, _, cyc = npu.timestep(npu.initial_state())
+        proc = on_chip(silent_npu(active=8))  # 9-bit own stream
+        cyc = proc.timestep()[2].npu1
         assert cyc.scan == 5
 
 
