@@ -25,6 +25,7 @@ from .netio import (
     NetworkDescription,
     NoiseSource,
     StimulusTrace,
+    raster_records,
     simulate,
 )
 from .processor import CycleReport
@@ -208,24 +209,25 @@ def decode_sudoku_solution(
 ) -> SudokuDecode:
     """Per cell, pick the digit whose neuron spiked most inside
     [window[0], window[1]). Ties go to the lowest digit and are flagged."""
-    t0, t1 = window
-    counts = [0] * n**3
-    for t, npu, addr in raster:
-        if npu == 2 and t0 <= t < t1 and addr < n**3:
-            counts[addr] += 1
-    counts = np.array(counts)
-    grid = [[0] * n for _ in range(n)]
-    low_conf: set[tuple[int, int]] = set()
-    for r in range(n):
-        for c in range(n):
-            cell = counts[neuron_index(n, r, c, 1) : neuron_index(n, r, c, n) + 1]
-            if cell.sum() == 0:
-                raise NoDecisionError(f"no spikes for cell ({r}, {c}) in window")
-            best = int(cell.argmax())
-            if (cell == cell[best]).sum() > 1:
-                low_conf.add((r, c))
-            grid[r][c] = best + 1
-    return SudokuDecode(grid=grid, low_confidence=low_conf)
+    t, npu, addr = np.array(raster, dtype=np.int64).reshape(-1, 3).T
+    keep = (npu == 2) & (window[0] <= t) & (t < window[1]) & (addr >= 0) & (addr < n**3)
+    return decode_counts(np.bincount(addr[keep], minlength=n**3), n)
+
+
+def decode_counts(counts: np.ndarray, n: int) -> SudokuDecode:
+    """The decode of a window from its spike count per (cell, digit)
+    neuron, indexed by `neuron_index`: per cell, the digit that spiked most,
+    ties to the lowest digit and flagged."""
+    cells = np.asarray(counts).reshape(n, n, n)  # (row, column, digit)
+    silent = np.argwhere(cells.sum(axis=2) == 0)
+    if len(silent):
+        r, c = silent[0].tolist()
+        raise NoDecisionError(f"no spikes for cell ({r}, {c}) in window")
+    tied = (cells == cells.max(axis=2, keepdims=True)).sum(axis=2) > 1
+    return SudokuDecode(
+        grid=(cells.argmax(axis=2) + 1).tolist(),
+        low_confidence={(r, c) for r, c in np.argwhere(tied).tolist()},
+    )
 
 
 def verify_sudoku(grid: list[list[int]], puzzle: SudokuPuzzle) -> bool:
@@ -339,25 +341,28 @@ def solve_sudoku(
     weights: SudokuWeights | None = None,
 ) -> SudokuResult:
     """Run the network, decoding every `check_every` steps over the trailing
-    window, until the decoded grid verifies or the step budget runs out."""
+    window, until the decoded grid verifies or the step budget runs out.
+    Each window is one block of the run loop, decoded from its per-neuron
+    spike counts."""
     desc, trace = build_sudoku_network(puzzle, weights)
-    agg = CycleReport()
-    raster: list[tuple[int, int, int]] = []
     n = puzzle.n
-    window_start = 0  # index of the trailing window's first raster record
-    for t, _, s2, rep in simulate(desc, trace, max_steps, seed):
-        agg.merge(rep)
-        raster += [(t, 2, addr) for addr in s2.nonzero()[0].tolist()]
-        if (t + 1) % check_every == 0:
-            window = raster[window_start:]
-            window_start = len(raster)
-            try:
-                decode = decode_sudoku_solution(window, (t + 1 - check_every, t + 1), n)
-            except NoDecisionError:
-                continue
-            if verify_sudoku(decode.grid, puzzle):
-                return SudokuResult(True, t + 1, decode.grid, agg, raster)
-    return SudokuResult(False, max_steps, None, agg, raster)
+    t1 = desc.npu1.total_neurons
+    total = np.zeros((2, 5), dtype=np.int64)
+    raster: list[tuple[int, int, int]] = []
+    for t0, spikes, cycles in simulate(desc, trace, max_steps, seed, block=check_every):
+        total += cycles.sum(axis=0)
+        raster += raster_records(t0, spikes[:, t1:], 0)  # NPU2's spikes only
+        if len(spikes) < check_every:
+            break
+        try:
+            decode = decode_counts(spikes[:, t1 : t1 + n**3].sum(axis=0), n)
+        except NoDecisionError:
+            continue
+        if verify_sudoku(decode.grid, puzzle):
+            steps = t0 + check_every
+            report = CycleReport.of(total.tolist(), steps)
+            return SudokuResult(True, steps, decode.grid, report, raster)
+    return SudokuResult(False, max_steps, None, CycleReport.of(total.tolist(), max_steps), raster)
 
 
 # ---------------------------------------------------------------------------

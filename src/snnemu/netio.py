@@ -67,12 +67,14 @@ class Lcg:
 
 class NoiseDraws:
     """Draws `lcg.int_range(lo, hi)` for each (lo, hi) of `ranges`, in
-    order, all at once per call and bit-identical to drawing them one by one.
+    order, step after step, a block of steps per call and bit-identical to
+    drawing them one by one.
 
     The j-th state after x is x_j = (A_j * x + C_j) mod 2^32, with
     A_j = a^j and C_j = c * (a^(j-1) + ... + 1) tabled once (jump-ahead,
     F. Brown, "Random number generation with arbitrary strides", Trans. ANS
-    1994). uint32 arithmetic wraps modulo 2^32, the generator's modulus.
+    1994). One step advances the state by (A_n, C_n), n = len(ranges).
+    uint32 arithmetic wraps modulo 2^32, the generator's modulus.
     """
 
     def __init__(self, lcg: Lcg, ranges: list[tuple[int, int]]):
@@ -83,18 +85,26 @@ class NoiseDraws:
             a, c = (LCG_MULT * a) & 0xFFFFFFFF, (LCG_MULT * c + LCG_INC) & 0xFFFFFFFF
             mult.append(a)
             inc.append(c)
+        self._step = (a, c)
         self._mult = np.array(mult, dtype=np.uint32)
         self._inc = np.array(inc, dtype=np.uint32)
         self._low = np.array([lo for lo, _ in ranges], dtype=np.int64)
         self._span = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.uint32)
 
-    def draw(self) -> np.ndarray:
-        """The next value of every range, as a fresh int64 array."""
-        if not len(self._span):
-            return self._low.copy()
-        xs = self._mult * np.uint32(self.lcg.state)
+    def draw(self, k: int) -> np.ndarray:
+        """The values of every range for the next k steps, as a fresh
+        (k, len(ranges)) int64 array."""
+        if not (k and len(self._span)):
+            return np.zeros((k, len(self._span)), dtype=np.int64)
+        a, c = self._step
+        x = self.lcg.state
+        starts = []
+        for _ in range(k):
+            starts.append(x)
+            x = (a * x + c) & 0xFFFFFFFF
+        self.lcg.state = x
+        xs = np.multiply.outer(np.array(starts, dtype=np.uint32), self._mult)
         xs += self._inc
-        self.lcg.state = int(xs[-1])
         return self._low + xs % self._span
 
 
@@ -545,12 +555,20 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
 # ---------------------------------------------------------------------------
 # run harness
 
+# Steps advanced per block by `run`. Stimulus, noise and cycle charges are
+# compiled for a block at once; the spikes are stepped one at a time.
+BLOCK = 64
+
+
 def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
-    """One function per NPU from (t, the step's noise draws) to that NPU's
-    (addresses, values): its trace records for step t, its DC sources, then
-    its noise sources. Every address is checked here, before any step runs."""
+    """A function from (t0, the noise draws of steps t0..t0+k-1) to the
+    block's dense external input, (k, t1+t2) summed per neuron of the chip,
+    and its (k, 2) event counts per NPU: trace records, DC sources and noise
+    sources. Every address is checked here, before any step runs."""
     desc.check_stimulus()
-    totals = np.array([0, desc.npu1.total_neurons, desc.npu2.total_neurons])
+    t1 = desc.npu1.total_neurons
+    totals = np.array([0, t1, desc.npu2.total_neurons])
+    offsets = np.array([0, 0, t1])
     trace = np.array(stimulus.records if stimulus else [], dtype=np.int64).reshape(-1, 4)
     bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
     if bad.size:
@@ -558,30 +576,33 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
         raise ValueError(
             f"record {i}: address {trace[i, 2]} out of range for npu{trace[i, 1]}"
         )
-    noise_npu = np.array([ns.npu for ns in desc.noise for _ in ns.addrs], dtype=np.int64)
+    trace_t, trace_npu = trace[:, 0], trace[:, 1] - 1
+    trace_col, trace_value = trace[:, 2] + offsets[trace[:, 1]], trace[:, 3]
 
-    def compile_npu(k: int):
-        rows = trace[trace[:, 1] == k]
-        trace_addrs, trace_values = rows[:, 2].copy(), rows[:, 3].copy()
-        ts, starts, counts = np.unique(rows[:, 0], return_index=True, return_counts=True)
-        slices = {int(t): slice(a, a + n) for t, a, n in zip(ts, starts, counts)}
-        dc = [s for s in desc.dc if s.npu == k]
-        addrs = [s.addr for s in dc] + [a for ns in desc.noise if ns.npu == k for a in ns.addrs]
-        addrs = np.array(addrs, dtype=np.int64)
-        dc_values = np.array([s.value for s in dc], dtype=np.int64)
-        noise = np.flatnonzero(noise_npu == k)
+    dc_src = np.array([(s.npu, s.addr, s.value) for s in desc.dc], dtype=np.int64).reshape(-1, 3)
+    dc = np.zeros(t1 + totals[2], dtype=np.int64)
+    np.add.at(dc, offsets[dc_src[:, 0]] + dc_src[:, 1], dc_src[:, 2])
+    noise_src = np.array(
+        [(ns.npu, a) for ns in desc.noise for a in ns.addrs], dtype=np.int64
+    ).reshape(-1, 2)
+    noise_col = offsets[noise_src[:, 0]] + noise_src[:, 1]
+    base = np.bincount(np.concatenate((dc_src[:, 0], noise_src[:, 0])), minlength=3)[1:]
 
-        def events(t: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            values = np.concatenate((dc_values, draws[noise])) if noise.size else dc_values
-            sl = slices.get(t)
-            if sl is None:
-                return addrs, values
-            return (np.concatenate((trace_addrs[sl], addrs)),
-                    np.concatenate((trace_values[sl], values)))
+    def inputs(t0: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k = len(draws)
+        ext = np.empty((k, len(dc)), dtype=np.int64)
+        ext[:] = dc
+        counts = np.empty((k, 2), dtype=np.int64)
+        counts[:] = base
+        np.add.at(ext, (slice(None), noise_col), draws)
+        lo, hi = trace_t.searchsorted((t0, t0 + k))
+        if hi > lo:
+            rows = trace_t[lo:hi] - t0
+            np.add.at(ext, (rows, trace_col[lo:hi]), trace_value[lo:hi])
+            np.add.at(counts, (rows, trace_npu[lo:hi]), 1)
+        return ext, counts
 
-        return events
-
-    return compile_npu(1), compile_npu(2)
+    return inputs
 
 
 def simulate(
@@ -589,19 +610,36 @@ def simulate(
     stimulus: StimulusTrace | None,
     steps: int,
     seed: int = 0,
+    block: int = BLOCK,
 ):
-    """Run `steps` timesteps of a fresh processor, yielding
-    (t, spikes1, spikes2, report) after each.
+    """Run `steps` timesteps of a fresh processor in blocks of `block`
+    steps (the last one may be shorter), yielding (t0, spikes, cycles) after
+    each: the chip's (k, t1+t2) spikes of steps t0..t0+k-1, NPU1's neurons
+    first, and their (k, 2, 5) cycles from `Datapath.cycles`.
 
-    The stimulus is compiled once, before step 0. Noise values come from one
-    Lcg(seed), drawn each step source by source in declaration order."""
+    The stimulus is compiled once, before step 0, and each block's input
+    with it at once. Noise values come from one Lcg(seed), drawn each step
+    source by source in declaration order."""
+    if block < 1:
+        raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
-    events1, events2 = _compile_stimulus(desc, stimulus)
+    inputs = _compile_stimulus(desc, stimulus)
     noise = NoiseDraws(Lcg(seed), [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
-    for t in range(steps):
-        draws = noise.draw()
-        s1, s2, rep = proc.timestep(events1(t, draws), events2(t, draws))
-        yield t, s1, s2, rep
+    for t0 in range(0, steps, block):
+        ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
+        spikes, cycles = proc.advance(ext, counts)
+        yield t0, spikes, cycles
+
+
+def raster_records(t0: int, spikes: np.ndarray, t1: int) -> list[tuple[int, int, int]]:
+    """(t, npu, addr) records of the (k, neurons) spikes of steps t0..,
+    in that order: columns below t1 are NPU1's neurons, the rest NPU2's."""
+    ts, idx = spikes.nonzero()
+    npu2 = idx >= t1
+    # One int object per step, shared by the step's records: timesteps past
+    # 256 are not cached by Python, and a raster holds many records per step.
+    t = np.arange(t0, t0 + len(spikes)).astype(object)[ts]
+    return list(zip(t.tolist(), (npu2 + 1).tolist(), (idx - t1 * npu2).tolist()))
 
 
 def run(
@@ -610,14 +648,14 @@ def run(
     steps: int,
     seed: int = 0,
 ) -> tuple[list[tuple[int, int, int]], list[tuple[int, CycleReport]], CycleReport]:
-    """Execute `steps` timesteps; returns (raster records, per-step cycle
-    rows, aggregate report). Only declared noise generators consume the seed."""
+    """Execute `steps` timesteps; returns (raster records in (t, npu, addr)
+    order, per-step cycle rows, aggregate report). Only declared noise
+    generators consume the seed."""
     raster: list[tuple[int, int, int]] = []
     cycle_rows: list[tuple[int, CycleReport]] = []
-    agg = CycleReport()
-    for t, s1, s2, rep in simulate(desc, stimulus, steps, seed):
-        raster += [(t, 1, a) for a in s1.nonzero()[0].tolist()]
-        raster += [(t, 2, a) for a in s2.nonzero()[0].tolist()]
-        cycle_rows.append((t, rep))
-        agg.merge(rep)
-    return raster, cycle_rows, agg
+    total = np.zeros((2, 5), dtype=np.int64)
+    for t0, spikes, cycles in simulate(desc, stimulus, steps, seed):
+        raster += raster_records(t0, spikes, desc.npu1.total_neurons)
+        cycle_rows += [(t0 + i, CycleReport.of(c)) for i, c in enumerate(cycles.tolist())]
+        total += cycles.sum(axis=0)
+    return raster, cycle_rows, CycleReport.of(total.tolist(), steps)

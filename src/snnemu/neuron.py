@@ -84,12 +84,31 @@ def neuron_step(
     return NeuronState(v_m=s), False
 
 
-def step_arrays(v, a, b, v_r, v_t, v_reset, pde_th, i_t):
-    """Vectorized neuron_step over int64 arrays; bit-identical to the scalar
-    form element-wise. Used by the NPU neuron cluster. A candidate that does
-    not spike is at most V_MAX already, so only underflow needs clamping."""
-    drift = np.where(v < pde_th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
-    s = v + drift + i_t
+def drift_table(params: list[NeuronParams]) -> np.ndarray:
+    """(N, 256) drift of N neurons at every membrane potential: row k,
+    column v holds delta_vm(v, params[k], 0). Compiled once per network, so
+    a step reads each neuron's drift instead of evaluating both branches.
+    Populations share a few parameter sets, so each distinct set is
+    evaluated once."""
+    distinct: dict[NeuronParams, int] = {}
+    rows = [distinct.setdefault(p, len(distinct)) for p in params]
+    a, b, v_r, v_t, th = np.array(
+        [(p.a_num, p.b_num, p.v_r, p.v_t, pde_threshold(p)) for p in distinct],
+        dtype=np.int64,
+    ).reshape(-1, 5).T[:, :, None]
+    v = np.arange(V_MAX + 1)
+    drift = np.where(v < th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
+    return drift.astype(np.int16)[rows]  # |drift| <= (7 * 255) >> 3
+
+
+def step_arrays(v, drift, v_reset, i_t):
+    """Vectorized neuron_step over int64 arrays, with the drift read from
+    `drift_table` rows; bit-identical to the scalar form element-wise. Used
+    by the NPU neuron cluster. A candidate that does not spike is at most
+    V_MAX already, so only underflow needs clamping."""
+    s = v + drift.take(np.arange(0, drift.size, V_MAX + 1) + v)
+    s += i_t
     spiked = s > V_MAX
-    v_new = np.where(spiked, v_reset, np.maximum(s, 0))
-    return v_new, spiked
+    np.maximum(s, 0, out=s)
+    np.copyto(s, v_reset, where=spiked)
+    return s, spiked

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import NeuronParams, pde_threshold, step_arrays
+from .neuron import NeuronParams, drift_table, step_arrays
 from .synapse import Crossbar, GroupSparseConfig, PostSynapticState, WeightMemory
 
 # External events of one timestep for one NPU: (addresses, values).
@@ -165,8 +165,10 @@ class Datapath:
     sources are every neuron of the chip, with one cost column per NPU:
     NPU2's feedforward rows read NPU1's spikes of the previous step, the
     same vector NPU1's recurrent rows read. `step` is the one copy of the
-    phase code: external events, one MAC over the spiking sources,
-    saturation, decay and the neuron update.
+    phase code: dense external input, one MAC over the spiking sources,
+    saturation, decay and the neuron update from a drift table. The cycles
+    a step is charged depend only on its inputs, so `cycles` charges a
+    whole block of steps at once.
     """
 
     def __init__(self, npu1: Npu, npu2: Npu):
@@ -179,24 +181,25 @@ class Datapath:
         cost[:, 1] = npu2.crossbar.cost
         self.crossbar = Crossbar(weights, cost)
         self.cfgs = (npu1.cfg, npu2.cfg)
-        self.scan = (npu1.scan, npu2.scan)
-        self._totals = (t1, t2)
+        self.n = t1 + t2
         self.spans = (slice(0, t1), slice(t1, t1 + t2))
         params = [p for cfg in self.cfgs for p in cfg.params + [cfg.global_neuron.params]]
-        self._a = np.array([p.a_num for p in params], dtype=np.int64)
-        self._b = np.array([p.b_num for p in params], dtype=np.int64)
+        self._drift = drift_table(params)
         self._vr = np.array([p.v_r for p in params], dtype=np.int64)
-        self._vt = np.array([p.v_t for p in params], dtype=np.int64)
         self._vreset = np.array([p.v_reset for p in params], dtype=np.int64)
-        self._pde_th = np.array([pde_threshold(p) for p in params], dtype=np.int64)
-        self._decay_a = np.repeat([cfg.decay_a for cfg in self.cfgs], self._totals)
+        self._decay_a = np.repeat([cfg.decay_a for cfg in self.cfgs], (t1, t2))
+        # Per NPU: external (filled per step), scan, mac (filled per step),
+        # decay and pde, one shifter pass and one neuron update per neuron.
+        self._fixed = np.array(
+            [[0, npu.scan, 0, t, t] for npu, t in ((npu1, t1), (npu2, t2))],
+            dtype=np.int64,
+        )
 
     def initial_state(self) -> NpuState:
-        n = len(self._vr)
         return NpuState(
             v_m=self._vr.copy(),
-            psp=PostSynapticState.zeros(n, decay_a=self._decay_a),
-            last_spikes=np.zeros(n, dtype=np.uint8),
+            psp=PostSynapticState.zeros(self.n, decay_a=self._decay_a),
+            last_spikes=np.zeros(self.n, dtype=np.uint8),
         )
 
     def unit_state(self, state: NpuState, k: int) -> NpuState:
@@ -208,48 +211,36 @@ class Datapath:
             last_spikes=state.last_spikes[sl],
         )
 
-    def step(self, state: NpuState, events) -> list[PhaseCycles]:
-        """Advance `state` one timestep in place, with one (addresses,
-        values) event pair per NPU. The MAC reads `state.last_spikes`; the
-        fresh spikes replace it, and earlier spike vectors are never
+    def step(self, state: NpuState, ext: np.ndarray) -> None:
+        """Advance `state` one timestep in place with `ext`, the summed
+        external input of every neuron. The MAC reads `state.last_spikes`;
+        the fresh spikes replace it, and earlier spike vectors are never
         written to."""
-        y = state.psp.y
-
-        # Phase 1: external stimulus, one input-bus cycle per event.
-        for (addrs, values), sl, total in zip(events, self.spans, self._totals):
-            if len(addrs):
-                bad = (addrs < 0) | (addrs >= total)
-                if bad.any():
-                    raise IndexError(
-                        f"external event address {int(addrs[bad][0])} out of range "
-                        f"(total neurons {total})"
-                    )
-                np.add.at(y[sl], addrs, values)
+        # Phase 1: external stimulus.
+        state.psp.y += ext
 
         # Phase 2: one MAC over every spiking source, global broadcasts
-        # included; each NPU is charged its own word reads.
-        mac = self.crossbar.mac(state.last_spikes, y).tolist()
+        # included.
+        self.crossbar.mac(state.last_spikes, state.psp.y)
         state.psp.saturate()
 
         # Phase 3: reciprocal decay, one shifter pass per accumulator.
         state.psp.decay()
 
         # Phase 4: neuron update with i_t sampled after decay.
-        state.v_m, spiked = step_arrays(
-            state.v_m,
-            self._a,
-            self._b,
-            self._vr,
-            self._vt,
-            self._vreset,
-            self._pde_th,
-            state.psp.y,
-        )
+        state.v_m, spiked = step_arrays(state.v_m, self._drift, self._vreset, state.psp.y)
         state.last_spikes = spiked.view(np.uint8)
-        return [
-            PhaseCycles(external=len(ev[0]), scan=scan, mac=m, decay=n, pde=n)
-            for ev, scan, m, n in zip(events, self.scan, mac, self._totals)
-        ]
+
+    def cycles(self, sources: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(k, 2, 5) cycles of k steps per NPU and phase (external, scan,
+        mac, decay, pde), from the (k, sources) spikes each step's MAC read
+        and the (k, 2) external events each NPU took: one input-bus cycle
+        per event, and each NPU's word reads of the spiking rows."""
+        out = np.empty((len(sources), 2, 5), dtype=np.int64)
+        out[:] = self._fixed
+        out[:, :, 0] = counts
+        out[:, :, 2] = self.crossbar.reads(sources)
+        return out
 
 
 class Npu:

@@ -35,6 +35,12 @@ class CycleReport:
     def total_serial(self) -> int:
         return self.npu1.total + self.npu2.total
 
+    @classmethod
+    def of(cls, phases, timesteps: int = 1) -> "CycleReport":
+        """The report of `phases`: per NPU, its five phase counts in
+        `PhaseCycles` field order, as one row of `Datapath.cycles` lists."""
+        return cls(PhaseCycles(*phases[0]), PhaseCycles(*phases[1]), timesteps)
+
     def merge(self, other: "CycleReport") -> None:
         self.npu1 += other.npu1
         self.npu2 += other.npu2
@@ -97,10 +103,35 @@ class Processor:
         """Advance both NPUs one timestep, each with its (addresses, values)
         external events. Returns the fresh spike vectors of both NPUs and
         the cycle report."""
-        cyc1, cyc2 = self.datapath.step(self.state, (events1, events2))
-        spikes = self.state.last_spikes
-        span1, span2 = self.datapath.spans
-        return spikes[span1], spikes[span2], CycleReport(npu1=cyc1, npu2=cyc2, timesteps=1)
+        dp = self.datapath
+        ext = np.zeros(dp.n, dtype=np.int64)
+        for (addrs, values), sl in zip((events1, events2), dp.spans):
+            if len(addrs):
+                total = sl.stop - sl.start
+                bad = (addrs < 0) | (addrs >= total)
+                if bad.any():
+                    raise IndexError(
+                        f"external event address {int(addrs[bad][0])} out of range "
+                        f"(total neurons {total})"
+                    )
+                np.add.at(ext[sl], addrs, values)
+        counts = np.array([[len(events1[0]), len(events2[0])]])
+        spikes, cycles = self.advance(ext[None], counts)
+        span1, span2 = dp.spans
+        return spikes[0, span1], spikes[0, span2], CycleReport.of(cycles[0].tolist())
+
+    def advance(self, ext: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance k timesteps with `ext`, the (k, neurons) summed external
+        input of each step, and `counts`, its (k, 2) event count per NPU;
+        addresses were checked where the input was compiled. Returns the
+        chip's (k, neurons) spikes and the (k, 2, 5) cycles of the block."""
+        dp, state = self.datapath, self.state
+        spikes = np.empty((len(ext) + 1, dp.n), dtype=np.uint8)
+        spikes[0] = state.last_spikes
+        for row, out in zip(ext, spikes[1:]):
+            dp.step(state, row)
+            out[:] = state.last_spikes
+        return spikes[1:], dp.cycles(spikes[:-1], counts)
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -87,8 +87,8 @@ def _signed_nibbles(words: np.ndarray) -> np.ndarray:
     """(rows, stride) packed words -> (rows, 8 * stride) signed weights."""
     shifts = 4 * np.arange(GROUP_SIZE, dtype=np.uint32)
     nib = ((words[:, :, None] >> shifts) & np.uint32(0xF)).astype(np.int64)
-    nib[nib >= 8] -= 16
-    return nib.reshape(words.shape[0], GROUP_SIZE * words.shape[1])
+    # Two's-complement sign extension of 4 bits: 0..7 stay, 8..15 -> -8..-1.
+    return ((nib ^ 8) - 8).reshape(words.shape[0], GROUP_SIZE * words.shape[1])
 
 
 def _code_dtype(n_groups: int):
@@ -188,10 +188,10 @@ class Crossbar:
             cost = np.append(cost, 1)
         return cls(weights, cost)
 
-    def mac(self, spikes: np.ndarray, y: np.ndarray):
+    def mac(self, spikes: np.ndarray, y: np.ndarray) -> None:
         """Add the row of every spiking source (a 0/1 vector) into `y`,
         unsaturated: callers clamp once per timestep, so order never
-        matters. Returns the word reads charged, one per cost column."""
+        matters."""
         if len(spikes) != len(self.cost):
             raise ValueError(
                 f"spike vector length {len(spikes)}, expected {len(self.cost)} sources"
@@ -199,6 +199,10 @@ class Crossbar:
         rows = spikes.nonzero()[0]
         if rows.size:
             y += self.weights.take(rows, axis=0).sum(axis=0)
+
+    def reads(self, spikes: np.ndarray) -> np.ndarray:
+        """Word reads the MAC of `spikes` is charged, per cost column; a
+        (steps, sources) block of spike vectors gives one row per step."""
         return spikes @ self.cost
 
 

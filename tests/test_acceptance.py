@@ -20,7 +20,7 @@ from snnemu.apps import (
     solve_sudoku,
     verify_sudoku,
 )
-from snnemu.neuron import step_arrays
+from snnemu.neuron import NeuronParams, drift_table, step_arrays
 from snnemu.netio import run as run_network
 from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
@@ -41,7 +41,8 @@ def report(name, ok, detail=""):
 
 
 def test_1_neuron_oracle_equivalence():
-    """1,000 random cases x 10,000 steps, bit-exact, under a minute."""
+    """1,000 random cases x 10,000 steps of the drift-table neuron update,
+    bit-exact against a floor-division oracle, under a minute."""
     t0 = time.time()
     cases = 1000
     steps = 10_000
@@ -52,13 +53,13 @@ def test_1_neuron_oracle_equivalence():
     v_t = np.array([rng.integers(lo, 256) for lo in v_r])
     v_reset = rng.integers(0, 256, cases)
     denom = a + b
-    pde_th = np.where(denom == 0, v_t, (a * v_r + b * v_t) // np.maximum(denom, 1))
+    table = drift_table([NeuronParams(*map(int, p)) for p in zip(a, b, v_r, v_t, v_reset)])
     v_impl = rng.integers(0, 256, cases)
     v_ref = v_impl.astype(np.int64).copy()
     mismatches = 0
     for _ in range(steps):
         i_t = rng.integers(-80, 81, cases)
-        v_impl, spk_impl = step_arrays(v_impl, a, b, v_r, v_t, v_reset, pde_th, i_t)
+        v_impl, spk_impl = step_arrays(v_impl, table, v_reset, i_t)
         # independent evaluator: floor division only, no shifts
         th = np.where(denom == 0, v_t, np.floor_divide(a * v_r + b * v_t, np.maximum(denom, 1)))
         drift = np.where(
@@ -106,8 +107,9 @@ def test_2_decay_exhaustive():
 
 def test_3_crossbar_equivalence():
     """200 random instances up to 160x160: the compiled crossbar's MAC (the
-    one Npu.timestep runs) matches the dense matrix-vector oracle, with
-    cycle charge = popcount(gs_code) per spike."""
+    one Datapath.step runs) matches the dense matrix-vector oracle, with
+    cycle charge = popcount(gs_code) per spike from the word reads
+    Datapath.cycles charges."""
     rng = np.random.default_rng(7)
     failures = 0
     for trial in range(200):
@@ -120,7 +122,9 @@ def test_3_crossbar_equivalence():
         gs_code = int(rng.integers(0, 1 << n_groups))
         gs = GroupSparseConfig(n_groups=n_groups, gs_code=gs_code)
         psp = PostSynapticState.zeros(n_tgt)
-        cycles = Crossbar.compile(mem, gs).mac(spikes, psp.y)
+        xbar = Crossbar.compile(mem, gs)
+        xbar.mac(spikes, psp.y)
+        cycles = xbar.reads(spikes)
         psp.saturate()
         mask = np.zeros(n_groups * 8, dtype=bool)
         for g in range(n_groups):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snnemu.apps import (
     DecisionWindow,
@@ -17,6 +19,7 @@ from snnemu.apps import (
     conflict_matrix,
     decide_direction,
     decide_windows,
+    decode_counts,
     decode_sudoku_solution,
     default_behavior_cases,
     isi_signature,
@@ -27,7 +30,7 @@ from snnemu.apps import (
     solve_sudoku,
     verify_sudoku,
 )
-from snnemu.netio import run
+from snnemu.netio import raster_records, run
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -114,6 +117,54 @@ class TestSudokuDecode:
         dec = decode_sudoku_solution(raster, (0, 4), 2)
         assert dec.grid[0][0] == 1
         assert (0, 0) in dec.low_confidence
+
+
+def loop_decode(raster, window, n):
+    """Reference decode: count each record in a Python loop, then pick each
+    cell's most-spiking digit; (grid, low_confidence) or the error text."""
+    counts = [0] * n**3
+    for t, npu, addr in raster:
+        if npu == 2 and window[0] <= t < window[1] and addr < n**3:
+            counts[addr] += 1
+    grid, low = [], set()
+    for r in range(n):
+        grid.append([])
+        for c in range(n):
+            cell = counts[neuron_index(n, r, c, 1):neuron_index(n, r, c, n) + 1]
+            if not sum(cell):
+                return f"no spikes for cell ({r}, {c}) in window"
+            grid[r].append(cell.index(max(cell)) + 1)
+            if cell.count(max(cell)) > 1:
+                low.add((r, c))
+    return grid, low
+
+
+def decoded(fn, *args):
+    try:
+        dec = fn(*args)
+    except NoDecisionError as e:
+        return str(e)
+    return dec.grid, dec.low_confidence
+
+
+class TestDecodeForms:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([2, 3]), t0=st.integers(1, 500), k=st.integers(1, 6),
+           density=st.sampled_from([0.02, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1))
+    def test_raster_and_counts_agree(self, n, t0, k, density, seed):
+        """solve_sudoku's decode of a block's spike counts, the raster form
+        and the reference loop agree: grids, ties and silent cells. The
+        raster also holds NPU1 records, records outside the window, and
+        spikes of the padding and global neurons past n^3."""
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((k, (1 << (n**3 - 1).bit_length()) + 1)) < density).astype(np.uint8)
+        raster = raster_records(t0, spikes, 0)  # NPU2's spikes only
+        raster += [(t0 + k, 2, 0), (t0 - 1, 2, 1), (t0, 1, 2)]
+        raster.sort()
+        window = (t0, t0 + k)
+        want = loop_decode(raster, window, n)
+        assert decoded(decode_sudoku_solution, raster, window, n) == want
+        assert decoded(decode_counts, spikes[:, : n**3].sum(axis=0), n) == want
 
 
 class TestVerify:

@@ -216,12 +216,19 @@ class TestRun:
         desc = minimal_desc(dc=[DcSource(npu=2, addr=1, value=3)],
                             noise=[NoiseSource(npu=1, addrs=[0, 1], low=0, high=9)])
         trace = StimulusTrace(records=[(1, 2, 0, 4), (1, 2, 0, 4), (1, 1, 1, 7)])
-        out = list(simulate(desc, trace, steps=3, seed=4))
-        assert [t for t, *_ in out] == [0, 1, 2]
+        out = list(simulate(desc, trace, steps=3, seed=4, block=2))
+        assert [t0 for t0, *_ in out] == [0, 2]
+        assert [spikes.shape for _, spikes, _ in out] == [(2, 4), (1, 4)]
+        cycles = np.concatenate([c for *_, c in out])
+        assert cycles.shape == (3, 2, 5)
         # DC every step on npu2, two trace events at step 1 on npu2 and one on
         # npu1, noise on two npu1 addresses every step
-        assert [rep.npu1.external for *_, rep in out] == [2, 3, 2]
-        assert [rep.npu2.external for *_, rep in out] == [1, 3, 1]
+        assert cycles[:, 0, 0].tolist() == [2, 3, 2]
+        assert cycles[:, 1, 0].tolist() == [1, 3, 1]
+
+    def test_block_of_no_steps_rejected(self):
+        with pytest.raises(ValueError, match="block must be at least 1 step"):
+            next(simulate(minimal_desc(), None, steps=5, block=0))
 
 
 class TestLcg:
@@ -253,14 +260,32 @@ class TestNoiseDraws:
         order, step after step."""
         scalar = Lcg(seed)
         noise = NoiseDraws(Lcg(seed), ranges)
-        for _ in range(steps):
-            want = [scalar.int_range(lo, hi) for lo, hi in ranges]
-            assert noise.draw().tolist() == want
+        want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(steps)]
+        assert noise.draw(steps).tolist() == want
+        assert noise.lcg.state == scalar.state
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_block_of_k_steps(self, k):
+        """draw(k) is k successive steps of scalar draws and leaves the
+        same state, so blocks of any length chain into one stream."""
+        ranges = [(-3, 4), (0, 0), (-128, 127), (10, 20), (5, 5)]
+        scalar = Lcg(99)
+        noise = NoiseDraws(Lcg(99), ranges)
+        for _ in range(3):
+            want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(k)]
+            got = noise.draw(k)
+            assert got.shape == (k, len(ranges))
+            assert got.tolist() == want
             assert noise.lcg.state == scalar.state
+
+    def test_no_ranges_draw_nothing(self):
+        noise = NoiseDraws(Lcg(5), [])
+        assert noise.draw(4).shape == (4, 0)
+        assert noise.lcg.state == 5
 
     def test_spans_one_to_256(self):
         ranges = [(lo, lo + span - 1) for span in range(1, 257) for lo in (-128, 127 - span + 1)]
         scalar = Lcg(7)
-        assert NoiseDraws(Lcg(7), ranges).draw().tolist() == [
+        assert NoiseDraws(Lcg(7), ranges).draw(1)[0].tolist() == [
             scalar.int_range(lo, hi) for lo, hi in ranges
         ]

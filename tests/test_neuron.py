@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnemu.neuron import NeuronParams, NeuronState, delta_vm, neuron_step, pde_threshold
+from snnemu.neuron import (
+    NeuronParams,
+    NeuronState,
+    delta_vm,
+    drift_table,
+    neuron_step,
+    pde_threshold,
+)
 
 
 def reference_step(v_m, a_num, b_num, v_r, v_t, v_reset, i_t):
@@ -70,6 +77,23 @@ class TestDeltaVm:
         # threshold = (2*50 + 4*150) // 6 = 116; 2*(50-100) = -100 -> floor -13
         assert pde_threshold(self.P) == 116
         assert delta_vm(100, self.P, 0) == -13
+
+
+class TestDriftTable:
+    def test_every_potential_and_slope_pair(self):
+        """Row k, column v of the table is delta_vm(v, params[k], 0), for
+        every v in 0..255 and every (a_num, b_num), with the switch point
+        at both ends of the range and in between; parameter sets that
+        repeat, as they do across a population, keep their own rows."""
+        params = [
+            NeuronParams(a_num=a, b_num=b, v_r=v_r, v_t=v_t, v_reset=0)
+            for a in range(8) for b in range(8)
+            for v_r, v_t in ((0, 255), (40, 160), (93, 94), (200, 200), (0, 0))
+        ]
+        params += params[::7]
+        table = drift_table(params)
+        assert table.shape == (len(params), 256)
+        assert table.tolist() == [[delta_vm(v, p, 0) for v in range(256)] for p in params]
 
 
 class TestNeuronStep:

@@ -247,38 +247,50 @@ def _desc_and_reference(rng, n1, n2, gs_mode):
     return desc, RefProcessor(*refs)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n1=st.sampled_from([1, 2, 4, 8, 32]),
     n2=st.sampled_from([1, 2, 8, 16, 64]),
     gs_mode=st.sampled_from(["dense", "auto"]),
-    steps=st.integers(1, 25),
+    steps=st.integers(1, 40),
+    block=st.sampled_from([1, 2, 3, 7, 64, "steps", "steps+5"]),
 )
-def test_simulate_matches_scalar_reference(seed, n1, n2, gs_mode, steps):
-    """The whole run loop against a scalar one: noise drawn one value at a
-    time with Lcg.int_range in declaration order, per-NPU event lists (trace,
-    then DC, then noise), and the reference processor with its one-step
-    scheduler delay."""
+def test_simulate_matches_scalar_reference(seed, n1, n2, gs_mode, steps, block):
+    """The whole run loop against a scalar one, for blocks of any length:
+    noise drawn one value at a time with Lcg.int_range in declaration
+    order, per-NPU event lists (trace, then DC, then noise), and the
+    reference processor with its one-step scheduler delay. Trace records
+    sit on the first and last step of every block, so the LCG state, the
+    last spikes and the input offsets all cross block boundaries."""
+    block = {"steps": steps, "steps+5": steps + 5}.get(block, block)
     rng = np.random.default_rng(seed)
     desc, ref = _desc_and_reference(rng, n1, n2, gs_mode)
     totals = (n1 + 1, n2 + 1)
+    edges = [t for t0 in range(0, steps, block) for t in (t0, min(t0 + block, steps) - 1)]
+    times = edges + rng.integers(0, steps, size=int(rng.integers(0, 3 * steps))).tolist()
     records = sorted(
-        (int(rng.integers(0, steps)), k, int(rng.integers(0, totals[k - 1])),
-         int(rng.integers(-128, 128)))
-        for k in rng.integers(1, 3, size=int(rng.integers(0, 3 * steps)))
+        (int(t), int(k), int(rng.integers(0, totals[k - 1])), int(rng.integers(-128, 128)))
+        for t, k in zip(times, rng.integers(1, 3, size=len(times)))
     )
     noise_seed = int(rng.integers(0, 2**32))
     lcg = Lcg(noise_seed)
-    got = simulate(desc, StimulusTrace(records=records), steps, seed=noise_seed)
-    for t, s1, s2, rep in got:
-        stimulus = [(k, a, v) for ts, k, a, v in records if ts == t]
-        stimulus += [(s.npu, s.addr, s.value) for s in desc.dc]
-        stimulus += [(ns.npu, a, lcg.int_range(ns.low, ns.high))
-                     for ns in desc.noise for a in ns.addrs]
-        r1, r2, c1, c2 = ref.step(stimulus)
-        assert s1.tolist() == r1, f"step {t}: npu1 spikes"
-        assert s2.tolist() == r2, f"step {t}: npu2 spikes"
-        for name in PHASES:
-            assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
-            assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"
+    t1 = n1 + 1
+    seen = 0
+    for t0, spikes, cycles in simulate(desc, StimulusTrace(records=records), steps,
+                                       seed=noise_seed, block=block):
+        assert t0 == seen and len(spikes) == len(cycles) == min(block, steps - t0)
+        for i, (row, cyc) in enumerate(zip(spikes, cycles)):
+            t = t0 + i
+            stimulus = [(k, a, v) for ts, k, a, v in records if ts == t]
+            stimulus += [(s.npu, s.addr, s.value) for s in desc.dc]
+            stimulus += [(ns.npu, a, lcg.int_range(ns.low, ns.high))
+                         for ns in desc.noise for a in ns.addrs]
+            r1, r2, c1, c2 = ref.step(stimulus)
+            assert row[:t1].tolist() == r1, f"step {t}: npu1 spikes"
+            assert row[t1:].tolist() == r2, f"step {t}: npu2 spikes"
+            assert cyc.tolist() == [[c[name] for name in PHASES] for c in (c1, c2)], (
+                f"step {t}: cycles"
+            )
+        seen += len(spikes)
+    assert seen == steps

@@ -66,6 +66,17 @@ class TestPacking:
         mem = WeightMemory.from_matrix(w)
         assert np.array_equal(mem.unpack(), w)
 
+    def test_every_nibble_in_every_position(self):
+        """All 16 nibble values sign-extend correctly in each of the 8 word
+        positions: row r holds value ((r + p) mod 16) - 8 at position p."""
+        w = (np.arange(16)[:, None] + np.arange(8)) % 16 - 8
+        mem = WeightMemory.from_matrix(w)
+        for r, row in enumerate(w.tolist()):
+            assert mem.word(r, 0) == sum((v & 0xF) << (4 * p) for p, v in enumerate(row))
+            assert mem.row_weights(r).tolist() == row
+        assert np.array_equal(mem.unpack(), w)
+        assert sorted(set(w[:, 0])) == list(range(-8, 8))
+
 
 class TestDecay:
     def test_basic_shift(self):
@@ -195,8 +206,9 @@ class TestAccumulate:
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig.dense(64)
         psp = PostSynapticState.zeros(64)
-        cycles = Crossbar.compile(mem, gs).mac(np.array([1]), psp.y)
-        assert cycles == gs.gs_num == 8
+        xbar = Crossbar.compile(mem, gs)
+        xbar.mac(np.array([1]), psp.y)
+        assert xbar.reads(np.array([1])) == gs.gs_num == 8
         assert list(psp.y) == row
 
     def test_saturation_at_boundary(self):
@@ -221,8 +233,9 @@ class TestAccumulate:
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig(n_groups=2, gs_code=0b01)
         psp = PostSynapticState.zeros(16)
-        cycles = Crossbar.compile(mem, gs).mac(np.array([1]), psp.y)
-        assert cycles == 1
+        xbar = Crossbar.compile(mem, gs)
+        xbar.mac(np.array([1]), psp.y)
+        assert xbar.reads(np.array([1])) == 1
         assert list(psp.y) == [5] * 8 + [0] * 8
 
     def test_broadcast_row(self):
@@ -230,7 +243,8 @@ class TestAccumulate:
         xbar = Crossbar.compile(mem, GroupSparseConfig.dense(12), broadcast=-4)
         assert xbar.cost.tolist() == [2, 1]
         y = np.zeros(12, dtype=np.int64)
-        assert xbar.mac(np.array([1, 1]), y) == 3
+        xbar.mac(np.array([1, 1]), y)
+        assert xbar.reads(np.array([1, 1])) == 3
         assert y.tolist() == [-1] * 12
 
     @settings(max_examples=50, deadline=None)
@@ -244,7 +258,9 @@ class TestAccumulate:
         mem = WeightMemory.from_matrix(w)
         gs = GroupSparseConfig.dense(n_tgt)
         psp = PostSynapticState.zeros(n_tgt)
-        total = Crossbar.compile(mem, gs).mac(spikes, psp.y)
+        xbar = Crossbar.compile(mem, gs)
+        xbar.mac(spikes, psp.y)
+        total = xbar.reads(spikes)
         psp.saturate()
         oracle = np.clip(w.T @ spikes, -2048, 2047)
         assert np.array_equal(psp.y, oracle)
