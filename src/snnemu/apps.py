@@ -23,6 +23,7 @@ from .netio import (
     DcSource,
     Lcg,
     NetworkDescription,
+    NoiseDraws,
     NoiseSource,
     StimulusTrace,
     raster_records,
@@ -82,7 +83,12 @@ class SudokuPuzzle:
             if len(row) != n:
                 raise ValueError(f"row {r} has {len(row)} entries, expected {n}")
             for c, tok in enumerate(row):
-                d = 0 if tok == "." else int(tok)
+                try:
+                    d = 0 if tok == "." else int(tok)
+                except ValueError:
+                    raise ValueError(
+                        f"row {r}, column {c}: expected a digit or '.', got {tok!r}"
+                    ) from None
                 if d:
                     clues.append((r, c, d))
         return cls(n=n, clues=clues)
@@ -204,14 +210,19 @@ class SudokuDecode:
     low_confidence: set[tuple[int, int]] = field(default_factory=set)
 
 
-def decode_sudoku_solution(
-    raster: list[tuple[int, int, int]], window: tuple[int, int], n: int
-) -> SudokuDecode:
+def _window_counts(raster: np.ndarray, npu: int, window: tuple[int, int], n: int) -> np.ndarray:
+    """Spikes per address 0..n-1 of NPU `npu` inside [window[0], window[1])
+    among the (t, npu, addr) records of `raster`; other addresses are
+    ignored."""
+    t, unit, addr = np.asarray(raster, dtype=np.int64).reshape(-1, 3).T
+    keep = (unit == npu) & (window[0] <= t) & (t < window[1]) & (addr >= 0) & (addr < n)
+    return np.bincount(addr[keep], minlength=n)
+
+
+def decode_sudoku_solution(raster: np.ndarray, window: tuple[int, int], n: int) -> SudokuDecode:
     """Per cell, pick the digit whose neuron spiked most inside
     [window[0], window[1]). Ties go to the lowest digit and are flagged."""
-    t, npu, addr = np.array(raster, dtype=np.int64).reshape(-1, 3).T
-    keep = (npu == 2) & (window[0] <= t) & (t < window[1]) & (addr >= 0) & (addr < n**3)
-    return decode_counts(np.bincount(addr[keep], minlength=n**3), n)
+    return decode_counts(_window_counts(raster, 2, window, n**3), n)
 
 
 def decode_counts(counts: np.ndarray, n: int) -> SudokuDecode:
@@ -330,7 +341,7 @@ class SudokuResult:
     steps: int
     grid: list[list[int]] | None
     cycles: CycleReport
-    raster: list[tuple[int, int, int]]
+    raster: np.ndarray  # (n, 3) int64 (t, npu, addr) records of NPU2
 
 
 def solve_sudoku(
@@ -348,10 +359,11 @@ def solve_sudoku(
     n = puzzle.n
     t1 = desc.npu1.total_neurons
     total = np.zeros((2, 5), dtype=np.int64)
-    raster: list[tuple[int, int, int]] = []
+    raster = [np.empty((0, 3), dtype=np.int64)]
+    steps, grid = max_steps, None
     for t0, spikes, cycles in simulate(desc, trace, max_steps, seed, block=check_every):
         total += cycles.sum(axis=0)
-        raster += raster_records(t0, spikes[:, t1:], 0)  # NPU2's spikes only
+        raster.append(raster_records(t0, spikes[:, t1:], 0))  # NPU2's spikes only
         if len(spikes) < check_every:
             break
         try:
@@ -359,10 +371,10 @@ def solve_sudoku(
         except NoDecisionError:
             continue
         if verify_sudoku(decode.grid, puzzle):
-            steps = t0 + check_every
-            report = CycleReport.of(total.tolist(), steps)
-            return SudokuResult(True, steps, decode.grid, report, raster)
-    return SudokuResult(False, max_steps, None, CycleReport.of(total.tolist(), max_steps), raster)
+            steps, grid = t0 + check_every, decode.grid
+            break
+    report = CycleReport.of(total.tolist(), steps)
+    return SudokuResult(grid is not None, steps, grid, report, np.concatenate(raster))
 
 
 # ---------------------------------------------------------------------------
@@ -419,52 +431,37 @@ def make_direction_stimulus(
     channels (stands in for the off-chip visual pre-processing)."""
     if not 0 <= direction < N_DIRECTIONS:
         raise ValueError(f"direction must be 0..{N_DIRECTIONS - 1}")
-    lcg = Lcg(seed)
-    records = []
-    for t in range(steps):
-        for d in range(N_DIRECTIONS):
-            base = strong if d == direction else weak
-            value = base + lcg.int_range(-jitter, jitter)
-            records.append((t, 1, d, max(-128, min(127, value))))
-    return StimulusTrace(records=records)
+    draws = NoiseDraws(Lcg(seed), [(-jitter, jitter)] * N_DIRECTIONS).draw(steps)
+    base = np.where(np.arange(N_DIRECTIONS) == direction, strong, weak)
+    t, d = np.indices(draws.shape).reshape(2, -1)
+    value = np.clip(base + draws, -128, 127).ravel()
+    return StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
 
 
 def decide_direction(
-    raster: list[tuple[int, int, int]],
+    raster: np.ndarray,
     window: tuple[int, int],
     n_directions: int = N_DIRECTIONS,
 ) -> tuple[int, bool, list[int]]:
     """Argmax of per-direction NPU1 spike counts over [window[0], window[1]).
     Returns (direction, tie_flag, counts); ties resolve to the lowest index."""
-    t0, t1 = window
-    counts = [0] * n_directions
-    for t, npu, addr in raster:
-        if npu == 1 and t0 <= t < t1 and addr < n_directions:
-            counts[addr] += 1
-    total = sum(counts)
-    if total == 0:
-        raise NoDecisionError(f"no spikes in window [{t0}, {t1})")
-    best = max(range(n_directions), key=lambda d: counts[d])
-    tie = counts.count(counts[best]) > 1
-    # lowest index wins on a tie
-    best = counts.index(counts[best])
-    return best, tie, counts
+    counts = _window_counts(raster, 1, window, n_directions).tolist()
+    if not any(counts):
+        raise NoDecisionError(f"no spikes in window [{window[0]}, {window[1]})")
+    best = counts.index(max(counts))  # the lowest index wins a tie
+    return best, counts.count(counts[best]) > 1, counts
 
 
 def decide_windows(
-    raster: list[tuple[int, int, int]],
+    raster: np.ndarray,
     total_steps: int,
     window: DecisionWindow | None = None,
 ) -> list[tuple[int, int, bool, list[int]]]:
     """One decision per consecutive window: (index, direction, tie, counts)."""
     win = window or DecisionWindow()
-    out = []
-    for i, t0 in enumerate(range(0, total_steps, win.window_steps)):
-        d, tie, counts = decide_direction(
-            raster, (t0, t0 + win.window_steps), win.direction_count
-        )
-        out.append((i, d, tie, counts))
-    return out
+    w = win.window_steps
+    return [(i, *decide_direction(raster, (t0, t0 + w), win.direction_count))
+            for i, t0 in enumerate(range(0, total_steps, w))]
 
 
 # ---------------------------------------------------------------------------

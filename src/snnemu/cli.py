@@ -64,7 +64,7 @@ def _cmd_avoid(args) -> int:
     win = apps.DecisionWindow(window_steps=args.window_steps)
     for idx, direction, tie, counts in apps.decide_windows(raster, steps, win):
         print(f"{idx},{direction},{int(tie)}," + ",".join(str(c) for c in counts))
-    per_decision = agg.total_parallel / max(args.windows, 1)
+    per_decision = agg.total_parallel / args.windows
     print(f"# cycles_per_decision={per_decision:.0f}", file=sys.stderr)
     return 0
 
@@ -117,6 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in ("steps", "max_steps", "windows", "window_steps"):
+            if getattr(args, name, 1) < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be at least 1, got {getattr(args, name)}")
         return args.func(args)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)

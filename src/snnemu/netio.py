@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -458,55 +459,46 @@ class NetworkDescription:
 # ---------------------------------------------------------------------------
 # stimulus trace / raster / cycles
 
-@dataclass
+@dataclass(eq=False)
 class StimulusTrace:
-    """Ordered external events: (timestep, npu_id, neuron_addr, value)."""
+    """Ordered external events, one (timestep, npu_id, neuron_addr, value)
+    row each of an (n, 4) int64 array. Any sequence of 4-tuples is
+    accepted and checked at once; the first bad record is reported."""
 
-    records: list[tuple[int, int, int, int]] = field(default_factory=list)
+    records: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        last = 0
-        for i, (t, npu, addr, value) in enumerate(self.records):
-            if t < last:
-                raise ValueError(f"record {i}: timesteps must be non-negative and non-decreasing")
-            if t >= 2**63:
-                raise ValueError(f"record {i}: timestep {t} does not fit 64 bits")
-            last = t
-            if not 0 <= addr <= MAX_ADDRESS:
-                raise ValueError(f"record {i}: neuron address must be 0..{MAX_ADDRESS}, got {addr}")
-            if npu not in (1, 2):
-                raise ValueError(f"record {i}: npu must be 1 or 2, got {npu}")
-            if not -128 <= value <= 127:
-                raise ValueError(f"record {i}: value must fit signed 8-bit")
+        try:
+            rec = np.array(self.records, dtype=np.int64)
+        except OverflowError:  # every such record fails a check below
+            rec = np.array(self.records, dtype=object)
+        rec = rec.reshape(-1, 4) if rec.size == 0 else rec
+        if rec.shape[1:] != (4,):
+            raise ValueError("records must be (timestep, npu, neuron, value) rows")
+        t, npu, addr, value = rec.T
+        checks = [  # in the order each record is checked; messages format the record
+            (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
+            (t >= 2**63, "timestep {0} does not fit 64 bits"),
+            ((addr < 0) | (addr > MAX_ADDRESS), f"neuron address must be 0..{MAX_ADDRESS}, got {{2}}"),
+            ((npu != 1) & (npu != 2), "npu must be 1 or 2, got {1}"),
+            ((value < -128) | (value > 127), "value must fit signed 8-bit"),
+        ]
+        bad = np.flatnonzero(np.any([c for c, _ in checks], axis=0))
+        if bad.size:
+            i = int(bad[0])
+            msg = next(m for c, m in checks if c[i])
+            raise ValueError(f"record {i}: " + msg.format(*rec[i].tolist()))
+        self.records = rec.astype(np.int64, copy=False)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as f:
-            f.write("timestep,npu,neuron,value\n")
-            for t, npu, addr, value in self.records:
-                f.write(f"{t},{npu},{addr},{value}\n")
+        _write_rows(path, STIMULUS_HEADER, self.records)
 
     @classmethod
     def load(cls, path: str) -> "StimulusTrace":
-        records = []
-        with open(path) as f:
-            header = f.readline().strip()
-            if header != "timestep,npu,neuron,value":
-                raise ValueError(f"{path}: unexpected stimulus header {header!r}")
-            for lineno, line in enumerate(f, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    t, npu, addr, value = (int(x) for x in line.split(","))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected four integers "
-                        f"timestep,npu,neuron,value, got {_show(line)}"
-                    ) from None
-                records.append((t, npu, addr, value))
-        return cls(records=records)
+        return cls(records=_read_rows(path, STIMULUS_HEADER, "stimulus"))
 
 
+STIMULUS_HEADER = "timestep,npu,neuron,value"
 RASTER_HEADER = "timestep,npu,neuron"
 CYCLES_FIELDS = ["external", "scan", "mac", "decay", "pde"]
 CYCLES_HEADER = (
@@ -516,29 +508,61 @@ CYCLES_HEADER = (
     + ",".join(f"npu2_{f}" for f in CYCLES_FIELDS)
     + ",total_parallel,total_serial,model"
 )
+_WIDTHS = {3: "three", 4: "four"}
 
 
-def save_raster(path: str, records: list[tuple[int, int, int]]) -> None:
-    records = sorted(records)
-    with open(path, "w") as f:
-        f.write(RASTER_HEADER + "\n")
-        for t, npu, addr in records:
-            f.write(f"{t},{npu},{addr}\n")
-
-
-def load_raster(path: str) -> list[tuple[int, int, int]]:
-    records = []
+def _read_rows(path: str, header: str, what: str) -> np.ndarray | list[list[int]]:
+    """The integer rows of a CSV file led by `header`, blank lines skipped:
+    an (n, width) int64 array parsed in one pass, else a per-line `int()`
+    parse (lists of Python ints) that names the first line it rejects."""
     with open(path) as f:
-        header = f.readline().strip()
-        if header != RASTER_HEADER:
-            raise ValueError(f"{path}: unexpected raster header {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            t, npu, addr = (int(x) for x in line.split(","))
-            records.append((t, npu, addr))
-    return records
+        text = f.read()
+    lines = text.split("\n")
+    if lines[0].strip() != header:
+        raise ValueError(f"{path}: unexpected {what} header {lines[0].strip()!r}")
+    width = header.count(",") + 1
+    # numpy 2.4's int parser crashes on a digit then some non-BMP characters.
+    if text.isascii():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt only warns when there are no rows
+                rows = np.loadtxt(lines[1:], dtype=np.int64, delimiter=",",
+                                  comments=None, ndmin=2)
+            if rows.shape[1] == width:
+                return rows
+        except (ValueError, Warning):
+            pass
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [int(x) for x in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {_WIDTHS[width]} integers "
+                             f"{header}, got {_show(line)}")
+        rows.append(row)
+    return rows
+
+
+def _write_rows(path: str, header: str, rows: np.ndarray) -> None:
+    """`header`, then one comma-separated line per row of an int array."""
+    line = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n" + line * len(rows) % tuple(rows.ravel().tolist()))
+
+
+def save_raster(path: str, records: np.ndarray) -> None:
+    """Write (t, npu, addr) records in sorted order."""
+    records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+    _write_rows(path, RASTER_HEADER, records[np.lexsort(records.T[::-1])])
+
+
+def load_raster(path: str) -> np.ndarray:
+    return np.asarray(_read_rows(path, RASTER_HEADER, "raster"), dtype=np.int64).reshape(-1, 3)
 
 
 def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
@@ -569,7 +593,7 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     t1 = desc.npu1.total_neurons
     totals = np.array([0, t1, desc.npu2.total_neurons])
     offsets = np.array([0, 0, t1])
-    trace = np.array(stimulus.records if stimulus else [], dtype=np.int64).reshape(-1, 4)
+    trace = (stimulus or StimulusTrace()).records
     bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
     if bad.size:
         i = int(bad[0])
@@ -631,15 +655,13 @@ def simulate(
         yield t0, spikes, cycles
 
 
-def raster_records(t0: int, spikes: np.ndarray, t1: int) -> list[tuple[int, int, int]]:
-    """(t, npu, addr) records of the (k, neurons) spikes of steps t0..,
-    in that order: columns below t1 are NPU1's neurons, the rest NPU2's."""
+def raster_records(t0: int, spikes: np.ndarray, t1: int) -> np.ndarray:
+    """The (n, 3) int64 (t, npu, addr) records of the (k, neurons) spikes of
+    steps t0.., in that order: columns below t1 are NPU1's neurons, the rest
+    NPU2's."""
     ts, idx = spikes.nonzero()
     npu2 = idx >= t1
-    # One int object per step, shared by the step's records: timesteps past
-    # 256 are not cached by Python, and a raster holds many records per step.
-    t = np.arange(t0, t0 + len(spikes)).astype(object)[ts]
-    return list(zip(t.tolist(), (npu2 + 1).tolist(), (idx - t1 * npu2).tolist()))
+    return np.column_stack((ts + t0, npu2 + 1, idx - t1 * npu2))
 
 
 def run(
@@ -647,15 +669,15 @@ def run(
     stimulus: StimulusTrace | None,
     steps: int,
     seed: int = 0,
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, CycleReport]], CycleReport]:
-    """Execute `steps` timesteps; returns (raster records in (t, npu, addr)
-    order, per-step cycle rows, aggregate report). Only declared noise
-    generators consume the seed."""
-    raster: list[tuple[int, int, int]] = []
+) -> tuple[np.ndarray, list[tuple[int, CycleReport]], CycleReport]:
+    """Execute `steps` timesteps; returns (the (n, 3) raster records in
+    (t, npu, addr) order, per-step cycle rows, aggregate report). Only
+    declared noise generators consume the seed."""
+    raster = [np.empty((0, 3), dtype=np.int64)]
     cycle_rows: list[tuple[int, CycleReport]] = []
     total = np.zeros((2, 5), dtype=np.int64)
     for t0, spikes, cycles in simulate(desc, stimulus, steps, seed):
-        raster += raster_records(t0, spikes, desc.npu1.total_neurons)
+        raster.append(raster_records(t0, spikes, desc.npu1.total_neurons))
         cycle_rows += [(t0 + i, CycleReport.of(c)) for i, c in enumerate(cycles.tolist())]
         total += cycles.sum(axis=0)
-    return raster, cycle_rows, CycleReport.of(total.tolist(), steps)
+    return np.concatenate(raster), cycle_rows, CycleReport.of(total.tolist(), steps)

@@ -142,14 +142,6 @@ class PhaseCycles:
     def total(self) -> int:
         return self.external + self.scan + self.mac + self.decay + self.pde
 
-    def __iadd__(self, other: "PhaseCycles") -> "PhaseCycles":
-        self.external += other.external
-        self.scan += other.scan
-        self.mac += other.mac
-        self.decay += other.decay
-        self.pde += other.pde
-        return self
-
 
 @dataclass
 class NpuState:

@@ -41,11 +41,6 @@ class CycleReport:
         `PhaseCycles` field order, as one row of `Datapath.cycles` lists."""
         return cls(PhaseCycles(*phases[0]), PhaseCycles(*phases[1]), timesteps)
 
-    def merge(self, other: "CycleReport") -> None:
-        self.npu1 += other.npu1
-        self.npu2 += other.npu2
-        self.timesteps += other.timesteps
-
     def timesteps_per_sec(self, clock_hz: int = DEFAULT_CLOCK_HZ) -> float:
         if self.total_parallel == 0:
             return float("inf")

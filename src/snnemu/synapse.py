@@ -18,6 +18,7 @@ WEIGHT_MAX = 7
 GROUP_SIZE = 8
 SAT_MAX = 2047
 SAT_MIN = -2048
+MAX_GROUPS = 62  # group masks are held in int64
 
 
 class WeightMemory:
@@ -66,9 +67,6 @@ class WeightMemory:
         words = (nibbles << shifts).sum(axis=2, dtype=np.uint32)
         return cls(words, n_targets)
 
-    def word(self, source: int, group: int) -> int:
-        return int(self.words[source, group])
-
     def row_weights(self, source: int, gs_code: int | None = None) -> np.ndarray:
         """Unpack one row to signed weights; groups cleared in gs_code read 0."""
         if not 0 <= source < self.n_rows:
@@ -91,17 +89,10 @@ def _signed_nibbles(words: np.ndarray) -> np.ndarray:
     return ((nib ^ 8) - 8).reshape(words.shape[0], GROUP_SIZE * words.shape[1])
 
 
-def _code_dtype(n_groups: int):
-    """Group masks of more than 62 groups do not fit int64; hold them as
-    Python ints."""
-    return np.int64 if n_groups < 63 else object
-
-
 def _group_bits(codes, n_groups: int) -> np.ndarray:
     """(rows, n_groups) 0/1 array of the group masks in `codes`."""
-    dtype = _code_dtype(n_groups)
-    codes = np.asarray(codes, dtype=dtype).reshape(-1, 1)
-    return ((codes >> np.arange(n_groups).astype(dtype)) & 1).astype(np.int64)
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
+    return (codes >> np.arange(n_groups)) & 1
 
 
 def pack_weights(weights) -> WeightMemory:
@@ -116,13 +107,17 @@ def pack_weights(weights) -> WeightMemory:
 @dataclass
 class GroupSparseConfig:
     """Bitmask over 8-target weight groups. A cleared bit skips that word's
-    SRAM read entirely. `per_source` overrides the default mask per row."""
+    SRAM read entirely. `per_source` overrides the default mask per row.
+    Masks are held in int64 and limited to 62 groups (496 targets); the
+    chip's widest row has 129 targets, 17 groups."""
 
     n_groups: int
     gs_code: int
     per_source: list[int] | None = None
 
     def __post_init__(self):
+        if self.n_groups > MAX_GROUPS:
+            raise ValueError(f"at most {MAX_GROUPS} groups, got {self.n_groups}")
         full = (1 << self.n_groups) - 1
         if self.gs_code & ~full:
             raise ValueError("gs_code has bits beyond the group count")
@@ -140,17 +135,10 @@ class GroupSparseConfig:
     def from_memory(cls, mem: WeightMemory) -> "GroupSparseConfig":
         """Per-source masks with all-zero words disabled."""
         n_groups = mem.n_groups
-        dtype = _code_dtype(n_groups)
-        place = np.array([1 << g for g in range(n_groups)], dtype=dtype)
-        per_source = ((mem.words != 0).astype(dtype) @ place).tolist()
+        per_source = ((mem.words != 0) @ (1 << np.arange(n_groups))).tolist()
         return cls(
             n_groups=n_groups, gs_code=(1 << n_groups) - 1, per_source=per_source
         )
-
-    def code_for(self, source: int) -> int:
-        if self.per_source is not None and source < len(self.per_source):
-            return self.per_source[source]
-        return self.gs_code
 
     @property
     def gs_num(self) -> int:
@@ -173,9 +161,7 @@ class Crossbar:
     ) -> "Crossbar":
         """Rows of `mem` under the masks of `gs`, plus an optional last row
         holding `broadcast` in every column at a cost of one cycle."""
-        codes = np.full(
-            mem.n_rows, gs.gs_code, dtype=_code_dtype(max(gs.n_groups, mem.n_groups))
-        )
+        codes = np.full(mem.n_rows, gs.gs_code, dtype=np.int64)
         if gs.per_source is not None:
             k = min(len(gs.per_source), mem.n_rows)
             codes[:k] = gs.per_source[:k]

@@ -70,7 +70,7 @@ class TestSudokuTopology:
     def test_network_sizes(self):
         desc, trace = build_sudoku_network(SudokuPuzzle(n=4, clues=[]))
         assert desc.npu2.active_neurons == 64
-        assert trace.records == []
+        assert trace.records.shape == (0, 4)
         # nominal synapse budget n^6
         assert conflict_matrix(4).shape == (64, 64)
         assert 4**6 == 4096
@@ -87,6 +87,11 @@ class TestSudokuTopology:
     def test_conflicting_cell_clues_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
             SudokuPuzzle(n=4, clues=[(0, 0, 1), (0, 0, 2)])
+
+    def test_from_text_names_bad_token(self):
+        with pytest.raises(ValueError, match=r"row 1, column 0: expected a digit or '\.', got '\?'"):
+            SudokuPuzzle.from_text("1 .\n? 2\n")
+        assert SudokuPuzzle.from_text("1 .\n. 1\n").clues == [(0, 0, 1), (1, 1, 1)]
 
     def test_neuron_index_layout(self):
         assert neuron_index(4, 0, 0, 1) == 0
@@ -159,8 +164,8 @@ class TestDecodeForms:
         rng = np.random.default_rng(seed)
         spikes = (rng.random((k, (1 << (n**3 - 1).bit_length()) + 1)) < density).astype(np.uint8)
         raster = raster_records(t0, spikes, 0)  # NPU2's spikes only
-        raster += [(t0 + k, 2, 0), (t0 - 1, 2, 1), (t0, 1, 2)]
-        raster.sort()
+        raster = np.vstack((raster, [(t0 + k, 2, 0), (t0 - 1, 2, 1), (t0, 1, 2)]))
+        raster = raster[np.lexsort(raster.T[::-1])]
         window = (t0, t0 + k)
         want = loop_decode(raster, window, n)
         assert decoded(decode_sudoku_solution, raster, window, n) == want
@@ -224,7 +229,7 @@ class TestAvoidance:
     def test_zero_stimulus_no_decision(self):
         desc = build_avoidance_network()
         raster, _, _ = run(desc, None, steps=50, seed=0)
-        assert raster == []
+        assert raster.shape == (0, 3)
         with pytest.raises(NoDecisionError):
             decide_direction(raster, (0, 50))
 
@@ -251,7 +256,7 @@ class TestAvoidance:
         desc = build_avoidance_network()
         stim1 = make_direction_stimulus(2, steps=50, seed=1)
         stim2 = make_direction_stimulus(5, steps=50, seed=2)
-        records = stim1.records + [(t + 50, npu, a, v) for t, npu, a, v in stim2.records]
+        records = np.vstack((stim1.records, stim2.records + [50, 0, 0, 0]))
         from snnemu.netio import StimulusTrace
         raster, _, _ = run(desc, StimulusTrace(records=records), steps=100, seed=3)
         decisions = decide_windows(raster, 100, DecisionWindow(window_steps=50))

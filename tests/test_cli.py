@@ -36,7 +36,7 @@ class TestRunCommand:
         rc = main(["run", "--config", config_path, "--steps", "20",
                    "--raster-out", str(raster), "--cycles-out", str(cycles)])
         assert rc == 0
-        assert load_raster(str(raster))  # dc drive produces spikes
+        assert len(load_raster(str(raster)))  # dc drive produces spikes
         assert cycles.read_text().count("\n") == 21
         assert "cycles_parallel=" in capsys.readouterr().out
 
@@ -185,3 +185,26 @@ class TestErrorContract:
         assert rc == 2
         self.one_error_line(capsys, "error: ValueError: record 1: address 2 out of range for npu2")
         assert not raster.exists()
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["run", "--steps", "-5"], "--steps", -5),
+        (["run", "--steps", "0"], "--steps", 0),
+        (["sudoku", "--max-steps", "-3"], "--max-steps", -3),
+        (["avoid", "--windows", "-2"], "--windows", -2),
+        (["avoid", "--window-steps", "0"], "--window-steps", 0),
+    ])
+    def test_count_flags_below_one(self, config_path, tmp_path, capsys, argv, flag, value):
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
+        files = {"run": ["--config", config_path, "--raster-out", str(tmp_path / "r.csv")],
+                 "sudoku": [], "avoid": ["--stimulus", str(stim)]}[argv[0]]
+        assert main(argv + files) == 2
+        self.one_error_line(capsys, f"error: ValueError: {flag} must be at least 1, got {value}")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_puzzle_token_names_row_and_column(self, tmp_path, capsys):
+        puzzle = tmp_path / "p.txt"
+        puzzle.write_text("1 0 0 0\n0 0 x 0\n0 0 0 0\n0 0 0 0\n")
+        assert main(["sudoku", "--puzzle", str(puzzle)]) == 2
+        self.one_error_line(
+            capsys, "error: ValueError: row 1, column 2: expected a digit or '.', got 'x'")

@@ -133,7 +133,7 @@ class TestStimulusTrace:
         trace = StimulusTrace(records=[(0, 1, 0, 10), (0, 2, 1, -5), (3, 1, 1, 127)])
         p = tmp_path / "stim.csv"
         trace.save(str(p))
-        assert StimulusTrace.load(str(p)).records == trace.records
+        assert np.array_equal(StimulusTrace.load(str(p)).records, trace.records)
 
     @pytest.mark.parametrize("row", ["1,1,0", "1,1,0,4,5", "1,1,x,4", "1;1;0;4"])
     def test_bad_row_names_its_line(self, tmp_path, row):
@@ -157,10 +157,153 @@ class TestStimulusTrace:
             StimulusTrace(records=[(5, 1, 0, 1), (2, 1, 0, 1)])
 
 
+def per_line_load(path):
+    """Reference stimulus reader: one `int()` per field of each non-blank
+    line, then each record checked in turn. The records, or where the
+    first error is: ("line", n) or ("record", i)."""
+    with open(path) as f:
+        if f.readline().strip() != "timestep,npu,neuron,value":
+            return ("header",)
+        records = []
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                fields = [int(x) for x in line.split(",")]
+            except ValueError:
+                return ("line", lineno)
+            if len(fields) != 4:
+                return ("line", lineno)
+            records.append(fields)
+    last = 0
+    for i, (t, npu, addr, value) in enumerate(records):
+        if not (last <= t < 2**63 and 0 <= addr <= 128 and npu in (1, 2)
+                and -128 <= value <= 127):
+            return ("record", i)
+        last = t
+    return records
+
+
+def fast_load(path):
+    """`StimulusTrace.load` in the form `per_line_load` returns."""
+    try:
+        records = StimulusTrace.load(str(path)).records
+    except ValueError as e:
+        msg = str(e)
+        if msg.startswith("record "):
+            return ("record", int(msg.split()[1].rstrip(":")))
+        if ": line " in msg:
+            return ("line", int(msg.split(": line ")[1].split(":")[0]))
+        return ("header",)
+    assert records.dtype == np.int64 and records.shape[1:] == (4,)
+    return records.tolist()
+
+
+# Tokens `int()` and a one-pass CSV parser may read differently.
+ODD_FIELDS = ["+5", "1_0", " 7 ", "\t3", "-0", "\u0663", "\u00a02", "7\U000fbb9e", "5.0", "", "x",
+              "#", "4 # x", "0x1", "1e2", str(2**63), str(-2**70), "1 2", '"3"']
+ODD_LINES = ["", " ", "\t ", "\x0c", "#", "# comment", ",", "1,1,0", "1,1,0,4,5"]
+
+
+@st.composite
+def stimulus_text(draw):
+    """A valid stimulus CSV text with a few mutations, CRLF or LF ends."""
+    n = draw(st.integers(0, 8))
+    ts = sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    lines = [[str(t), str(draw(st.integers(1, 2))), str(draw(st.integers(0, 128))),
+              str(draw(st.integers(-128, 127)))] for t in ts]
+    lines = [",".join(f) for f in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["line", "field", "suffix"]))
+        if kind == "line" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "suffix":
+            lines[i] += draw(st.sampled_from([",", " # x", "#", ",5", " ", "\t"]))
+        else:
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(ODD_FIELDS))
+            lines[i] = ",".join(fields)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["timestep,npu,neuron,value"] + lines)
+    return text + eol if draw(st.booleans()) else text
+
+
+class TestStimulusParse:
+    """The one-pass parse of `StimulusTrace.load` against a per-line
+    reference: the same records, or an error at the same line or record."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=stimulus_text())
+    def test_matches_per_line_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("stim") / "stim.csv"
+        path.write_bytes(text.encode())
+        assert fast_load(path) == per_line_load(path)
+
+    @pytest.mark.parametrize("text", [
+        "timestep,npu,neuron,value\n",
+        "timestep,npu,neuron,value",
+        "timestep,npu,neuron,value\r\n\r\n  \n",
+    ])
+    def test_header_only(self, tmp_path, text):
+        path = tmp_path / "stim.csv"
+        path.write_bytes(text.encode())
+        assert StimulusTrace.load(str(path)).records.shape == (0, 4)
+
+    @pytest.mark.parametrize("row, record", [
+        ("0,1,0,4 # x", None), ("0,1,0,4,", None), ("1_0,1,0,4", [10, 1, 0, 4]),
+        ("+5,1,0,4", [5, 1, 0, 4]), ("\u0663,1,0,4", [3, 1, 0, 4]),
+    ])
+    def test_odd_rows(self, tmp_path, row, record):
+        path = tmp_path / "stim.csv"
+        path.write_text(f"timestep,npu,neuron,value\n \n{row}\n")
+        if record is None:
+            with pytest.raises(ValueError, match="line 3: expected four integers"):
+                StimulusTrace.load(str(path))
+        else:
+            assert StimulusTrace.load(str(path)).records.tolist() == [record]
+
+    def test_non_ascii_row_takes_the_per_line_parse(self, tmp_path):
+        """numpy 2.4's loadtxt crashes on a digit followed by U+FBB9E."""
+        path = tmp_path / "stim.csv"
+        path.write_text("timestep,npu,neuron,value\n0,1,0,4\n7\U000fbb9e,1,0,4\n")
+        with pytest.raises(ValueError, match="line 3: expected four integers"):
+            StimulusTrace.load(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        (f"{2**63},1,0,1", "record 0: timestep 9223372036854775808 does not fit 64 bits"),
+        (f"0,2,{10**30},1", "record 0: neuron address must be 0..128"),
+    ])
+    def test_past_64_bits_is_a_record_error(self, tmp_path, text, message):
+        path = tmp_path / "stim.csv"
+        path.write_text(f"timestep,npu,neuron,value\n{text}\n")
+        with pytest.raises(ValueError, match=message):
+            StimulusTrace.load(str(path))
+
+
+RASTER_INT = st.integers(0, 3) | st.integers(-2**63, 2**63 - 1)
+
+
+class TestRasterFile:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(RASTER_INT, RASTER_INT, RASTER_INT), max_size=25))
+    def test_round_trip_sorts(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("raster") / "raster.csv"
+        save_raster(str(path), np.array(rows, dtype=np.int64).reshape(-1, 3))
+        want = sorted(map(list, rows))
+        assert path.read_text() == "timestep,npu,neuron\n" + "".join(
+            f"{t},{npu},{addr}\n" for t, npu, addr in want)
+        got = load_raster(str(path))
+        assert got.dtype == np.int64 and got.shape == (len(rows), 3)
+        assert got.tolist() == want
+
+
 class TestRun:
     def test_zero_steps(self):
         raster, rows, agg = run(minimal_desc(), None, steps=0, seed=1)
-        assert raster == [] and rows == [] and agg.timesteps == 0
+        assert raster.shape == (0, 3) and rows == [] and agg.timesteps == 0
 
     def test_deterministic_same_seed(self, tmp_path):
         desc = minimal_desc(n2=4, noise=[NoiseSource(npu=2, addrs=[0, 1, 2], low=0, high=40)])
@@ -178,12 +321,12 @@ class TestRun:
         desc = minimal_desc(n2=4, noise=[NoiseSource(npu=2, addrs=[0, 1, 2], low=0, high=40)])
         r1, _, _ = run(desc, None, steps=200, seed=1)
         r2, _, _ = run(desc, None, steps=200, seed=2)
-        assert r1 != r2
+        assert not np.array_equal(r1, r2)
 
     def test_raster_file_sorted(self, tmp_path):
         p = tmp_path / "r.csv"
         save_raster(str(p), [(3, 2, 1), (0, 1, 0), (3, 1, 5)])
-        assert load_raster(str(p)) == [(0, 1, 0), (3, 1, 5), (3, 2, 1)]
+        assert load_raster(str(p)).tolist() == [[0, 1, 0], [3, 1, 5], [3, 2, 1]]
 
     def test_trace_events_applied(self):
         desc = minimal_desc()

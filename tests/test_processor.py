@@ -1,5 +1,7 @@
 """Two-NPU scheduler delay, analytics formulas, cycle report arithmetic."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,12 +155,9 @@ class TestAnalytics:
 class TestCycleReport:
     def test_totals_additive(self):
         proc = make_processor()
-        agg = CycleReport()
-        per = []
-        for _ in range(5):
-            _, _, rep = proc.timestep()
-            per.append(rep)
-            agg.merge(rep)
+        per = [proc.timestep()[2] for _ in range(5)]
+        phases = np.sum([[astuple(r.npu1), astuple(r.npu2)] for r in per], axis=0)
+        agg = CycleReport.of(phases.tolist(), 5)
         assert agg.npu1.total == sum(r.npu1.total for r in per)
         assert agg.total_serial == agg.npu1.total + agg.npu2.total
         assert agg.timesteps == 5

@@ -40,16 +40,16 @@ def silent_npu(active, n_ff=0, gs=None):
 class TestPacking:
     def test_nibble_order(self):
         mem = pack_weights([1, -8, 7, 0, 0, 0, 0, 0])
-        assert mem.word(0, 0) == 0x00000781
+        assert mem.words[0, 0] == 0x00000781
 
     def test_zero_row(self):
         mem = pack_weights([0] * 8)
-        assert mem.word(0, 0) == 0
+        assert mem.words[0, 0] == 0
 
     def test_padding_to_second_word(self):
         mem = pack_weights([0] * 8 + [3])
         assert mem.row_stride_words == 2
-        assert mem.word(0, 1) == 0x3
+        assert mem.words[0, 1] == 0x3
 
     def test_out_of_range_rejected_with_index(self):
         with pytest.raises(ValueError, match="index 2"):
@@ -72,7 +72,7 @@ class TestPacking:
         w = (np.arange(16)[:, None] + np.arange(8)) % 16 - 8
         mem = WeightMemory.from_matrix(w)
         for r, row in enumerate(w.tolist()):
-            assert mem.word(r, 0) == sum((v & 0xF) << (4 * p) for p, v in enumerate(row))
+            assert mem.words[r, 0] == sum((v & 0xF) << (4 * p) for p, v in enumerate(row))
             assert mem.row_weights(r).tolist() == row
         assert np.array_equal(mem.unpack(), w)
         assert sorted(set(w[:, 0])) == list(range(-8, 8))
@@ -147,23 +147,28 @@ class TestWholeArray:
         masks = GroupSparseConfig(n_groups=g, gs_code=int(rng.integers(0, 1 << g)),
                                   per_source=per_source)
         for cfg in (gs, masks):
+            codes = cfg.per_source + [cfg.gs_code] * (rows - len(cfg.per_source))
             xbar = Crossbar.compile(mem, cfg, broadcast=-2)
-            want = [mem.row_weights(r, gs_code=cfg.code_for(r)) for r in range(rows)]
+            want = [mem.row_weights(r, gs_code=codes[r]) for r in range(rows)]
             want.append(np.full(targets, -2))
             assert np.array_equal(xbar.weights, np.array(want).reshape(rows + 1, targets))
-            assert xbar.cost.tolist() == [
-                bin(cfg.code_for(r)).count("1") for r in range(rows)
-            ] + [1]
+            assert xbar.cost.tolist() == [bin(c).count("1") for c in codes] + [1]
 
     def test_masks_beyond_62_groups(self):
-        w = np.zeros((2, 8 * 70), dtype=int)
-        w[0, 8 * 66] = 3
+        """Masks are limited to 62 groups: 62 compile, 63 are rejected."""
+        w = np.zeros((2, 8 * 62), dtype=int)
+        w[0, 8 * 61] = 3
         mem = WeightMemory.from_matrix(w)
         gs = GroupSparseConfig.from_memory(mem)
-        assert gs.per_source == [1 << 66, 0]
+        assert gs.per_source == [1 << 61, 0]
         xbar = Crossbar.compile(mem, gs)
         assert xbar.cost.tolist() == [1, 0]
         assert np.array_equal(xbar.weights, w)
+        wide = WeightMemory.from_matrix(np.zeros((2, 8 * 63), dtype=int))
+        with pytest.raises(ValueError, match="at most 62 groups, got 63"):
+            GroupSparseConfig.from_memory(wide)
+        with pytest.raises(ValueError, match="at most 62 groups, got 70"):
+            GroupSparseConfig.dense(8 * 70)
 
 
 class TestDecode:
@@ -272,8 +277,7 @@ class TestGroupSparse:
         w = np.zeros((2, 16), dtype=int)
         w[0, 12] = 3  # only group 1 of row 0 non-zero
         gs = GroupSparseConfig.from_memory(WeightMemory.from_matrix(w))
-        assert gs.code_for(0) == 0b10
-        assert gs.code_for(1) == 0
+        assert gs.per_source == [0b10, 0]
         assert Crossbar.compile(WeightMemory.from_matrix(w), gs).cost.tolist() == [1, 0]
 
     def test_gs_num_is_popcount(self):
