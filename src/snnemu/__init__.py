@@ -22,7 +22,6 @@ from .processor import (
 from .synapse import (
     Crossbar,
     GroupSparseConfig,
-    PostSynapticState,
     WeightMemory,
     decay_value,
     pack_weights,

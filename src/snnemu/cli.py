@@ -121,6 +121,8 @@ def main(argv=None) -> int:
             if getattr(args, name, 1) < 1:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be at least 1, got {getattr(args, name)}")
+        if not 0 <= getattr(args, "seed", 0) <= 0xFFFFFFFF:
+            raise ValueError(f"--seed must be 0..4294967295, got {args.seed}")
         return args.func(args)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)

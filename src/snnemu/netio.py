@@ -13,6 +13,7 @@ reproducible across implementations.
 
 from __future__ import annotations
 
+import operator
 import os
 import struct
 import warnings
@@ -566,14 +567,14 @@ def load_raster(path: str) -> np.ndarray:
 
 
 def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
+    """`CYCLES_HEADER`, then one line per (timestep, report) row, all
+    formatted in one pass."""
+    phases = operator.attrgetter(*CYCLES_FIELDS)
+    vals = [v for t, rep in rows for v in (t, *phases(rep.npu1), *phases(rep.npu2),
+                                           rep.total_parallel, rep.total_serial, rep.model)]
+    line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + "%s\n"
     with open(path, "w") as f:
-        f.write(CYCLES_HEADER + "\n")
-        for t, rep in rows:
-            vals = [t]
-            for pc in (rep.npu1, rep.npu2):
-                vals += [getattr(pc, name) for name in CYCLES_FIELDS]
-            vals += [rep.total_parallel, rep.total_serial]
-            f.write(",".join(str(v) for v in vals) + f",{rep.model}\n")
+        f.write(CYCLES_HEADER + "\n" + line * len(rows) % tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +652,7 @@ def simulate(
     noise = NoiseDraws(Lcg(seed), [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
     for t0 in range(0, steps, block):
         ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
-        spikes, cycles = proc.advance(ext, counts)
+        spikes, cycles = proc.datapath.advance(proc.state, ext, counts)
         yield t0, spikes, cycles
 
 

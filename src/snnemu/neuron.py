@@ -8,9 +8,12 @@ unsigned 8-bit value; the per-step update is a piecewise-linear drift with
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .synapse import SAT_MAX, SAT_MIN
 
 V_MAX = 255
 
@@ -84,31 +87,45 @@ def neuron_step(
     return NeuronState(v_m=s), False
 
 
-def drift_table(params: list[NeuronParams]) -> np.ndarray:
-    """(N, 256) drift of N neurons at every membrane potential: row k,
-    column v holds delta_vm(v, params[k], 0). Compiled once per network, so
-    a step reads each neuron's drift instead of evaluating both branches.
-    Populations share a few parameter sets, so each distinct set is
-    evaluated once."""
-    distinct: dict[NeuronParams, int] = {}
-    rows = [distinct.setdefault(p, len(distinct)) for p in params]
+@functools.lru_cache(maxsize=16)
+def drift_table(params: tuple[NeuronParams, ...]) -> np.ndarray:
+    """(len(params), 256) read-only table of the membrane after drift: row
+    k, column v holds v + delta_vm(v, params[k], 0). Cached per tuple of
+    distinct parameter sets; a population shares a few."""
     a, b, v_r, v_t, th = np.array(
-        [(p.a_num, p.b_num, p.v_r, p.v_t, pde_threshold(p)) for p in distinct],
+        [(p.a_num, p.b_num, p.v_r, p.v_t, pde_threshold(p)) for p in params],
         dtype=np.int64,
     ).reshape(-1, 5).T[:, :, None]
     v = np.arange(V_MAX + 1)
-    drift = np.where(v < th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
-    return drift.astype(np.int16)[rows]  # |drift| <= (7 * 255) >> 3
+    table = v + np.where(v < th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
+    table.setflags(write=False)
+    return table
 
 
-def step_arrays(v, drift, v_reset, i_t):
-    """Vectorized neuron_step over int64 arrays, with the drift read from
-    `drift_table` rows; bit-identical to the scalar form element-wise. Used
-    by the NPU neuron cluster. A candidate that does not spike is at most
-    V_MAX already, so only underflow needs clamping."""
-    s = v + drift.take(np.arange(0, drift.size, V_MAX + 1) + v)
-    s += i_t
-    spiked = s > V_MAX
-    np.maximum(s, 0, out=s)
-    np.copyto(s, v_reset, where=spiked)
-    return s, spiked
+@functools.lru_cache(maxsize=16)
+def reset_table(v_reset: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """(len(v_reset), hi - lo + 1) read-only table of the next membrane: row
+    k, column s - lo holds v_reset[k] if the candidate s spikes (s > V_MAX),
+    else s clamped at 0. Cached per tuple of distinct reset potentials and
+    candidate range."""
+    s = np.arange(lo, hi + 1)
+    table = np.where(s > V_MAX, np.array(v_reset)[:, None], np.maximum(s, 0))
+    table.setflags(write=False)
+    return table
+
+
+def neuron_tables(params: list[NeuronParams]):
+    """The neuron update of a population as flat tables and per-neuron
+    offsets (vd, vbase, reset, roff), for any 12-bit current i. Neuron k at
+    membrane v has the candidate s = vd[vbase[k] + v] + i, spikes if
+    s > V_MAX, and moves to reset[s + roff[k]]; bit-identical to
+    `neuron_step`. The tables hold one row per distinct parameter set and
+    reset potential, never one per neuron."""
+    sets: dict[NeuronParams, int] = {}
+    rows = np.array([sets.setdefault(p, len(sets)) for p in params], dtype=np.int64)
+    resets = {r: k for k, r in enumerate(dict.fromkeys(p.v_reset for p in sets))}
+    vd = drift_table(tuple(sets))
+    lo, hi = int(vd.min()) + SAT_MIN, int(vd.max()) + SAT_MAX
+    reset = reset_table(tuple(resets), lo, hi)
+    roff = np.array([resets[p.v_reset] for p in sets])[rows] * (hi - lo + 1) - lo
+    return vd.ravel(), rows * (V_MAX + 1), reset.ravel(), roff

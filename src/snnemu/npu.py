@@ -5,8 +5,8 @@ per-phase cycle accounting.
 A timestep runs four phases in fixed order: external stimulus accumulation,
 inter-spike accumulation (previous-step recurrent spikes plus any feedforward
 stream), synaptic decay, then the neuron update. Spikes emitted at timestep t
-therefore reach accumulators at t+1, never earlier. `Datapath.step` holds the
-only copy of these phases, and it steps both NPUs of the chip at once.
+therefore reach accumulators at t+1, never earlier. `Datapath.advance` holds
+the only copy of these phases, and it steps both NPUs of the chip at once.
 
 Each NPU carries one extra neuron at the highest address: the global
 excitatory/inhibitory neuron. Its fan-out is a single shared weight broadcast
@@ -21,8 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import NeuronParams, drift_table, step_arrays
-from .synapse import Crossbar, GroupSparseConfig, PostSynapticState, WeightMemory
+from .neuron import V_MAX, NeuronParams, neuron_tables
+from .synapse import (
+    EXT_BOUND,
+    MAC_BOUND,
+    SAT_DECAY_LO,
+    Crossbar,
+    GroupSparseConfig,
+    WeightMemory,
+    sat_decay_table,
+)
 
 # External events of one timestep for one NPU: (addresses, values).
 NO_EVENTS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -146,7 +154,7 @@ class PhaseCycles:
 @dataclass
 class NpuState:
     v_m: np.ndarray
-    psp: PostSynapticState
+    y: np.ndarray  # accumulators, signed 12-bit after every step
     last_spikes: np.ndarray
 
 
@@ -156,11 +164,12 @@ class Datapath:
     The crossbar is one block matrix `[[W1, W2_ff], [0, W2_rec]]` whose
     sources are every neuron of the chip, with one cost column per NPU:
     NPU2's feedforward rows read NPU1's spikes of the previous step, the
-    same vector NPU1's recurrent rows read. `step` is the one copy of the
-    phase code: dense external input, one MAC over the spiking sources,
-    saturation, decay and the neuron update from a drift table. The cycles
-    a step is charged depend only on its inputs, so `cycles` charges a
-    whole block of steps at once.
+    same vector NPU1's recurrent rows read. `advance` is the one copy of
+    the phase code: dense external input, one MAC over the spiking sources,
+    then saturation, decay and the neuron update read from lookup tables,
+    each held once per distinct exponent, parameter set or reset potential.
+    The cycles a step is charged depend only on its inputs, so `cycles`
+    charges a whole block of steps at once.
     """
 
     def __init__(self, npu1: Npu, npu2: Npu):
@@ -175,11 +184,16 @@ class Datapath:
         self.cfgs = (npu1.cfg, npu2.cfg)
         self.n = t1 + t2
         self.spans = (slice(0, t1), slice(t1, t1 + t2))
+        if np.abs(weights).sum(axis=0).max() > MAC_BOUND:
+            raise ValueError(f"a crossbar column's |weights| sum past MAC_BOUND ({MAC_BOUND})")
+        exps = {a: k for k, a in enumerate(dict.fromkeys(cfg.decay_a for cfg in self.cfgs))}
+        sat_decay = sat_decay_table(tuple(exps))
+        self._sat_decay = sat_decay.ravel()
+        rows = np.repeat([exps[cfg.decay_a] for cfg in self.cfgs], (t1, t2))
+        self._sd_off = rows * sat_decay.shape[1] - SAT_DECAY_LO
         params = [p for cfg in self.cfgs for p in cfg.params + [cfg.global_neuron.params]]
-        self._drift = drift_table(params)
+        self._vd, self._vbase, self._reset, self._roff = neuron_tables(params)
         self._vr = np.array([p.v_r for p in params], dtype=np.int64)
-        self._vreset = np.array([p.v_reset for p in params], dtype=np.int64)
-        self._decay_a = np.repeat([cfg.decay_a for cfg in self.cfgs], (t1, t2))
         # Per NPU: external (filled per step), scan, mac (filled per step),
         # decay and pde, one shifter pass and one neuron update per neuron.
         self._fixed = np.array(
@@ -188,40 +202,51 @@ class Datapath:
         )
 
     def initial_state(self) -> NpuState:
-        return NpuState(
-            v_m=self._vr.copy(),
-            psp=PostSynapticState.zeros(self.n, decay_a=self._decay_a),
-            last_spikes=np.zeros(self.n, dtype=np.uint8),
-        )
+        return NpuState(self._vr.copy(), np.zeros(self.n, dtype=np.int64),
+                        np.zeros(self.n, dtype=np.uint8))
 
     def unit_state(self, state: NpuState, k: int) -> NpuState:
         """Views of NPU k's part of `state` (0 for NPU1, 1 for NPU2)."""
         sl = self.spans[k]
-        return NpuState(
-            v_m=state.v_m[sl],
-            psp=PostSynapticState(state.psp.y[sl], decay_a=self.cfgs[k].decay_a),
-            last_spikes=state.last_spikes[sl],
-        )
+        return NpuState(state.v_m[sl], state.y[sl], state.last_spikes[sl])
 
-    def step(self, state: NpuState, ext: np.ndarray) -> None:
-        """Advance `state` one timestep in place with `ext`, the summed
-        external input of every neuron. The MAC reads `state.last_spikes`;
-        the fresh spikes replace it, and earlier spike vectors are never
-        written to."""
-        # Phase 1: external stimulus.
-        state.psp.y += ext
+    def advance(
+        self, state: NpuState, ext: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance `state` k timesteps in place with `ext`, the (k, neurons)
+        summed external input of each step, and `counts`, its (k, 2) event
+        count per NPU; addresses were checked where the input was compiled.
+        Returns the chip's (k, neurons) spikes and the (k, 2, 5) cycles.
 
-        # Phase 2: one MAC over every spiking source, global broadcasts
-        # included.
-        self.crossbar.mac(state.last_spikes, state.psp.y)
-        state.psp.saturate()
-
-        # Phase 3: reciprocal decay, one shifter pass per accumulator.
-        state.psp.decay()
-
-        # Phase 4: neuron update with i_t sampled after decay.
-        state.v_m, spiked = step_arrays(state.v_m, self._drift, self._vreset, state.psp.y)
-        state.last_spikes = spiked.view(np.uint8)
+        Each step: external input, one MAC over the sources that spiked at
+        the step before, saturation and decay as one table lookup, then the
+        neuron update with i_t sampled after decay. The input is clipped to
+        +-EXT_BOUND and offset to each neuron's sat-decay row once per
+        block. The invariants (12-bit y, 0..255 v_m, the clip, column sums
+        within MAC_BOUND) keep each index inside its row of the flat tables;
+        `take` only raises past either end of a table. On vectors this
+        short a fresh `take` result is cheaper than `take(out=)`, which
+        mode="raise" buffers, and the spike test writes through a bool view
+        against an array to skip a cast and a scalar conversion."""
+        spikes = np.empty((len(ext) + 1, self.n), dtype=np.uint8)
+        spikes[0] = state.last_spikes
+        ext = np.clip(ext, -EXT_BOUND, EXT_BOUND)
+        ext += self._sd_off
+        y, v = state.y, state.v_m
+        mac, sat_decay, vd, reset = self.crossbar.mac, self._sat_decay, self._vd, self._reset
+        vbase, roff, v_max, fired = self._vbase, self._roff, np.full(self.n, V_MAX), spikes.view(bool)
+        for t, row in enumerate(ext):
+            idx = y + row
+            mac(spikes[t], idx)
+            y = sat_decay.take(idx)
+            s = vd.take(vbase + v)
+            s += y
+            np.greater(s, v_max, out=fired[t + 1])
+            s += roff
+            v = reset.take(s)
+        state.y[:], state.v_m[:] = y, v
+        state.last_spikes = spikes[-1].copy()
+        return spikes[1:], self.cycles(spikes[:-1], counts)
 
     def cycles(self, sources: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """(k, 2, 5) cycles of k steps per NPU and phase (external, scan,

@@ -111,22 +111,9 @@ class Processor:
                     )
                 np.add.at(ext[sl], addrs, values)
         counts = np.array([[len(events1[0]), len(events2[0])]])
-        spikes, cycles = self.advance(ext[None], counts)
+        spikes, cycles = dp.advance(self.state, ext[None], counts)
         span1, span2 = dp.spans
         return spikes[0, span1], spikes[0, span2], CycleReport.of(cycles[0].tolist())
-
-    def advance(self, ext: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance k timesteps with `ext`, the (k, neurons) summed external
-        input of each step, and `counts`, its (k, 2) event count per NPU;
-        addresses were checked where the input was compiled. Returns the
-        chip's (k, neurons) spikes and the (k, 2, 5) cycles of the block."""
-        dp, state = self.datapath, self.state
-        spikes = np.empty((len(ext) + 1, dp.n), dtype=np.uint8)
-        spikes[0] = state.last_spikes
-        for row, out in zip(ext, spikes[1:]):
-            dp.step(state, row)
-            out[:] = state.last_spikes
-        return spikes[1:], dp.cycles(spikes[:-1], counts)
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -9,6 +9,7 @@ selects which words are actually read for a given presynaptic source.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,15 @@ GROUP_SIZE = 8
 SAT_MAX = 2047
 SAT_MIN = -2048
 MAX_GROUPS = 62  # group masks are held in int64
+# The largest |MAC| of one step: every one of the chip's 33 + 129 sources
+# spiking at |weight| 8 (the global broadcast can be +8).
+MAC_BOUND = (33 + 129) * 8
+# External input beyond +-EXT_BOUND saturates the accumulator whatever its
+# 12-bit value and the MAC are, so clipping the input there is exact.
+EXT_BOUND = SAT_MAX - SAT_MIN + MAC_BOUND
+# The lowest accumulator plus clipped input plus MAC; `sat_decay_table`
+# covers SAT_DECAY_LO..-SAT_DECAY_LO - 1.
+SAT_DECAY_LO = SAT_MIN - EXT_BOUND - MAC_BOUND
 
 
 class WeightMemory:
@@ -176,7 +186,7 @@ class Crossbar:
 
     def mac(self, spikes: np.ndarray, y: np.ndarray) -> None:
         """Add the row of every spiking source (a 0/1 vector) into `y`,
-        unsaturated: callers clamp once per timestep, so order never
+        unsaturated: callers saturate once per timestep, so order never
         matters."""
         if len(spikes) != len(self.cost):
             raise ValueError(
@@ -184,39 +194,12 @@ class Crossbar:
             )
         rows = spikes.nonzero()[0]
         if rows.size:
-            y += self.weights.take(rows, axis=0).sum(axis=0)
+            y += np.add.reduce(self.weights.take(rows, axis=0))
 
     def reads(self, spikes: np.ndarray) -> np.ndarray:
         """Word reads the MAC of `spikes` is charged, per cost column; a
         (steps, sources) block of spike vectors gives one row per step."""
         return spikes @ self.cost
-
-
-@dataclass
-class PostSynapticState:
-    """Per-target accumulators y with once-per-timestep signed-12-bit
-    saturation and power-of-two reciprocal decay, with one decay exponent
-    or one per accumulator."""
-
-    y: np.ndarray
-    decay_a: int | np.ndarray = 3
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int64)
-        a = np.asarray(self.decay_a)
-        if ((a < 0) | (a > 7)).any():
-            raise ValueError(f"decay_a must be 0..7, got {self.decay_a}")
-
-    @classmethod
-    def zeros(cls, n: int, decay_a: int | np.ndarray = 3) -> "PostSynapticState":
-        return cls(y=np.zeros(n, dtype=np.int64), decay_a=decay_a)
-
-    def saturate(self) -> None:
-        np.minimum(self.y, SAT_MAX, out=self.y)
-        np.maximum(self.y, SAT_MIN, out=self.y)
-
-    def decay(self) -> None:
-        self.y = decay_array(self.y, self.decay_a)
 
 
 def decay_value(y: int, decay_a: int) -> int:
@@ -242,6 +225,19 @@ def decay_array(y: np.ndarray, decay_a: int | np.ndarray) -> np.ndarray:
     at y == 0); everywhere else the shift is already at least min(y, 1)."""
     y = np.asarray(y, dtype=np.int64)
     return y - np.maximum(y >> decay_a, np.minimum(y, 1))
+
+
+@functools.lru_cache(maxsize=8)
+def sat_decay_table(decay_a: tuple[int, ...]) -> np.ndarray:
+    """(len(decay_a), -2 * SAT_DECAY_LO) read-only table of saturation and
+    decay in one: row k, column x - SAT_DECAY_LO holds
+    decay_array(clamp(x), decay_a[k]), where clamp is the signed 12-bit
+    saturation, for every x an accumulator plus clipped external input plus
+    MAC can reach. Cached per tuple of distinct exponents."""
+    x = np.arange(SAT_DECAY_LO, -SAT_DECAY_LO)
+    table = decay_array(np.clip(x, SAT_MIN, SAT_MAX), np.array(decay_a)[:, None])
+    table.setflags(write=False)
+    return table
 
 
 def steps_to_fraction(y0: int, decay_a: int, fraction: float) -> int:

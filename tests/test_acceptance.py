@@ -20,15 +20,16 @@ from snnemu.apps import (
     solve_sudoku,
     verify_sudoku,
 )
-from snnemu.neuron import NeuronParams, drift_table, step_arrays
+from snnemu.neuron import NeuronParams, neuron_tables
 from snnemu.netio import run as run_network
 from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
+    SAT_DECAY_LO,
     Crossbar,
     GroupSparseConfig,
-    PostSynapticState,
     WeightMemory,
     decay_array,
+    sat_decay_table,
 )
 from test_processor import events, make_processor
 
@@ -41,8 +42,9 @@ def report(name, ok, detail=""):
 
 
 def test_1_neuron_oracle_equivalence():
-    """1,000 random cases x 10,000 steps of the drift-table neuron update,
-    bit-exact against a floor-division oracle, under a minute."""
+    """1,000 random cases x 10,000 steps of the table-driven neuron update,
+    bit-exact against a floor-division oracle, under a minute. Every tenth
+    step draws its currents over the whole range -2047..2047."""
     t0 = time.time()
     cases = 1000
     steps = 10_000
@@ -53,13 +55,16 @@ def test_1_neuron_oracle_equivalence():
     v_t = np.array([rng.integers(lo, 256) for lo in v_r])
     v_reset = rng.integers(0, 256, cases)
     denom = a + b
-    table = drift_table([NeuronParams(*map(int, p)) for p in zip(a, b, v_r, v_t, v_reset)])
+    params = [NeuronParams(*map(int, p)) for p in zip(a, b, v_r, v_t, v_reset)]
+    vd, vbase, reset, roff = neuron_tables(params)
     v_impl = rng.integers(0, 256, cases)
     v_ref = v_impl.astype(np.int64).copy()
     mismatches = 0
-    for _ in range(steps):
-        i_t = rng.integers(-80, 81, cases)
-        v_impl, spk_impl = step_arrays(v_impl, table, v_reset, i_t)
+    for step in range(steps):
+        i_t = rng.integers(-2047, 2048, cases) if step % 10 == 0 else rng.integers(-80, 81, cases)
+        s_impl = vd.take(vbase + v_impl) + i_t
+        spk_impl = s_impl > 255
+        v_impl = reset.take(s_impl + roff)
         # independent evaluator: floor division only, no shifts
         th = np.where(denom == 0, v_t, np.floor_divide(a * v_r + b * v_t, np.maximum(denom, 1)))
         drift = np.where(
@@ -107,9 +112,10 @@ def test_2_decay_exhaustive():
 
 def test_3_crossbar_equivalence():
     """200 random instances up to 160x160: the compiled crossbar's MAC (the
-    one Datapath.step runs) matches the dense matrix-vector oracle, with
-    cycle charge = popcount(gs_code) per spike from the word reads
-    Datapath.cycles charges."""
+    one Datapath.advance runs), saturated, matches the dense matrix-vector
+    oracle, and the sat-decay table's lookup of it (exponents 1..7) matches
+    one decay of the oracle, with cycle charge = popcount(gs_code) per
+    spike from the word reads Datapath.cycles charges."""
     rng = np.random.default_rng(7)
     failures = 0
     for trial in range(200):
@@ -121,18 +127,21 @@ def test_3_crossbar_equivalence():
         n_groups = mem.n_groups
         gs_code = int(rng.integers(0, 1 << n_groups))
         gs = GroupSparseConfig(n_groups=n_groups, gs_code=gs_code)
-        psp = PostSynapticState.zeros(n_tgt)
+        acc = np.zeros(n_tgt, dtype=np.int64)
         xbar = Crossbar.compile(mem, gs)
-        xbar.mac(spikes, psp.y)
+        xbar.mac(spikes, acc)
         cycles = xbar.reads(spikes)
-        psp.saturate()
+        decay_a = trial % 7 + 1
+        y = sat_decay_table((decay_a,))[0].take(acc - SAT_DECAY_LO)
         mask = np.zeros(n_groups * 8, dtype=bool)
         for g in range(n_groups):
             if (gs_code >> g) & 1:
                 mask[g * 8 : g * 8 + 8] = True
         w_masked = np.where(mask[None, :n_tgt], w, 0)
         oracle = np.clip(w_masked.T @ spikes, -2048, 2047)
-        if not np.array_equal(psp.y, oracle):
+        if not np.array_equal(np.clip(acc, -2048, 2047), oracle):
+            failures += 1
+        if not np.array_equal(y, decay_array(oracle, decay_a)):
             failures += 1
         if cycles != int(spikes.sum()) * bin(gs_code).count("1"):
             failures += 1

@@ -202,6 +202,25 @@ class TestErrorContract:
         self.one_error_line(capsys, f"error: ValueError: {flag} must be at least 1, got {value}")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sudoku", "avoid"])
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits(self, config_path, tmp_path, capsys, command, seed):
+        """The LCG keeps 32 bits of state, so a seed outside 0..2**32-1
+        would alias one inside; it is rejected before anything runs."""
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
+        files = {"run": ["--config", config_path, "--steps", "5",
+                         "--raster-out", str(tmp_path / "r.csv")],
+                 "sudoku": [], "avoid": ["--stimulus", str(stim)]}[command]
+        assert main([command, "--seed", str(seed)] + files) == 2
+        self.one_error_line(capsys, f"error: ValueError: --seed must be 0..4294967295, got {seed}")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_seed_at_32_bit_ends(self, config_path, tmp_path):
+        for seed in (0, 2**32 - 1):
+            assert main(["run", "--config", config_path, "--steps", "5", "--seed", str(seed),
+                         "--raster-out", str(tmp_path / "r.csv")]) == 0
+
     def test_puzzle_token_names_row_and_column(self, tmp_path, capsys):
         puzzle = tmp_path / "p.txt"
         puzzle.write_text("1 0 0 0\n0 0 x 0\n0 0 0 0\n0 0 0 0\n")

@@ -2,7 +2,9 @@
 
 import math
 import random
+from itertools import repeat
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from snnemu.neuron import (
     delta_vm,
     drift_table,
     neuron_step,
+    neuron_tables,
     pde_threshold,
 )
 
@@ -81,19 +84,89 @@ class TestDeltaVm:
 
 class TestDriftTable:
     def test_every_potential_and_slope_pair(self):
-        """Row k, column v of the table is delta_vm(v, params[k], 0), for
+        """Row k, column v of the table is v + delta_vm(v, params[k], 0), for
         every v in 0..255 and every (a_num, b_num), with the switch point
         at both ends of the range and in between; parameter sets that
-        repeat, as they do across a population, keep their own rows."""
+        repeat, as they do across a population, share one row."""
         params = [
             NeuronParams(a_num=a, b_num=b, v_r=v_r, v_t=v_t, v_reset=0)
             for a in range(8) for b in range(8)
             for v_r, v_t in ((0, 255), (40, 160), (93, 94), (200, 200), (0, 0))
         ]
-        params += params[::7]
-        table = drift_table(params)
+        table = drift_table(tuple(params))
         assert table.shape == (len(params), 256)
-        assert table.tolist() == [[delta_vm(v, p, 0) for v in range(256)] for p in params]
+        assert table.tolist() == [[v + delta_vm(v, p, 0) for v in range(256)] for p in params]
+        population = params + params[::7]
+        vd, vbase, _, _ = neuron_tables(population)
+        assert vd.size == table.size
+        assert vd.take(vbase[:, None] + range(256)).tolist() == [
+            [v + delta_vm(v, p, 0) for v in range(256)] for p in population
+        ]
+
+
+class TestNeuronTables:
+    """The tables of the neuron update against neuron_step, for every
+    signed 12-bit current -2048..2047 (post-decay currents span
+    -2032..2032)."""
+
+    # Every (a_num, b_num), the switch point at the ends of the range and in
+    # between, v_reset 0 and 255, in one population, so the per-neuron
+    # offsets into shared rows are exercised too.
+    SWEEP = [
+        NeuronParams(a_num=k // 8, b_num=k % 8, v_r=v_r, v_t=v_t, v_reset=255 * (k % 2))
+        for k, (v_r, v_t) in zip(
+            range(64), [(0, 255), (40, 160), (93, 94), (200, 200), (0, 0)] * 13
+        )
+    ]
+
+    @staticmethod
+    def step_all(params, currents):
+        """(next membrane, spiked) of the tables for neuron k at v with
+        current currents[k][v][j], as nested lists of that shape."""
+        vd, vbase, reset, roff = neuron_tables(params)
+        s = vd.take(vbase[:, None, None] + np.arange(256)[:, None]) + np.array(currents)
+        return reset.take(s + roff[:, None, None]).tolist(), (s > 255).tolist()
+
+    def test_every_current(self):
+        """Every v and every post-decay current, for a regenerative and a
+        mixed parameter set, with v_reset 0 and 255."""
+        params = [NeuronParams(a_num=7, b_num=7, v_r=0, v_t=255, v_reset=0),
+                  NeuronParams(a_num=3, b_num=5, v_r=40, v_t=160, v_reset=255)]
+        currents = range(-2048, 2048)
+        nxt, spiked = self.step_all(params, [[currents] * 256] * 2)
+        for k, p in enumerate(params):
+            for v in range(256):
+                want = map(neuron_step, repeat(NeuronState(v_m=v)), repeat(p), currents)
+                assert all(st_.v_m == got_v and sp == got_sp for (st_, sp), got_v, got_sp
+                           in zip(want, nxt[k][v], spiked[k][v])), (p, v)
+
+    def test_sweep_at_the_edges(self):
+        """Every v for every parameter set of the sweep, at the ends of the
+        current range and at the currents that put the candidate at the
+        clamp and spike edges."""
+        currents = [
+            [[-2048, -1, 0, 1, 2047] + [e - v - delta_vm(v, p, 0) for e in (-1, 0, 255, 256)]
+             for v in range(256)]
+            for p in self.SWEEP
+        ]
+        nxt, spiked = self.step_all(self.SWEEP, currents)
+        for k, p in enumerate(self.SWEEP):
+            for v in range(256):
+                want = [neuron_step(NeuronState(v_m=v), p, c) for c in currents[k][v]]
+                assert nxt[k][v] == [w.v_m for w, _ in want], (p, v)
+                assert spiked[k][v] == [sp for _, sp in want], (p, v)
+
+    def test_tables_are_shared_and_read_only(self):
+        """One row per distinct parameter set and reset potential, built
+        once and cached."""
+        vd, vbase, reset, roff = neuron_tables(self.SWEEP * 3)
+        assert vd.size == 64 * 256 and not vd.flags.writeable
+        assert reset.size == 2 * (int(vd.max()) - int(vd.min()) + 4096)
+        assert not reset.flags.writeable
+        assert vbase.tolist() == list(range(0, 64 * 256, 256)) * 3
+        assert len(set(roff.tolist())) == 2
+        again = neuron_tables(self.SWEEP)
+        assert again[0].base is vd.base and again[2].base is reset.base
 
 
 class TestNeuronStep:

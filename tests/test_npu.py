@@ -99,7 +99,7 @@ class TestTimestep:
         for _ in range(10):
             spikes, _, _ = proc.timestep()
             assert not spikes.any()
-            assert not proc.state1.psp.y.any()
+            assert not proc.state1.y.any()
 
     def test_constant_stimulus_spikes_within_three_steps(self):
         # pure integrator fed 127 each step; psp decays between steps
@@ -137,10 +137,10 @@ class TestTimestep:
         proc = on_chip(make_npu(active=2, weights=w))
         spikes, _, _ = proc.timestep(events(*[(0, 127)] * 3))
         assert spikes[0] == 1
-        assert proc.state1.psp.y[1] == 0
+        assert proc.state1.y[1] == 0
         proc.timestep()
         # +7 arrived this step, then decayed once (7 - 0 -> selector 1 -> 6)
-        assert proc.state1.psp.y[1] == 6
+        assert proc.state1.y[1] == 6
 
     def test_event_address_out_of_range(self):
         proc = on_chip(make_npu(active=2))
@@ -152,7 +152,7 @@ class TestTimestep:
         # neuron sees it.
         proc = on_chip(make_npu(active=1, decay_a=3))
         proc.timestep(events((0, 8)))
-        assert proc.state1.psp.y[0] == 7
+        assert proc.state1.y[0] == 7
         assert proc.state1.v_m[0] == 7
 
 
@@ -164,7 +164,7 @@ class TestGlobalNeuron:
         # force the global neuron (addr 2) to spike
         spikes, _, _ = proc.timestep(events(*[(2, 127)] * 3))
         assert spikes[2] == 1
-        y_before = proc.state1.psp.y.copy()
+        y_before = proc.state1.y.copy()
         proc.timestep()
         expected = y_before + delta
         # then one decay step
@@ -175,7 +175,7 @@ class TestGlobalNeuron:
                 if sh == 0:
                     sh = 1 if e > 0 else -1
                 e -= sh
-            assert proc.state1.psp.y[k] == e
+            assert proc.state1.y[k] == e
 
     def test_broadcast_costs_one_cycle(self):
         g = GlobalNeuronConfig(params=QUIET, out_weight=3, mode="excitatory")

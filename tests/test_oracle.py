@@ -10,6 +10,7 @@ shared with the packed weight memory or the compiled crossbar.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from snnemu.netio import (
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.processor import Processor
-from snnemu.synapse import GroupSparseConfig, WeightMemory
+from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig, WeightMemory
 from test_processor import events
 
 PHASES = ("external", "scan", "mac", "decay", "pde")
@@ -201,18 +202,67 @@ def test_processor_matches_scalar_reference(seed, n1, n2, gs_mode, chop, globals
     proc = Processor(npu1, npu2)
     ref = RefProcessor(ref1, ref2)
     for t in range(steps):
-        stimulus = _stimulus(rng, (n1 + 1, n2 + 1))
-        s1, s2, rep = drive(proc, stimulus)
-        r1, r2, c1, c2 = ref.step(stimulus)
-        assert s1.tolist() == r1, f"step {t}: npu1 spikes"
-        assert s2.tolist() == r2, f"step {t}: npu2 spikes"
-        for name in PHASES:
-            assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
-            assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"
-        assert proc.state1.psp.y.tolist() == ref1.y, f"step {t}: npu1 accumulators"
-        assert proc.state2.psp.y.tolist() == ref2.y, f"step {t}: npu2 accumulators"
-        assert proc.state1.v_m.tolist() == ref1.v, f"step {t}: npu1 membranes"
-        assert proc.state2.v_m.tolist() == ref2.v, f"step {t}: npu2 membranes"
+        check_step(t, proc, ref, _stimulus(rng, (n1 + 1, n2 + 1)))
+
+
+def check_step(t, proc, ref, stimulus):
+    """One step of both with (npu, addr, value) events: spikes, cycles,
+    accumulators and membranes all equal."""
+    s1, s2, rep = drive(proc, stimulus)
+    r1, r2, c1, c2 = ref.step(stimulus)
+    assert s1.tolist() == r1, f"step {t}: npu1 spikes"
+    assert s2.tolist() == r2, f"step {t}: npu2 spikes"
+    for name in PHASES:
+        assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
+        assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"
+    for state, unit in ((proc.state1, ref.ref1), (proc.state2, ref.ref2)):
+        assert state.y.tolist() == unit.y, f"step {t}: accumulators"
+        assert state.v_m.tolist() == unit.v, f"step {t}: membranes"
+
+
+@pytest.mark.parametrize("global2", [-8, 8])
+def test_full_chip_at_the_table_bounds(global2):
+    """A full 32+1 -> 128+1 chip with every source spiking, each weight -8
+    or 7, and whole columns at either weight, so NPU2's MAC reaches
+    -MAC_BOUND under a -8 global broadcast. Accumulators start at the 12-bit
+    ends, and stacked events put the external input beyond, at and one
+    below +-EXT_BOUND: where the accumulator is -2048 and the MAC
+    -MAC_BOUND, only input of at least EXT_BOUND saturates."""
+    rng = np.random.default_rng(2026 + global2)
+    units, refs, y0, ext = [], [], [], []
+    for n, n_ff, g in ((32, 0, -8), (128, 33, global2)):
+        total = n + 1
+        params = [_params(rng) for _ in range(total)]
+        w = rng.choice([-8, 7], size=(n_ff + n, total))
+        w[:, 0::3], w[:, 1::3] = -8, 7
+        gcfg = GlobalNeuronConfig(params=params[-1], out_weight=-8,
+                                  mode="excitatory" if g > 0 else "inhibitory")
+        cfg = NpuConfig(max_neurons=max(n, 32), active_neurons=n, params=params[:-1],
+                        global_neuron=gcfg, decay_a=int(rng.integers(1, 8)))
+        units.append(Npu(cfg, WeightMemory.from_matrix(w), gs=GroupSparseConfig.dense(total),
+                         n_ff_sources=n_ff))
+        refs.append(RefNpu(params, g, cfg.decay_a, w.tolist(),
+                           [(1 << -(-total // 8)) - 1] * len(w), n_ff))
+        col = np.arange(total) % 3
+        y0.append(np.where(col == 0, -2048, np.where(col == 1, 2047, rng.integers(-2048, 2048, total))))
+        bound = EXT_BOUND + 1 - np.arange(total) // 3 % 3  # beyond, at, one below
+        ext.append(np.where(col == 0, bound, np.where(col == 1, -bound, 0)))
+    proc = Processor(*units)
+    assert np.abs(proc.datapath.crossbar.weights).sum(axis=0).max() == MAC_BOUND
+    stimulus = []
+    for npu, values in ((1, ext[0]), (2, ext[1])):
+        for addr, value in enumerate(values.tolist()):
+            q, r = divmod(abs(value), 127)
+            sign = 1 if value > 0 else -1
+            stimulus += [(npu, addr, sign * 127)] * q + [(npu, addr, sign * r)] * (r > 0)
+    ref = RefProcessor(*refs)
+    proc.state.last_spikes[:] = 1
+    proc.state.y[:] = np.concatenate(y0)
+    for unit, y in zip(refs, y0):
+        unit.last, unit.y = [1] * unit.total, y.tolist()
+    ref.pending = [1] * 33
+    for t in range(3):
+        check_step(t, proc, ref, stimulus)
 
 
 def _desc_and_reference(rng, n1, n2, gs_mode):

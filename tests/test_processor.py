@@ -71,9 +71,9 @@ class TestScheduler:
         # drive NPU1 neuron 0 over threshold at t=0
         s1, s2, _ = proc.timestep(events(*[(0, 127)] * 3))
         assert s1[0] == 1
-        assert proc.state2.psp.y[2] == 0  # not yet delivered
+        assert proc.state2.y[2] == 0  # not yet delivered
         s1, s2, _ = proc.timestep()
-        assert proc.state2.psp.y[2] == 6  # +7 delivered, one decay step
+        assert proc.state2.y[2] == 6  # +7 delivered, one decay step
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.synapse import (
+    SAT_DECAY_LO,
     Crossbar,
     GroupSparseConfig,
-    PostSynapticState,
     WeightMemory,
     decay_array,
     decay_value,
     pack_weights,
+    sat_decay_table,
     steps_to_fraction,
 )
 from test_processor import on_chip
@@ -119,9 +120,20 @@ class TestDecay:
         a = np.repeat(np.arange(8), 4096)
         want = [decay_value(int(v), int(k)) for v, k in zip(y, a)]
         assert decay_array(y, a).tolist() == want
-        psp = PostSynapticState(y.copy(), decay_a=a)
-        psp.decay()
-        assert psp.y.tolist() == want
+        table = sat_decay_table(tuple(range(8)))
+        assert table.ravel().take(a * table.shape[1] + y - SAT_DECAY_LO).tolist() == want
+
+    def test_sat_decay_table_exhaustive(self):
+        """Every index of the table, for every exponent: saturation to
+        signed 12 bits, then one decay_value step."""
+        table = sat_decay_table(tuple(range(8)))
+        assert table.shape == (8, -2 * SAT_DECAY_LO) == (8, 17470)
+        assert not table.flags.writeable
+        xs = range(SAT_DECAY_LO, -SAT_DECAY_LO)
+        for a in range(8):
+            want = [decay_value(min(max(x, -2048), 2047), a) for x in xs]
+            assert table[a].tolist() == want, a
+
 
 class TestWholeArray:
     """The whole-array unpack, masks and crossbar compile against the
@@ -210,38 +222,38 @@ class TestAccumulate:
         row = [1, -8, 7] + [0] * 61
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig.dense(64)
-        psp = PostSynapticState.zeros(64)
+        y = np.zeros(64, dtype=np.int64)
         xbar = Crossbar.compile(mem, gs)
-        xbar.mac(np.array([1]), psp.y)
+        xbar.mac(np.array([1]), y)
         assert xbar.reads(np.array([1])) == gs.gs_num == 8
-        assert list(psp.y) == row
+        assert list(y) == row
 
     def test_saturation_at_boundary(self):
         mem = WeightMemory.from_matrix([[7] * 8, [7] * 8])
         gs = GroupSparseConfig.dense(8)
-        psp = PostSynapticState.zeros(8)
-        psp.y[:] = 2040
-        Crossbar.compile(mem, gs).mac(np.array([1, 1]), psp.y)
-        assert psp.y[0] == 2054  # wide intermediate, not yet clamped
-        psp.saturate()
-        assert list(psp.y) == [2047] * 8
+        y = np.full(8, 2040)
+        Crossbar.compile(mem, gs).mac(np.array([1, 1]), y)
+        assert y[0] == 2054  # wide intermediate, not yet clamped
+        table = sat_decay_table(tuple(range(8)))
+        for a in range(8):
+            assert list(table[a].take(y - SAT_DECAY_LO)) == [decay_value(2047, a)] * 8
 
     def test_source_out_of_range(self):
         mem = WeightMemory.from_matrix([[0] * 8])
         xbar = Crossbar.compile(mem, GroupSparseConfig.dense(8))
         spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row memory
         with pytest.raises(ValueError, match="expected 1 sources"):
-            xbar.mac(spikes, PostSynapticState.zeros(8).y)
+            xbar.mac(spikes, np.zeros(8, dtype=np.int64))
 
     def test_disabled_groups_skipped(self):
         row = [5] * 16
         mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig(n_groups=2, gs_code=0b01)
-        psp = PostSynapticState.zeros(16)
+        y = np.zeros(16, dtype=np.int64)
         xbar = Crossbar.compile(mem, gs)
-        xbar.mac(np.array([1]), psp.y)
+        xbar.mac(np.array([1]), y)
         assert xbar.reads(np.array([1])) == 1
-        assert list(psp.y) == [5] * 8 + [0] * 8
+        assert list(y) == [5] * 8 + [0] * 8
 
     def test_broadcast_row(self):
         mem = WeightMemory.from_matrix([[3] * 12])
@@ -262,13 +274,15 @@ class TestAccumulate:
         spikes = rng.integers(0, 2, size=n_src)
         mem = WeightMemory.from_matrix(w)
         gs = GroupSparseConfig.dense(n_tgt)
-        psp = PostSynapticState.zeros(n_tgt)
+        acc = np.zeros(n_tgt, dtype=np.int64)
         xbar = Crossbar.compile(mem, gs)
-        xbar.mac(spikes, psp.y)
+        xbar.mac(spikes, acc)
         total = xbar.reads(spikes)
-        psp.saturate()
+        a = int(rng.integers(1, 8))
+        y = sat_decay_table((a,))[0].take(acc - SAT_DECAY_LO)
         oracle = np.clip(w.T @ spikes, -2048, 2047)
-        assert np.array_equal(psp.y, oracle)
+        assert np.array_equal(np.clip(acc, -2048, 2047), oracle)
+        assert np.array_equal(y, decay_array(oracle, a))
         assert total == int(spikes.sum()) * gs.gs_num
 
 
