@@ -81,8 +81,15 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors exit 2 with one `error: usage:` line; subcommands share it."""
+
+    def error(self, message):
+        self.exit(2, f"error: usage: {' '.join(message.split())}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="snnemu")
+    p = _Parser(prog="snnemu")
     sub = p.add_subparsers(dest="command", required=True)
 
     r = sub.add_parser("run", help="execute a network for a number of timesteps")

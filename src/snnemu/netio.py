@@ -117,18 +117,12 @@ def save_weight_image(path: str, matrices: list[np.ndarray]) -> None:
     """Write packed weight sections: header, per-section geometry, CRC32 of
     the word payload, then raw little-endian 32-bit words."""
     mems = [WeightMemory.from_matrix(m) for m in matrices]
-    payload = b"".join(
-        mem.words.astype("<u4").tobytes() for mem in mems
-    )
+    payload = b"".join(mem.words.astype("<u4").tobytes() for mem in mems)
     with open(path, "wb") as f:
         f.write(WEIGHT_MAGIC)
         f.write(struct.pack("<II", WEIGHT_VERSION, len(mems)))
         for mem in mems:
-            f.write(
-                struct.pack(
-                    "<III", mem.n_rows, mem.row_stride_words, mem.n_targets
-                )
-            )
+            f.write(struct.pack("<III", *mem.words.shape, mem.n_targets))
         f.write(struct.pack("<I", zlib.crc32(payload)))
         f.write(payload)
 
@@ -154,13 +148,16 @@ def load_weight_image(path: str) -> list[WeightMemory]:
         raise ConfigError(path, "weight image payload does not match its header")
     mems = []
     pos = 0
-    for rows, stride, n_targets in geoms:
+    for i, (rows, stride, n_targets) in enumerate(geoms):
         count = rows * stride
         words = np.frombuffer(
             payload, dtype="<u4", count=count, offset=pos
         ).reshape(rows, stride)
         pos += count * 4
-        mems.append(WeightMemory(words.astype(np.uint32), n_targets))
+        try:
+            mems.append(WeightMemory(words.astype(np.uint32), n_targets))
+        except ValueError as e:
+            raise ConfigError(path, f"section {i}: {e}") from None
     return mems
 
 
@@ -277,6 +274,8 @@ class NetworkDescription:
     def __post_init__(self):
         if self.gs_mode not in ("auto", "dense"):
             raise ConfigError("gs_mode", f"must be auto or dense, got {self.gs_mode}")
+        if self.clock_hz < 1:
+            raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         t1 = self.npu1.total_neurons
         t2 = self.npu2.total_neurons
         self.weights1 = np.asarray(self.weights1, dtype=np.int64)
@@ -306,16 +305,13 @@ class NetworkDescription:
                     )
 
     def build_processor(self) -> Processor:
-        mem1 = WeightMemory.from_matrix(self.weights1)
-        mem2 = WeightMemory.from_matrix(self.weights2)
-        if self.gs_mode == "auto":
-            gs1 = GroupSparseConfig.from_memory(mem1)
-            gs2 = GroupSparseConfig.from_memory(mem2)
-        else:
-            gs1 = GroupSparseConfig.dense(mem1.n_targets)
-            gs2 = GroupSparseConfig.dense(mem2.n_targets)
-        npu1 = Npu(self.npu1, mem1, gs=gs1)
-        npu2 = Npu(self.npu2, mem2, gs=gs2, n_ff_sources=self.npu1.total_neurons)
+        """Compile both NPUs straight from the weight matrices."""
+        gs1, gs2 = (
+            GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
+            for w in (self.weights1, self.weights2)
+        )
+        npu1 = Npu(self.npu1, self.weights1, gs=gs1)
+        npu2 = Npu(self.npu2, self.weights2, gs=gs2, n_ff_sources=self.npu1.total_neurons)
         return Processor(npu1, npu2, clock_hz=self.clock_hz)
 
     # -- serialization ------------------------------------------------------

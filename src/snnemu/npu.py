@@ -28,7 +28,6 @@ from .synapse import (
     SAT_DECAY_LO,
     Crossbar,
     GroupSparseConfig,
-    WeightMemory,
     sat_decay_table,
 )
 
@@ -121,13 +120,14 @@ def chop_op_count(n1: int, n2: int) -> int:
     return n1 * n1 + (n1 + n2) * n2
 
 
-def check_chop_weights(mem: WeightMemory, n_ff: int, n1: int, n2: int) -> None:
+def check_chop_weights(weights: np.ndarray, n_ff: int, n1: int, n2: int) -> None:
     """Reject recurrent weights flowing from sub-population 2 back to 1.
 
-    Rows n_ff..n_ff+n1+n2-1 are the NPU's own sources; the last n2 of them
-    must carry zero weight toward targets 0..n1-1.
+    Rows n_ff..n_ff+n1+n2-1 of the (sources, targets) matrix are the NPU's
+    own sources; the last n2 of them must carry zero weight toward targets
+    0..n1-1.
     """
-    bad = np.argwhere(mem.unpack()[n_ff + n1 : n_ff + n1 + n2, :n1])
+    bad = np.argwhere(np.asarray(weights)[n_ff + n1 : n_ff + n1 + n2, :n1])
     if bad.size:
         src, tgt = bad[0]
         raise ValueError(
@@ -263,7 +263,7 @@ class Datapath:
 class Npu:
     """The compile step of one NPU.
 
-    `memory` holds one row per non-global source: first `n_ff_sources`
+    `weights` is the signed (sources, targets) matrix: first `n_ff_sources`
     feedforward rows (sources in the upstream NPU, global included), then
     `active_neurons` recurrent rows. Every row spans `total_neurons` targets,
     so the global neuron can receive ordinary synaptic weight. The crossbar
@@ -274,28 +274,22 @@ class Npu:
     def __init__(
         self,
         cfg: NpuConfig,
-        memory: WeightMemory,
+        weights: np.ndarray,
         gs: GroupSparseConfig | None = None,
         n_ff_sources: int = 0,
     ):
         total = cfg.total_neurons
-        expected_rows = n_ff_sources + cfg.active_neurons
-        if memory.n_rows != expected_rows:
-            raise ValueError(
-                f"memory has {memory.n_rows} rows, expected {expected_rows}"
-            )
-        if memory.n_targets != total:
-            raise ValueError(
-                f"memory spans {memory.n_targets} targets, expected {total}"
-            )
-        if cfg.chop is not None:
-            check_chop_weights(memory, n_ff_sources, *cfg.chop)
-        self.cfg = cfg
-        self.n_ff_sources = n_ff_sources
+        shape = (n_ff_sources + cfg.active_neurons, total)
+        if np.shape(weights) != shape:
+            raise ValueError(f"weights of shape {np.shape(weights)}, expected {shape}")
         self.crossbar = Crossbar.compile(
-            memory,
+            weights,
             gs if gs is not None else GroupSparseConfig.dense(total),
             broadcast=cfg.global_neuron.effective_weight,
         )
+        if cfg.chop is not None:
+            check_chop_weights(weights, n_ff_sources, *cfg.chop)
+        self.cfg = cfg
+        self.n_ff_sources = n_ff_sources
         # Each spike stream is scanned two bits per clock, odd lengths padded.
         self.scan = (n_ff_sources + 1) // 2 + (total + 1) // 2

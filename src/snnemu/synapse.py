@@ -31,9 +31,27 @@ EXT_BOUND = SAT_MAX - SAT_MIN + MAC_BOUND
 SAT_DECAY_LO = SAT_MIN - EXT_BOUND - MAC_BOUND
 
 
+def group_count(n_targets: int) -> int:
+    """8-target groups (one SRAM word each) of a row of `n_targets`."""
+    return max(1, -(-n_targets // GROUP_SIZE))
+
+
+def check_weights(matrix) -> np.ndarray:
+    """`matrix` as a (sources, targets) int64 array of signed 4-bit weights."""
+    matrix = np.asarray(matrix, dtype=np.int64)
+    if matrix.ndim != 2:
+        raise ValueError("weight matrix must be 2-D")
+    bad = np.argwhere((matrix < WEIGHT_MIN) | (matrix > WEIGHT_MAX))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"weight out of range at row {r}, target {c}: {matrix[r, c]}")
+    return matrix
+
+
 class WeightMemory:
     """Word-addressable synaptic SRAM: one row per presynaptic source, each
-    row zero-padded to a whole number of 32-bit words."""
+    row zero-padded to a whole number of 32-bit words. It is the weight
+    image's format; the chip compiles from the signed matrix."""
 
     def __init__(self, words: np.ndarray, n_targets: int):
         words = np.asarray(words, dtype=np.uint32)
@@ -45,31 +63,15 @@ class WeightMemory:
         self.n_targets = n_targets
 
     @property
-    def n_rows(self) -> int:
-        return self.words.shape[0]
-
-    @property
     def row_stride_words(self) -> int:
-        return self.words.shape[1]
-
-    @property
-    def n_groups(self) -> int:
         return self.words.shape[1]
 
     @classmethod
     def from_matrix(cls, matrix) -> "WeightMemory":
         """Pack a (sources, targets) weight matrix, one row per source."""
-        matrix = np.asarray(matrix, dtype=np.int64)
-        if matrix.ndim != 2:
-            raise ValueError("weight matrix must be 2-D")
+        matrix = check_weights(matrix)
         n_rows, n_targets = matrix.shape
-        bad = np.argwhere((matrix < WEIGHT_MIN) | (matrix > WEIGHT_MAX))
-        if bad.size:
-            r, c = bad[0]
-            raise ValueError(
-                f"weight out of range at row {r}, target {c}: {matrix[r, c]}"
-            )
-        stride = max(1, -(-n_targets // GROUP_SIZE))
+        stride = group_count(n_targets)
         padded = np.zeros((n_rows, stride * GROUP_SIZE), dtype=np.int64)
         padded[:, :n_targets] = matrix
         nibbles = (padded & 0xF).astype(np.uint32).reshape(n_rows, stride, GROUP_SIZE)
@@ -79,11 +81,11 @@ class WeightMemory:
 
     def row_weights(self, source: int, gs_code: int | None = None) -> np.ndarray:
         """Unpack one row to signed weights; groups cleared in gs_code read 0."""
-        if not 0 <= source < self.n_rows:
-            raise IndexError(f"source {source} out of range (rows={self.n_rows})")
+        if not 0 <= source < len(self.words):
+            raise IndexError(f"source {source} out of range (rows={len(self.words)})")
         row = _signed_nibbles(self.words[source : source + 1])[0]
         if gs_code is not None:
-            row *= _group_bits([gs_code], self.n_groups)[0].repeat(GROUP_SIZE)
+            row *= _group_bits([gs_code], self.row_stride_words)[0].repeat(GROUP_SIZE)
         return row[: self.n_targets]
 
     def unpack(self) -> np.ndarray:
@@ -107,11 +109,7 @@ def _group_bits(codes, n_groups: int) -> np.ndarray:
 
 def pack_weights(weights) -> WeightMemory:
     """Pack a flat weight sequence as a single zero-padded row."""
-    weights = np.asarray(list(weights), dtype=np.int64)
-    for i, w in enumerate(weights):
-        if not WEIGHT_MIN <= w <= WEIGHT_MAX:
-            raise ValueError(f"weight out of range at index {i}: {w}")
-    return WeightMemory.from_matrix(weights[None, :])
+    return WeightMemory.from_matrix([list(weights)])
 
 
 @dataclass
@@ -138,49 +136,50 @@ class GroupSparseConfig:
 
     @classmethod
     def dense(cls, n_targets: int) -> "GroupSparseConfig":
-        n_groups = max(1, -(-n_targets // GROUP_SIZE))
+        n_groups = group_count(n_targets)
         return cls(n_groups=n_groups, gs_code=(1 << n_groups) - 1)
 
     @classmethod
-    def from_memory(cls, mem: WeightMemory) -> "GroupSparseConfig":
-        """Per-source masks with all-zero words disabled."""
-        n_groups = mem.n_groups
-        per_source = ((mem.words != 0) @ (1 << np.arange(n_groups))).tolist()
-        return cls(
-            n_groups=n_groups, gs_code=(1 << n_groups) - 1, per_source=per_source
+    def from_weights(cls, weights: np.ndarray) -> "GroupSparseConfig":
+        """Per-source masks of a (sources, targets) matrix with all-zero
+        groups disabled: a 4-bit weight is 0 exactly when its nibble is, so
+        these are the groups whose SRAM word is 0."""
+        nonzero = np.logical_or.reduceat(
+            weights != 0, np.arange(0, weights.shape[1], GROUP_SIZE), axis=1
         )
-
-    @property
-    def gs_num(self) -> int:
-        return bin(self.gs_code).count("1")
+        n = nonzero.shape[1]
+        per_source = (nonzero @ (1 << np.arange(n))).tolist()
+        return cls(n_groups=n, gs_code=(1 << n) - 1, per_source=per_source)
 
 
 @dataclass(frozen=True)
 class Crossbar:
-    """The weights a spike can reach, compiled once from the SRAM image: one
-    signed row per source with its masked groups zeroed, and the word reads
-    each row costs (popcount of its group mask). The chip's crossbar keeps
-    one cost column per NPU."""
+    """The weights a spike can reach, compiled once from the signed weight
+    matrix: one row per source with its masked groups zeroed, and the word
+    reads each row costs (popcount of its group mask). The chip's crossbar
+    keeps one cost column per NPU."""
 
     weights: np.ndarray  # (sources, targets) int64
     cost: np.ndarray  # (sources,) or (sources, NPUs) int64
 
     @classmethod
     def compile(
-        cls, mem: WeightMemory, gs: GroupSparseConfig, broadcast: int | None = None
+        cls, weights, gs: GroupSparseConfig, broadcast: int | None = None
     ) -> "Crossbar":
-        """Rows of `mem` under the masks of `gs`, plus an optional last row
-        holding `broadcast` in every column at a cost of one cycle."""
-        codes = np.full(mem.n_rows, gs.gs_code, dtype=np.int64)
+        """Rows of the (sources, targets) matrix `weights` under the masks
+        of `gs`, plus an optional last row holding `broadcast` in every
+        column at a cost of one cycle."""
+        weights = check_weights(weights)
+        n_rows, n_targets = weights.shape
+        codes = np.full(n_rows, gs.gs_code, dtype=np.int64)
         if gs.per_source is not None:
-            k = min(len(gs.per_source), mem.n_rows)
+            k = min(len(gs.per_source), n_rows)
             codes[:k] = gs.per_source[:k]
-        bits = _group_bits(codes, mem.n_groups)
-        weights = _signed_nibbles(mem.words) * bits.repeat(GROUP_SIZE, axis=1)
-        weights = weights[:, : mem.n_targets]
+        bits = _group_bits(codes, group_count(n_targets))
+        weights = weights * bits.repeat(GROUP_SIZE, axis=1)[:, :n_targets]
         cost = bits.sum(axis=1)
         if broadcast is not None:
-            weights = np.vstack((weights, np.full(mem.n_targets, broadcast)))
+            weights = np.vstack((weights, np.full(n_targets, broadcast)))
             cost = np.append(cost, 1)
         return cls(weights, cost)
 

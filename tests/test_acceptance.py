@@ -27,7 +27,6 @@ from snnemu.synapse import (
     SAT_DECAY_LO,
     Crossbar,
     GroupSparseConfig,
-    WeightMemory,
     decay_array,
     sat_decay_table,
 )
@@ -123,12 +122,11 @@ def test_3_crossbar_equivalence():
         n_tgt = int(rng.integers(1, 161))
         w = rng.integers(-8, 8, size=(n_src, n_tgt))
         spikes = rng.integers(0, 2, size=n_src)
-        mem = WeightMemory.from_matrix(w)
-        n_groups = mem.n_groups
+        n_groups = -(-n_tgt // 8)
         gs_code = int(rng.integers(0, 1 << n_groups))
         gs = GroupSparseConfig(n_groups=n_groups, gs_code=gs_code)
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(mem, gs)
+        xbar = Crossbar.compile(w, gs)
         xbar.mac(spikes, acc)
         cycles = xbar.reads(spikes)
         decay_a = trial % 7 + 1

@@ -221,6 +221,52 @@ class TestErrorContract:
             assert main(["run", "--config", config_path, "--steps", "5", "--seed", str(seed),
                          "--raster-out", str(tmp_path / "r.csv")]) == 0
 
+    @pytest.mark.parametrize("argv, detail", [
+        (["run", "--steps", "abc"], "argument --steps: invalid int value: 'abc'"),
+        (["run", "--steps", "5", "--seed", "0x1"], "argument --seed: invalid int value: '0x1'"),
+        (["run", "--steps", "5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--raster-out", "r.csv", "--steps", "5"],
+         "the following arguments are required: --config"),
+        (["sudoku", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["sudoku", "--max-steps"], "argument --max-steps: expected one argument"),
+        (["sudoku", "--puzzle", "p.txt", "extra"], "unrecognized arguments: extra"),
+        (["avoid", "--windows", "2"], "the following arguments are required: --stimulus"),
+        (["avoid", "--stimulus", "s.csv", "--window-steps", "1.5"],
+         "argument --window-steps: invalid int value: '1.5'"),
+        (["inspect"], "the following arguments are required: --config"),
+        (["inspect", "--config", "c.yaml", "--steps", "5"], "unrecognized arguments: --steps 5"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_usage_errors(self, config_path, tmp_path, capsys, argv, detail):
+        """Parser errors of every subcommand are one `error: usage:` line with
+        exit status 2, raised before any file is read or written."""
+        if argv[:1] == ["run"] and "--raster-out" not in argv:
+            argv = argv + ["--config", config_path, "--raster-out", str(tmp_path / "r.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        self.one_error_line(capsys, f"error: usage: {detail}")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["inspect", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: snnemu") and out.err == ""
+
+    @pytest.mark.parametrize("clock_hz", [0, -5])
+    def test_clock_below_one(self, config_path, tmp_path, capsys, clock_hz):
+        text = open(config_path).read()
+        with open(config_path, "w") as f:
+            f.write(text.replace("clock_hz: 100000000", f"clock_hz: {clock_hz}"))
+        assert main(["run", "--config", config_path, "--steps", "5",
+                     "--raster-out", str(tmp_path / "r.csv")]) == 2
+        self.one_error_line(capsys, f"error: config: clock_hz: must be at least 1, got {clock_hz}")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_puzzle_token_names_row_and_column(self, tmp_path, capsys):
         puzzle = tmp_path / "p.txt"
         puzzle.write_text("1 0 0 0\n0 0 x 0\n0 0 0 0\n0 0 0 0\n")

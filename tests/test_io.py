@@ -1,13 +1,19 @@
 """Config/weight-image round trips, validation errors, run determinism."""
 
+import re
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnemu import synapse
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.netio import (
+    WEIGHT_MAGIC,
     ConfigError,
     DcSource,
     Lcg,
@@ -85,6 +91,15 @@ class TestWeightImage:
         with pytest.raises(ConfigError, match="does not match its header"):
             load_weight_image(str(p))
 
+    def test_row_stride_too_small_for_targets(self, tmp_path):
+        # Stride 0 for 9 targets: the CRC and payload-length checks pass on
+        # the empty payload, so the geometry check must name the file.
+        p = tmp_path / "w.bin"
+        p.write_bytes(WEIGHT_MAGIC + struct.pack("<IIIIII", 1, 1, 1, 0, 9, zlib.crc32(b"")))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p}: section 0: row stride too small for target count")):
+            load_weight_image(str(p))
+
 
 class TestNetworkDescription:
     def test_minimal_round_trip(self, tmp_path):
@@ -122,6 +137,26 @@ class TestNetworkDescription:
                 weights1=np.zeros((1, 2), dtype=int),
                 weights2=np.zeros((9, 9), dtype=int),
             )
+
+    def test_run_path_never_packs(self, monkeypatch):
+        """The chip compiles straight from the description's matrices: no
+        SRAM word is packed or unpacked between the description and the
+        raster."""
+        def packed(*args, **kwargs):
+            raise AssertionError("SRAM words on the run path")
+
+        monkeypatch.setattr(synapse.WeightMemory, "__init__", packed)
+        monkeypatch.setattr(synapse, "_signed_nibbles", packed)
+        desc = minimal_desc(n1=2, n2=4, dc=[DcSource(npu=1, addr=0, value=100)])
+        desc.weights1[0, 1] = 7
+        desc.weights2[:, 2] = -3
+        raster, rows, _ = run(desc, None, 40)
+        assert len(raster) and len(rows) == 40
+
+    @pytest.mark.parametrize("clock_hz", [0, -5])
+    def test_clock_below_one_rejected(self, clock_hz):
+        with pytest.raises(ConfigError, match=f"clock_hz: must be at least 1, got {clock_hz}"):
+            minimal_desc(clock_hz=clock_hz)
 
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from snnemu.neuron import NeuronParams
+from snnemu.netio import NetworkDescription
 from snnemu.npu import (
     GlobalNeuronConfig,
     Npu,
@@ -17,7 +18,7 @@ from snnemu.npu import (
     configure_chop,
     dense_op_count,
 )
-from snnemu.synapse import GroupSparseConfig, WeightMemory
+from snnemu.synapse import GroupSparseConfig
 from test_processor import events, on_chip
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
@@ -37,7 +38,7 @@ def make_npu(active=4, params=None, weights=None, decay_a=3, global_cfg=None,
         global_neuron=global_cfg or GlobalNeuronConfig(params=QUIET),
         decay_a=decay_a,
     )
-    return Npu(cfg, WeightMemory.from_matrix(weights), gs=gs)
+    return Npu(cfg, weights, gs=gs)
 
 
 def dense_reference(weights, params, decay_a, stim_fn, steps, v0=None):
@@ -207,6 +208,34 @@ class TestCycles:
         assert rep.npu1.mac == 1
 
 
+class TestCompile:
+    """The NPU compiles its crossbar from the signed weight matrix, which
+    must hold 4-bit weights in the NPU's shape."""
+
+    @pytest.mark.parametrize("value", [-9, 8])
+    def test_weight_out_of_range(self, value):
+        w = np.zeros((4, 5), dtype=int)
+        w[2, 3] = value
+        with pytest.raises(ValueError, match=f"weight out of range at row 2, target 3: {value}$"):
+            make_npu(weights=w)
+
+    @pytest.mark.parametrize("value", [-9, 8])
+    def test_build_processor_weight_out_of_range(self, value):
+        cfg = make_npu(active=1).cfg
+        cfg2 = NpuConfig(max_neurons=128, active_neurons=1, params=[QUIET],
+                         global_neuron=GlobalNeuronConfig(params=QUIET))
+        weights2 = np.zeros((3, 2), dtype=int)
+        weights2[1, 0] = value
+        desc = NetworkDescription(npu1=cfg, npu2=cfg2, weights1=np.zeros((1, 2), dtype=int),
+                                  weights2=weights2)
+        with pytest.raises(ValueError, match=f"weight out of range at row 1, target 0: {value}$"):
+            desc.build_processor()
+
+    def test_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"weights of shape \(3, 5\), expected \(4, 5\)"):
+            make_npu(weights=np.zeros((3, 5), dtype=int))
+
+
 class TestChop:
     def test_op_count_64_8(self):
         assert chop_op_count(64, 8) == 4672
@@ -225,9 +254,8 @@ class TestChop:
     def test_rejects_backward_weights(self):
         w = np.zeros((8, 9), dtype=int)
         w[6, 1] = -2  # sub2 source -> sub1 target
-        mem = WeightMemory.from_matrix(w)
         with pytest.raises(ValueError, match="chop violation"):
-            check_chop_weights(mem, 0, 4, 4)
+            check_chop_weights(w, 0, 4, 4)
 
     def test_chopped_raster_matches_unchopped(self):
         rng = np.random.default_rng(3)
@@ -241,7 +269,7 @@ class TestChop:
                 global_neuron=GlobalNeuronConfig(params=LEAKY), decay_a=3,
                 chop=(4, 4) if chopped else None,
             )
-            proc = on_chip(Npu(cfg, WeightMemory.from_matrix(w)))
+            proc = on_chip(Npu(cfg, w))
             rows = []
             for t in range(30):
                 ev = events(*[(k, 70) for k in range(4)])

@@ -25,7 +25,7 @@ from snnemu.netio import (
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
 from snnemu.processor import Processor
-from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig, WeightMemory
+from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig
 from test_processor import events
 
 PHASES = ("external", "scan", "mac", "decay", "pde")
@@ -159,7 +159,7 @@ def _pair(n, rng, chopped, n_ff, gs_mode, g_mode, g_weight, max_neurons):
     n_groups = -(-total // 8)
     gs = GroupSparseConfig(n_groups=n_groups, gs_code=(1 << n_groups) - 1,
                            per_source=masks)
-    npu = Npu(cfg, WeightMemory.from_matrix(weights), gs=gs, n_ff_sources=n_ff)
+    npu = Npu(cfg, weights, gs=gs, n_ff_sources=n_ff)
     ref = RefNpu(params, g.effective_weight, cfg.decay_a,
                  weights.tolist(), masks, n_ff)
     return npu, ref
@@ -239,7 +239,7 @@ def test_full_chip_at_the_table_bounds(global2):
                                   mode="excitatory" if g > 0 else "inhibitory")
         cfg = NpuConfig(max_neurons=max(n, 32), active_neurons=n, params=params[:-1],
                         global_neuron=gcfg, decay_a=int(rng.integers(1, 8)))
-        units.append(Npu(cfg, WeightMemory.from_matrix(w), gs=GroupSparseConfig.dense(total),
+        units.append(Npu(cfg, w, gs=GroupSparseConfig.dense(total),
                          n_ff_sources=n_ff))
         refs.append(RefNpu(params, g, cfg.decay_a, w.tolist(),
                            [(1 << -(-total // 8)) - 1] * len(w), n_ff))

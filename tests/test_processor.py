@@ -16,7 +16,6 @@ from snnemu.processor import (
     hierarchy_op_reduction,
     synapse_count,
 )
-from snnemu.synapse import WeightMemory
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -32,8 +31,7 @@ def quiet_npu(active, max_neurons, n_ff=0):
     cfg = NpuConfig(max_neurons=max_neurons, active_neurons=active,
                     params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
-    mem = WeightMemory.from_matrix(np.zeros((n_ff + active, active + 1), dtype=int))
-    return Npu(cfg, mem, n_ff_sources=n_ff)
+    return Npu(cfg, np.zeros((n_ff + active, active + 1), dtype=int), n_ff_sources=n_ff)
 
 
 def on_chip(npu):
@@ -51,15 +49,13 @@ def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
                      global_neuron=GlobalNeuronConfig(params=QUIET), decay_a=decay_a)
     cfg2 = NpuConfig(max_neurons=128, active_neurons=n2, params=[QUIET] * n2,
                      global_neuron=GlobalNeuronConfig(params=QUIET), decay_a=decay_a)
-    m1 = WeightMemory.from_matrix(np.zeros((n1, t1), dtype=int))
     rows2 = np.zeros((t1 + n2, t2), dtype=int)
     if ff is not None:
         rows2[:t1, :] = ff
     if w2 is not None:
         rows2[t1:, :] = w2
-    m2 = WeightMemory.from_matrix(rows2)
-    npu1 = Npu(cfg1, m1)
-    npu2 = Npu(cfg2, m2, n_ff_sources=t1)
+    npu1 = Npu(cfg1, np.zeros((n1, t1), dtype=int))
+    npu2 = Npu(cfg2, rows2, n_ff_sources=t1)
     return Processor(npu1, npu2)
 
 

@@ -34,8 +34,7 @@ def silent_npu(active, n_ff=0, gs=None):
     cfg = NpuConfig(max_neurons=128 if n_ff else 32, active_neurons=active,
                     params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
-    mem = WeightMemory.from_matrix(np.ones((n_ff + active, total), dtype=int))
-    return Npu(cfg, mem, gs=gs, n_ff_sources=n_ff)
+    return Npu(cfg, np.ones((n_ff + active, total), dtype=int), gs=gs, n_ff_sources=n_ff)
 
 
 class TestPacking:
@@ -53,7 +52,7 @@ class TestPacking:
         assert mem.words[0, 1] == 0x3
 
     def test_out_of_range_rejected_with_index(self):
-        with pytest.raises(ValueError, match="index 2"):
+        with pytest.raises(ValueError, match="row 0, target 2: 9"):
             pack_weights([0, 0, 9])
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=300))
@@ -137,7 +136,7 @@ class TestDecay:
 
 class TestWholeArray:
     """The whole-array unpack, masks and crossbar compile against the
-    row-by-row forms they replaced."""
+    row-by-row reads of the packed SRAM image."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -147,10 +146,10 @@ class TestWholeArray:
         w = rng.integers(-8, 8, size=(rows, targets))
         w[:, rng.random(targets) < 0.5] = 0
         mem = WeightMemory.from_matrix(w)
-        g = mem.n_groups
+        g = mem.row_stride_words
         assert np.array_equal(mem.unpack().reshape(rows, targets), w)
 
-        gs = GroupSparseConfig.from_memory(mem)
+        gs = GroupSparseConfig.from_weights(w)
         assert gs.per_source == [
             sum(1 << k for k in range(g) if mem.words[r, k] != 0) for r in range(rows)
         ]
@@ -160,7 +159,7 @@ class TestWholeArray:
                                   per_source=per_source)
         for cfg in (gs, masks):
             codes = cfg.per_source + [cfg.gs_code] * (rows - len(cfg.per_source))
-            xbar = Crossbar.compile(mem, cfg, broadcast=-2)
+            xbar = Crossbar.compile(w, cfg, broadcast=-2)
             want = [mem.row_weights(r, gs_code=codes[r]) for r in range(rows)]
             want.append(np.full(targets, -2))
             assert np.array_equal(xbar.weights, np.array(want).reshape(rows + 1, targets))
@@ -170,15 +169,14 @@ class TestWholeArray:
         """Masks are limited to 62 groups: 62 compile, 63 are rejected."""
         w = np.zeros((2, 8 * 62), dtype=int)
         w[0, 8 * 61] = 3
-        mem = WeightMemory.from_matrix(w)
-        gs = GroupSparseConfig.from_memory(mem)
+        gs = GroupSparseConfig.from_weights(w)
         assert gs.per_source == [1 << 61, 0]
-        xbar = Crossbar.compile(mem, gs)
+        xbar = Crossbar.compile(w, gs)
         assert xbar.cost.tolist() == [1, 0]
         assert np.array_equal(xbar.weights, w)
-        wide = WeightMemory.from_matrix(np.zeros((2, 8 * 63), dtype=int))
+        wide = np.zeros((2, 8 * 63), dtype=int)
         with pytest.raises(ValueError, match="at most 62 groups, got 63"):
-            GroupSparseConfig.from_memory(wide)
+            GroupSparseConfig.from_weights(wide)
         with pytest.raises(ValueError, match="at most 62 groups, got 70"):
             GroupSparseConfig.dense(8 * 70)
 
@@ -204,7 +202,7 @@ class TestDecode:
     def test_half_enabled_groups(self):
         # 65 targets -> 9 groups; enable 4 of them
         gs = GroupSparseConfig(n_groups=9, gs_code=0b001010101)
-        assert gs.gs_num == 4
+        assert bin(gs.gs_code).count("1") == 4
         proc = on_chip(silent_npu(active=64, n_ff=33, gs=gs))
         proc.state1.last_spikes[[0, 5]] = 1
         cyc = proc.timestep()[2].npu2
@@ -220,44 +218,39 @@ class TestDecode:
 class TestAccumulate:
     def test_single_row(self):
         row = [1, -8, 7] + [0] * 61
-        mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig.dense(64)
         y = np.zeros(64, dtype=np.int64)
-        xbar = Crossbar.compile(mem, gs)
+        xbar = Crossbar.compile([row], gs)
         xbar.mac(np.array([1]), y)
-        assert xbar.reads(np.array([1])) == gs.gs_num == 8
+        assert xbar.reads(np.array([1])) == bin(gs.gs_code).count("1") == 8
         assert list(y) == row
 
     def test_saturation_at_boundary(self):
-        mem = WeightMemory.from_matrix([[7] * 8, [7] * 8])
         gs = GroupSparseConfig.dense(8)
         y = np.full(8, 2040)
-        Crossbar.compile(mem, gs).mac(np.array([1, 1]), y)
+        Crossbar.compile([[7] * 8, [7] * 8], gs).mac(np.array([1, 1]), y)
         assert y[0] == 2054  # wide intermediate, not yet clamped
         table = sat_decay_table(tuple(range(8)))
         for a in range(8):
             assert list(table[a].take(y - SAT_DECAY_LO)) == [decay_value(2047, a)] * 8
 
     def test_source_out_of_range(self):
-        mem = WeightMemory.from_matrix([[0] * 8])
-        xbar = Crossbar.compile(mem, GroupSparseConfig.dense(8))
-        spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row memory
+        xbar = Crossbar.compile([[0] * 8], GroupSparseConfig.dense(8))
+        spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row matrix
         with pytest.raises(ValueError, match="expected 1 sources"):
             xbar.mac(spikes, np.zeros(8, dtype=np.int64))
 
     def test_disabled_groups_skipped(self):
         row = [5] * 16
-        mem = WeightMemory.from_matrix([row])
         gs = GroupSparseConfig(n_groups=2, gs_code=0b01)
         y = np.zeros(16, dtype=np.int64)
-        xbar = Crossbar.compile(mem, gs)
+        xbar = Crossbar.compile([row], gs)
         xbar.mac(np.array([1]), y)
         assert xbar.reads(np.array([1])) == 1
         assert list(y) == [5] * 8 + [0] * 8
 
     def test_broadcast_row(self):
-        mem = WeightMemory.from_matrix([[3] * 12])
-        xbar = Crossbar.compile(mem, GroupSparseConfig.dense(12), broadcast=-4)
+        xbar = Crossbar.compile([[3] * 12], GroupSparseConfig.dense(12), broadcast=-4)
         assert xbar.cost.tolist() == [2, 1]
         y = np.zeros(12, dtype=np.int64)
         xbar.mac(np.array([1, 1]), y)
@@ -272,10 +265,9 @@ class TestAccumulate:
         n_tgt = int(rng.integers(1, 80))
         w = rng.integers(-8, 8, size=(n_src, n_tgt))
         spikes = rng.integers(0, 2, size=n_src)
-        mem = WeightMemory.from_matrix(w)
         gs = GroupSparseConfig.dense(n_tgt)
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(mem, gs)
+        xbar = Crossbar.compile(w, gs)
         xbar.mac(spikes, acc)
         total = xbar.reads(spikes)
         a = int(rng.integers(1, 8))
@@ -283,17 +275,24 @@ class TestAccumulate:
         oracle = np.clip(w.T @ spikes, -2048, 2047)
         assert np.array_equal(np.clip(acc, -2048, 2047), oracle)
         assert np.array_equal(y, decay_array(oracle, a))
-        assert total == int(spikes.sum()) * gs.gs_num
+        assert total == int(spikes.sum()) * bin(gs.gs_code).count("1")
 
 
 class TestGroupSparse:
     def test_from_memory_masks_zero_words(self):
-        w = np.zeros((2, 16), dtype=int)
+        """`from_weights` disables exactly the groups whose packed SRAM word
+        is 0, including words of negative weights only (nibbles 8..15)."""
+        w = np.zeros((3, 16), dtype=int)
         w[0, 12] = 3  # only group 1 of row 0 non-zero
-        gs = GroupSparseConfig.from_memory(WeightMemory.from_matrix(w))
-        assert gs.per_source == [0b10, 0]
-        assert Crossbar.compile(WeightMemory.from_matrix(w), gs).cost.tolist() == [1, 0]
+        w[2, :8] = -8
+        gs = GroupSparseConfig.from_weights(w)
+        mem = WeightMemory.from_matrix(w)
+        assert gs.per_source == [0b10, 0, 0b01]
+        assert gs.per_source == ((mem.words != 0) @ (1 << np.arange(2))).tolist()
+        assert Crossbar.compile(w, gs).cost.tolist() == [1, 0, 1]
 
     def test_gs_num_is_popcount(self):
+        """A spiking row is charged the popcount of its group mask."""
         gs = GroupSparseConfig(n_groups=16, gs_code=0b1010101010101010)
-        assert gs.gs_num == 8
+        xbar = Crossbar.compile(np.ones((1, 128), dtype=int), gs)
+        assert xbar.reads(np.array([1])) == 8
