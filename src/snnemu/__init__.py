@@ -5,9 +5,7 @@ from .neuron import NeuronParams, NeuronState, delta_vm, neuron_step, pde_thresh
 from .netio import NetworkDescription, StimulusTrace, run, simulate
 from .npu import (
     GlobalNeuronConfig,
-    Npu,
     NpuConfig,
-    NpuState,
     PhaseCycles,
     chop_op_count,
     configure_chop,
@@ -24,7 +22,6 @@ from .synapse import (
     GroupSparseConfig,
     WeightMemory,
     decay_value,
-    pack_weights,
     steps_to_fraction,
 )
 

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .neuron import NeuronParams
-from .npu import GlobalNeuronConfig, Npu, NpuConfig
+from .npu import GlobalNeuronConfig, NpuConfig
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor
 from .synapse import GroupSparseConfig, WeightMemory
 
@@ -201,6 +201,23 @@ class DcSource:
 PARAM_FIELDS = ("a_num", "b_num", "v_r", "v_t", "v_reset")
 
 
+# libyaml's composer recurses once per nesting level and crashes the process
+# past about 25k levels, so longer texts are walked first with its
+# iterative parser. A text shorter than _DEPTH_CHECK_CHARS cannot nest that
+# deep; where it nests deeper than Python recurses, `load` reports that.
+_MAX_DEPTH = 100
+_DEPTH_CHECK_CHARS = 8192
+
+
+def _check_depth(text: str, path: str) -> None:
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        depth += isinstance(event, yaml.CollectionStartEvent)
+        depth -= isinstance(event, yaml.CollectionEndEvent)
+        if depth > _MAX_DEPTH:
+            raise ConfigError(path, "nested too deeply")
+
+
 def _show(value) -> str:
     text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
@@ -305,14 +322,10 @@ class NetworkDescription:
                     )
 
     def build_processor(self) -> Processor:
-        """Compile both NPUs straight from the weight matrices."""
-        gs1, gs2 = (
-            GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
-            for w in (self.weights1, self.weights2)
-        )
-        npu1 = Npu(self.npu1, self.weights1, gs=gs1)
-        npu2 = Npu(self.npu2, self.weights2, gs=gs2, n_ff_sources=self.npu1.total_neurons)
-        return Processor(npu1, npu2, clock_hz=self.clock_hz)
+        """Compile the chip straight from the weight matrices."""
+        gs = tuple(GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
+                   for w in (self.weights1, self.weights2))
+        return Processor(self.npu1, self.weights1, self.npu2, self.weights2, gs=gs)
 
     # -- serialization ------------------------------------------------------
 
@@ -406,11 +419,21 @@ class NetworkDescription:
 
     @classmethod
     def load(cls, path: str) -> "NetworkDescription":
+        try:
+            return cls._load(path)
+        except RecursionError:
+            raise ConfigError(path, "nested too deeply") from None
+
+    @classmethod
+    def _load(cls, path: str) -> "NetworkDescription":
         with open(path) as f:
-            try:
-                doc = yaml.load(f, Loader=_YAML_LOADER)
-            except yaml.YAMLError as e:
-                raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
+            text = f.read()
+        try:
+            if len(text) >= _DEPTH_CHECK_CHARS:
+                _check_depth(text, path)
+            doc = yaml.load(text, Loader=_YAML_LOADER)
+        except yaml.YAMLError as e:
+            raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
         if not isinstance(doc, dict):
             raise ConfigError(path, "not a mapping")
         version = doc.get("version")
@@ -636,7 +659,7 @@ def simulate(
     """Run `steps` timesteps of a fresh processor in blocks of `block`
     steps (the last one may be shorter), yielding (t0, spikes, cycles) after
     each: the chip's (k, t1+t2) spikes of steps t0..t0+k-1, NPU1's neurons
-    first, and their (k, 2, 5) cycles from `Datapath.cycles`.
+    first, and their (k, 2, 5) cycles from `Processor.cycles`.
 
     The stimulus is compiled once, before step 0, and each block's input
     with it at once. Noise values come from one Lcg(seed), drawn each step
@@ -648,8 +671,7 @@ def simulate(
     noise = NoiseDraws(Lcg(seed), [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
     for t0 in range(0, steps, block):
         ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
-        spikes, cycles = proc.datapath.advance(proc.state, ext, counts)
-        yield t0, spikes, cycles
+        yield t0, *proc.advance(ext, counts)
 
 
 def raster_records(t0: int, spikes: np.ndarray, t1: int) -> np.ndarray:

@@ -1,6 +1,17 @@
-"""Top controller: two NPUs (32+1 and 128+1 neurons max) stepped as one
-datapath, the hierarchy-population scheduling that delays NPU1 spikes by
-exactly one timestep on their way to NPU2, and whole-chip analytics.
+"""Top controller: two NPUs (32+1 and 128+1 neurons max) compiled into one
+chip, the hierarchy-population scheduling that delays NPU1 spikes by exactly
+one timestep on their way to NPU2, and whole-chip analytics.
+
+A timestep runs four phases in fixed order: external stimulus accumulation,
+inter-spike accumulation (previous-step recurrent spikes plus any feedforward
+stream), synaptic decay, then the neuron update. Spikes emitted at timestep t
+therefore reach accumulators at t+1, never earlier. `Processor.advance` holds
+the only copy of these phases, and it steps both NPUs of the chip at once.
+
+Each NPU carries one extra neuron at the highest address: the global
+excitatory/inhibitory neuron. Its fan-out is a single shared weight broadcast
+to every accumulator instead of an SRAM row; the compiled crossbar holds it
+as one more row that costs one cycle.
 
 The two NPUs compute independently within a timestep, so the parallel cycle
 total is the max of the two; the serial sum is reported alongside.
@@ -12,7 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .npu import NO_EVENTS, Datapath, Npu, NpuState, PhaseCycles
+from .neuron import V_MAX, neuron_tables
+from .npu import NpuConfig, PhaseCycles, check_chop_weights
+from .synapse import (
+    EXT_BOUND,
+    MAC_BOUND,
+    SAT_DECAY_LO,
+    Crossbar,
+    GroupSparseConfig,
+    sat_decay_table,
+)
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -38,7 +58,7 @@ class CycleReport:
     @classmethod
     def of(cls, phases, timesteps: int = 1) -> "CycleReport":
         """The report of `phases`: per NPU, its five phase counts in
-        `PhaseCycles` field order, as one row of `Datapath.cycles` lists."""
+        `PhaseCycles` field order, as one row of `Processor.cycles` lists."""
         return cls(PhaseCycles(*phases[0]), PhaseCycles(*phases[1]), timesteps)
 
     def timesteps_per_sec(self, clock_hz: int = DEFAULT_CLOCK_HZ) -> float:
@@ -48,72 +68,114 @@ class CycleReport:
 
 
 class Processor:
-    """Two hierarchically connected NPUs, compiled into one datapath.
+    """The compiled chip: NPU1's t1 neurons, then NPU2's t2.
 
-    The scheduler's one-step delay needs no buffer: NPU2's feedforward rows
-    sit in the same block crossbar as NPU1's recurrent rows, so both read
-    the chip's spikes of the previous step.
+    `weights1` is NPU1's signed (active1, t1) matrix; `weights2` is NPU2's
+    (t1 + active2, t2) matrix, NPU1's neurons (global included) as its
+    feedforward rows first. Every row spans its NPU's total targets, so the
+    global neuron can receive ordinary synaptic weight. Each NPU's crossbar
+    is compiled once under its group masks (`gs`, dense where None), with
+    its global broadcast as its last row, into one block matrix
+    `[[W1, W2_ff], [0, W2_rec]]` whose sources are every neuron of the
+    chip, with one cost column per NPU. The scheduler's one-step delay
+    needs no buffer: NPU2's feedforward rows read the chip's spikes of the
+    previous step, the same vector NPU1's recurrent rows read.
+
+    `advance` is the one copy of the phase code; saturation, decay and the
+    neuron update read lookup tables held once per distinct exponent,
+    parameter set or reset potential. A step's cycles depend only on its
+    inputs, so `cycles` charges a whole block of steps at once.
     """
 
-    def __init__(
-        self,
-        npu1: Npu,
-        npu2: Npu,
-        clock_hz: int = DEFAULT_CLOCK_HZ,
-    ):
-        if npu1.cfg.max_neurons != 32:
+    def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2,
+                 gs: tuple[GroupSparseConfig | None, GroupSparseConfig | None] = (None, None)):
+        if npu1.max_neurons != 32:
             raise ValueError("NPU1 must be the 32-neuron unit")
-        if npu2.cfg.max_neurons != 128:
+        if npu2.max_neurons != 128:
             raise ValueError("NPU2 must be the 128-neuron unit")
-        if npu1.n_ff_sources != 0:
-            raise ValueError("NPU1 accepts no feedforward stream")
-        if npu2.n_ff_sources != npu1.cfg.total_neurons:
-            raise ValueError(
-                f"NPU2 expects {npu1.cfg.total_neurons} feedforward sources, "
-                f"configured for {npu2.n_ff_sources}"
-            )
-        self.clock_hz = clock_hz
-        self.datapath = Datapath(npu1, npu2)
-        self.state = self.datapath.initial_state()
+        self.t1 = t1 = npu1.total_neurons
+        self.n = t1 + npu2.total_neurons
+        weights = np.zeros((self.n, self.n), dtype=np.int64)
+        cost = np.zeros((self.n, 2), dtype=np.int64)
+        self._fixed = np.zeros((2, 5), dtype=np.int64)
+        # NPU2's feedforward sources are NPU1's neurons, and its targets sit
+        # after them: n_ff is both its first own row and its first column.
+        for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
+            total = cfg.total_neurons
+            shape = (n_ff + cfg.active_neurons, total)
+            if np.shape(w) != shape:
+                raise ValueError(f"npu{k + 1} weights of shape {np.shape(w)}, expected {shape}")
+            xbar = Crossbar.compile(w, gs[k] or GroupSparseConfig.dense(total),
+                                    broadcast=cfg.global_neuron.effective_weight)
+            if cfg.chop is not None:
+                check_chop_weights(w, n_ff, *cfg.chop)
+            weights[: n_ff + total, n_ff : n_ff + total] = xbar.weights
+            cost[: n_ff + total, k] = xbar.cost
+            # Per NPU: external and mac (filled per step); scan, two bits of
+            # each spike stream per clock, odd lengths padded; decay and pde,
+            # one shifter pass and one neuron update per neuron.
+            self._fixed[k] = [0, (n_ff + 1) // 2 + (total + 1) // 2, 0, total, total]
+        if np.abs(weights).sum(axis=0).max() > MAC_BOUND:
+            raise ValueError(f"a crossbar column's |weights| sum past MAC_BOUND ({MAC_BOUND})")
+        self.crossbar = Crossbar(weights, cost)
+        cfgs = (npu1, npu2)
+        exps = {a: k for k, a in enumerate(dict.fromkeys(cfg.decay_a for cfg in cfgs))}
+        sat_decay = sat_decay_table(tuple(exps))
+        self._sat_decay = sat_decay.ravel()
+        rows = np.repeat([exps[cfg.decay_a] for cfg in cfgs], (t1, self.n - t1))
+        self._sd_off = rows * sat_decay.shape[1] - SAT_DECAY_LO
+        params = [p for cfg in cfgs for p in cfg.params + [cfg.global_neuron.params]]
+        self._vd, self._vbase, self._reset, self._roff = neuron_tables(params)
+        self.v_m = np.array([p.v_r for p in params], dtype=np.int64)
+        self.y = np.zeros(self.n, dtype=np.int64)  # signed 12-bit after every step
+        self.last_spikes = np.zeros(self.n, dtype=np.uint8)
 
-    @property
-    def state1(self) -> NpuState:
-        return self.datapath.unit_state(self.state, 0)
+    def advance(self, ext: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the chip k timesteps in place with `ext`, the (k, neurons)
+        summed external input of each step, and `counts`, its (k, 2) event
+        count per NPU; addresses were checked where the input was compiled.
+        Returns the chip's (k, neurons) spikes and the (k, 2, 5) cycles.
 
-    @property
-    def state2(self) -> NpuState:
-        return self.datapath.unit_state(self.state, 1)
+        Each step: external input, one MAC over the sources that spiked at
+        the step before, saturation and decay as one table lookup, then the
+        neuron update with i_t sampled after decay. The input is clipped to
+        +-EXT_BOUND and offset to each neuron's sat-decay row once per
+        block. The invariants (12-bit y, 0..255 v_m, the clip, column sums
+        within MAC_BOUND) keep each index inside its row of the flat tables;
+        `take` only raises past either end of a table. On vectors this
+        short a fresh `take` result is cheaper than `take(out=)`, which
+        mode="raise" buffers, and the spike test writes through a bool view
+        against an array to skip a cast and a scalar conversion."""
+        spikes = np.empty((len(ext) + 1, self.n), dtype=np.uint8)
+        spikes[0] = self.last_spikes
+        ext = np.clip(ext, -EXT_BOUND, EXT_BOUND)
+        ext += self._sd_off
+        y, v = self.y, self.v_m
+        mac, sat_decay, vd, reset = self.crossbar.mac, self._sat_decay, self._vd, self._reset
+        vbase, roff, v_max, fired = self._vbase, self._roff, np.full(self.n, V_MAX), spikes.view(bool)
+        for t, row in enumerate(ext):
+            idx = y + row
+            mac(spikes[t], idx)
+            y = sat_decay.take(idx)
+            s = vd.take(vbase + v)
+            s += y
+            np.greater(s, v_max, out=fired[t + 1])
+            s += roff
+            v = reset.take(s)
+        self.y[:], self.v_m[:] = y, v
+        self.last_spikes = spikes[-1].copy()
+        return spikes[1:], self.cycles(spikes[:-1], counts)
 
-    @property
-    def pending(self) -> np.ndarray:
-        """NPU1's spikes of the last step, which NPU2's feedforward rows
-        read at the next one."""
-        return self.state.last_spikes[self.datapath.spans[0]]
-
-    def timestep(
-        self,
-        events1: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
-        events2: tuple[np.ndarray, np.ndarray] = NO_EVENTS,
-    ) -> tuple[np.ndarray, np.ndarray, CycleReport]:
-        """Advance both NPUs one timestep, each with its (addresses, values)
-        external events. Returns the fresh spike vectors of both NPUs and
-        the cycle report."""
-        dp = self.datapath
-        ext = np.zeros(dp.n, dtype=np.int64)
-        for (addrs, values), sl in zip((events1, events2), dp.spans):
-            if len(addrs):
-                total = sl.stop - sl.start
-                bad = (addrs < 0) | (addrs >= total)
-                if bad.any():
-                    raise IndexError(
-                        f"external event address {int(addrs[bad][0])} out of range "
-                        f"(total neurons {total})"
-                    )
-                np.add.at(ext[sl], addrs, values)
-        counts = np.array([[len(events1[0]), len(events2[0])]])
-        spikes, cycles = dp.advance(self.state, ext[None], counts)
-        span1, span2 = dp.spans
-        return spikes[0, span1], spikes[0, span2], CycleReport.of(cycles[0].tolist())
+    def cycles(self, sources: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """(k, 2, 5) cycles of k steps per NPU and phase (external, scan,
+        mac, decay, pde), from the (k, sources) spikes each step's MAC read
+        and the (k, 2) external events each NPU took: one input-bus cycle
+        per event, and each NPU's word reads of the spiking rows."""
+        out = np.empty((len(sources), 2, 5), dtype=np.int64)
+        out[:] = self._fixed
+        out[:, :, 0] = counts
+        out[:, :, 2] = self.crossbar.reads(sources)
+        return out
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -107,11 +107,6 @@ def _group_bits(codes, n_groups: int) -> np.ndarray:
     return (codes >> np.arange(n_groups)) & 1
 
 
-def pack_weights(weights) -> WeightMemory:
-    """Pack a flat weight sequence as a single zero-padded row."""
-    return WeightMemory.from_matrix([list(weights)])
-
-
 @dataclass
 class GroupSparseConfig:
     """Bitmask over 8-target weight groups. A cleared bit skips that word's
@@ -171,11 +166,15 @@ class Crossbar:
         column at a cost of one cycle."""
         weights = check_weights(weights)
         n_rows, n_targets = weights.shape
+        n_groups = group_count(n_targets)
+        if gs.n_groups != n_groups:
+            raise ValueError(f"group mask of {gs.n_groups} groups for rows of "
+                             f"{n_targets} targets, which have {n_groups} groups")
         codes = np.full(n_rows, gs.gs_code, dtype=np.int64)
         if gs.per_source is not None:
             k = min(len(gs.per_source), n_rows)
             codes[:k] = gs.per_source[:k]
-        bits = _group_bits(codes, group_count(n_targets))
+        bits = _group_bits(codes, n_groups)
         weights = weights * bits.repeat(GROUP_SIZE, axis=1)[:, :n_targets]
         cost = bits.sum(axis=1)
         if broadcast is not None:

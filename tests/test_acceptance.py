@@ -30,7 +30,7 @@ from snnemu.synapse import (
     decay_array,
     sat_decay_table,
 )
-from test_processor import events, make_processor
+from test_processor import events, make_processor, step
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -111,10 +111,10 @@ def test_2_decay_exhaustive():
 
 def test_3_crossbar_equivalence():
     """200 random instances up to 160x160: the compiled crossbar's MAC (the
-    one Datapath.advance runs), saturated, matches the dense matrix-vector
+    one Processor.advance runs), saturated, matches the dense matrix-vector
     oracle, and the sat-decay table's lookup of it (exponents 1..7) matches
     one decay of the oracle, with cycle charge = popcount(gs_code) per
-    spike from the word reads Datapath.cycles charges."""
+    spike from the word reads Processor.cycles charges."""
     rng = np.random.default_rng(7)
     failures = 0
     for trial in range(200):
@@ -166,13 +166,13 @@ def test_5_scheduler_delay():
         proc = make_processor(n1=2, n2=4)
         prev = np.zeros(3, dtype=np.uint8)
         for t in range(40):
-            if not np.array_equal(proc.pending, prev):
+            if not np.array_equal(proc.last_spikes[:proc.t1], prev):
                 ok = False
             stim = events(*[
                 (int(rng.integers(0, 3)), int(rng.integers(-60, 128)))
                 for _ in range(rng.integers(0, 5))
             ])
-            prev, _, _ = proc.timestep(stim)
+            prev, _, _ = step(proc, stim)
     report("5 scheduler-delay", ok)
 
 

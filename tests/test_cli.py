@@ -1,9 +1,14 @@
 """CLI subcommands exercised through main()."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
 
+import snnemu
 from snnemu.cli import main
 from snnemu.apps import make_direction_stimulus
 from snnemu.neuron import NeuronParams
@@ -132,14 +137,19 @@ class TestErrorContract:
         assert self.inspect(path) == 2
         self.one_error_line(capsys, f"error: config: {path}: malformed YAML")
 
-    @pytest.mark.parametrize("key", ["npu1", "npu2", "weight_image"])
-    def test_missing_top_level_key(self, config_path, capsys, key):
+    @staticmethod
+    def replace_key(config_path, key, text):
+        """Replace the lines of the top-level `key` of the config with `text`."""
         lines = open(config_path).read().splitlines(keepends=True)
         start = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
         end = next((i for i in range(start + 1, len(lines))
                     if not lines[i].startswith(" ")), len(lines))
         with open(config_path, "w") as f:
-            f.writelines(lines[:start] + lines[end:])
+            f.writelines(lines[:start] + [text] + lines[end:])
+
+    @pytest.mark.parametrize("key", ["npu1", "npu2", "weight_image"])
+    def test_missing_top_level_key(self, config_path, capsys, key):
+        self.replace_key(config_path, key, "")
         assert self.inspect(config_path) == 2
         self.one_error_line(capsys, f"error: config: {config_path}: missing field '{key}'")
 
@@ -266,6 +276,32 @@ class TestErrorContract:
                      "--raster-out", str(tmp_path / "r.csv")]) == 2
         self.one_error_line(capsys, f"error: config: clock_hz: must be at least 1, got {clock_hz}")
         assert not (tmp_path / "r.csv").exists()
+
+    def nest(self, config_path, key, depth):
+        """Make the top-level `key` a flow list nested `depth` levels deep."""
+        self.replace_key(config_path, key, f"{key}: {'[' * depth}{']' * depth}\n")
+
+    @pytest.mark.parametrize("key, depth", [("npu1", 3_500), ("gs_mode", 3_500), ("npu1", 5_000)])
+    def test_deeply_nested_value(self, config_path, capsys, key, depth):
+        """3,500 levels fit in under 8 KiB and are only too deep for Python's
+        recursion (formatting the value into a message); the 10 KB text of
+        5,000 levels is rejected by the depth walk before it is composed."""
+        self.nest(config_path, key, depth)
+        assert (os.path.getsize(config_path) < 8192) == (depth < 4_000)
+        assert self.inspect(config_path) == 2
+        self.one_error_line(capsys, f"error: config: {config_path}: nested too deeply")
+
+    def test_nesting_past_the_yaml_composer(self, config_path):
+        """30,000 levels would overflow libyaml's recursive composer and end
+        the process with a segfault, so this runs the CLI in a subprocess."""
+        self.nest(config_path, "npu1", 30_000)
+        src = os.path.dirname(os.path.dirname(snnemu.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "snnemu.cli", "inspect", "--config", config_path],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: config: {config_path}: nested too deeply\n"
 
     def test_puzzle_token_names_row_and_column(self, tmp_path, capsys):
         puzzle = tmp_path / "p.txt"

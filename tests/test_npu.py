@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from snnemu.neuron import NeuronParams
-from snnemu.netio import NetworkDescription
+from snnemu.netio import NetworkDescription, StimulusTrace, simulate
 from snnemu.npu import (
     GlobalNeuronConfig,
-    Npu,
     NpuConfig,
     check_chop_weights,
     chop_op_count,
@@ -19,7 +18,7 @@ from snnemu.npu import (
     dense_op_count,
 )
 from snnemu.synapse import GroupSparseConfig
-from test_processor import events, on_chip
+from test_processor import events, on_chip, quiet_npu, step
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 LEAKY = NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)
@@ -27,6 +26,7 @@ LEAKY = NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)
 
 def make_npu(active=4, params=None, weights=None, decay_a=3, global_cfg=None,
              max_neurons=32, gs=None):
+    """(config, weights, group masks) of an NPU under test, for `on_chip`."""
     total = active + 1
     params = params if params is not None else [QUIET] * active
     if weights is None:
@@ -38,7 +38,7 @@ def make_npu(active=4, params=None, weights=None, decay_a=3, global_cfg=None,
         global_neuron=global_cfg or GlobalNeuronConfig(params=QUIET),
         decay_a=decay_a,
     )
-    return Npu(cfg, weights, gs=gs)
+    return cfg, weights, gs
 
 
 def dense_reference(weights, params, decay_a, stim_fn, steps, v0=None):
@@ -95,19 +95,19 @@ def dense_reference(weights, params, decay_a, stim_fn, steps, v0=None):
 
 class TestTimestep:
     def test_resting_network_stays_silent(self):
-        proc = on_chip(make_npu(active=4, params=[LEAKY] * 4,
+        proc = on_chip(*make_npu(active=4, params=[LEAKY] * 4,
                                 global_cfg=GlobalNeuronConfig(params=LEAKY)))
         for _ in range(10):
-            spikes, _, _ = proc.timestep()
+            spikes, _, _ = step(proc)
             assert not spikes.any()
-            assert not proc.state1.y.any()
+            assert not proc.y[:proc.t1].any()
 
     def test_constant_stimulus_spikes_within_three_steps(self):
         # pure integrator fed 127 each step; psp decays between steps
-        proc = on_chip(make_npu(active=4, decay_a=3))
+        proc = on_chip(*make_npu(active=4, decay_a=3))
         spiked_at = None
         for t in range(5):
-            spikes, _, _ = proc.timestep(events((0, 127)))
+            spikes, _, _ = step(proc, events((0, 127)))
             if spikes[0]:
                 spiked_at = t
                 break
@@ -118,7 +118,7 @@ class TestTimestep:
         active, total = 4, 5
         w = rng.integers(-4, 5, size=(active, total))
         params = [LEAKY, QUIET, LEAKY, QUIET, LEAKY]
-        proc = on_chip(make_npu(active=active, params=params[:4], weights=w,
+        proc = on_chip(*make_npu(active=active, params=params[:4], weights=w,
                                 global_cfg=GlobalNeuronConfig(params=LEAKY), decay_a=2))
 
         def stim(t):
@@ -126,7 +126,7 @@ class TestTimestep:
 
         raster = []
         for t in range(20):
-            spikes, _, _ = proc.timestep(events(*stim(t)))
+            spikes, _, _ = step(proc, events(*stim(t)))
             raster.append(spikes.copy())
         ref = dense_reference(w, params, 2, stim, 20)
         assert np.array_equal(np.array(raster), ref)
@@ -135,38 +135,41 @@ class TestTimestep:
         # source 0 spikes at t0; weight reaches target accumulator at t0+1
         w = np.zeros((2, 3), dtype=int)
         w[0, 1] = 7
-        proc = on_chip(make_npu(active=2, weights=w))
-        spikes, _, _ = proc.timestep(events(*[(0, 127)] * 3))
+        proc = on_chip(*make_npu(active=2, weights=w))
+        spikes, _, _ = step(proc, events(*[(0, 127)] * 3))
         assert spikes[0] == 1
-        assert proc.state1.y[1] == 0
-        proc.timestep()
+        assert proc.y[1] == 0
+        step(proc)
         # +7 arrived this step, then decayed once (7 - 0 -> selector 1 -> 6)
-        assert proc.state1.y[1] == 6
+        assert proc.y[1] == 6
 
     def test_event_address_out_of_range(self):
-        proc = on_chip(make_npu(active=2))
-        with pytest.raises(IndexError, match="address 5"):
-            proc.timestep(events((5, 1)))
+        cfg, weights, _ = make_npu(active=2)
+        cfg2, weights2 = quiet_npu(1, 128, n_ff=cfg.total_neurons)
+        desc = NetworkDescription(npu1=cfg, npu2=cfg2, weights1=weights, weights2=weights2)
+        run = simulate(desc, StimulusTrace(records=[(0, 1, 5, 1)]), steps=1)
+        with pytest.raises(ValueError, match="^record 0: address 5 out of range for npu1$"):
+            next(run)
 
     def test_phase_order_decay_before_pde(self):
         # i_t is sampled after decay: a lone +8 event decays to +7 before the
         # neuron sees it.
-        proc = on_chip(make_npu(active=1, decay_a=3))
-        proc.timestep(events((0, 8)))
-        assert proc.state1.y[0] == 7
-        assert proc.state1.v_m[0] == 7
+        proc = on_chip(*make_npu(active=1, decay_a=3))
+        step(proc, events((0, 8)))
+        assert proc.y[0] == 7
+        assert proc.v_m[0] == 7
 
 
 class TestGlobalNeuron:
     @pytest.mark.parametrize("mode,delta", [("excitatory", 5), ("inhibitory", -5)])
     def test_broadcast_sign(self, mode, delta):
         g = GlobalNeuronConfig(params=QUIET, out_weight=5, mode=mode)
-        proc = on_chip(make_npu(active=2, global_cfg=g, decay_a=7))
+        proc = on_chip(*make_npu(active=2, global_cfg=g, decay_a=7))
         # force the global neuron (addr 2) to spike
-        spikes, _, _ = proc.timestep(events(*[(2, 127)] * 3))
+        spikes, _, _ = step(proc, events(*[(2, 127)] * 3))
         assert spikes[2] == 1
-        y_before = proc.state1.y.copy()
-        proc.timestep()
+        y_before = proc.y[:proc.t1].copy()
+        step(proc)
         expected = y_before + delta
         # then one decay step
         for k, e in enumerate(expected):
@@ -176,20 +179,20 @@ class TestGlobalNeuron:
                 if sh == 0:
                     sh = 1 if e > 0 else -1
                 e -= sh
-            assert proc.state1.y[k] == e
+            assert proc.y[k] == e
 
     def test_broadcast_costs_one_cycle(self):
         g = GlobalNeuronConfig(params=QUIET, out_weight=3, mode="excitatory")
-        proc = on_chip(make_npu(active=2, global_cfg=g))
-        proc.state1.last_spikes[2] = 1
-        _, _, rep = proc.timestep()
+        proc = on_chip(*make_npu(active=2, global_cfg=g))
+        proc.last_spikes[2] = 1
+        _, _, rep = step(proc)
         assert rep.npu1.mac == 1
 
 
 class TestCycles:
     def test_scan_only_when_silent(self):
-        proc = on_chip(make_npu(active=4))
-        cyc = proc.timestep()[2].npu1
+        proc = on_chip(*make_npu(active=4))
+        cyc = step(proc)[2].npu1
         total = 5
         assert cyc.scan == math.ceil(total / 2)
         assert cyc.mac == 0
@@ -202,9 +205,9 @@ class TestCycles:
         w = np.zeros((8, 9), dtype=int)
         w[0, :] = 1
         gs = GroupSparseConfig(n_groups=2, gs_code=0b11, per_source=[0b01] * 8)
-        proc = on_chip(make_npu(active=8, weights=w, gs=gs))
-        proc.state1.last_spikes[0] = 1
-        _, _, rep = proc.timestep()
+        proc = on_chip(*make_npu(active=8, weights=w, gs=gs))
+        proc.last_spikes[0] = 1
+        _, _, rep = step(proc)
         assert rep.npu1.mac == 1
 
 
@@ -217,11 +220,11 @@ class TestCompile:
         w = np.zeros((4, 5), dtype=int)
         w[2, 3] = value
         with pytest.raises(ValueError, match=f"weight out of range at row 2, target 3: {value}$"):
-            make_npu(weights=w)
+            on_chip(*make_npu(weights=w))
 
     @pytest.mark.parametrize("value", [-9, 8])
     def test_build_processor_weight_out_of_range(self, value):
-        cfg = make_npu(active=1).cfg
+        cfg = make_npu(active=1)[0]
         cfg2 = NpuConfig(max_neurons=128, active_neurons=1, params=[QUIET],
                          global_neuron=GlobalNeuronConfig(params=QUIET))
         weights2 = np.zeros((3, 2), dtype=int)
@@ -232,8 +235,8 @@ class TestCompile:
             desc.build_processor()
 
     def test_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"weights of shape \(3, 5\), expected \(4, 5\)"):
-            make_npu(weights=np.zeros((3, 5), dtype=int))
+        with pytest.raises(ValueError, match=r"npu1 weights of shape \(3, 5\), expected \(4, 5\)"):
+            on_chip(*make_npu(weights=np.zeros((3, 5), dtype=int)))
 
 
 class TestChop:
@@ -247,7 +250,7 @@ class TestChop:
         assert dense_op_count(128) / chop_op_count(64, 64) == pytest.approx(4 / 3)
 
     def test_rejects_non_power_of_two(self):
-        cfg = make_npu(active=8, max_neurons=32).cfg
+        cfg = make_npu(active=8, max_neurons=32)[0]
         with pytest.raises(ValueError, match="power"):
             configure_chop(cfg, 3, 4)
 
@@ -269,17 +272,17 @@ class TestChop:
                 global_neuron=GlobalNeuronConfig(params=LEAKY), decay_a=3,
                 chop=(4, 4) if chopped else None,
             )
-            proc = on_chip(Npu(cfg, w))
+            proc = on_chip(cfg, w)
             rows = []
             for t in range(30):
                 ev = events(*[(k, 70) for k in range(4)])
-                spikes, _, _ = proc.timestep(ev)
+                spikes, _, _ = step(proc, ev)
                 rows.append(spikes)
             raster[chopped] = np.array(rows)
         assert np.array_equal(raster[False], raster[True])
 
     def test_configure_chop_sets_counts(self):
-        cfg = make_npu(active=8, max_neurons=32).cfg
+        cfg = make_npu(active=8, max_neurons=32)[0]
         chopped = configure_chop(cfg, 4, 4)
         assert chopped.chop == (4, 4)
         assert chopped.active_neurons == 8

@@ -1,5 +1,6 @@
 """Independent scalar reference of one Processor timestep, diffed against
-the executed datapath, alone and inside the `simulate` run loop.
+the executed datapath (`Processor.advance`), one step at a time and inside
+the `simulate` run loop.
 
 The reference works on plain Python ints and lists, straight from the phase
 order in the README: external events, then the spike MACs of the previous
@@ -23,10 +24,10 @@ from snnemu.netio import (
     simulate,
 )
 from snnemu.neuron import NeuronParams
-from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
+from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import Processor
 from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig
-from test_processor import events
+from test_processor import events, step
 
 PHASES = ("external", "scan", "mac", "decay", "pde")
 
@@ -143,7 +144,8 @@ def _masks(rng, weights, gs_mode):
 
 
 def _pair(n, rng, chopped, n_ff, gs_mode, g_mode, g_weight, max_neurons):
-    """A random NPU of n active neurons and its reference twin."""
+    """A random NPU of n active neurons as (config, weights, group masks),
+    and its reference twin."""
     total = n + 1
     params = [_params(rng) for _ in range(total)]
     chop = (n // 2, n // 2) if chopped and n >= 2 else None
@@ -159,10 +161,9 @@ def _pair(n, rng, chopped, n_ff, gs_mode, g_mode, g_weight, max_neurons):
     n_groups = -(-total // 8)
     gs = GroupSparseConfig(n_groups=n_groups, gs_code=(1 << n_groups) - 1,
                            per_source=masks)
-    npu = Npu(cfg, weights, gs=gs, n_ff_sources=n_ff)
     ref = RefNpu(params, g.effective_weight, cfg.decay_a,
                  weights.tolist(), masks, n_ff)
-    return npu, ref
+    return (cfg, weights, gs), ref
 
 
 def _stimulus(rng, totals):
@@ -175,8 +176,8 @@ def _stimulus(rng, totals):
 
 
 def drive(proc, stimulus):
-    """Feed (npu, addr, value) events through the public Processor API."""
-    return proc.timestep(*(
+    """Feed (npu, addr, value) events through `Processor.advance`."""
+    return step(proc, *(
         events(*[(a, v) for n, a, v in stimulus if n == k]) for k in (1, 2)
     ))
 
@@ -199,7 +200,8 @@ def test_processor_matches_scalar_reference(seed, n1, n2, gs_mode, chop, globals
     g1_mode, g1_weight, g2_mode, g2_weight = globals_
     npu1, ref1 = _pair(n1, rng, chop[0], 0, gs_mode, g1_mode, g1_weight, 32)
     npu2, ref2 = _pair(n2, rng, chop[1], n1 + 1, gs_mode, g2_mode, g2_weight, 128)
-    proc = Processor(npu1, npu2)
+    (cfg1, w1, gs1), (cfg2, w2, gs2) = npu1, npu2
+    proc = Processor(cfg1, w1, cfg2, w2, gs=(gs1, gs2))
     ref = RefProcessor(ref1, ref2)
     for t in range(steps):
         check_step(t, proc, ref, _stimulus(rng, (n1 + 1, n2 + 1)))
@@ -215,9 +217,9 @@ def check_step(t, proc, ref, stimulus):
     for name in PHASES:
         assert getattr(rep.npu1, name) == c1[name], f"step {t}: npu1 {name}"
         assert getattr(rep.npu2, name) == c2[name], f"step {t}: npu2 {name}"
-    for state, unit in ((proc.state1, ref.ref1), (proc.state2, ref.ref2)):
-        assert state.y.tolist() == unit.y, f"step {t}: accumulators"
-        assert state.v_m.tolist() == unit.v, f"step {t}: membranes"
+    for span, unit in ((slice(None, proc.t1), ref.ref1), (slice(proc.t1, None), ref.ref2)):
+        assert proc.y[span].tolist() == unit.y, f"step {t}: accumulators"
+        assert proc.v_m[span].tolist() == unit.v, f"step {t}: membranes"
 
 
 @pytest.mark.parametrize("global2", [-8, 8])
@@ -239,8 +241,7 @@ def test_full_chip_at_the_table_bounds(global2):
                                   mode="excitatory" if g > 0 else "inhibitory")
         cfg = NpuConfig(max_neurons=max(n, 32), active_neurons=n, params=params[:-1],
                         global_neuron=gcfg, decay_a=int(rng.integers(1, 8)))
-        units.append(Npu(cfg, w, gs=GroupSparseConfig.dense(total),
-                         n_ff_sources=n_ff))
+        units += [cfg, w]
         refs.append(RefNpu(params, g, cfg.decay_a, w.tolist(),
                            [(1 << -(-total // 8)) - 1] * len(w), n_ff))
         col = np.arange(total) % 3
@@ -248,7 +249,7 @@ def test_full_chip_at_the_table_bounds(global2):
         bound = EXT_BOUND + 1 - np.arange(total) // 3 % 3  # beyond, at, one below
         ext.append(np.where(col == 0, bound, np.where(col == 1, -bound, 0)))
     proc = Processor(*units)
-    assert np.abs(proc.datapath.crossbar.weights).sum(axis=0).max() == MAC_BOUND
+    assert np.abs(proc.crossbar.weights).sum(axis=0).max() == MAC_BOUND
     stimulus = []
     for npu, values in ((1, ext[0]), (2, ext[1])):
         for addr, value in enumerate(values.tolist()):
@@ -256,8 +257,8 @@ def test_full_chip_at_the_table_bounds(global2):
             sign = 1 if value > 0 else -1
             stimulus += [(npu, addr, sign * 127)] * q + [(npu, addr, sign * r)] * (r > 0)
     ref = RefProcessor(*refs)
-    proc.state.last_spikes[:] = 1
-    proc.state.y[:] = np.concatenate(y0)
+    proc.last_spikes[:] = 1
+    proc.y[:] = np.concatenate(y0)
     for unit, y in zip(refs, y0):
         unit.last, unit.y = [1] * unit.total, y.tolist()
     ref.pending = [1] * 33

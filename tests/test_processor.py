@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from snnemu.neuron import NeuronParams
 from snnemu.netio import DcSource, NoiseSource, StimulusTrace
-from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
+from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import (
     CycleReport,
     Processor,
@@ -26,21 +26,37 @@ def events(*pairs):
             np.array([v for _, v in pairs], dtype=np.int64))
 
 
+def step(proc, events1=events(), events2=events()):
+    """One step of `proc` through `Processor.advance`, the block loop
+    `simulate` runs: each NPU's (addresses, values) events summed into one
+    dense (1, n) row, with their (1, 2) counts. Returns both NPUs' spikes
+    and the step's CycleReport."""
+    ext = np.zeros((1, proc.n), dtype=np.int64)
+    for (addrs, values), offset in zip((events1, events2), (0, proc.t1)):
+        np.add.at(ext[0], addrs + offset, values)
+    counts = np.array([[len(events1[0]), len(events2[0])]])
+    spikes, cycles = proc.advance(ext, counts)
+    return spikes[0, :proc.t1], spikes[0, proc.t1:], CycleReport.of(cycles[0].tolist())
+
+
 def quiet_npu(active, max_neurons, n_ff=0):
-    """An NPU of silent integrators with all-zero weights."""
+    """(config, weights) of an NPU of silent integrators with all-zero
+    weights."""
     cfg = NpuConfig(max_neurons=max_neurons, active_neurons=active,
                     params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
-    return Npu(cfg, np.zeros((n_ff + active, active + 1), dtype=int), n_ff_sources=n_ff)
+    return cfg, np.zeros((n_ff + active, active + 1), dtype=int)
 
 
-def on_chip(npu):
+def on_chip(cfg, weights, gs=None):
     """A Processor around the NPU under test: as NPU1 ahead of a quiet
-    one-neuron NPU2 when it takes no feedforward stream, else as NPU2 behind
-    a quiet NPU1 whose spikes are that stream."""
-    if npu.n_ff_sources == 0:
-        return Processor(npu, quiet_npu(1, 128, n_ff=npu.cfg.total_neurons))
-    return Processor(quiet_npu(npu.n_ff_sources - 1, 32), npu)
+    one-neuron NPU2 when it is the 32-neuron unit, else as NPU2 behind a
+    quiet NPU1 whose spikes are its feedforward rows."""
+    if cfg.max_neurons == 32:
+        return Processor(cfg, weights, *quiet_npu(1, 128, n_ff=cfg.total_neurons),
+                         gs=(gs, None))
+    n_ff = len(weights) - cfg.active_neurons
+    return Processor(*quiet_npu(n_ff - 1, 32), cfg, weights, gs=(None, gs))
 
 
 def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
@@ -54,9 +70,7 @@ def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
         rows2[:t1, :] = ff
     if w2 is not None:
         rows2[t1:, :] = w2
-    npu1 = Npu(cfg1, np.zeros((n1, t1), dtype=int))
-    npu2 = Npu(cfg2, rows2, n_ff_sources=t1)
-    return Processor(npu1, npu2)
+    return Processor(cfg1, np.zeros((n1, t1), dtype=int), cfg2, rows2)
 
 
 class TestScheduler:
@@ -65,11 +79,11 @@ class TestScheduler:
         ff[0, 2] = 7
         proc = make_processor(ff=ff, decay_a=7)
         # drive NPU1 neuron 0 over threshold at t=0
-        s1, s2, _ = proc.timestep(events(*[(0, 127)] * 3))
+        s1, s2, _ = step(proc, events(*[(0, 127)] * 3))
         assert s1[0] == 1
-        assert proc.state2.y[2] == 0  # not yet delivered
-        s1, s2, _ = proc.timestep()
-        assert proc.state2.y[2] == 6  # +7 delivered, one decay step
+        assert proc.y[proc.t1 + 2] == 0  # not yet delivered
+        s1, s2, _ = step(proc)
+        assert proc.y[proc.t1 + 2] == 6  # +7 delivered, one decay step
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -83,14 +97,14 @@ class TestScheduler:
                 for _ in range(rng.integers(0, 4))
             ])
             if prev is not None:
-                assert np.array_equal(proc.pending, prev)
-            s1, _, _ = proc.timestep(stim)
+                assert np.array_equal(proc.last_spikes[:proc.t1], prev)
+            s1, _, _ = step(proc, stim)
             prev = s1
-            assert np.array_equal(proc.pending, s1)
+            assert np.array_equal(proc.last_spikes[:proc.t1], s1)
 
     def test_empty_run_scan_only(self):
         proc = make_processor()
-        s1, s2, rep = proc.timestep()
+        s1, s2, rep = step(proc)
         assert not s1.any() and not s2.any()
         assert rep.npu1.mac == 0 and rep.npu2.mac == 0
         assert rep.npu1.scan > 0 and rep.npu2.scan > 0
@@ -112,12 +126,14 @@ class TestAssembly:
         for bad, match in (
             ((quiet_npu(2, 128), npu2), "NPU1 must be the 32-neuron"),
             ((npu1, quiet_npu(4, 32, n_ff=3)), "NPU2 must be the 128-neuron"),
-            ((quiet_npu(2, 32, n_ff=1), npu2), "NPU1 accepts no feedforward"),
-            ((npu1, quiet_npu(4, 128, n_ff=4)), "expects 3 feedforward sources"),
+            ((quiet_npu(2, 32, n_ff=1), npu2),
+             r"npu1 weights of shape \(3, 3\), expected \(2, 3\)"),
+            ((npu1, quiet_npu(4, 128, n_ff=4)),
+             r"npu2 weights of shape \(8, 5\), expected \(7, 5\)"),
         ):
             with pytest.raises(ValueError, match=match):
-                Processor(*bad)
-        assert Processor(npu1, npu2).datapath.crossbar.weights.shape == (8, 8)
+                Processor(*bad[0], *bad[1])
+        assert Processor(*npu1, *npu2).crossbar.weights.shape == (8, 8)
 
 
 class TestAnalytics:
@@ -151,7 +167,7 @@ class TestAnalytics:
 class TestCycleReport:
     def test_totals_additive(self):
         proc = make_processor()
-        per = [proc.timestep()[2] for _ in range(5)]
+        per = [step(proc)[2] for _ in range(5)]
         phases = np.sum([[astuple(r.npu1), astuple(r.npu2)] for r in per], axis=0)
         agg = CycleReport.of(phases.tolist(), 5)
         assert agg.npu1.total == sum(r.npu1.total for r in per)
@@ -160,7 +176,7 @@ class TestCycleReport:
 
     def test_parallel_is_max(self):
         proc = make_processor(n1=2, n2=16)
-        _, _, rep = proc.timestep()
+        _, _, rep = step(proc)
         assert rep.total_parallel == max(rep.npu1.total, rep.npu2.total)
         assert rep.npu2.total > rep.npu1.total
 

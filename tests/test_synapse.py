@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu.neuron import NeuronParams
-from snnemu.npu import GlobalNeuronConfig, Npu, NpuConfig
+from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.synapse import (
     SAT_DECAY_LO,
     Crossbar,
@@ -17,47 +17,46 @@ from snnemu.synapse import (
     WeightMemory,
     decay_array,
     decay_value,
-    pack_weights,
     sat_decay_table,
     steps_to_fraction,
 )
-from test_processor import on_chip
+from test_processor import on_chip, step
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
 
 def silent_npu(active, n_ff=0, gs=None):
-    """An NPU of pure integrators with all-ones weights, so any spiking
-    source costs its mask's popcount in MAC cycles; NPU2 of a chip if it
-    reads a feedforward stream, else NPU1."""
+    """(config, weights, group masks) of an NPU of pure integrators with
+    all-ones weights, so any spiking source costs its mask's popcount in MAC
+    cycles; NPU2 of a chip if it reads a feedforward stream, else NPU1."""
     total = active + 1
     cfg = NpuConfig(max_neurons=128 if n_ff else 32, active_neurons=active,
                     params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
-    return Npu(cfg, np.ones((n_ff + active, total), dtype=int), gs=gs, n_ff_sources=n_ff)
+    return cfg, np.ones((n_ff + active, total), dtype=int), gs
 
 
 class TestPacking:
     def test_nibble_order(self):
-        mem = pack_weights([1, -8, 7, 0, 0, 0, 0, 0])
+        mem = WeightMemory.from_matrix([[1, -8, 7, 0, 0, 0, 0, 0]])
         assert mem.words[0, 0] == 0x00000781
 
     def test_zero_row(self):
-        mem = pack_weights([0] * 8)
+        mem = WeightMemory.from_matrix([[0] * 8])
         assert mem.words[0, 0] == 0
 
     def test_padding_to_second_word(self):
-        mem = pack_weights([0] * 8 + [3])
+        mem = WeightMemory.from_matrix([[0] * 8 + [3]])
         assert mem.row_stride_words == 2
         assert mem.words[0, 1] == 0x3
 
     def test_out_of_range_rejected_with_index(self):
         with pytest.raises(ValueError, match="row 0, target 2: 9"):
-            pack_weights([0, 0, 9])
+            WeightMemory.from_matrix([[0, 0, 9]])
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=300))
     def test_round_trip(self, weights):
-        mem = pack_weights(weights)
+        mem = WeightMemory.from_matrix([list(weights)])
         assert list(mem.row_weights(0)) == weights
 
     def test_matrix_round_trip(self):
@@ -187,15 +186,15 @@ class TestDecode:
     needs a feedforward stream (NPU1's t1 <= 33 spikes) or 128 neurons."""
 
     def test_all_zero_stream(self):
-        proc = on_chip(silent_npu(active=1, n_ff=33))
-        cyc = proc.timestep()[2].npu2
+        proc = on_chip(*silent_npu(active=1, n_ff=33))
+        cyc = step(proc)[2].npu2
         assert cyc.mac == 0
         assert cyc.scan == 17 + 1  # 33-bit feedforward stream, 2-bit own stream
 
     def test_single_spike_dense_groups(self):
-        proc = on_chip(silent_npu(active=128, n_ff=2))  # 129 targets -> 17 groups
-        proc.state2.last_spikes[0] = 1
-        cyc = proc.timestep()[2].npu2
+        proc = on_chip(*silent_npu(active=128, n_ff=2))  # 129 targets -> 17 groups
+        proc.last_spikes[proc.t1] = 1
+        cyc = step(proc)[2].npu2
         assert cyc.mac == 17
         assert cyc.scan == 1 + 65
 
@@ -203,15 +202,15 @@ class TestDecode:
         # 65 targets -> 9 groups; enable 4 of them
         gs = GroupSparseConfig(n_groups=9, gs_code=0b001010101)
         assert bin(gs.gs_code).count("1") == 4
-        proc = on_chip(silent_npu(active=64, n_ff=33, gs=gs))
-        proc.state1.last_spikes[[0, 5]] = 1
-        cyc = proc.timestep()[2].npu2
+        proc = on_chip(*silent_npu(active=64, n_ff=33, gs=gs))
+        proc.last_spikes[[0, 5]] = 1
+        cyc = step(proc)[2].npu2
         assert cyc.mac == 8
         assert cyc.scan == 17 + 33
 
     def test_odd_length_padded(self):
-        proc = on_chip(silent_npu(active=8))  # 9-bit own stream
-        cyc = proc.timestep()[2].npu1
+        proc = on_chip(*silent_npu(active=8))  # 9-bit own stream
+        cyc = step(proc)[2].npu1
         assert cyc.scan == 5
 
 
@@ -290,6 +289,17 @@ class TestGroupSparse:
         assert gs.per_source == [0b10, 0, 0b01]
         assert gs.per_source == ((mem.words != 0) @ (1 << np.arange(2))).tolist()
         assert Crossbar.compile(w, gs).cost.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("n_targets, n_groups", [(16, 1), (8, 5)])
+    def test_mask_width_must_match_rows(self, n_targets, n_groups):
+        """A mask built for another row width is rejected, not applied:
+        a 1-group mask would silently drop a 16-target row's second group."""
+        gs = GroupSparseConfig(n_groups=n_groups, gs_code=1)
+        expected = -(-n_targets // 8)
+        with pytest.raises(ValueError, match=(
+                f"^group mask of {n_groups} groups for rows of {n_targets} "
+                f"targets, which have {expected} groups$")):
+            Crossbar.compile(np.ones((1, n_targets), dtype=int), gs)
 
     def test_gs_num_is_popcount(self):
         """A spiking row is charged the popcount of its group mask."""
