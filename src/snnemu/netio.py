@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import os
+import stat
 import struct
 import warnings
 import zlib
@@ -110,6 +111,18 @@ class NoiseDraws:
         return self._low + xs % self._span
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write `data` to `path`, the one way snnemu writes a file. An existing
+    regular file is overwritten in place and then cut to the new length,
+    since an open with O_TRUNC can cost far more than the write on some
+    filesystems; a device, FIFO or tty is written, never truncated. A new
+    file gets mode 0o666 less the umask, as with the built-in `open`."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
 # ---------------------------------------------------------------------------
 # weight image
 
@@ -118,13 +131,13 @@ def save_weight_image(path: str, matrices: list[np.ndarray]) -> None:
     the word payload, then raw little-endian 32-bit words."""
     mems = [WeightMemory.from_matrix(m) for m in matrices]
     payload = b"".join(mem.words.astype("<u4").tobytes() for mem in mems)
-    with open(path, "wb") as f:
-        f.write(WEIGHT_MAGIC)
-        f.write(struct.pack("<II", WEIGHT_VERSION, len(mems)))
-        for mem in mems:
-            f.write(struct.pack("<III", *mem.words.shape, mem.n_targets))
-        f.write(struct.pack("<I", zlib.crc32(payload)))
-        f.write(payload)
+    _write_file(path, b"".join([
+        WEIGHT_MAGIC,
+        struct.pack("<II", WEIGHT_VERSION, len(mems)),
+        *(struct.pack("<III", *mem.words.shape, mem.n_targets) for mem in mems),
+        struct.pack("<I", zlib.crc32(payload)),
+        payload,
+    ]))
 
 
 def load_weight_image(path: str) -> list[WeightMemory]:
@@ -414,8 +427,7 @@ class NetworkDescription:
             os.path.join(os.path.dirname(path) or ".", weight_name),
             [self.weights1, self.weights2],
         )
-        with open(path, "w") as f:
-            yaml.safe_dump(doc, f, sort_keys=False)
+        _write_file(path, yaml.safe_dump(doc, sort_keys=False).encode())
 
     @classmethod
     def load(cls, path: str) -> "NetworkDescription":
@@ -571,14 +583,27 @@ def _read_rows(path: str, header: str, what: str) -> np.ndarray | list[list[int]
 def _write_rows(path: str, header: str, rows: np.ndarray) -> None:
     """`header`, then one comma-separated line per row of an int array."""
     line = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
-    with open(path, "w") as f:
-        f.write(header + "\n" + line * len(rows) % tuple(rows.ravel().tolist()))
+    text = header + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
+    _write_file(path, text.encode())
+
+
+def _sorted_rows(rows: np.ndarray) -> bool:
+    """Whether the rows of an int array are in lexicographic order. Adjacent
+    rows are compared column by column, last column first, without
+    subtracting, so values at the int64 extremes cannot overflow."""
+    after = False  # whether each row sorts after the next one
+    for x, y in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
+        after = (x > y) | ~(x < y) & after
+    return not np.any(after)
 
 
 def save_raster(path: str, records: np.ndarray) -> None:
-    """Write (t, npu, addr) records in sorted order."""
+    """Write (t, npu, addr) records in sorted order; `run` returns them
+    sorted, so they are sorted here only when they are not."""
     records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
-    _write_rows(path, RASTER_HEADER, records[np.lexsort(records.T[::-1])])
+    if not _sorted_rows(records):
+        records = records[np.lexsort(records.T[::-1])]
+    _write_rows(path, RASTER_HEADER, records)
 
 
 def load_raster(path: str) -> np.ndarray:
@@ -592,8 +617,8 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
     vals = [v for t, rep in rows for v in (t, *phases(rep.npu1), *phases(rep.npu2),
                                            rep.total_parallel, rep.total_serial, rep.model)]
     line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + "%s\n"
-    with open(path, "w") as f:
-        f.write(CYCLES_HEADER + "\n" + line * len(rows) % tuple(vals))
+    text = CYCLES_HEADER + "\n" + line * len(rows) % tuple(vals)
+    _write_file(path, text.encode())
 
 
 # ---------------------------------------------------------------------------

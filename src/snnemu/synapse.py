@@ -41,9 +41,9 @@ def check_weights(matrix) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.int64)
     if matrix.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
-    bad = np.argwhere((matrix < WEIGHT_MIN) | (matrix > WEIGHT_MAX))
-    if bad.size:
-        r, c = bad[0]
+    # Two reductions pass a valid matrix; only a bad one is searched.
+    if matrix.size and (matrix.min() < WEIGHT_MIN or matrix.max() > WEIGHT_MAX):
+        r, c = np.argwhere((matrix < WEIGHT_MIN) | (matrix > WEIGHT_MAX))[0]
         raise ValueError(f"weight out of range at row {r}, target {c}: {matrix[r, c]}")
     return matrix
 
@@ -110,7 +110,8 @@ def _group_bits(codes, n_groups: int) -> np.ndarray:
 @dataclass
 class GroupSparseConfig:
     """Bitmask over 8-target weight groups. A cleared bit skips that word's
-    SRAM read entirely. `per_source` overrides the default mask per row.
+    SRAM read entirely. `per_source` overrides the default mask of the first
+    rows, one mask per row; a compile rejects more masks than rows.
     Masks are held in int64 and limited to 62 groups (496 targets); the
     chip's widest row has 129 targets, 17 groups."""
 
@@ -172,8 +173,10 @@ class Crossbar:
                              f"{n_targets} targets, which have {n_groups} groups")
         codes = np.full(n_rows, gs.gs_code, dtype=np.int64)
         if gs.per_source is not None:
-            k = min(len(gs.per_source), n_rows)
-            codes[:k] = gs.per_source[:k]
+            if len(gs.per_source) > n_rows:
+                raise ValueError(f"{len(gs.per_source)} per-source group masks "
+                                 f"for a matrix of {n_rows} rows")
+            codes[:len(gs.per_source)] = gs.per_source
         bits = _group_bits(codes, n_groups)
         weights = weights * bits.repeat(GROUP_SIZE, axis=1)[:, :n_targets]
         cost = bits.sum(axis=1)

@@ -54,6 +54,11 @@ class TestRunCommand:
             outs.append(raster.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_outputs_to_dev_null(self, config_path):
+        """A device is written, not cut to length."""
+        assert main(["run", "--config", config_path, "--steps", "5",
+                     "--raster-out", os.devnull, "--cycles-out", os.devnull]) == 0
+
     def test_missing_config_errors(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"), "--steps", "1",
                    "--raster-out", str(tmp_path / "r.csv")])
@@ -130,6 +135,14 @@ class TestErrorContract:
         image.write_bytes(image.read_bytes()[:14])
         assert self.inspect(config_path) == 2
         self.one_error_line(capsys, f"error: config: {image}: ")
+
+    @pytest.mark.parametrize("where", ["missing/raster.csv", ""],
+                             ids=["missing-directory", "directory"])
+    def test_raster_out_unwritable(self, config_path, tmp_path, capsys, where):
+        """A path into a missing directory, or a directory itself."""
+        assert main(["run", "--config", config_path, "--steps", "1",
+                     "--raster-out", str(tmp_path / where)]) == 2
+        self.one_error_line(capsys, "error: ")
 
     def test_malformed_yaml(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

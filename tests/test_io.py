@@ -1,6 +1,9 @@
-"""Config/weight-image round trips, validation errors, run determinism."""
+"""Config/weight-image round trips, validation errors, run determinism,
+output files."""
 
+import os
 import re
+import stat
 import struct
 import zlib
 
@@ -333,6 +336,65 @@ class TestRasterFile:
         got = load_raster(str(path))
         assert got.dtype == np.int64 and got.shape == (len(rows), 3)
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("rows", [
+        [(2**63 - 1, 1, 0), (-2**63, 1, 0)],
+        [(0, 1, 2**63 - 1), (0, 1, -2**63)],
+    ])
+    def test_unsorted_extremes_are_sorted(self, tmp_path, rows):
+        """The order check never subtracts: a difference of these rows
+        would wrap to +1 and pass them as sorted."""
+        path = tmp_path / "raster.csv"
+        save_raster(str(path), np.array(rows, dtype=np.int64))
+        assert load_raster(str(path)).tolist() == sorted(map(list, rows))
+
+
+WRITERS = {
+    "raster": lambda path: save_raster(path, [(3, 2, 1), (0, 1, 0), (3, 1, 5)]),
+    "cycles": lambda path: save_cycles(path, run(minimal_desc(), None, steps=3)[1]),
+    "stimulus": lambda path: StimulusTrace([(0, 1, 0, 5), (2, 2, 1, -7)]).save(path),
+}
+
+
+class TestOutputFiles:
+    """Every file is overwritten in place and cut to length, not truncated
+    on open; the visible result is that of a fresh write."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_over_a_longer_file(self, tmp_path, writer):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        WRITERS[writer](str(fresh))
+        reused.write_bytes(b"9,9,9\n" * fresh.stat().st_size)
+        WRITERS[writer](str(reused))
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_config_and_weight_image_over_longer_files(self, tmp_path):
+        desc = minimal_desc(n1=4, n2=8)
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "reused").mkdir()
+        for name in ("net.yaml", "net.weights.bin"):
+            (tmp_path / "reused" / name).write_bytes(b"x" * 10_000)
+        for d in ("fresh", "reused"):
+            desc.save(str(tmp_path / d / "net.yaml"))
+        for name in ("net.yaml", "net.weights.bin"):
+            assert ((tmp_path / "reused" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            save_raster(str(tmp_path / "raster.csv"), [])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "raster.csv").stat().st_mode) == 0o666 & ~0o002
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 1000)
+        link.symlink_to(target)
+        save_raster(str(link), [(1, 1, 0)])
+        assert link.is_symlink()
+        assert target.read_text() == "timestep,npu,neuron\n1,1,0\n"
 
 
 class TestRun:

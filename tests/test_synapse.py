@@ -15,6 +15,7 @@ from snnemu.synapse import (
     Crossbar,
     GroupSparseConfig,
     WeightMemory,
+    check_weights,
     decay_array,
     decay_value,
     sat_decay_table,
@@ -53,6 +54,20 @@ class TestPacking:
     def test_out_of_range_rejected_with_index(self):
         with pytest.raises(ValueError, match="row 0, target 2: 9"):
             WeightMemory.from_matrix([[0, 0, 9]])
+
+    def test_first_bad_weight_in_row_major_order(self):
+        """The min/max test only decides that a weight is bad; the message
+        names the first bad element in row-major order, not the extreme."""
+        w = np.zeros((2, 8), dtype=int)
+        w[0, 5] = 8
+        w[1, 0] = -100
+        with pytest.raises(ValueError, match="^weight out of range at row 0, target 5: 8$"):
+            check_weights(w)
+
+    def test_empty_matrix_compiles(self):
+        """A matrix of no rows has no min or max and no bad weight."""
+        xbar = Crossbar.compile(np.zeros((0, 8), dtype=int), GroupSparseConfig.dense(8))
+        assert xbar.weights.shape == (0, 8) and xbar.cost.tolist() == []
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=300))
     def test_round_trip(self, weights):
@@ -300,6 +315,18 @@ class TestGroupSparse:
                 f"^group mask of {n_groups} groups for rows of {n_targets} "
                 f"targets, which have {expected} groups$")):
             Crossbar.compile(np.ones((1, n_targets), dtype=int), gs)
+
+    def test_more_masks_than_rows_rejected(self):
+        """Per-source masks built for a longer matrix are rejected, not
+        ignored."""
+        gs = GroupSparseConfig(n_groups=1, gs_code=1, per_source=[1, 0, 1, 1])
+        with pytest.raises(ValueError,
+                           match="^4 per-source group masks for a matrix of 1 rows$"):
+            Crossbar.compile(np.ones((1, 8), dtype=int), gs)
+
+    def test_fewer_masks_than_rows_fall_back_to_gs_code(self):
+        gs = GroupSparseConfig(n_groups=1, gs_code=1, per_source=[0])
+        assert Crossbar.compile(np.ones((3, 8)), gs).cost.tolist() == [0, 1, 1]
 
     def test_gs_num_is_popcount(self):
         """A spiking row is charged the popcount of its group mask."""
