@@ -1,7 +1,7 @@
 """Bit-exact emulator of a two-NPU population-based spiking neural processor
 with integer QIF neurons, 4-bit synaptic weight SRAM, and cycle accounting."""
 
-from .neuron import NeuronParams, NeuronState, delta_vm, neuron_step, pde_threshold
+from .neuron import NeuronParams, pde_threshold
 from .netio import NetworkDescription, StimulusTrace, run, simulate
 from .npu import (
     GlobalNeuronConfig,
@@ -17,12 +17,6 @@ from .processor import (
     hierarchy_op_reduction,
     synapse_count,
 )
-from .synapse import (
-    Crossbar,
-    GroupSparseConfig,
-    WeightMemory,
-    decay_value,
-    steps_to_fraction,
-)
+from .synapse import Crossbar, GroupSparseConfig, WeightMemory
 
 __version__ = "0.1.0"

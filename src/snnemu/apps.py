@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neuron import NeuronParams, NeuronState, neuron_step
+from .neuron import V_MAX, NeuronParams, neuron_tables
 from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
     DcSource,
@@ -30,6 +30,7 @@ from .netio import (
     simulate,
 )
 from .processor import CycleReport
+from .synapse import SAT_MAX, SAT_MIN
 
 # Pure-integrator neuron: drift is zero everywhere, the membrane just sums
 # the synaptic current until it overflows.
@@ -471,15 +472,21 @@ def behavior_sweep(
     cases: dict[str, tuple[NeuronParams, list[int]]]
 ) -> dict[str, dict]:
     """Record (v_m, spike) trajectories per named (params, current profile)
-    case. Output is JSON-friendly so fixtures can be pinned verbatim."""
+    case, from v_r, stepped through the chip's neuron tables. Currents are
+    signed 12-bit, as the chip's are. Output is JSON-friendly so fixtures
+    can be pinned verbatim."""
     out = {}
     for name, (params, currents) in cases.items():
-        state = NeuronState(v_m=params.v_r)
-        vs, spikes = [], []
+        bad = [i for i in currents if not SAT_MIN <= i <= SAT_MAX]
+        if bad:
+            raise ValueError(f"case {name!r}: current {bad[0]} outside {SAT_MIN}..{SAT_MAX}")
+        vd, _, reset, roff = neuron_tables([params])
+        v, vs, spikes = params.v_r, [], []
         for i_t in currents:
-            state, spiked = neuron_step(state, params, i_t)
-            vs.append(state.v_m)
-            spikes.append(int(spiked))
+            s = int(vd[v]) + i_t
+            v = int(reset[s + roff[0]])
+            vs.append(v)
+            spikes.append(int(s > V_MAX))
         out[name] = {
             "params": {
                 "a_num": params.a_num, "b_num": params.b_num,

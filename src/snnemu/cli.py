@@ -20,7 +20,7 @@ from .netio import (
     save_raster,
 )
 from .processor import hierarchy_op_reduction, synapse_count
-from .synapse import WeightMemory
+from .synapse import group_count
 
 
 def _cmd_run(args) -> int:
@@ -73,7 +73,7 @@ def _cmd_inspect(args) -> int:
     desc = NetworkDescription.load(args.config)
     t1 = desc.npu1.total_neurons
     t2 = desc.npu2.total_neurons
-    words = sum(WeightMemory.from_matrix(w).words.size for w in (desc.weights1, desc.weights2))
+    words = sum(len(w) * group_count(w.shape[1]) for w in (desc.weights1, desc.weights2))
     print(f"npu1_neurons={t1} npu2_neurons={t2}")
     print(f"synapse_count={synapse_count(t1, t2)}")
     print(f"hierarchy_op_reduction={hierarchy_op_reduction(t1, t2):.4f}")

@@ -41,13 +41,6 @@ class NeuronParams:
             raise ValueError(f"v_r ({self.v_r}) must not exceed v_t ({self.v_t})")
 
 
-@dataclass
-class NeuronState:
-    """Membrane potential, kept in 0..255 after every step."""
-
-    v_m: int = 0
-
-
 def pde_threshold(params: NeuronParams) -> int:
     """Branch-switch potential (a*v_r + b*v_t) / (a + b), floored.
 
@@ -60,38 +53,12 @@ def pde_threshold(params: NeuronParams) -> int:
     return (params.a_num * params.v_r + params.b_num * params.v_t) // denom
 
 
-def delta_vm(v_prev: int, params: NeuronParams, i_t: int) -> int:
-    """Per-step membrane increment: restoring branch below the switch point,
-    regenerative branch at or above it, plus the synaptic current."""
-    if v_prev < pde_threshold(params):
-        drift = (params.a_num * (params.v_r - v_prev)) >> 3
-    else:
-        drift = (params.b_num * (v_prev - params.v_t)) >> 3
-    return drift + i_t
-
-
-def neuron_step(
-    state: NeuronState, params: NeuronParams, i_t: int
-) -> tuple[NeuronState, bool]:
-    """Advance one timestep; returns (new state, spiked).
-
-    The candidate sum v_m + delta is evaluated at full width (the hardware's
-    8-bit register plus overflow bit); overflow past 255 emits a spike and
-    resets to v_reset, underflow clamps at 0.
-    """
-    s = state.v_m + delta_vm(state.v_m, params, i_t)
-    if s > V_MAX:
-        return NeuronState(v_m=params.v_reset), True
-    if s < 0:
-        return NeuronState(v_m=0), False
-    return NeuronState(v_m=s), False
-
-
 @functools.lru_cache(maxsize=16)
 def drift_table(params: tuple[NeuronParams, ...]) -> np.ndarray:
     """(len(params), 256) read-only table of the membrane after drift: row
-    k, column v holds v + delta_vm(v, params[k], 0). Cached per tuple of
-    distinct parameter sets; a population shares a few."""
+    k, column v holds v plus the drift (a_num * (v_r - v)) >> 3 below
+    params[k]'s switch point `pde_threshold`, else (b_num * (v - v_t)) >> 3.
+    Cached per tuple of distinct parameter sets; a population shares a few."""
     a, b, v_r, v_t, th = np.array(
         [(p.a_num, p.b_num, p.v_r, p.v_t, pde_threshold(p)) for p in params],
         dtype=np.int64,
@@ -118,8 +85,8 @@ def neuron_tables(params: list[NeuronParams]):
     """The neuron update of a population as flat tables and per-neuron
     offsets (vd, vbase, reset, roff), for any 12-bit current i. Neuron k at
     membrane v has the candidate s = vd[vbase[k] + v] + i, spikes if
-    s > V_MAX, and moves to reset[s + roff[k]]; bit-identical to
-    `neuron_step`. The tables hold one row per distinct parameter set and
+    s > V_MAX, and moves to reset[s + roff[k]]: v_reset on a spike, else s
+    clamped at 0. The tables hold one row per distinct parameter set and
     reset potential, never one per neuron."""
     sets: dict[NeuronParams, int] = {}
     rows = np.array([sets.setdefault(p, len(sets)) for p in params], dtype=np.int64)

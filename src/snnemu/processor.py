@@ -20,6 +20,7 @@ total is the max of the two; the serial sum is reported alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,7 @@ class CycleReport:
     npu1: PhaseCycles = field(default_factory=PhaseCycles)
     npu2: PhaseCycles = field(default_factory=PhaseCycles)
     timesteps: int = 0
-    model: str = "sequential"
+    model: ClassVar[str] = "sequential"
 
     @property
     def total_parallel(self) -> int:

@@ -203,27 +203,12 @@ class Crossbar:
         return spikes @ self.cost
 
 
-def decay_value(y: int, decay_a: int) -> int:
-    """One reciprocal-decay step: y - SEL(y >> decay_a, +/-1).
-
-    The selector substitutes sign(y)*1 whenever the arithmetic shift truncates
-    to zero, so the magnitude strictly decreases until y reaches exactly 0.
-    """
-    if not 0 <= decay_a <= 7:
-        raise ValueError(f"decay_a must be 0..7, got {decay_a}")
-    if y == 0:
-        return 0
-    s = y >> decay_a
-    if s == 0:
-        s = 1 if y > 0 else -1
-    return y - s
-
-
 def decay_array(y: np.ndarray, decay_a: int | np.ndarray) -> np.ndarray:
-    """Vectorized decay_value, with one exponent or one per element;
-    bit-identical to the scalar form. The arithmetic shift truncates to 0
-    only for 0 <= y < 2**decay_a, where the selector is min(y, 1) (1, or 0
-    at y == 0); everywhere else the shift is already at least min(y, 1)."""
+    """One reciprocal-decay step y - SEL(y >> decay_a, +/-1), with one
+    exponent or one per element: the selector substitutes sign(y) when the
+    shift truncates to 0, so |y| falls until y is 0. That happens only for
+    0 <= y < 2**decay_a, where the selector is min(y, 1) (1, or 0 at
+    y == 0); everywhere else the shift is already at least min(y, 1)."""
     y = np.asarray(y, dtype=np.int64)
     return y - np.maximum(y >> decay_a, np.minimum(y, 1))
 
@@ -240,17 +225,3 @@ def sat_decay_table(decay_a: tuple[int, ...]) -> np.ndarray:
     table.setflags(write=False)
     return table
 
-
-def steps_to_fraction(y0: int, decay_a: int, fraction: float) -> int:
-    """Steps of decay_value until |y| falls to fraction*|y0| or below."""
-    if y0 == 0:
-        return 0
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
-    target = fraction * abs(y0)
-    y = y0
-    n = 0
-    while abs(y) > target:
-        y = decay_value(y, decay_a)
-        n += 1
-    return n

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu.apps import (
+    INTEGRATOR,
     DecisionWindow,
     NoDecisionError,
     SudokuPuzzle,
@@ -31,6 +32,9 @@ from snnemu.apps import (
     verify_sudoku,
 )
 from snnemu.netio import raster_records, run
+from snnemu.neuron import NeuronParams
+from scalar_ref import NeuronState, delta_vm, neuron_step
+from test_neuron import params_st
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -293,3 +297,45 @@ class TestBehaviorSweep:
             pinned = json.load(f)
         fresh = behavior_sweep(default_behavior_cases())
         assert json.loads(json.dumps(fresh, sort_keys=True)) == pinned
+
+    # An integrator that resets to 100, so a spike is told from a clamp.
+    RESET_100 = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=100)
+
+    def test_12_bit_ends_accepted(self):
+        rec = behavior_sweep({"ends": (self.RESET_100, [2047, -2048])})["ends"]
+        assert rec["v_m"] == [100, 0]
+        assert rec["spikes"] == [1, 0]
+
+    @pytest.mark.parametrize("i_t", [2048, -2049, -3000])
+    def test_current_beyond_12_bits_rejected(self, i_t):
+        """Checked before stepping: -3000 would read a wrapped entry of the
+        reset table, a spike to v_reset, rather than the clamp at 0."""
+        cases = {"ok": (INTEGRATOR, [1]), "wide": (self.RESET_100, [0, i_t, 0])}
+        with pytest.raises(ValueError, match=rf"case 'wide': current {i_t} outside"):
+            behavior_sweep(cases)
+
+    def test_empty(self):
+        assert behavior_sweep({}) == {}
+        rec = behavior_sweep({"none": (INTEGRATOR, [])})["none"]
+        assert rec["v_m"] == [] and rec["spikes"] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(params_st, st.lists(st.tuples(st.integers(-2048, 2047) | st.integers(-40, 40),
+                                         st.sampled_from([None, -1, 0, 255, 256])),
+                               max_size=80))
+    def test_against_scalar_reference(self, p, steps):
+        """Every v_m and spike of the table-driven sweep equals the scalar
+        neuron_step's, from v_r, over signed 12-bit current profiles. A step
+        with an edge takes the current that puts the candidate on it (the
+        clamp at 0, the spike past 255) instead of its free current."""
+        state, currents, vs, spikes = NeuronState(v_m=p.v_r), [], [], []
+        for i_t, edge in steps:
+            if edge is not None:
+                i_t = edge - state.v_m - delta_vm(state.v_m, p, 0)
+            currents.append(i_t)
+            state, spiked = neuron_step(state, p, i_t)
+            vs.append(state.v_m)
+            spikes.append(int(spiked))
+        rec = behavior_sweep({"case": (p, currents)})["case"]
+        assert rec["v_m"] == vs
+        assert rec["spikes"] == spikes

@@ -9,15 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnemu.neuron import (
-    NeuronParams,
-    NeuronState,
-    delta_vm,
-    drift_table,
-    neuron_step,
-    neuron_tables,
-    pde_threshold,
-)
+from scalar_ref import NeuronState, delta_vm, neuron_step
+from snnemu.neuron import NeuronParams, drift_table, neuron_tables, pde_threshold
 
 
 def reference_step(v_m, a_num, b_num, v_r, v_t, v_reset, i_t):

@@ -17,10 +17,9 @@ from snnemu.synapse import (
     WeightMemory,
     check_weights,
     decay_array,
-    decay_value,
     sat_decay_table,
-    steps_to_fraction,
 )
+from scalar_ref import decay_value, steps_to_fraction
 from test_processor import on_chip, step
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
