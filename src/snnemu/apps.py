@@ -12,6 +12,7 @@ are solved as Latin squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,6 @@ from .neuron import V_MAX, NeuronParams, neuron_tables
 from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
     DcSource,
-    Lcg,
     NetworkDescription,
     NoiseDraws,
     NoiseSource,
@@ -56,23 +56,27 @@ class SudokuPuzzle:
     clues: list[tuple[int, int, int]]  # (row, col, digit 1..n)
 
     def __post_init__(self):
-        if not 2 <= self.n <= 5:
-            raise ValueError(f"side length must be 2..5, got {self.n}")
-        seen = {}
+        """Check the clues against the network's own rule, `conflict_matrix`:
+        a cell given two digits is reported at its first repeat, else the
+        first pair in clue order that repeats a digit in a unit."""
+        n = self.n
+        if not 2 <= n <= 5:
+            raise ValueError(f"side length must be 2..5, got {n}")
         for r, c, d in self.clues:
-            if not (0 <= r < self.n and 0 <= c < self.n and 1 <= d <= self.n):
+            if not (0 <= r < n and 0 <= c < n and 1 <= d <= n):
                 raise ValueError(f"clue out of range: {(r, c, d)}")
-            if seen.get((r, c), d) != d:
-                raise ValueError(f"conflicting clues at cell {(r, c)}")
-            seen[(r, c)] = d
-        for (r1, c1, d1) in self.clues:
-            for (r2, c2, d2) in self.clues:
-                if (r1, c1) >= (r2, c2):
-                    continue
-                if d1 == d2 and _same_unit(self.n, r1, c1, r2, c2):
-                    raise ValueError(
-                        f"inconsistent clues: digit {d1} at {(r1, c1)} and {(r2, c2)}"
-                    )
+        idx = np.array([neuron_index(n, r, c, d) for r, c, d in self.clues], dtype=np.intp)
+        pairs = conflict_matrix(n)[idx[:, None], idx]
+        if not pairs.any():
+            return
+        cell = idx // n
+        repeats = np.tril(pairs & (cell[:, None] == cell)).any(axis=1)
+        if repeats.any():
+            r, c, _ = self.clues[repeats.argmax()]
+            raise ValueError(f"conflicting clues at cell {(r, c)}")
+        i, j = np.argwhere(pairs & (cell[:, None] < cell))[0]
+        (r1, c1, d1), (r2, c2, _) = self.clues[i], self.clues[j]
+        raise ValueError(f"inconsistent clues: digit {d1} at {(r1, c1)} and {(r2, c2)}")
 
     @classmethod
     def from_text(cls, text: str) -> "SudokuPuzzle":
@@ -101,28 +105,23 @@ def box_shape(n: int) -> tuple[int, int] | None:
     return (root, root) if root * root == n else None
 
 
-def _same_unit(n: int, r1: int, c1: int, r2: int, c2: int) -> bool:
-    if r1 == r2 or c1 == c2:
-        return True
-    box = box_shape(n)
-    if box is not None:
-        bh, bw = box
-        if (r1 // bh, c1 // bw) == (r2 // bh, c2 // bw):
-            return True
-    return False
-
-
 def neuron_index(n: int, r: int, c: int, d: int) -> int:
     """NPU2 address of the (cell, digit) neuron; digits are 1-based."""
     return (r * n + c) * n + (d - 1)
 
 
 def conflict_matrix(n: int, kind: str = "all") -> np.ndarray:
-    """Boolean (n^3, n^3) adjacency of mutually exclusive assignments.
+    """Boolean (n^3, n^3) read-only adjacency of mutually exclusive
+    assignments, one array shared per (n, kind).
 
     kind selects the subset: "cell" for same-cell/different-digit pairs,
     "unit" for same-digit row/column/box pairs, "all" for their union.
     """
+    return _conflict_matrices(n)[kind]
+
+
+@functools.lru_cache(maxsize=16)
+def _conflict_matrices(n: int) -> dict[str, np.ndarray]:
     idx = np.arange(n**3)
     r, c, d = idx // (n * n), idx // n % n, idx % n
     same_cell = (r[:, None] == r) & (c[:, None] == c)
@@ -133,35 +132,29 @@ def conflict_matrix(n: int, kind: str = "all") -> np.ndarray:
         bh, bw = box
         b = r // bh * n + c // bw
         same_unit |= b[:, None] == b
-    conflicts = np.zeros((n**3, n**3), dtype=bool)
-    if kind in ("cell", "all"):
-        conflicts |= same_cell & ~same_digit
-    if kind in ("unit", "all"):
-        conflicts |= same_unit & same_digit & ~same_cell
-    return conflicts
+    out = {"cell": same_cell & ~same_digit, "unit": same_unit & same_digit & ~same_cell}
+    out["all"] = out["cell"] | out["unit"]
+    for matrix in out.values():
+        matrix.setflags(write=False)
+    return out
 
 
-@dataclass
-class SudokuWeights:
-    """Winner-take-all tuning knobs. Within-cell inhibition is the hard
-    competition; unit (row/column/box) inhibition is the softer constraint
-    bias; noise drives the stochastic search."""
-
-    inhibit_cell: int = -8
-    inhibit_unit: int = -4
-    excite: int = 2
-    clue_value: int = 96
-    noise_low: int = 0
-    noise_high: int = 20
-    decay_a: int = 5
+# Winner-take-all tuning. Within-cell inhibition is the hard competition;
+# unit (row/column/box) inhibition is the softer constraint bias; noise on
+# every non-clue neuron drives the stochastic search.
+INHIBIT_CELL = -8
+INHIBIT_UNIT = -4
+EXCITE = 2
+CLUE_VALUE = 96
+NOISE_LOW, NOISE_HIGH = 0, 20
+SUDOKU_DECAY_A = 5
+# Steps per decode window of `solve_sudoku`.
+CHECK_EVERY = 200
 
 
-def build_sudoku_network(
-    puzzle: SudokuPuzzle, weights: SudokuWeights | None = None
-) -> tuple[NetworkDescription, StimulusTrace]:
+def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, StimulusTrace]:
     """Map a puzzle onto NPU2. All stimulus (clue drive and noise) is declared
     in the config, so the returned trace is empty."""
-    w = weights or SudokuWeights()
     n = puzzle.n
     size = n**3
     active2 = _next_pow2(size)
@@ -174,21 +167,21 @@ def build_sudoku_network(
     npu2 = NpuConfig(
         max_neurons=128, active_neurons=active2, params=[INTEGRATOR] * active2,
         global_neuron=GlobalNeuronConfig(params=INTEGRATOR),
-        decay_a=w.decay_a,
+        decay_a=SUDOKU_DECAY_A,
     )
 
     rec = np.zeros((size, size), dtype=np.int64)
-    rec[conflict_matrix(n, "unit")] = w.inhibit_unit
-    rec[conflict_matrix(n, "cell")] = w.inhibit_cell
-    np.fill_diagonal(rec, w.excite)
+    rec[conflict_matrix(n, "unit")] = INHIBIT_UNIT
+    rec[conflict_matrix(n, "cell")] = INHIBIT_CELL
+    np.fill_diagonal(rec, EXCITE)
     weights2 = np.zeros((npu1.total_neurons + active2, t2), dtype=np.int64)
     weights2[npu1.total_neurons : npu1.total_neurons + size, :size] = rec
 
     clue_addrs = {neuron_index(n, r, c, d) for r, c, d in puzzle.clues}
-    dc = [DcSource(npu=2, addr=a, value=w.clue_value) for a in sorted(clue_addrs)]
+    dc = [DcSource(npu=2, addr=a, value=CLUE_VALUE) for a in sorted(clue_addrs)]
     noise_addrs = [a for a in range(size) if a not in clue_addrs]
     noise = (
-        [NoiseSource(npu=2, addrs=noise_addrs, low=w.noise_low, high=w.noise_high)]
+        [NoiseSource(npu=2, addrs=noise_addrs, low=NOISE_LOW, high=NOISE_HIGH)]
         if noise_addrs
         else []
     )
@@ -315,24 +308,21 @@ def solve_exact(puzzle: SudokuPuzzle, limit: int = 2) -> list[list[list[int]]]:
     return sols
 
 
-def random_puzzle(n: int, seed: int, n_clues: int | None = None) -> SudokuPuzzle:
-    """Seeded solvable puzzle: build a full grid by randomized backtracking,
-    then keep a random subset of cells as clues."""
-    lcg = Lcg(seed)
-    if n_clues is None:
-        n_clues = max(2, (n * n) // 3)
+def random_puzzle(n: int, seed: int) -> SudokuPuzzle:
+    """Seeded solvable puzzle of max(2, n*n // 3) clues: relabel the digits
+    of the first full grid the exact solver finds, then keep a random subset
+    of its cells as clues. Both Fisher-Yates shuffles draw from one
+    NoiseDraws(seed, ...) step, digits first."""
+    swaps = [(0, i) for i in range(n - 1, 0, -1)] + [(0, i) for i in range(n * n - 1, 0, -1)]
+    js = iter(NoiseDraws(seed, swaps).draw(1)[0].tolist())
     base = solve_exact(SudokuPuzzle(n=n, clues=[]), limit=1)[0]
-    # shuffle digits and permute rows/cols within band structure-preserving ops
     perm = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        j = lcg.int_range(0, i)
-        perm[i], perm[j] = perm[j], perm[i]
-    full = [[perm[base[r][c] - 1] for c in range(n)] for r in range(n)]
     cells = [(r, c) for r in range(n) for c in range(n)]
-    for i in range(len(cells) - 1, 0, -1):
-        j = lcg.int_range(0, i)
-        cells[i], cells[j] = cells[j], cells[i]
-    clues = [(r, c, full[r][c]) for r, c in cells[:n_clues]]
+    for items in (perm, cells):
+        for i in range(len(items) - 1, 0, -1):
+            j = next(js)
+            items[i], items[j] = items[j], items[i]
+    clues = [(r, c, perm[base[r][c] - 1]) for r, c in cells[: max(2, n * n // 3)]]
     return SudokuPuzzle(n=n, clues=clues)
 
 
@@ -345,34 +335,28 @@ class SudokuResult:
     raster: np.ndarray  # (n, 3) int64 (t, npu, addr) records of NPU2
 
 
-def solve_sudoku(
-    puzzle: SudokuPuzzle,
-    seed: int = 0,
-    max_steps: int = 100_000,
-    check_every: int = 200,
-    weights: SudokuWeights | None = None,
-) -> SudokuResult:
-    """Run the network, decoding every `check_every` steps over the trailing
+def solve_sudoku(puzzle: SudokuPuzzle, seed: int = 0, max_steps: int = 100_000) -> SudokuResult:
+    """Run the network, decoding every `CHECK_EVERY` steps over the trailing
     window, until the decoded grid verifies or the step budget runs out.
     Each window is one block of the run loop, decoded from its per-neuron
     spike counts."""
-    desc, trace = build_sudoku_network(puzzle, weights)
+    desc, trace = build_sudoku_network(puzzle)
     n = puzzle.n
     t1 = desc.npu1.total_neurons
     total = np.zeros((2, 5), dtype=np.int64)
     raster = [np.empty((0, 3), dtype=np.int64)]
     steps, grid = max_steps, None
-    for t0, spikes, cycles in simulate(desc, trace, max_steps, seed, block=check_every):
+    for t0, spikes, cycles in simulate(desc, trace, max_steps, seed, block=CHECK_EVERY):
         total += cycles.sum(axis=0)
         raster.append(raster_records(t0, spikes[:, t1:], 0))  # NPU2's spikes only
-        if len(spikes) < check_every:
+        if len(spikes) < CHECK_EVERY:
             break
         try:
             decode = decode_counts(spikes[:, t1 : t1 + n**3].sum(axis=0), n)
         except NoDecisionError:
             continue
         if verify_sudoku(decode.grid, puzzle):
-            steps, grid = t0 + check_every, decode.grid
+            steps, grid = t0 + CHECK_EVERY, decode.grid
             break
     report = CycleReport.of(total.tolist(), steps)
     return SudokuResult(grid is not None, steps, grid, report, np.concatenate(raster))
@@ -382,19 +366,14 @@ def solve_sudoku(
 # avoidance
 
 N_DIRECTIONS = 8
+# Mutual inhibition between direction neurons.
+INHIBIT_DIRECTION = -2
+# Evidence per step of `make_direction_stimulus`: the dominant direction's
+# channel, every other channel, and the seeded jitter bound on each.
+STRONG, WEAK, JITTER = 48, 16, 6
 
 
-@dataclass
-class DecisionWindow:
-    window_steps: int = 50
-    direction_count: int = N_DIRECTIONS
-
-    def __post_init__(self):
-        if self.window_steps < 1:
-            raise ValueError("window_steps must be >= 1")
-
-
-def build_avoidance_network(inhibit: int = -2) -> NetworkDescription:
+def build_avoidance_network() -> NetworkDescription:
     """Eight direction neurons in NPU1 with mutual winner-take-all
     inhibition. Motion evidence arrives as external stimulus per direction."""
     npu1 = NpuConfig(
@@ -408,7 +387,7 @@ def build_avoidance_network(inhibit: int = -2) -> NetworkDescription:
         global_neuron=GlobalNeuronConfig(params=INTEGRATOR),
     )
     t1 = npu1.total_neurons
-    w1 = np.full((N_DIRECTIONS, t1), inhibit, dtype=np.int64)
+    w1 = np.full((N_DIRECTIONS, t1), INHIBIT_DIRECTION, dtype=np.int64)
     np.fill_diagonal(w1, 0)
     w1[:, N_DIRECTIONS] = 0  # global neuron stays out of the competition
     return NetworkDescription(
@@ -420,33 +399,22 @@ def build_avoidance_network(inhibit: int = -2) -> NetworkDescription:
     )
 
 
-def make_direction_stimulus(
-    direction: int,
-    steps: int,
-    seed: int = 0,
-    strong: int = 48,
-    weak: int = 16,
-    jitter: int = 6,
-) -> StimulusTrace:
+def make_direction_stimulus(direction: int, steps: int, seed: int = 0) -> StimulusTrace:
     """Evidence trace with one dominant direction plus seeded jitter on all
     channels (stands in for the off-chip visual pre-processing)."""
     if not 0 <= direction < N_DIRECTIONS:
         raise ValueError(f"direction must be 0..{N_DIRECTIONS - 1}")
-    draws = NoiseDraws(Lcg(seed), [(-jitter, jitter)] * N_DIRECTIONS).draw(steps)
-    base = np.where(np.arange(N_DIRECTIONS) == direction, strong, weak)
+    draws = NoiseDraws(seed, [(-JITTER, JITTER)] * N_DIRECTIONS).draw(steps)
+    base = np.where(np.arange(N_DIRECTIONS) == direction, STRONG, WEAK)
     t, d = np.indices(draws.shape).reshape(2, -1)
     value = np.clip(base + draws, -128, 127).ravel()
     return StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
 
 
-def decide_direction(
-    raster: np.ndarray,
-    window: tuple[int, int],
-    n_directions: int = N_DIRECTIONS,
-) -> tuple[int, bool, list[int]]:
+def decide_direction(raster: np.ndarray, window: tuple[int, int]) -> tuple[int, bool, list[int]]:
     """Argmax of per-direction NPU1 spike counts over [window[0], window[1]).
     Returns (direction, tie_flag, counts); ties resolve to the lowest index."""
-    counts = _window_counts(raster, 1, window, n_directions).tolist()
+    counts = _window_counts(raster, 1, window, N_DIRECTIONS).tolist()
     if not any(counts):
         raise NoDecisionError(f"no spikes in window [{window[0]}, {window[1]})")
     best = counts.index(max(counts))  # the lowest index wins a tie
@@ -454,15 +422,14 @@ def decide_direction(
 
 
 def decide_windows(
-    raster: np.ndarray,
-    total_steps: int,
-    window: DecisionWindow | None = None,
+    raster: np.ndarray, total_steps: int, window_steps: int
 ) -> list[tuple[int, int, bool, list[int]]]:
-    """One decision per consecutive window: (index, direction, tie, counts)."""
-    win = window or DecisionWindow()
-    w = win.window_steps
-    return [(i, *decide_direction(raster, (t0, t0 + w), win.direction_count))
-            for i, t0 in enumerate(range(0, total_steps, w))]
+    """One decision per consecutive window of `window_steps` steps:
+    (index, direction, tie, counts)."""
+    if window_steps < 1:
+        raise ValueError("window_steps must be >= 1")
+    return [(i, *decide_direction(raster, (t0, t0 + window_steps)))
+            for i, t0 in enumerate(range(0, total_steps, window_steps))]
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +476,14 @@ def isi_signature(spikes: list[int]) -> tuple[int, int]:
     return len(times), int(round(cv * 10))
 
 
-def default_behavior_cases(steps: int = 400) -> dict[str, tuple[NeuronParams, list[int]]]:
-    """Five parameter/input sets chosen to produce distinct inter-spike
-    interval signatures (different counts or CV buckets)."""
+BEHAVIOR_STEPS = 400
+
+
+def default_behavior_cases() -> dict[str, tuple[NeuronParams, list[int]]]:
+    """Five parameter/input sets of `BEHAVIOR_STEPS` steps each, chosen to
+    produce distinct inter-spike interval signatures (different counts or CV
+    buckets)."""
+    steps = BEHAVIOR_STEPS
     ramp = [min(60, 2 + t // 8) for t in range(steps)]
     burst_drive = ([70] * 40 + [0] * 40) * (steps // 80)
     return {

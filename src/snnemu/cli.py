@@ -61,8 +61,7 @@ def _cmd_avoid(args) -> int:
     stim = StimulusTrace.load(args.stimulus)
     steps = args.windows * args.window_steps
     raster, _, agg = run(desc, stim, steps=steps, seed=args.seed)
-    win = apps.DecisionWindow(window_steps=args.window_steps)
-    for idx, direction, tie, counts in apps.decide_windows(raster, steps, win):
+    for idx, direction, tie, counts in apps.decide_windows(raster, steps, args.window_steps):
         print(f"{idx},{direction},{int(tie)}," + ",".join(str(c) for c in counts))
     per_decision = agg.total_parallel / args.windows
     print(f"# cycles_per_decision={per_decision:.0f}", file=sys.stderr)

@@ -52,26 +52,12 @@ class ConfigError(ValueError):
         self.path = path
 
 
-class Lcg:
-    """32-bit linear congruential generator with the documented constants."""
-
-    def __init__(self, seed: int):
-        self.state = seed & 0xFFFFFFFF
-
-    def next_u32(self) -> int:
-        self.state = (LCG_MULT * self.state + LCG_INC) & 0xFFFFFFFF
-        return self.state
-
-    def int_range(self, lo: int, hi: int) -> int:
-        """Uniform-ish integer in [lo, hi] (modulo bias is acceptable and
-        fully reproducible)."""
-        return lo + self.next_u32() % (hi - lo + 1)
-
-
 class NoiseDraws:
-    """Draws `lcg.int_range(lo, hi)` for each (lo, hi) of `ranges`, in
-    order, step after step, a block of steps per call and bit-identical to
-    drawing them one by one.
+    """The one random-number generator: a 32-bit LCG seeded with `seed`,
+    x' = (LCG_MULT * x + LCG_INC) mod 2^32. Each step draws lo + x' mod
+    (hi - lo + 1) for each (lo, hi) of `ranges`, in order, from the next
+    state (modulo bias is accepted and fully reproducible); a block of steps
+    per call, bit-identical to drawing them one by one.
 
     The j-th state after x is x_j = (A_j * x + C_j) mod 2^32, with
     A_j = a^j and C_j = c * (a^(j-1) + ... + 1) tabled once (jump-ahead,
@@ -80,8 +66,8 @@ class NoiseDraws:
     uint32 arithmetic wraps modulo 2^32, the generator's modulus.
     """
 
-    def __init__(self, lcg: Lcg, ranges: list[tuple[int, int]]):
-        self.lcg = lcg
+    def __init__(self, seed: int, ranges: list[tuple[int, int]]):
+        self.state = seed & 0xFFFFFFFF
         mult, inc = [], []
         a, c = 1, 0
         for _ in ranges:
@@ -100,12 +86,12 @@ class NoiseDraws:
         if not (k and len(self._span)):
             return np.zeros((k, len(self._span)), dtype=np.int64)
         a, c = self._step
-        x = self.lcg.state
+        x = self.state
         starts = []
         for _ in range(k):
             starts.append(x)
             x = (a * x + c) & 0xFFFFFFFF
-        self.lcg.state = x
+        self.state = x
         xs = np.multiply.outer(np.array(starts, dtype=np.uint32), self._mult)
         xs += self._inc
         return self._low + xs % self._span
@@ -449,7 +435,7 @@ class NetworkDescription:
         if not isinstance(doc, dict):
             raise ConfigError(path, "not a mapping")
         version = doc.get("version")
-        if version != CONFIG_VERSION:
+        if type(version) is not int or version != CONFIG_VERSION:
             raise ConfigError("version", f"unsupported config version {_show(version)}")
         for key in ("npu1", "npu2", "weight_image"):
             if key not in doc:
@@ -687,13 +673,13 @@ def simulate(
     first, and their (k, 2, 5) cycles from `Processor.cycles`.
 
     The stimulus is compiled once, before step 0, and each block's input
-    with it at once. Noise values come from one Lcg(seed), drawn each step
-    source by source in declaration order."""
+    with it at once. Noise values come from one NoiseDraws(seed, ...), drawn
+    each step source by source in declaration order."""
     if block < 1:
         raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
     inputs = _compile_stimulus(desc, stimulus)
-    noise = NoiseDraws(Lcg(seed), [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
+    noise = NoiseDraws(seed, [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
     for t0 in range(0, steps, block):
         ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
         yield t0, *proc.advance(ext, counts)

@@ -25,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .neuron import V_MAX, neuron_tables
-from .npu import NpuConfig, PhaseCycles, check_chop_weights
+from .npu import NpuConfig, PhaseCycles, check_chop_weights, chop_op_count, dense_op_count
 from .synapse import (
     EXT_BOUND,
     MAC_BOUND,
@@ -182,7 +182,7 @@ class Processor:
 def synapse_count(n1_total: int, n2_total: int) -> int:
     """Recurrent synapse budget of the full chip: each NPU is fully
     recurrently connected over its total (global neuron included)."""
-    return n1_total * n1_total + n2_total * n2_total
+    return dense_op_count(n1_total) + dense_op_count(n2_total)
 
 
 def hierarchy_op_reduction(n: int, m: int) -> float:
@@ -191,6 +191,4 @@ def hierarchy_op_reduction(n: int, m: int) -> float:
     population of n + m neurons. Peaks at 0.25 when n == m."""
     if n < 0 or m < 0 or n + m == 0:
         raise ValueError("need n, m >= 0 with n + m > 0")
-    flat = (n + m) ** 2
-    hier = n * n + (n + m) * m
-    return 1.0 - hier / flat
+    return 1.0 - chop_op_count(n, m) / dense_op_count(n + m)

@@ -1,13 +1,32 @@
-"""Scalar reference models of the neuron update and the synaptic decay: one
-neuron, one accumulator, one step at a time in plain integers. The chip runs
-both as lookup tables (`neuron_tables`, `sat_decay_table`); the tests check
-every table entry against these."""
+"""Scalar reference models of the neuron update, the synaptic decay and the
+noise generator: one neuron, one accumulator, one draw at a time in plain
+integers. The chip runs the first two as lookup tables (`neuron_tables`,
+`sat_decay_table`) and draws noise a block at a time (`NoiseDraws`); the
+tests check every table entry and every draw against these."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from snnemu.netio import LCG_INC, LCG_MULT
 from snnemu.neuron import V_MAX, NeuronParams, pde_threshold
+
+
+class Lcg:
+    """32-bit linear congruential generator with the documented constants,
+    one draw at a time."""
+
+    def __init__(self, seed: int):
+        self.state = seed & 0xFFFFFFFF
+
+    def next_u32(self) -> int:
+        self.state = (LCG_MULT * self.state + LCG_INC) & 0xFFFFFFFF
+        return self.state
+
+    def int_range(self, lo: int, hi: int) -> int:
+        """Uniform-ish integer in [lo, hi] (modulo bias is acceptable and
+        fully reproducible)."""
+        return lo + self.next_u32() % (hi - lo + 1)
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Sudoku builder/decoder/verifier, avoidance decisions, behavior fixtures."""
 
+import functools
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 
 from snnemu.apps import (
     INTEGRATOR,
-    DecisionWindow,
     NoDecisionError,
     SudokuPuzzle,
     behavior_sweep,
@@ -64,12 +65,82 @@ def brute_force_conflicts(n, kind="all"):
     return out
 
 
+@functools.cache
+def unit_conflicts(n):
+    return brute_force_conflicts(n, "unit")
+
+
+def loop_clue_check(n, clues):
+    """Reference clue check, one clue and one pair at a time: the error
+    message for in-range `clues`, or None when they are consistent. A cell
+    given two digits is reported first, at its first repeat; then the first
+    pair, in clue order, that puts one digit twice in a unit, its earlier
+    cell first."""
+    seen = {}
+    for r, c, d in clues:
+        if seen.setdefault((r, c), d) != d:
+            return f"conflicting clues at cell {(r, c)}"
+    for r1, c1, d1 in clues:
+        for r2, c2, d2 in clues:
+            if (r1, c1) < (r2, c2) and unit_conflicts(n)[
+                    neuron_index(n, r1, c1, d1), neuron_index(n, r2, c2, d2)]:
+                return f"inconsistent clues: digit {d1} at {(r1, c1)} and {(r2, c2)}"
+    return None
+
+
+@functools.cache
+def full_grid(n):
+    return solve_exact(SudokuPuzzle(n=n, clues=[]), limit=1)[0]
+
+
+@st.composite
+def clue_lists(draw):
+    """(n, in-range clues): cells of one valid grid, which never conflict,
+    mixed with arbitrary clues and repeats of earlier ones, which give
+    duplicate, same-cell and same-unit clues."""
+    n = draw(st.integers(2, 5))
+    index = st.integers(0, n - 1)
+    from_grid = st.tuples(index, index).map(lambda rc: (*rc, full_grid(n)[rc[0]][rc[1]]))
+    anything = st.tuples(index, index, st.integers(1, n))
+    clues = draw(st.lists(st.one_of(from_grid, from_grid, anything), max_size=2 * n))
+    for _ in range(draw(st.integers(0, 3)) if clues else 0):
+        clues.insert(draw(st.integers(0, len(clues))), draw(st.sampled_from(clues)))
+    return n, clues
+
+
+class TestClueCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(case=clue_lists())
+    def test_matches_loop_reference(self, case):
+        """SudokuPuzzle accepts exactly the clue lists the reference accepts
+        and rejects the others with the same message."""
+        n, clues = case
+        try:
+            SudokuPuzzle(n=n, clues=clues)
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == loop_clue_check(n, clues)
+
+
 class TestSudokuTopology:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_conflicts_match_rule_oracle(self, n):
         assert np.array_equal(conflict_matrix(n), brute_force_conflicts(n))
         for kind in ("cell", "unit"):
             assert np.array_equal(conflict_matrix(n, kind), brute_force_conflicts(n, kind))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_conflicts_shared_and_read_only(self, n):
+        """One array per (n, kind), whichever way the kind is named, that
+        no caller can write."""
+        assert conflict_matrix(n) is conflict_matrix(n, "all")
+        for kind in ("cell", "unit", "all"):
+            matrix = conflict_matrix(n, kind)
+            assert conflict_matrix(n, kind) is matrix
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = True
 
     def test_network_sizes(self):
         desc, trace = build_sudoku_network(SudokuPuzzle(n=4, clues=[]))
@@ -91,6 +162,12 @@ class TestSudokuTopology:
     def test_conflicting_cell_clues_rejected(self):
         with pytest.raises(ValueError, match="conflicting"):
             SudokuPuzzle(n=4, clues=[(0, 0, 1), (0, 0, 2)])
+
+    @pytest.mark.parametrize("clue", [(4, 0, 1), (0, -1, 1), (0, 0, 0), (0, 0, 5), (0, 0, 2**70)])
+    def test_out_of_range_clue_reported_before_conflicts(self, clue):
+        """Every clue is range-checked before any pair is compared."""
+        with pytest.raises(ValueError, match=re.escape(f"clue out of range: {clue}")):
+            SudokuPuzzle(n=4, clues=[(0, 0, 1), (0, 0, 2), clue])
 
     def test_from_text_names_bad_token(self):
         with pytest.raises(ValueError, match=r"row 1, column 0: expected a digit or '\.', got '\?'"):
@@ -220,7 +297,7 @@ class TestSudokuEndToEnd:
             assert result.grid[r][c] == d
 
     def test_n2_puzzle(self):
-        puz = random_puzzle(2, seed=5, n_clues=1)
+        puz = SudokuPuzzle(2, random_puzzle(2, seed=5).clues[:1])
         result = solve_sudoku(puz, seed=5, max_steps=20_000)
         assert result.solved
 
@@ -263,13 +340,13 @@ class TestAvoidance:
         records = np.vstack((stim1.records, stim2.records + [50, 0, 0, 0]))
         from snnemu.netio import StimulusTrace
         raster, _, _ = run(desc, StimulusTrace(records=records), steps=100, seed=3)
-        decisions = decide_windows(raster, 100, DecisionWindow(window_steps=50))
+        decisions = decide_windows(raster, 100, 50)
         assert decisions[0][1] == 2
         assert decisions[1][1] == 5
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            DecisionWindow(window_steps=0)
+        with pytest.raises(ValueError, match="window_steps must be >= 1"):
+            decide_windows([], 100, 0)
 
 
 class TestBehaviorSweep:

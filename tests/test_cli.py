@@ -189,6 +189,8 @@ class TestErrorContract:
         (lambda d: d["npu2"]["global"].update(params=5), "npu2.global.params: must be a mapping"),
         (lambda d: d.update(weight_image=[1]), "weight_image: must be a file name"),
         (lambda d: d["npu1"]["neurons"].update(v_t=1e9), "npu1.neurons.v_t: must be an integer"),
+        (lambda d: d.update(version=True), "version: unsupported config version True"),
+        (lambda d: d.update(version=1.0), "version: unsupported config version 1.0"),
     ])
     def test_malformed_field_names_its_path(self, config_path, capsys, edit, message):
         with open(config_path) as f:

@@ -7,6 +7,10 @@ partly zero weight rows, chopped populations in both NPUs, and all three
 stimulus forms (DC, seeded noise and a trace). The digests in
 `fixtures/golden_run.json` were recorded from the emulator before its
 datapath was compiled into one crossbar and one step loop.
+
+The determinism helper `_det_run.py` is pinned too: its avoidance network,
+`make_direction_stimulus` trace and noise are the bytes that the
+determinism acceptance test only compares run against run.
 """
 
 import hashlib
@@ -20,6 +24,7 @@ from snnemu.cli import main
 from snnemu.neuron import NeuronParams
 from snnemu.netio import DcSource, NetworkDescription, NoiseSource, StimulusTrace
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
+from _det_run import main as det_run
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden_run.json")
 
@@ -87,9 +92,14 @@ def golden_digests(directory):
                "--steps", str(run["steps"]), "--seed", str(run["seed"]),
                "--raster-out", raster, "--cycles-out", cycles])
     assert rc == 0
+    return file_digests(directory)
+
+
+def file_digests(directory):
+    """SHA-256 of the raster.csv and cycles.csv in `directory`."""
     digests = {}
-    for name, path in (("raster", raster), ("cycles", cycles)):
-        with open(path, "rb") as f:
+    for name in ("raster", "cycles"):
+        with open(os.path.join(directory, f"{name}.csv"), "rb") as f:
             digests[name] = hashlib.sha256(f.read()).hexdigest()
     return digests
 
@@ -100,3 +110,10 @@ def test_golden_run_reproduces(tmp_path, capsys):
     assert golden_digests(str(tmp_path)) == pinned["sha256"]
     summary = capsys.readouterr().out
     assert f"spikes={pinned['spikes']}" in summary
+
+
+def test_det_run_reproduces(tmp_path):
+    with open(FIXTURE) as f:
+        pinned = json.load(f)["det_run"]
+    det_run(str(tmp_path))
+    assert file_digests(str(tmp_path)) == pinned["sha256"]

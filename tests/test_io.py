@@ -19,7 +19,6 @@ from snnemu.netio import (
     WEIGHT_MAGIC,
     ConfigError,
     DcSource,
-    Lcg,
     NetworkDescription,
     NoiseDraws,
     NoiseSource,
@@ -32,6 +31,7 @@ from snnemu.netio import (
     save_weight_image,
     simulate,
 )
+from scalar_ref import Lcg
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -499,10 +499,10 @@ class TestNoiseDraws:
         """Jump-ahead draws equal Lcg.int_range drawn one at a time, in
         order, step after step."""
         scalar = Lcg(seed)
-        noise = NoiseDraws(Lcg(seed), ranges)
+        noise = NoiseDraws(seed, ranges)
         want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(steps)]
         assert noise.draw(steps).tolist() == want
-        assert noise.lcg.state == scalar.state
+        assert noise.state == scalar.state
 
     @pytest.mark.parametrize("k", range(6))
     def test_block_of_k_steps(self, k):
@@ -510,22 +510,22 @@ class TestNoiseDraws:
         same state, so blocks of any length chain into one stream."""
         ranges = [(-3, 4), (0, 0), (-128, 127), (10, 20), (5, 5)]
         scalar = Lcg(99)
-        noise = NoiseDraws(Lcg(99), ranges)
+        noise = NoiseDraws(99, ranges)
         for _ in range(3):
             want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(k)]
             got = noise.draw(k)
             assert got.shape == (k, len(ranges))
             assert got.tolist() == want
-            assert noise.lcg.state == scalar.state
+            assert noise.state == scalar.state
 
     def test_no_ranges_draw_nothing(self):
-        noise = NoiseDraws(Lcg(5), [])
+        noise = NoiseDraws(5, [])
         assert noise.draw(4).shape == (4, 0)
-        assert noise.lcg.state == 5
+        assert noise.state == 5
 
     def test_spans_one_to_256(self):
         ranges = [(lo, lo + span - 1) for span in range(1, 257) for lo in (-128, 127 - span + 1)]
         scalar = Lcg(7)
-        assert NoiseDraws(Lcg(7), ranges).draw(1)[0].tolist() == [
+        assert NoiseDraws(7, ranges).draw(1)[0].tolist() == [
             scalar.int_range(lo, hi) for lo, hi in ranges
         ]

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from snnemu.netio import (
     DcSource,
-    Lcg,
     NetworkDescription,
     NoiseSource,
     StimulusTrace,
@@ -27,6 +26,7 @@ from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import Processor
 from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig
+from scalar_ref import Lcg
 from test_processor import events, step
 
 PHASES = ("external", "scan", "mac", "decay", "pde")
