@@ -134,7 +134,8 @@ def main(argv=None) -> int:
         print(f"error: config: {e}", file=sys.stderr)
         return 2
     except (ValueError, IndexError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        category = "io" if isinstance(e, OSError) else type(e).__name__
+        print(f"error: {category}: {e}", file=sys.stderr)
         return 2
 
 

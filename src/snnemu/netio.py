@@ -269,6 +269,25 @@ def _chop_from(chop, path: str) -> tuple[int, int] | None:
     return tuple(chop)
 
 
+def _addrs_from(value, total: int, path: str) -> list[int]:
+    """Noise addresses: a list of integers, or the half-open range {start,
+    stop} with 0 <= start <= stop <= total, checked before it is expanded."""
+    if not isinstance(value, dict):
+        return [_int(a, f"{path}[{j}]") for j, a in enumerate(_list(value, path))]
+    if value.keys() != {"start", "stop"}:
+        raise ConfigError(path, f"need exactly the keys start and stop, got {_show(list(value))}")
+    start, stop = (_int(value[k], f"{path}.{k}") for k in ("start", "stop"))
+    if not 0 <= start <= stop <= total:
+        raise ConfigError(path, f"need 0 <= start <= stop <= {total}, got {start}..{stop}")
+    return list(range(start, stop))
+
+
+def _addrs_to(addrs: list[int]):
+    """The range form of one ascending contiguous run, else the list."""
+    run = addrs and addrs == list(range(addrs[0], addrs[-1] + 1))
+    return {"start": addrs[0], "stop": addrs[-1] + 1} if run else list(addrs)
+
+
 def _params_to_dict(p: NeuronParams) -> dict:
     return {f: getattr(p, f) for f in PARAM_FIELDS}
 
@@ -312,13 +331,12 @@ class NetworkDescription:
         """Every DC and noise address names a neuron of its NPU. The source
         lists may be reassigned after construction, so runs check again."""
         for src in self.dc + self.noise:
-            cfg = self.npu1 if src.npu == 1 else self.npu2
+            total = (self.npu1 if src.npu == 1 else self.npu2).total_neurons
             addrs = src.addrs if isinstance(src, NoiseSource) else [src.addr]
-            for a in addrs:
-                if not 0 <= a < cfg.total_neurons:
-                    raise ConfigError(
-                        "stimulus", f"address {a} out of range for npu{src.npu}"
-                    )
+            # Two reductions pass valid addresses; only bad ones are searched.
+            if addrs and (min(addrs) < 0 or max(addrs) >= total):
+                a = next(a for a in addrs if not 0 <= a < total)
+                raise ConfigError("stimulus", f"address {a} out of range for npu{src.npu}")
 
     def build_processor(self) -> Processor:
         """Compile the chip straight from the weight matrices."""
@@ -404,7 +422,7 @@ class NetworkDescription:
             ]
         if self.noise:
             stim["noise"] = [
-                {"npu": s.npu, "addrs": list(s.addrs), "low": s.low, "high": s.high}
+                {"npu": s.npu, "addrs": _addrs_to(s.addrs), "low": s.low, "high": s.high}
                 for s in self.noise
             ]
         if stim:
@@ -458,10 +476,10 @@ class NetworkDescription:
         noise = []
         for i, s in enumerate(_list(stim.get("noise", []), "stimulus.noise")):
             spath = f"stimulus.noise[{i}]"
-            fields = _ints(s, ("npu", "low", "high"), spath)
-            addrs = _list(_get(s, "addrs", spath), f"{spath}.addrs")
-            fields["addrs"] = [_int(a, f"{spath}.addrs[{j}]") for j, a in enumerate(addrs)]
-            noise.append(NoiseSource(**fields))
+            src = NoiseSource(addrs=[], **_ints(s, ("npu", "low", "high"), spath))
+            total = (npu1, npu2)[src.npu - 1].total_neurons
+            src.addrs = _addrs_from(_get(s, "addrs", spath), total, f"{spath}.addrs")
+            noise.append(src)
         return cls(
             npu1=npu1,
             npu2=npu2,

@@ -87,9 +87,11 @@ def neuron_tables(params: list[NeuronParams]):
     membrane v has the candidate s = vd[vbase[k] + v] + i, spikes if
     s > V_MAX, and moves to reset[s + roff[k]]: v_reset on a spike, else s
     clamped at 0. The tables hold one row per distinct parameter set and
-    reset potential, never one per neuron."""
+    reset potential, never one per neuron. Only the first object of each
+    identity is hashed: a population usually shares one."""
     sets: dict[NeuronParams, int] = {}
-    rows = np.array([sets.setdefault(p, len(sets)) for p in params], dtype=np.int64)
+    row_of = {i: sets.setdefault(p, len(sets)) for i, p in {id(p): p for p in params}.items()}
+    rows = np.array([row_of[id(p)] for p in params], dtype=np.int64)
     resets = {r: k for k, r in enumerate(dict.fromkeys(p.v_reset for p in sets))}
     vd = drift_table(tuple(sets))
     lo, hi = int(vd.min()) + SAT_MIN, int(vd.max()) + SAT_MAX

@@ -93,12 +93,15 @@ class WeightMemory:
         return _signed_nibbles(self.words)[:, : self.n_targets]
 
 
+# The signed (low, high) nibbles of each byte value: 0..7 stay, 8..15 -> -8..-1.
+_BYTE_NIBBLES = (((np.arange(256)[:, None] >> np.array([0, 4])) & 0xF) ^ 8) - 8
+
+
 def _signed_nibbles(words: np.ndarray) -> np.ndarray:
-    """(rows, stride) packed words -> (rows, 8 * stride) signed weights."""
-    shifts = 4 * np.arange(GROUP_SIZE, dtype=np.uint32)
-    nib = ((words[:, :, None] >> shifts) & np.uint32(0xF)).astype(np.int64)
-    # Two's-complement sign extension of 4 bits: 0..7 stay, 8..15 -> -8..-1.
-    return ((nib ^ 8) - 8).reshape(words.shape[0], GROUP_SIZE * words.shape[1])
+    """(rows, stride) packed words -> (rows, 8 * stride) signed weights. The
+    little-endian bytes of a word hold its nibbles 0..7 low nibble first."""
+    data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
+    return _BYTE_NIBBLES.take(data, axis=0).reshape(words.shape[0], GROUP_SIZE * words.shape[1])
 
 
 def _group_bits(codes, n_groups: int) -> np.ndarray:

@@ -63,7 +63,7 @@ class TestRunCommand:
         rc = main(["run", "--config", str(tmp_path / "nope.yaml"), "--steps", "1",
                    "--raster-out", str(tmp_path / "r.csv")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("error: io: ")
 
 
 class TestSudokuCommand:
@@ -119,6 +119,12 @@ class TestInspectCommand:
         assert "weight_memory_words=67" in capsys.readouterr().out
 
 
+def noise_addrs(addrs):
+    """An edit of a config document: one noise source on NPU1 (two neurons
+    in `config_path`) with the addresses `addrs`."""
+    return lambda d: d["stimulus"].update(noise=[{"npu": 1, "addrs": addrs, "low": 0, "high": 1}])
+
+
 class TestErrorContract:
     """Malformed inputs exit 2 with exactly one `error: <category>: ...` line."""
 
@@ -160,6 +166,30 @@ class TestErrorContract:
         with open(config_path, "w") as f:
             f.writelines(lines[:start] + [text] + lines[end:])
 
+    @pytest.mark.parametrize("command, missing", [
+        ("sudoku", "puzzle.txt"),
+        ("run", "stim.csv"),
+        ("avoid", "stim.csv"),
+        ("inspect", "net.weights.bin"),
+        ("run", "net.weights.bin"),
+    ])
+    def test_missing_file_is_io_error(self, config_path, tmp_path, capsys, command, missing):
+        """A file that cannot be opened is one `error: io:` line naming it."""
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
+        (tmp_path / missing).unlink(missing_ok=True)
+        argv = {
+            "sudoku": ["sudoku", "--puzzle", tmp_path / "puzzle.txt"],
+            "run": ["run", "--config", config_path, "--stimulus", stim, "--steps", "5",
+                    "--raster-out", tmp_path / "r.csv"],
+            "avoid": ["avoid", "--stimulus", stim],
+            "inspect": ["inspect", "--config", config_path],
+        }[command]
+        assert main([str(a) for a in argv]) == 2
+        self.one_error_line(
+            capsys, f"error: io: [Errno 2] No such file or directory: '{tmp_path / missing}'")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("key", ["npu1", "npu2", "weight_image"])
     def test_missing_top_level_key(self, config_path, capsys, key):
         self.replace_key(config_path, key, "")
@@ -191,6 +221,18 @@ class TestErrorContract:
         (lambda d: d["npu1"]["neurons"].update(v_t=1e9), "npu1.neurons.v_t: must be an integer"),
         (lambda d: d.update(version=True), "version: unsupported config version True"),
         (lambda d: d.update(version=1.0), "version: unsupported config version 1.0"),
+        *[(noise_addrs(addrs), "stimulus.noise[0].addrs" + message) for addrs, message in [
+            ({"start": 2, "stop": 1}, ": need 0 <= start <= stop <= 2, got 2..1"),
+            ({"start": 0, "stop": 1.5}, ".stop: must be an integer, got 1.5"),
+            ({"start": True, "stop": 2}, ".start: must be an integer, got True"),
+            ({"start": 0}, ": need exactly the keys start and stop, got ['start']"),
+            ({"start": 0, "stop": 2, "step": 1},
+             ": need exactly the keys start and stop, got ['start', 'step', 'stop']"),
+            ({"start": 0, "stop": 3}, ": need 0 <= start <= stop <= 2, got 0..3"),
+            ({"start": -1, "stop": 1}, ": need 0 <= start <= stop <= 2, got -1..1"),
+            ({"start": 0, "stop": 2**70},
+             f": need 0 <= start <= stop <= 2, got 0..{2**70}"),
+        ]],
     ])
     def test_malformed_field_names_its_path(self, config_path, capsys, edit, message):
         with open(config_path) as f:

@@ -84,8 +84,10 @@ def paths_of(doc, prefix=()):
 @given(data=st.data())
 def test_yaml_config(workdir, data):
     text = (workdir / "net.yaml").read_text()
+    doc = yaml.safe_load(text)
+    # The noise addresses [0, 1] are saved as a range, so it is mutated too.
+    assert doc["stimulus"]["noise"][0]["addrs"] == {"start": 0, "stop": 2}
     if data.draw(st.booleans(), label="structured"):
-        doc = yaml.safe_load(text)
         path = data.draw(st.sampled_from(list(paths_of(doc))), label="path")
         parent = doc
         for key in path[:-1]:

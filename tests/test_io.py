@@ -9,6 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,37 @@ class TestNetworkDescription:
         desc.save(str(path))
         assert desc_equal(desc, NetworkDescription.load(str(path)))
 
+    @pytest.mark.parametrize("addrs, saved", [
+        (list(range(33)), {"start": 0, "stop": 33}),
+        ([5], {"start": 5, "stop": 6}),
+        ([3, 4, 5, 6], {"start": 3, "stop": 7}),
+        (list(range(0, 33, 2)), list(range(0, 33, 2))),
+        ([2, 1, 0], [2, 1, 0]),
+        ([1, 2, 2, 3], [1, 2, 2, 3]),
+        ([], []),
+    ])
+    def test_noise_addresses_round_trip(self, tmp_path, addrs, saved):
+        """One ascending contiguous run is saved as a {start, stop} range,
+        any other address list as the list; both load to an equal
+        description."""
+        desc = minimal_desc(n2=32, noise=[NoiseSource(npu=2, addrs=addrs, low=0, high=3)])
+        path = tmp_path / "net.yaml"
+        desc.save(str(path))
+        assert yaml.safe_load(path.read_text())["stimulus"]["noise"][0]["addrs"] == saved
+        loaded = NetworkDescription.load(str(path))
+        assert desc_equal(desc, loaded) and type(loaded.noise[0].addrs) is list
+
+    def test_listed_run_still_loads(self, tmp_path):
+        """A config that lists every address of a run loads as its range does."""
+        desc = minimal_desc(n2=32, noise=[NoiseSource(npu=2, addrs=list(range(33)),
+                                                      low=0, high=3)])
+        path = tmp_path / "net.yaml"
+        desc.save(str(path))
+        doc = yaml.safe_load(path.read_text())
+        doc["stimulus"]["noise"][0]["addrs"] = list(range(33))
+        path.write_text(yaml.safe_dump(doc))
+        assert desc_equal(desc, NetworkDescription.load(str(path)))
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             NpuConfig(max_neurons=128, active_neurons=3, params=[QUIET] * 3,
@@ -164,6 +196,11 @@ class TestNetworkDescription:
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):
             minimal_desc(dc=[DcSource(npu=1, addr=7, value=1)])
+
+    def test_first_bad_noise_address_named(self):
+        with pytest.raises(ConfigError, match=r"^stimulus: address 9 out of range for npu1$"):
+            minimal_desc(noise=[NoiseSource(npu=1, addrs=[1, 0], low=0, high=1),
+                                NoiseSource(npu=1, addrs=[1, 9, -1, 12], low=0, high=1)])
 
 
 class TestStimulusTrace:

@@ -1,5 +1,6 @@
 """Unit and property tests for the integer QIF neuron."""
 
+import dataclasses
 import math
 import random
 from itertools import repeat
@@ -160,6 +161,20 @@ class TestNeuronTables:
         assert len(set(roff.tolist())) == 2
         again = neuron_tables(self.SWEEP)
         assert again[0].base is vd.base and again[2].base is reset.base
+
+    @pytest.mark.parametrize("population", [
+        [NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)] * 162,
+        ([NeuronParams(a_num=1, b_num=1, v_r=0, v_t=255, v_reset=0)] * 2 + SWEEP[:3]) * 32
+        + SWEEP[:2],
+    ], ids=["one-object", "shared-and-distinct"])
+    def test_shared_objects_match_equal_copies(self, population):
+        """Tables are deduplicated by identity before equality: references
+        to shared objects give the same four arrays as equal but distinct
+        objects, one per neuron."""
+        copies = [dataclasses.replace(p) for p in population]
+        assert all(a is not b and a == b for a, b in zip(population, copies))
+        for shared, distinct in zip(neuron_tables(population), neuron_tables(copies)):
+            assert shared.dtype == distinct.dtype and np.array_equal(shared, distinct)
 
 
 class TestNeuronStep:
