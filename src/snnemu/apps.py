@@ -12,6 +12,7 @@ are solved as Latin squares.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -152,14 +153,13 @@ SUDOKU_DECAY_A = 5
 CHECK_EVERY = 200
 
 
-def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, StimulusTrace]:
-    """Map a puzzle onto NPU2. All stimulus (clue drive and noise) is declared
-    in the config, so the returned trace is empty."""
-    n = puzzle.n
+@functools.lru_cache(maxsize=4)
+def _sudoku_chip(n: int) -> NetworkDescription:
+    """The puzzle-independent n x n network, built once per n: NPU configs
+    and weights without stimulus. Every puzzle's description is a copy of
+    it, so all of them share the one chip it compiles."""
     size = n**3
     active2 = _next_pow2(size)
-    t2 = active2 + 1
-
     npu1 = NpuConfig(
         max_neurons=32, active_neurons=1, params=[INTEGRATOR],
         global_neuron=GlobalNeuronConfig(params=INTEGRATOR),
@@ -169,31 +169,32 @@ def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, Stim
         global_neuron=GlobalNeuronConfig(params=INTEGRATOR),
         decay_a=SUDOKU_DECAY_A,
     )
-
     rec = np.zeros((size, size), dtype=np.int64)
     rec[conflict_matrix(n, "unit")] = INHIBIT_UNIT
     rec[conflict_matrix(n, "cell")] = INHIBIT_CELL
     np.fill_diagonal(rec, EXCITE)
-    weights2 = np.zeros((npu1.total_neurons + active2, t2), dtype=np.int64)
+    weights2 = np.zeros((npu1.total_neurons + active2, active2 + 1), dtype=np.int64)
     weights2[npu1.total_neurons : npu1.total_neurons + size, :size] = rec
+    desc = NetworkDescription(npu1=npu1, npu2=npu2, weights1=np.zeros((1, 2), dtype=np.int64),
+                              weights2=weights2, gs_mode="auto")
+    desc.build_processor()  # compiled here, so that every copy shares the chip
+    return desc
 
+
+def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, StimulusTrace]:
+    """Map a puzzle onto NPU2. All stimulus (clue drive and noise) is declared
+    in the config, so the returned trace is empty; the rest is shared by
+    every puzzle of its size."""
+    n = puzzle.n
+    size = n**3
     clue_addrs = {neuron_index(n, r, c, d) for r, c, d in puzzle.clues}
-    dc = [DcSource(npu=2, addr=a, value=CLUE_VALUE) for a in sorted(clue_addrs)]
     noise_addrs = [a for a in range(size) if a not in clue_addrs]
-    noise = (
+    desc = copy.copy(_sudoku_chip(n))
+    desc.dc = [DcSource(npu=2, addr=a, value=CLUE_VALUE) for a in sorted(clue_addrs)]
+    desc.noise = (
         [NoiseSource(npu=2, addrs=noise_addrs, low=NOISE_LOW, high=NOISE_HIGH)]
         if noise_addrs
         else []
-    )
-
-    desc = NetworkDescription(
-        npu1=npu1,
-        npu2=npu2,
-        weights1=np.zeros((1, 2), dtype=np.int64),
-        weights2=weights2,
-        gs_mode="auto",
-        dc=dc,
-        noise=noise,
     )
     return desc, StimulusTrace()
 

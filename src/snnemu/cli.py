@@ -14,6 +14,7 @@ from . import apps
 from .netio import (
     ConfigError,
     NetworkDescription,
+    StimulusError,
     StimulusTrace,
     run,
     save_cycles,
@@ -120,21 +121,30 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _range_error(args) -> str | None:
+    """What is wrong with the parsed counts and seed, if anything."""
+    for name in ("steps", "max_steps", "windows", "window_steps"):
+        if getattr(args, name, 1) < 1:
+            return f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}"
+    if not 0 <= getattr(args, "seed", 0) <= 0xFFFFFFFF:
+        return f"--seed must be 0..4294967295, got {args.seed}"
+    return None
+
+
+# The category of each typed error, first match; other errors name their class.
+_CATEGORIES = ((ConfigError, "config"), (StimulusError, "stimulus"), (OSError, "io"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        for name in ("steps", "max_steps", "windows", "window_steps"):
-            if getattr(args, name, 1) < 1:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} must be at least 1, got {getattr(args, name)}")
-        if not 0 <= getattr(args, "seed", 0) <= 0xFFFFFFFF:
-            raise ValueError(f"--seed must be 0..4294967295, got {args.seed}")
-        return args.func(args)
-    except ConfigError as e:
-        print(f"error: config: {e}", file=sys.stderr)
+    problem = _range_error(args)
+    if problem:
+        print(f"error: usage: {problem}", file=sys.stderr)
         return 2
+    try:
+        return args.func(args)
     except (ValueError, IndexError, OSError) as e:
-        category = "io" if isinstance(e, OSError) else type(e).__name__
+        category = next((c for cls, c in _CATEGORIES if isinstance(e, cls)), type(e).__name__)
         print(f"error: {category}: {e}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,7 @@ reproducible across implementations.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import stat
@@ -52,6 +53,10 @@ class ConfigError(ValueError):
         self.path = path
 
 
+class StimulusError(ValueError):
+    """Invalid stimulus trace: a bad file, record or address."""
+
+
 class NoiseDraws:
     """The one random-number generator: a 32-bit LCG seeded with `seed`,
     x' = (LCG_MULT * x + LCG_INC) mod 2^32. Each step draws lo + x' mod
@@ -66,19 +71,14 @@ class NoiseDraws:
     uint32 arithmetic wraps modulo 2^32, the generator's modulus.
     """
 
-    def __init__(self, seed: int, ranges: list[tuple[int, int]]):
+    def __init__(self, seed: int, ranges):
+        """`ranges` is a sequence of (lo, hi) pairs or an (n, 2) array."""
         self.state = seed & 0xFFFFFFFF
-        mult, inc = [], []
-        a, c = 1, 0
-        for _ in ranges:
-            a, c = (LCG_MULT * a) & 0xFFFFFFFF, (LCG_MULT * c + LCG_INC) & 0xFFFFFFFF
-            mult.append(a)
-            inc.append(c)
-        self._step = (a, c)
-        self._mult = np.array(mult, dtype=np.uint32)
-        self._inc = np.array(inc, dtype=np.uint32)
-        self._low = np.array([lo for lo, _ in ranges], dtype=np.int64)
-        self._span = np.array([hi - lo + 1 for lo, hi in ranges], dtype=np.uint32)
+        ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+        self._mult, self._inc = _jump_tables(len(ranges))
+        self._step = (int(self._mult[-1]), int(self._inc[-1])) if len(ranges) else (1, 0)
+        self._low = ranges[:, 0]
+        self._span = (ranges[:, 1] - ranges[:, 0] + 1).astype(np.uint32)
 
     def draw(self, k: int) -> np.ndarray:
         """The values of every range for the next k steps, as a fresh
@@ -95,6 +95,18 @@ class NoiseDraws:
         xs = np.multiply.outer(np.array(starts, dtype=np.uint32), self._mult)
         xs += self._inc
         return self._low + xs % self._span
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only uint32 (A_j, C_j) of `NoiseDraws`, j = 1..n, cached per
+    count: A_j is a running product of LCG_MULT, C_j is LCG_INC times the
+    running sum of A_0..A_(j-1), both wrapping modulo 2^32."""
+    mult = np.multiply.accumulate(np.full(n, LCG_MULT, dtype=np.uint32), dtype=np.uint32)
+    inc = np.cumsum(np.concatenate(([1], mult))[:-1], dtype=np.uint32) * np.uint32(LCG_INC)
+    for table in (mult, inc):
+        table.setflags(write=False)
+    return mult, inc
 
 
 def _write_file(path: str, data: bytes) -> None:
@@ -292,10 +304,38 @@ def _params_to_dict(p: NeuronParams) -> dict:
     return {f: getattr(p, f) for f in PARAM_FIELDS}
 
 
+def _owned(weights) -> np.ndarray:
+    """A copy of `weights` as a read-only int64 view of a read-only array
+    that nothing else holds, the form `WeightMemory.unpack` returns: writes
+    through it raise, and so does `setflags(write=True)`."""
+    owner = np.array(weights, dtype=np.int64)
+    owner.setflags(write=False)
+    return owner[...]
+
+
+class _Unpacked:
+    """A matrix fresh from `WeightMemory.unpack`, already in the form
+    `_owned` makes, which a description keeps without a second copy."""
+
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+
+
+# The inputs of the compiled chip; assigning one drops a description's chip.
+_CHIP_INPUTS = ("npu1", "npu2", "weights1", "weights2", "gs_mode")
+
+
 @dataclass
 class NetworkDescription:
     """Everything needed to instantiate a Processor: the two NPU configs,
-    their weight matrices, group-sparse mode, and declared stimulus."""
+    their weight matrices, group-sparse mode, and declared stimulus.
+
+    The NPU configs are frozen and the weight matrices are read-only int64
+    copies the description owns, so `build_processor` compiles the chip
+    once and keeps it until one of its inputs (`_CHIP_INPUTS`) is assigned
+    again; `copy.copy` of a description shares its chip. Making a matrix's
+    memory writable again (through its `.base`) would leave that chip
+    stale. The stimulus lists may be reassigned; every run checks them."""
 
     npu1: NpuConfig
     npu2: NpuConfig
@@ -313,8 +353,6 @@ class NetworkDescription:
             raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         t1 = self.npu1.total_neurons
         t2 = self.npu2.total_neurons
-        self.weights1 = np.asarray(self.weights1, dtype=np.int64)
-        self.weights2 = np.asarray(self.weights2, dtype=np.int64)
         if self.weights1.shape != (self.npu1.active_neurons, t1):
             raise ConfigError(
                 "weights.npu1",
@@ -326,6 +364,13 @@ class NetworkDescription:
                 f"shape {self.weights2.shape}, expected {(t1 + self.npu2.active_neurons, t2)}",
             )
         self.check_stimulus()
+
+    def __setattr__(self, name, value):
+        if name in ("weights1", "weights2"):
+            value = value.weights if isinstance(value, _Unpacked) else _owned(value)
+        if name in _CHIP_INPUTS:
+            object.__setattr__(self, "_chip", None)
+        object.__setattr__(self, name, value)
 
     def check_stimulus(self) -> None:
         """Every DC and noise address names a neuron of its NPU. The source
@@ -339,10 +384,13 @@ class NetworkDescription:
                 raise ConfigError("stimulus", f"address {a} out of range for npu{src.npu}")
 
     def build_processor(self) -> Processor:
-        """Compile the chip straight from the weight matrices."""
-        gs = tuple(GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
-                   for w in (self.weights1, self.weights2))
-        return Processor(self.npu1, self.weights1, self.npu2, self.weights2, gs=gs)
+        """The chip at step 0: compiled straight from the weight matrices on
+        the first call, and a fresh copy of that chip on every later one."""
+        if self._chip is None:
+            gs = tuple(GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
+                       for w in (self.weights1, self.weights2))
+            self._chip = Processor(self.npu1, self.weights1, self.npu2, self.weights2, gs=gs)
+        return self._chip.fresh()
 
     # -- serialization ------------------------------------------------------
 
@@ -372,12 +420,12 @@ class NetworkDescription:
             raise ConfigError(f"{path}.active_neurons", f"must be 1..128, got {active}")
         neurons = _get(d, "neurons", path)
         if isinstance(neurons, dict):
-            params = [_params_from_dict(neurons, f"{path}.neurons")] * active
+            params = (_params_from_dict(neurons, f"{path}.neurons"),) * active
         elif isinstance(neurons, list):
-            params = [
+            params = tuple(
                 _params_from_dict(nd, f"{path}.neurons[{i}]")
                 for i, nd in enumerate(neurons)
-            ]
+            )
         else:
             raise ConfigError(
                 f"{path}.neurons",
@@ -483,8 +531,8 @@ class NetworkDescription:
         return cls(
             npu1=npu1,
             npu2=npu2,
-            weights1=mems[0].unpack(),
-            weights2=mems[1].unpack(),
+            weights1=_Unpacked(mems[0].unpack()),
+            weights2=_Unpacked(mems[1].unpack()),
             gs_mode=doc.get("gs_mode", "auto"),
             clock_hz=_int(doc.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz"),
             dc=dc,
@@ -510,7 +558,7 @@ class StimulusTrace:
             rec = np.array(self.records, dtype=object)
         rec = rec.reshape(-1, 4) if rec.size == 0 else rec
         if rec.shape[1:] != (4,):
-            raise ValueError("records must be (timestep, npu, neuron, value) rows")
+            raise StimulusError("records must be (timestep, npu, neuron, value) rows")
         t, npu, addr, value = rec.T
         checks = [  # in the order each record is checked; messages format the record
             (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
@@ -523,7 +571,7 @@ class StimulusTrace:
         if bad.size:
             i = int(bad[0])
             msg = next(m for c, m in checks if c[i])
-            raise ValueError(f"record {i}: " + msg.format(*rec[i].tolist()))
+            raise StimulusError(f"record {i}: " + msg.format(*rec[i].tolist()))
         self.records = rec.astype(np.int64, copy=False)
 
     def save(self, path: str) -> None:
@@ -531,7 +579,7 @@ class StimulusTrace:
 
     @classmethod
     def load(cls, path: str) -> "StimulusTrace":
-        return cls(records=_read_rows(path, STIMULUS_HEADER, "stimulus"))
+        return cls(records=_read_rows(path, STIMULUS_HEADER, "stimulus", StimulusError))
 
 
 STIMULUS_HEADER = "timestep,npu,neuron,value"
@@ -547,15 +595,17 @@ CYCLES_HEADER = (
 _WIDTHS = {3: "three", 4: "four"}
 
 
-def _read_rows(path: str, header: str, what: str) -> np.ndarray | list[list[int]]:
+def _read_rows(path: str, header: str, what: str,
+               error: type[ValueError] = ValueError) -> np.ndarray | list[list[int]]:
     """The integer rows of a CSV file led by `header`, blank lines skipped:
     an (n, width) int64 array parsed in one pass, else a per-line `int()`
-    parse (lists of Python ints) that names the first line it rejects."""
+    parse (lists of Python ints) that names the first line it rejects with
+    `error`."""
     with open(path) as f:
         text = f.read()
     lines = text.split("\n")
     if lines[0].strip() != header:
-        raise ValueError(f"{path}: unexpected {what} header {lines[0].strip()!r}")
+        raise error(f"{path}: unexpected {what} header {lines[0].strip()!r}")
     width = header.count(",") + 1
     # numpy 2.4's int parser crashes on a digit then some non-BMP characters.
     if text.isascii():
@@ -578,8 +628,8 @@ def _read_rows(path: str, header: str, what: str) -> np.ndarray | list[list[int]
         except ValueError:
             row = []
         if len(row) != width:
-            raise ValueError(f"{path}: line {lineno}: expected {_WIDTHS[width]} integers "
-                             f"{header}, got {_show(line)}")
+            raise error(f"{path}: line {lineno}: expected {_WIDTHS[width]} integers "
+                        f"{header}, got {_show(line)}")
         rows.append(row)
     return rows
 
@@ -633,6 +683,12 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
 BLOCK = 64
 
 
+def _per_address(noise: list[NoiseSource], values) -> np.ndarray:
+    """`values`, one item per noise source, as int64 rows repeated once per
+    address of their source."""
+    return np.repeat(np.array(values, dtype=np.int64), [len(ns.addrs) for ns in noise], axis=0)
+
+
 def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     """A function from (t0, the noise draws of steps t0..t0+k-1) to the
     block's dense external input, (k, t1+t2) summed per neuron of the chip,
@@ -646,7 +702,7 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
+        raise StimulusError(
             f"record {i}: address {trace[i, 2]} out of range for npu{trace[i, 1]}"
         )
     trace_t, trace_npu = trace[:, 0], trace[:, 1] - 1
@@ -655,11 +711,12 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     dc_src = np.array([(s.npu, s.addr, s.value) for s in desc.dc], dtype=np.int64).reshape(-1, 3)
     dc = np.zeros(t1 + totals[2], dtype=np.int64)
     np.add.at(dc, offsets[dc_src[:, 0]] + dc_src[:, 1], dc_src[:, 2])
-    noise_src = np.array(
-        [(ns.npu, a) for ns in desc.noise for a in ns.addrs], dtype=np.int64
-    ).reshape(-1, 2)
-    noise_col = offsets[noise_src[:, 0]] + noise_src[:, 1]
-    base = np.bincount(np.concatenate((dc_src[:, 0], noise_src[:, 0])), minlength=3)[1:]
+    noise_npu = _per_address(desc.noise, [ns.npu for ns in desc.noise])
+    noise_addrs = np.concatenate(
+        [np.empty(0, np.int64), *(np.asarray(ns.addrs, dtype=np.int64) for ns in desc.noise)]
+    )
+    noise_col = offsets[noise_npu] + noise_addrs
+    base = np.bincount(np.concatenate((dc_src[:, 0], noise_npu)), minlength=3)[1:]
 
     def inputs(t0: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = len(draws)
@@ -685,10 +742,11 @@ def simulate(
     seed: int = 0,
     block: int = BLOCK,
 ):
-    """Run `steps` timesteps of a fresh processor in blocks of `block`
-    steps (the last one may be shorter), yielding (t0, spikes, cycles) after
-    each: the chip's (k, t1+t2) spikes of steps t0..t0+k-1, NPU1's neurons
-    first, and their (k, 2, 5) cycles from `Processor.cycles`.
+    """Run `steps` timesteps of the description's chip from a fresh state
+    (`build_processor`) in blocks of `block` steps (the last one may be
+    shorter), yielding (t0, spikes, cycles) after each: the chip's
+    (k, t1+t2) spikes of steps t0..t0+k-1, NPU1's neurons first, and their
+    (k, 2, 5) cycles from `Processor.cycles`.
 
     The stimulus is compiled once, before step 0, and each block's input
     with it at once. Noise values come from one NoiseDraws(seed, ...), drawn
@@ -697,7 +755,7 @@ def simulate(
         raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
     inputs = _compile_stimulus(desc, stimulus)
-    noise = NoiseDraws(seed, [(ns.low, ns.high) for ns in desc.noise for _ in ns.addrs])
+    noise = NoiseDraws(seed, _per_address(desc.noise, [(ns.low, ns.high) for ns in desc.noise]))
     for t0 in range(0, steps, block):
         ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
         yield t0, *proc.advance(ext, counts)

@@ -18,7 +18,7 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class GlobalNeuronConfig:
     params: NeuronParams
     out_weight: int = 0
@@ -37,16 +37,24 @@ class GlobalNeuronConfig:
         return mag if self.mode == "excitatory" else -mag
 
 
-@dataclass
+@dataclass(frozen=True)
 class NpuConfig:
+    """One NPU's configuration. It cannot change once built (`params` is
+    stored as a tuple), so a compiled chip can be reused for the same
+    object."""
+
     max_neurons: int
     active_neurons: int
-    params: list[NeuronParams]
+    params: tuple[NeuronParams, ...]
     global_neuron: GlobalNeuronConfig
     decay_a: int = 3
     chop: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if type(self.params) is not tuple:
+            object.__setattr__(self, "params", tuple(self.params))
+        if self.chop is not None and type(self.chop) is not tuple:
+            object.__setattr__(self, "chop", tuple(self.chop))
         if self.max_neurons not in (32, 128):
             raise ValueError(f"max_neurons must be 32 or 128, got {self.max_neurons}")
         if self.chop is not None:

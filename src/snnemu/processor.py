@@ -19,6 +19,7 @@ total is the max of the two; the serial sum is reported alongside.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -86,6 +87,10 @@ class Processor:
     neuron update read lookup tables held once per distinct exponent,
     parameter set or reset potential. A step's cycles depend only on its
     inputs, so `cycles` charges a whole block of steps at once.
+
+    The compiled arrays are read-only; the state is `v_m`, `y` and
+    `last_spikes`. `fresh` gives a copy at step 0 that shares the compiled
+    arrays, so one compile serves any number of runs.
     """
 
     def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2,
@@ -125,11 +130,27 @@ class Processor:
         self._sat_decay = sat_decay.ravel()
         rows = np.repeat([exps[cfg.decay_a] for cfg in cfgs], (t1, self.n - t1))
         self._sd_off = rows * sat_decay.shape[1] - SAT_DECAY_LO
-        params = [p for cfg in cfgs for p in cfg.params + [cfg.global_neuron.params]]
+        params = [p for cfg in cfgs for p in (*cfg.params, cfg.global_neuron.params)]
         self._vd, self._vbase, self._reset, self._roff = neuron_tables(params)
-        self.v_m = np.array([p.v_r for p in params], dtype=np.int64)
+        self._v_r = np.array([p.v_r for p in params], dtype=np.int64)
+        # _sat_decay, _vd and _reset view cached tables that are read-only.
+        for compiled in (weights, cost, self._fixed, self._sd_off, self._vbase,
+                         self._roff, self._v_r):
+            compiled.setflags(write=False)
+        self._start()
+
+    def _start(self) -> None:
+        """Set the state of step 0: each neuron at its v_r, no input, no spikes."""
+        self.v_m = self._v_r.copy()
         self.y = np.zeros(self.n, dtype=np.int64)  # signed 12-bit after every step
         self.last_spikes = np.zeros(self.n, dtype=np.uint8)
+
+    def fresh(self) -> "Processor":
+        """A copy of the chip at step 0 with its own state, sharing this
+        chip's compiled crossbar and tables, which no run can write."""
+        proc = copy.copy(self)
+        proc._start()
+        return proc
 
     def advance(self, ext: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the chip k timesteps in place with `ext`, the (k, neurons)

@@ -89,8 +89,13 @@ class WeightMemory:
         return row[: self.n_targets]
 
     def unpack(self) -> np.ndarray:
-        """Full (sources, targets) signed weight matrix."""
-        return _signed_nibbles(self.words)[:, : self.n_targets]
+        """Full (sources, targets) signed weight matrix: a read-only view of
+        a fresh read-only array that nothing else holds, so a description
+        can keep it without a copy."""
+        weights = _signed_nibbles(self.words)[:, : self.n_targets]
+        for a in (weights, weights.base):
+            a.setflags(write=False)
+        return weights
 
 
 # The signed (low, high) nibbles of each byte value: 0..7 stay, 8..15 -> -8..-1.
@@ -128,10 +133,12 @@ class GroupSparseConfig:
         full = (1 << self.n_groups) - 1
         if self.gs_code & ~full:
             raise ValueError("gs_code has bits beyond the group count")
-        if self.per_source is not None:
-            for i, code in enumerate(self.per_source):
-                if code & ~full:
-                    raise ValueError(f"per-source gs_code {i} beyond group count")
+        # code & ~full is nonzero exactly when code < 0 or code > full, so two
+        # reductions pass valid masks; only bad ones are searched.
+        codes = self.per_source
+        if codes is not None and len(codes) and (min(codes) < 0 or max(codes) > full):
+            i = next(i for i, code in enumerate(codes) if code & ~full)
+            raise ValueError(f"per-source gs_code {i} beyond group count")
 
     @classmethod
     def dense(cls, n_targets: int) -> "GroupSparseConfig":
@@ -142,11 +149,13 @@ class GroupSparseConfig:
     def from_weights(cls, weights: np.ndarray) -> "GroupSparseConfig":
         """Per-source masks of a (sources, targets) matrix with all-zero
         groups disabled: a 4-bit weight is 0 exactly when its nibble is, so
-        these are the groups whose SRAM word is 0."""
-        nonzero = np.logical_or.reduceat(
-            weights != 0, np.arange(0, weights.shape[1], GROUP_SIZE), axis=1
-        )
-        n = nonzero.shape[1]
+        these are the groups whose SRAM word is 0. A group's eight bools,
+        zero-padded, are nonzero exactly when their uint64 view is."""
+        rows, cols = weights.shape
+        n = group_count(cols)
+        padded = np.zeros((rows, n * GROUP_SIZE), dtype=bool)
+        np.not_equal(weights, 0, out=padded[:, :cols])
+        nonzero = padded.view(np.uint64) != 0
         per_source = (nonzero @ (1 << np.arange(n))).tolist()
         return cls(n_groups=n, gs_code=(1 << n) - 1, per_source=per_source)
 

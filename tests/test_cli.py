@@ -250,7 +250,31 @@ class TestErrorContract:
         rc = main(["run", "--config", config_path, "--stimulus", str(stim),
                    "--steps", "50", "--raster-out", str(raster)])
         assert rc == 2
-        self.one_error_line(capsys, "error: ValueError: record 1: address 2 out of range for npu2")
+        self.one_error_line(capsys, "error: stimulus: record 1: address 2 out of range for npu2")
+        assert not raster.exists()
+
+    @pytest.mark.parametrize("command", ["run", "avoid"])
+    @pytest.mark.parametrize("text, detail", [
+        ("timestep,npu,neuron,value\n0,3,0,5\n", "record 0: npu must be 1 or 2, got 3"),
+        ("timestep,npu,neuron,value\n2,1,0,5\n1,1,0,5\n",
+         "record 1: timesteps must be non-negative and non-decreasing"),
+        ("timestep,npu,neuron,value\n0,1,0\n",
+         "{path}: line 2: expected four integers timestep,npu,neuron,value, got '0,1,0'"),
+        ("t,npu,neuron,value\n", "{path}: unexpected stimulus header 't,npu,neuron,value'"),
+    ])
+    def test_bad_stimulus_is_stimulus_error(self, config_path, tmp_path, capsys,
+                                            command, text, detail):
+        """A stimulus file that does not parse, or a record that breaks a
+        rule, is one `error: stimulus:` line; nothing is written."""
+        stim = tmp_path / "stim.csv"
+        stim.write_text(text)
+        raster = tmp_path / "r.csv"
+        argv = {"run": ["run", "--config", config_path, "--steps", "5",
+                        "--raster-out", str(raster)],
+                "avoid": ["avoid"]}[command]
+        assert main(argv + ["--stimulus", str(stim)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: stimulus: {detail.format(path=stim)}\n"
         assert not raster.exists()
 
     @pytest.mark.parametrize("argv, flag, value", [
@@ -266,7 +290,7 @@ class TestErrorContract:
         files = {"run": ["--config", config_path, "--raster-out", str(tmp_path / "r.csv")],
                  "sudoku": [], "avoid": ["--stimulus", str(stim)]}[argv[0]]
         assert main(argv + files) == 2
-        self.one_error_line(capsys, f"error: ValueError: {flag} must be at least 1, got {value}")
+        self.one_error_line(capsys, f"error: usage: {flag} must be at least 1, got {value}")
         assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command", ["run", "sudoku", "avoid"])
@@ -280,7 +304,7 @@ class TestErrorContract:
                          "--raster-out", str(tmp_path / "r.csv")],
                  "sudoku": [], "avoid": ["--stimulus", str(stim)]}[command]
         assert main([command, "--seed", str(seed)] + files) == 2
-        self.one_error_line(capsys, f"error: ValueError: --seed must be 0..4294967295, got {seed}")
+        self.one_error_line(capsys, f"error: usage: --seed must be 0..4294967295, got {seed}")
         assert not (tmp_path / "r.csv").exists()
 
     def test_seed_at_32_bit_ends(self, config_path, tmp_path):

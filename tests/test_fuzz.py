@@ -39,6 +39,8 @@ YAML_VALUES = st.recursive(
 def workdir(tmp_path_factory):
     """A saved valid network, net.yaml plus net.weights.bin."""
     d = tmp_path_factory.mktemp("fuzz")
+    weights2 = np.ones((5, 3), dtype=int)
+    weights2[4, 0] = 0  # chop: sub-population 2 never feeds 1
     desc = NetworkDescription(
         npu1=NpuConfig(max_neurons=32, active_neurons=2, params=[QUIET] * 2,
                        global_neuron=GlobalNeuronConfig(params=QUIET)),
@@ -47,11 +49,10 @@ def workdir(tmp_path_factory):
                                                         mode="inhibitory"),
                        chop=(1, 1)),
         weights1=np.ones((2, 3), dtype=int),
-        weights2=np.ones((5, 3), dtype=int),
+        weights2=weights2,
         dc=[DcSource(npu=1, addr=0, value=100)],
         noise=[NoiseSource(npu=2, addrs=[0, 1], low=-5, high=9)],
     )
-    desc.weights2[4, 0] = 0  # chop: sub-population 2 never feeds 1
     desc.save(str(d / "net.yaml"))
     return d
 

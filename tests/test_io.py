@@ -1,10 +1,14 @@
 """Config/weight-image round trips, validation errors, run determinism,
 output files."""
 
+import copy
+import dataclasses
+import gc
 import os
 import re
 import stat
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -39,13 +43,13 @@ QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
 def minimal_desc(n1=1, n2=1, **kwargs):
     t1, t2 = n1 + 1, n2 + 1
+    kwargs.setdefault("weights1", np.zeros((n1, t1), dtype=int))
+    kwargs.setdefault("weights2", np.zeros((t1 + n2, t2), dtype=int))
     return NetworkDescription(
         npu1=NpuConfig(max_neurons=32, active_neurons=n1, params=[QUIET] * n1,
                        global_neuron=GlobalNeuronConfig(params=QUIET)),
         npu2=NpuConfig(max_neurons=128, active_neurons=n2, params=[QUIET] * n2,
                        global_neuron=GlobalNeuronConfig(params=QUIET)),
-        weights1=np.zeros((n1, t1), dtype=int),
-        weights2=np.zeros((t1 + n2, t2), dtype=int),
         **kwargs,
     )
 
@@ -182,9 +186,12 @@ class TestNetworkDescription:
 
         monkeypatch.setattr(synapse.WeightMemory, "__init__", packed)
         monkeypatch.setattr(synapse, "_signed_nibbles", packed)
-        desc = minimal_desc(n1=2, n2=4, dc=[DcSource(npu=1, addr=0, value=100)])
-        desc.weights1[0, 1] = 7
-        desc.weights2[:, 2] = -3
+        weights1 = np.zeros((2, 3), dtype=np.int64)
+        weights1[0, 1] = 7
+        weights2 = np.zeros((7, 5), dtype=np.int64)
+        weights2[:, 2] = -3
+        desc = minimal_desc(n1=2, n2=4, weights1=weights1, weights2=weights2,
+                            dc=[DcSource(npu=1, addr=0, value=100)])
         raster, rows, _ = run(desc, None, 40)
         assert len(raster) and len(rows) == 40
 
@@ -507,6 +514,164 @@ class TestRun:
         with pytest.raises(ValueError, match="block must be at least 1 step"):
             next(simulate(minimal_desc(), None, steps=5, block=0))
 
+    @pytest.mark.parametrize("where", ["alone", "first", "last"])
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_empty_noise_source_draws_nothing(self, tmp_path, where, loaded):
+        """A noise source without addresses runs as if it were not there,
+        alone or next to a source that has some, built or loaded."""
+        full = NoiseSource(npu=2, addrs=[0, 3], low=0, high=90)
+        empty = NoiseSource(npu=1, addrs=[], low=0, high=90)
+        without = [] if where == "alone" else [full]
+        with_empty = {"alone": [empty], "first": [empty, full], "last": [full, empty]}[where]
+        desc = minimal_desc(n2=4, dc=[DcSource(npu=2, addr=1, value=70)], noise=with_empty)
+        if loaded:
+            desc.save(str(tmp_path / "net.yaml"))
+            desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
+            assert desc.noise[where == "last"].addrs == []
+        want = run(minimal_desc(n2=4, dc=desc.dc, noise=without), None, 40, 7)
+        raster, rows, agg = run(desc, None, 40, 7)
+        assert len(raster) and np.array_equal(raster, want[0])
+        assert rows == want[1] and agg == want[2]
+
+
+def noisy_desc(seed):
+    """A 4 -> 8 neuron network with random weights, DC and noise on both
+    NPUs; it spikes within a few steps."""
+    rng = np.random.default_rng(seed)
+    return minimal_desc(
+        n1=4, n2=8,
+        weights1=rng.integers(-8, 8, size=(4, 5)),
+        weights2=rng.integers(-8, 8, size=(13, 9)),
+        dc=[DcSource(npu=1, addr=0, value=60)],
+        noise=[NoiseSource(npu=2, addrs=list(range(9)), low=-10, high=60),
+               NoiseSource(npu=1, addrs=[3, 1], low=0, high=90)],
+    )
+
+
+def equal_copy(desc):
+    """A description equal to `desc` that shares no config or matrix with
+    it, so its runs compile a chip of their own."""
+    return NetworkDescription(
+        npu1=dataclasses.replace(desc.npu1), npu2=dataclasses.replace(desc.npu2),
+        weights1=np.array(desc.weights1), weights2=np.array(desc.weights2),
+        gs_mode=desc.gs_mode, dc=list(desc.dc), noise=list(desc.noise),
+    )
+
+
+def run_bytes(desc, tmp_path, steps=60, seed=3):
+    """The raster and cycles files of one run, as bytes."""
+    raster, rows, _ = run(desc, None, steps, seed)
+    save_raster(str(tmp_path / "r.csv"), raster)
+    save_cycles(str(tmp_path / "c.csv"), rows)
+    return (tmp_path / "r.csv").read_bytes(), (tmp_path / "c.csv").read_bytes()
+
+
+class TestChipCache:
+    """`build_processor` compiles a chip once per set of configs, matrices
+    and gs_mode, and every run steps a fresh state of it."""
+
+    def test_runs_share_one_compiled_chip(self):
+        desc = noisy_desc(0)
+        a, b = desc.build_processor(), desc.build_processor()
+        assert a.crossbar is b.crossbar
+        assert a.v_m is not b.v_m and a.y is not b.y and a.last_spikes is not b.last_spikes
+        assert copy.copy(desc).build_processor().crossbar is a.crossbar
+        assert equal_copy(desc).build_processor().crossbar is not a.crossbar
+
+    def test_interleaved_generators_match_runs_one_after_the_other(self):
+        desc = noisy_desc(0)
+
+        def blocks(steps):
+            return [(t0, s.tobytes(), c.tobytes()) for t0, s, c in steps]
+
+        want = [blocks(simulate(desc, None, 90, seed=seed, block=7)) for seed in (1, 2)]
+        assert want[0] != want[1]
+        got = ([], [])
+        for pair in zip(*(simulate(desc, None, 90, seed=seed, block=7) for seed in (1, 2))):
+            for out, (t0, s, c) in zip(got, pair):
+                out.append((t0, s.tobytes(), c.tobytes()))
+        assert list(got) == want
+
+    @pytest.mark.parametrize("field", ["weights2", "npu1", "gs_mode"])
+    def test_reassigned_input_recompiles(self, tmp_path, field):
+        """After a run, a reassigned matrix, config or mode gives the bytes
+        of a newly built equal description, not those of the kept chip."""
+        desc = noisy_desc(0)
+        if field == "gs_mode":  # an all-zero group, so that dense reads more words
+            desc.weights2 = np.where(np.arange(9) < 8, desc.weights2, 0)
+        before = run_bytes(desc, tmp_path)
+        new = {"weights2": noisy_desc(1).weights2,
+               "npu1": dataclasses.replace(desc.npu1, decay_a=0),
+               "gs_mode": "dense"}[field]
+        setattr(desc, field, new)
+        after = run_bytes(desc, tmp_path)
+        assert after != before
+        assert after == run_bytes(equal_copy(desc), tmp_path)
+
+    def test_weights_cannot_change(self):
+        """The description copies every matrix assigned to it and keeps it
+        read-only: writes raise, and so does making it writable again."""
+        desc = noisy_desc(0)
+        with pytest.raises(ValueError, match="read-only"):
+            desc.weights1[0, 1] = 7
+        w = np.zeros((13, 9), dtype=np.int64)
+        desc.weights2 = w
+        with pytest.raises(ValueError, match="read-only"):
+            desc.weights2[0, 0] = 1
+        w[0, 0] = 5  # the caller's array was copied
+        assert desc.weights2[0, 0] == 0
+        w.setflags(write=False)  # read-only, but the caller can undo that
+        desc.weights2 = w
+        assert desc.weights2.base is not w
+        w.setflags(write=True)
+        w[0, 1] = 5
+        assert desc.weights2[0, 1] == 0
+        for weights in (desc.weights1, desc.weights2):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                weights.setflags(write=True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            desc.npu1.decay_a = 1
+        assert type(desc.npu1.params) is tuple
+
+    def test_loaded_matrix_kept_without_a_copy(self, tmp_path, monkeypatch):
+        unpacked = []
+        unpack = synapse.WeightMemory.unpack
+        monkeypatch.setattr(synapse.WeightMemory, "unpack",
+                            lambda mem: unpacked.append(unpack(mem)) or unpacked[-1])
+        noisy_desc(0).save(str(tmp_path / "net.yaml"))
+        desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
+        assert desc.weights1 is unpacked[0] and desc.weights2 is unpacked[1]
+        for weights in (desc.weights1, desc.weights2):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                weights.setflags(write=True)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_chip_freed_with_its_description(self, tmp_path, loaded):
+        desc = noisy_desc(0)
+        if loaded:
+            desc.save(str(tmp_path / "net.yaml"))
+            desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
+        run(desc, None, 5)
+        chip = weakref.ref(desc._chip)
+        run(desc, None, 5)
+        assert desc._chip is chip()
+        del desc
+        gc.collect()
+        assert chip() is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1),
+                              st.integers(1, 40)), min_size=1, max_size=8))
+    def test_mixed_runs_match_new_descriptions(self, runs):
+        """Runs mixed across descriptions, each against a newly built equal
+        description that compiles its own chip."""
+        descs = [noisy_desc(k) for k in range(3)]
+        for k, seed, steps in runs:
+            raster, rows, agg = run(descs[k], None, steps, seed)
+            want_raster, want_rows, want_agg = run(equal_copy(descs[k]), None, steps, seed)
+            assert np.array_equal(raster, want_raster)
+            assert rows == want_rows and agg == want_agg
+
 
 class TestLcg:
     def test_documented_constants(self):
@@ -554,6 +719,15 @@ class TestNoiseDraws:
             assert got.shape == (k, len(ranges))
             assert got.tolist() == want
             assert noise.state == scalar.state
+
+    def test_array_of_ranges_and_shared_tables(self):
+        """An (n, 2) array draws as its list of pairs does, and generators
+        of one address count share read-only jump-ahead tables."""
+        ranges = [(-3, 4), (0, 0), (-128, 127), (10, 20)]
+        a, b = NoiseDraws(8, ranges), NoiseDraws(9, np.array(ranges))
+        assert a._mult is b._mult and a._inc is b._inc
+        assert not (a._mult.flags.writeable or a._inc.flags.writeable)
+        assert NoiseDraws(9, ranges).draw(5).tolist() == b.draw(5).tolist()
 
     def test_no_ranges_draw_nothing(self):
         noise = NoiseDraws(5, [])

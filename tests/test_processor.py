@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snnemu import apps
 from snnemu.neuron import NeuronParams
 from snnemu.netio import DcSource, NoiseSource, StimulusTrace
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
@@ -134,6 +135,43 @@ class TestAssembly:
             with pytest.raises(ValueError, match=match):
                 Processor(*bad[0], *bad[1])
         assert Processor(*npu1, *npu2).crossbar.weights.shape == (8, 8)
+
+
+class TestFresh:
+    """`Processor.fresh` is the chip at step 0 with its own state, sharing the
+    compiled crossbar and tables, which no run can write."""
+
+    def test_copy_starts_at_v_r_with_its_own_state(self):
+        params = [NeuronParams(a_num=2, b_num=1, v_r=v, v_t=200, v_reset=3) for v in (10, 40)]
+        cfg = NpuConfig(max_neurons=32, active_neurons=2, params=params,
+                        global_neuron=GlobalNeuronConfig(params=params[1]))
+        proc = on_chip(cfg, np.full((2, 3), 7))
+        start = proc.v_m.copy()
+        assert start.tolist()[:3] == [10, 40, 40]
+        step(proc, events(*[(0, 127)] * 3, (1, 60)))
+        state = [a.copy() for a in (proc.v_m, proc.y, proc.last_spikes)]
+        assert proc.last_spikes.any() and proc.y.any()
+        copy = proc.fresh()
+        assert copy.crossbar is proc.crossbar and copy._reset is proc._reset
+        assert copy.v_m.tolist() == start.tolist()
+        assert not copy.y.any() and not copy.last_spikes.any()
+        step(copy, events((0, 100)))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state, (proc.v_m, proc.y, proc.last_spikes)))
+
+    def test_compiled_arrays_are_read_only(self):
+        proc = make_processor()
+        compiled = [proc.crossbar.weights, proc.crossbar.cost] + [
+            v for k, v in vars(proc).items() if k.startswith("_")]
+        assert len(compiled) == 10
+        for a in compiled:
+            assert not a.flags.writeable
+
+    def test_sudoku_puzzles_share_one_chip(self):
+        a, _ = apps.build_sudoku_network(apps.random_puzzle(4, seed=1))
+        b, _ = apps.build_sudoku_network(apps.random_puzzle(4, seed=2))
+        assert a.dc != b.dc
+        assert a.build_processor().crossbar is b.build_processor().crossbar
 
 
 class TestAnalytics:

@@ -323,6 +323,16 @@ class TestGroupSparse:
                            match="^4 per-source group masks for a matrix of 1 rows$"):
             Crossbar.compile(np.ones((1, 8), dtype=int), gs)
 
+    @pytest.mark.parametrize("per_source, first", [
+        ([1, 3, 4, 8], 2),
+        ([3, -1, 4], 1),
+        ([2**70, 4], 0),
+        ([1, 2, 2**70], 2),
+    ])
+    def test_first_mask_beyond_group_count_named(self, per_source, first):
+        with pytest.raises(ValueError, match=f"^per-source gs_code {first} beyond group count$"):
+            GroupSparseConfig(n_groups=2, gs_code=3, per_source=per_source)
+
     def test_fewer_masks_than_rows_fall_back_to_gs_code(self):
         gs = GroupSparseConfig(n_groups=1, gs_code=1, per_source=[0])
         assert Crossbar.compile(np.ones((3, 8)), gs).cost.tolist() == [0, 1, 1]
