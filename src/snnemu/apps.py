@@ -44,6 +44,10 @@ class NoDecisionError(ValueError):
     """Raised when a decode window contains no usable spikes."""
 
 
+class PuzzleError(ValueError):
+    """Invalid Sudoku puzzle: its size, a clue or a line of its text grid."""
+
+
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
@@ -62,10 +66,10 @@ class SudokuPuzzle:
         first pair in clue order that repeats a digit in a unit."""
         n = self.n
         if not 2 <= n <= 5:
-            raise ValueError(f"side length must be 2..5, got {n}")
+            raise PuzzleError(f"side length must be 2..5, got {n}")
         for r, c, d in self.clues:
             if not (0 <= r < n and 0 <= c < n and 1 <= d <= n):
-                raise ValueError(f"clue out of range: {(r, c, d)}")
+                raise PuzzleError(f"clue out of range: {(r, c, d)}")
         idx = np.array([neuron_index(n, r, c, d) for r, c, d in self.clues], dtype=np.intp)
         pairs = conflict_matrix(n)[idx[:, None], idx]
         if not pairs.any():
@@ -74,10 +78,10 @@ class SudokuPuzzle:
         repeats = np.tril(pairs & (cell[:, None] == cell)).any(axis=1)
         if repeats.any():
             r, c, _ = self.clues[repeats.argmax()]
-            raise ValueError(f"conflicting clues at cell {(r, c)}")
+            raise PuzzleError(f"conflicting clues at cell {(r, c)}")
         i, j = np.argwhere(pairs & (cell[:, None] < cell))[0]
         (r1, c1, d1), (r2, c2, _) = self.clues[i], self.clues[j]
-        raise ValueError(f"inconsistent clues: digit {d1} at {(r1, c1)} and {(r2, c2)}")
+        raise PuzzleError(f"inconsistent clues: digit {d1} at {(r1, c1)} and {(r2, c2)}")
 
     @classmethod
     def from_text(cls, text: str) -> "SudokuPuzzle":
@@ -87,12 +91,12 @@ class SudokuPuzzle:
         clues = []
         for r, row in enumerate(rows):
             if len(row) != n:
-                raise ValueError(f"row {r} has {len(row)} entries, expected {n}")
+                raise PuzzleError(f"row {r} has {len(row)} entries, expected {n}")
             for c, tok in enumerate(row):
                 try:
                     d = 0 if tok == "." else int(tok)
                 except ValueError:
-                    raise ValueError(
+                    raise PuzzleError(
                         f"row {r}, column {c}: expected a digit or '.', got {tok!r}"
                     ) from None
                 if d:
@@ -156,8 +160,8 @@ CHECK_EVERY = 200
 @functools.lru_cache(maxsize=4)
 def _sudoku_chip(n: int) -> NetworkDescription:
     """The puzzle-independent n x n network, built once per n: NPU configs
-    and weights without stimulus. Every puzzle's description is a copy of
-    it, so all of them share the one chip it compiles."""
+    and read-only weights without stimulus. Every puzzle's description is a
+    copy of it, so all of them share the one chip it compiles."""
     size = n**3
     active2 = _next_pow2(size)
     npu1 = NpuConfig(
@@ -173,10 +177,13 @@ def _sudoku_chip(n: int) -> NetworkDescription:
     rec[conflict_matrix(n, "unit")] = INHIBIT_UNIT
     rec[conflict_matrix(n, "cell")] = INHIBIT_CELL
     np.fill_diagonal(rec, EXCITE)
+    weights1 = np.zeros((1, 2), dtype=np.int64)
     weights2 = np.zeros((npu1.total_neurons + active2, active2 + 1), dtype=np.int64)
     weights2[npu1.total_neurons : npu1.total_neurons + size, :size] = rec
-    desc = NetworkDescription(npu1=npu1, npu2=npu2, weights1=np.zeros((1, 2), dtype=np.int64),
-                              weights2=weights2, gs_mode="auto")
+    for w in (weights1, weights2):  # every puzzle's copy shares them, as conflict_matrix
+        w.setflags(write=False)
+    desc = NetworkDescription(npu1=npu1, npu2=npu2, weights1=weights1, weights2=weights2,
+                              gs_mode="auto")
     desc.build_processor()  # compiled here, so that every copy shares the chip
     return desc
 

@@ -44,7 +44,7 @@ def _cmd_sudoku(args) -> int:
         with open(args.puzzle) as f:
             puzzle = apps.SudokuPuzzle.from_text(f.read())
         if puzzle.n != args.n:
-            raise ValueError(f"puzzle is {puzzle.n}x{puzzle.n}, --n says {args.n}")
+            raise apps.PuzzleError(f"puzzle is {puzzle.n}x{puzzle.n}, --n says {args.n}")
     else:
         puzzle = apps.random_puzzle(args.n, seed=args.seed)
     result = apps.solve_sudoku(puzzle, seed=args.seed, max_steps=args.max_steps)
@@ -132,7 +132,8 @@ def _range_error(args) -> str | None:
 
 
 # The category of each typed error, first match; other errors name their class.
-_CATEGORIES = ((ConfigError, "config"), (StimulusError, "stimulus"), (OSError, "io"))
+_CATEGORIES = ((ConfigError, "config"), (StimulusError, "stimulus"), (OSError, "io"),
+               (apps.PuzzleError, "puzzle"), (apps.NoDecisionError, "decode"))
 
 
 def main(argv=None) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 import yaml
 
 from .neuron import NeuronParams
-from .npu import GlobalNeuronConfig, NpuConfig
-from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor
+from .npu import ConfigError, GlobalNeuronConfig, NpuConfig
+from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip
 from .synapse import GroupSparseConfig, WeightMemory
 
 WEIGHT_MAGIC = b"SNNW"
@@ -43,14 +43,6 @@ MAX_ADDRESS = 128
 # libyaml's loader when PyYAML was built with it; it returns the same
 # documents as the pure-Python SafeLoader, several times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class ConfigError(ValueError):
-    """Invalid network description; message starts with the field path."""
-
-    def __init__(self, path: str, msg: str):
-        super().__init__(f"{path}: {msg}")
-        self.path = path
 
 
 class StimulusError(ValueError):
@@ -304,25 +296,15 @@ def _params_to_dict(p: NeuronParams) -> dict:
     return {f: getattr(p, f) for f in PARAM_FIELDS}
 
 
-def _owned(weights) -> np.ndarray:
-    """A copy of `weights` as a read-only int64 view of a read-only array
-    that nothing else holds, the form `WeightMemory.unpack` returns: writes
-    through it raise, and so does `setflags(write=True)`."""
-    owner = np.array(weights, dtype=np.int64)
-    owner.setflags(write=False)
-    return owner[...]
-
-
-class _Unpacked:
-    """A matrix fresh from `WeightMemory.unpack`, already in the form
-    `_owned` makes, which a description keeps without a second copy."""
-
-    def __init__(self, weights: np.ndarray):
-        self.weights = weights
-
-
-# The inputs of the compiled chip; assigning one drops a description's chip.
-_CHIP_INPUTS = ("npu1", "npu2", "weights1", "weights2", "gs_mode")
+def _source(cls, d, keys, kind: str, i: int, **fields):
+    """Stimulus source `i` of `kind` (`cls` from the integer fields `keys` of
+    mapping `d`, plus `fields`), its errors named at its place in the file."""
+    path = f"stimulus.{kind}[{i}]"
+    values = _ints(d, keys, path)
+    try:
+        return cls(**values, **fields)
+    except ConfigError as e:  # at stimulus.<kind> or one of its fields
+        raise ConfigError(path + e.path.removeprefix(f"stimulus.{kind}"), e.msg) from None
 
 
 @dataclass
@@ -330,12 +312,13 @@ class NetworkDescription:
     """Everything needed to instantiate a Processor: the two NPU configs,
     their weight matrices, group-sparse mode, and declared stimulus.
 
-    The NPU configs are frozen and the weight matrices are read-only int64
-    copies the description owns, so `build_processor` compiles the chip
-    once and keeps it until one of its inputs (`_CHIP_INPUTS`) is assigned
-    again; `copy.copy` of a description shares its chip. Making a matrix's
-    memory writable again (through its `.base`) would leave that chip
-    stale. The stimulus lists may be reassigned; every run checks them."""
+    The matrices are held as given once they are int64 arrays, and may be
+    written in place or reassigned, as may the frozen NPU configs and
+    gs_mode. `build_processor` keeps the chip it compiled with the key of
+    those inputs and compiles again only when the key differs, so every run
+    matches the current values; `copy.copy` of a description shares its
+    chip until the copy's inputs change. The stimulus lists may be
+    reassigned too; every run checks them."""
 
     npu1: NpuConfig
     npu2: NpuConfig
@@ -345,52 +328,43 @@ class NetworkDescription:
     clock_hz: int = DEFAULT_CLOCK_HZ
     dc: list[DcSource] = field(default_factory=list)
     noise: list[NoiseSource] = field(default_factory=list)
+    _chip = (None, None)  # the key of the kept chip's inputs, and the chip
 
     def __post_init__(self):
         if self.gs_mode not in ("auto", "dense"):
             raise ConfigError("gs_mode", f"must be auto or dense, got {self.gs_mode}")
         if self.clock_hz < 1:
             raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
-        t1 = self.npu1.total_neurons
-        t2 = self.npu2.total_neurons
-        if self.weights1.shape != (self.npu1.active_neurons, t1):
-            raise ConfigError(
-                "weights.npu1",
-                f"shape {self.weights1.shape}, expected {(self.npu1.active_neurons, t1)}",
-            )
-        if self.weights2.shape != (t1 + self.npu2.active_neurons, t2):
-            raise ConfigError(
-                "weights.npu2",
-                f"shape {self.weights2.shape}, expected {(t1 + self.npu2.active_neurons, t2)}",
-            )
+        self.weights1 = np.asarray(self.weights1, dtype=np.int64)
+        self.weights2 = np.asarray(self.weights2, dtype=np.int64)
+        check_chip(self.npu1, self.weights1, self.npu2, self.weights2)
         self.check_stimulus()
-
-    def __setattr__(self, name, value):
-        if name in ("weights1", "weights2"):
-            value = value.weights if isinstance(value, _Unpacked) else _owned(value)
-        if name in _CHIP_INPUTS:
-            object.__setattr__(self, "_chip", None)
-        object.__setattr__(self, name, value)
 
     def check_stimulus(self) -> None:
         """Every DC and noise address names a neuron of its NPU. The source
         lists may be reassigned after construction, so runs check again."""
-        for src in self.dc + self.noise:
-            total = (self.npu1 if src.npu == 1 else self.npu2).total_neurons
-            addrs = src.addrs if isinstance(src, NoiseSource) else [src.addr]
-            # Two reductions pass valid addresses; only bad ones are searched.
-            if addrs and (min(addrs) < 0 or max(addrs) >= total):
-                a = next(a for a in addrs if not 0 <= a < total)
-                raise ConfigError("stimulus", f"address {a} out of range for npu{src.npu}")
+        for kind, field_, sources in (("dc", "addr", self.dc), ("noise", "addrs", self.noise)):
+            for i, src in enumerate(sources):
+                total = (self.npu1 if src.npu == 1 else self.npu2).total_neurons
+                addrs = src.addrs if kind == "noise" else [src.addr]
+                # Two reductions pass valid addresses; only bad ones are searched.
+                if addrs and (min(addrs) < 0 or max(addrs) >= total):
+                    j = next(j for j, a in enumerate(addrs) if not 0 <= a < total)
+                    path = f"stimulus.{kind}[{i}].{field_}" + (f"[{j}]" if kind == "noise" else "")
+                    raise ConfigError(path, f"address {addrs[j]} out of range for npu{src.npu}")
 
     def build_processor(self) -> Processor:
-        """The chip at step 0: compiled straight from the weight matrices on
-        the first call, and a fresh copy of that chip on every later one."""
-        if self._chip is None:
+        """The chip at step 0: a fresh state of the chip compiled from the
+        current configs, matrices and gs_mode, kept with their key (each
+        matrix as its int64 shape and bytes) and compiled again only when
+        the key differs."""
+        w1, w2 = (np.asarray(w, dtype=np.int64) for w in (self.weights1, self.weights2))
+        key = (self.npu1, self.npu2, self.gs_mode, w1.shape, w1.tobytes(), w2.shape, w2.tobytes())
+        if self._chip[0] != key:
             gs = tuple(GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
-                       for w in (self.weights1, self.weights2))
-            self._chip = Processor(self.npu1, self.weights1, self.npu2, self.weights2, gs=gs)
-        return self._chip.fresh()
+                       for w in (w1, w2))
+            self._chip = key, Processor(self.npu1, w1, self.npu2, w2, gs=gs)
+        return self._chip[1].fresh()
 
     # -- serialization ------------------------------------------------------
 
@@ -517,22 +491,20 @@ class NetworkDescription:
             raise ConfigError("weight_image", f"expected 2 sections, got {len(mems)}")
         stim = doc.get("stimulus")
         stim = {} if stim is None else _mapping(stim, "stimulus")
-        dc = [
-            DcSource(**_ints(s, ("npu", "addr", "value"), f"stimulus.dc[{i}]"))
-            for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc"))
-        ]
+        dc = [_source(DcSource, s, ("npu", "addr", "value"), "dc", i)
+              for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc"))]
         noise = []
         for i, s in enumerate(_list(stim.get("noise", []), "stimulus.noise")):
-            spath = f"stimulus.noise[{i}]"
-            src = NoiseSource(addrs=[], **_ints(s, ("npu", "low", "high"), spath))
+            src = _source(NoiseSource, s, ("npu", "low", "high"), "noise", i, addrs=[])
             total = (npu1, npu2)[src.npu - 1].total_neurons
-            src.addrs = _addrs_from(_get(s, "addrs", spath), total, f"{spath}.addrs")
+            src.addrs = _addrs_from(_get(s, "addrs", f"stimulus.noise[{i}]"), total,
+                                    f"stimulus.noise[{i}].addrs")
             noise.append(src)
         return cls(
             npu1=npu1,
             npu2=npu2,
-            weights1=_Unpacked(mems[0].unpack()),
-            weights2=_Unpacked(mems[1].unpack()),
+            weights1=mems[0].unpack(),
+            weights2=mems[1].unpack(),
             gs_mode=doc.get("gs_mode", "auto"),
             clock_hz=_int(doc.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz"),
             dc=dc,

@@ -14,6 +14,14 @@ import numpy as np
 from .neuron import NeuronParams
 
 
+class ConfigError(ValueError):
+    """Invalid network description; message starts with the field path."""
+
+    def __init__(self, path: str, msg: str):
+        super().__init__(f"{path}: {msg}")
+        self.path, self.msg = path, msg
+
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -107,8 +115,10 @@ def chop_op_count(n1: int, n2: int) -> int:
     return n1 * n1 + (n1 + n2) * n2
 
 
-def check_chop_weights(weights: np.ndarray, n_ff: int, n1: int, n2: int) -> None:
-    """Reject recurrent weights flowing from sub-population 2 back to 1.
+def check_chop_weights(weights: np.ndarray, n_ff: int, n1: int, n2: int,
+                       path: str = "weights") -> None:
+    """Reject recurrent weights flowing from sub-population 2 back to 1 with
+    a ConfigError at `path`.
 
     Rows n_ff..n_ff+n1+n2-1 of the (sources, targets) matrix are the NPU's
     own sources; the last n2 of them must carry zero weight toward targets
@@ -117,10 +127,8 @@ def check_chop_weights(weights: np.ndarray, n_ff: int, n1: int, n2: int) -> None
     bad = np.argwhere(np.asarray(weights)[n_ff + n1 : n_ff + n1 + n2, :n1])
     if bad.size:
         src, tgt = bad[0]
-        raise ValueError(
-            f"chop violation: source {n1 + src} (sub-population 2) has weight "
-            f"to target {tgt} (sub-population 1)"
-        )
+        raise ConfigError(path, f"chop violation: source {n1 + src} (sub-population 2) "
+                                f"has weight to target {tgt} (sub-population 1)")
 
 
 @dataclass

@@ -26,7 +26,8 @@ from typing import ClassVar
 import numpy as np
 
 from .neuron import V_MAX, neuron_tables
-from .npu import NpuConfig, PhaseCycles, check_chop_weights, chop_op_count, dense_op_count
+from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
+                  dense_op_count)
 from .synapse import (
     EXT_BOUND,
     MAC_BOUND,
@@ -95,10 +96,7 @@ class Processor:
 
     def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2,
                  gs: tuple[GroupSparseConfig | None, GroupSparseConfig | None] = (None, None)):
-        if npu1.max_neurons != 32:
-            raise ValueError("NPU1 must be the 32-neuron unit")
-        if npu2.max_neurons != 128:
-            raise ValueError("NPU2 must be the 128-neuron unit")
+        check_chip(npu1, weights1, npu2, weights2)
         self.t1 = t1 = npu1.total_neurons
         self.n = t1 + npu2.total_neurons
         weights = np.zeros((self.n, self.n), dtype=np.int64)
@@ -108,13 +106,8 @@ class Processor:
         # after them: n_ff is both its first own row and its first column.
         for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
             total = cfg.total_neurons
-            shape = (n_ff + cfg.active_neurons, total)
-            if np.shape(w) != shape:
-                raise ValueError(f"npu{k + 1} weights of shape {np.shape(w)}, expected {shape}")
             xbar = Crossbar.compile(w, gs[k] or GroupSparseConfig.dense(total),
                                     broadcast=cfg.global_neuron.effective_weight)
-            if cfg.chop is not None:
-                check_chop_weights(w, n_ff, *cfg.chop)
             weights[: n_ff + total, n_ff : n_ff + total] = xbar.weights
             cost[: n_ff + total, k] = xbar.cost
             # Per NPU: external and mac (filled per step); scan, two bits of
@@ -198,6 +191,23 @@ class Processor:
         out[:, :, 0] = counts
         out[:, :, 2] = self.crossbar.reads(sources)
         return out
+
+
+def check_chip(npu1: NpuConfig, weights1, npu2: NpuConfig, weights2) -> None:
+    """The chip's rules, the one copy of each, raising a ConfigError that
+    names the field: NPU1 is the 32-neuron unit and NPU2 the 128-neuron
+    one, each weight matrix has its NPU's shape (NPU2's feedforward rows
+    first), and no chopped NPU's sub-population 2 feeds its sub-population 1."""
+    for k, cfg, w, n_ff, size in ((1, npu1, weights1, 0, 32),
+                                  (2, npu2, weights2, npu1.total_neurons, 128)):
+        if cfg.max_neurons != size:
+            raise ConfigError(f"npu{k}.max_neurons",
+                              f"NPU{k} must be the {size}-neuron unit, got {cfg.max_neurons}")
+        shape = (n_ff + cfg.active_neurons, cfg.total_neurons)
+        if np.shape(w) != shape:
+            raise ConfigError(f"weights.npu{k}", f"shape {np.shape(w)}, expected {shape}")
+        if cfg.chop is not None:
+            check_chop_weights(w, n_ff, *cfg.chop, path=f"weights.npu{k}")
 
 
 def synapse_count(n1_total: int, n2_total: int) -> int:

@@ -89,13 +89,8 @@ class WeightMemory:
         return row[: self.n_targets]
 
     def unpack(self) -> np.ndarray:
-        """Full (sources, targets) signed weight matrix: a read-only view of
-        a fresh read-only array that nothing else holds, so a description
-        can keep it without a copy."""
-        weights = _signed_nibbles(self.words)[:, : self.n_targets]
-        for a in (weights, weights.base):
-            a.setflags(write=False)
-        return weights
+        """Full (sources, targets) signed weight matrix."""
+        return _signed_nibbles(self.words)[:, : self.n_targets]
 
 
 # The signed (low, high) nibbles of each byte value: 0..7 stay, 8..15 -> -8..-1.

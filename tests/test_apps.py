@@ -142,6 +142,20 @@ class TestSudokuTopology:
             with pytest.raises(ValueError, match="read-only"):
                 matrix[0, 0] = True
 
+    def test_puzzle_matrices_read_only(self):
+        """Every puzzle of a size shares one pair of matrices and one chip:
+        a write into a puzzle's matrices raises, and the next puzzle's solve
+        is unchanged."""
+        puzzle = random_puzzle(4, seed=1)
+        want = solve_sudoku(puzzle, seed=2, max_steps=2_000)
+        desc, _ = build_sudoku_network(random_puzzle(4, seed=3))
+        for matrix in (desc.weights1, desc.weights2):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 1
+        got = solve_sudoku(puzzle, seed=2, max_steps=2_000)
+        assert (got.solved, got.steps, got.grid) == (want.solved, want.steps, want.grid)
+        assert got.raster.tobytes() == want.raster.tobytes() and got.cycles == want.cycles
+
     def test_network_sizes(self):
         desc, trace = build_sudoku_network(SudokuPuzzle(n=4, clues=[]))
         assert desc.npu2.active_neurons == 64

@@ -13,7 +13,13 @@ from snnemu.cli import main
 from snnemu.apps import make_direction_stimulus
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
-from snnemu.netio import DcSource, NetworkDescription, StimulusTrace, load_raster
+from snnemu.netio import (
+    DcSource,
+    NetworkDescription,
+    StimulusTrace,
+    load_raster,
+    save_weight_image,
+)
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -221,6 +227,14 @@ class TestErrorContract:
         (lambda d: d["npu1"]["neurons"].update(v_t=1e9), "npu1.neurons.v_t: must be an integer"),
         (lambda d: d.update(version=True), "version: unsupported config version True"),
         (lambda d: d.update(version=1.0), "version: unsupported config version 1.0"),
+        (lambda d: d["stimulus"]["dc"][0].update(value=300),
+         "stimulus.dc[0].value: must fit signed 8-bit, got 300"),
+        (lambda d: d["stimulus"].update(noise=[{"npu": 1, "addrs": [0], "low": 0, "high": 1},
+                                               {"npu": 3, "addrs": [0], "low": 0, "high": 1}]),
+         "stimulus.noise[1].npu: must be 1 or 2, got 3"),
+        (lambda d: d["stimulus"].update(noise=[{"npu": 1, "addrs": [0], "low": 0, "high": 1},
+                                               {"npu": 1, "addrs": [1, 40], "low": 0, "high": 1}]),
+         "stimulus.noise[1].addrs[1]: address 40 out of range for npu1"),
         *[(noise_addrs(addrs), "stimulus.noise[0].addrs" + message) for addrs, message in [
             ({"start": 2, "stop": 1}, ": need 0 <= start <= stop <= 2, got 2..1"),
             ({"start": 0, "stop": 1.5}, ".stop: must be an integer, got 1.5"),
@@ -242,6 +256,36 @@ class TestErrorContract:
             yaml.safe_dump(doc, f)
         assert self.inspect(config_path) == 2
         self.one_error_line(capsys, f"error: config: {message}")
+
+    @pytest.mark.parametrize("command", ["run", "inspect"])
+    @pytest.mark.parametrize("rule, detail", [
+        ("max_neurons", "npu1.max_neurons: NPU1 must be the 32-neuron unit, got 128"),
+        ("chop", "weights.npu1: chop violation: source 1 (sub-population 2) has weight "
+                 "to target 0 (sub-population 1)"),
+    ])
+    def test_chip_rule_broken_at_load(self, tmp_path, capsys, command, rule, detail):
+        """A config that breaks a rule of the chip is rejected when it loads,
+        by inspect as by run, with the field named."""
+        desc = NetworkDescription(
+            npu1=NpuConfig(max_neurons=32, active_neurons=2, params=[QUIET] * 2,
+                           global_neuron=GlobalNeuronConfig(params=QUIET), chop=(1, 1)),
+            npu2=NpuConfig(max_neurons=128, active_neurons=1, params=[QUIET],
+                           global_neuron=GlobalNeuronConfig(params=QUIET)),
+            weights1=np.zeros((2, 3), dtype=int),
+            weights2=np.zeros((4, 2), dtype=int),
+        )
+        path = tmp_path / "net.yaml"
+        desc.save(str(path))
+        if rule == "max_neurons":
+            path.write_text(path.read_text().replace("max_neurons: 32", "max_neurons: 128"))
+        else:  # sub-population 2's neuron 1 feeds neuron 0 of sub-population 1
+            save_weight_image(str(tmp_path / "net.weights.bin"),
+                              [np.array([[0, 0, 0], [3, 0, 0]]), desc.weights2])
+        argv = {"run": ["run", "--steps", "5", "--raster-out", str(tmp_path / "r.csv")],
+                "inspect": ["inspect"]}[command]
+        assert main(argv + ["--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: config: {detail}\n")
+        assert not (tmp_path / "r.csv").exists()
 
     def test_trace_address_out_of_range_before_step_0(self, config_path, tmp_path, capsys):
         stim = tmp_path / "stim.csv"
@@ -384,9 +428,28 @@ class TestErrorContract:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"error: config: {config_path}: nested too deeply\n"
 
+    @pytest.mark.parametrize("grid, n, detail", [
+        ("1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n", 3, "puzzle is 4x4, --n says 3"),
+        ("1 0 0 0\n0 0 0 0\n0 0 0\n0 0 0 0\n", 4, "row 2 has 3 entries, expected 4"),
+        ("1 0 0 0\n0 1 0 0\n0 0 0 0\n0 0 0 0\n", 4,
+         "inconsistent clues: digit 1 at (0, 0) and (1, 1)"),
+        ("0 0 0 0 0 0\n" * 6, 6, "side length must be 2..5, got 6"),
+    ])
+    def test_bad_puzzle_is_puzzle_error(self, tmp_path, capsys, grid, n, detail):
+        puzzle = tmp_path / "p.txt"
+        puzzle.write_text(grid)
+        assert main(["sudoku", "--n", str(n), "--puzzle", str(puzzle)]) == 2
+        assert capsys.readouterr() == ("", f"error: puzzle: {detail}\n")
+
+    def test_window_without_spikes_is_decode_error(self, tmp_path, capsys):
+        stim = tmp_path / "stim.csv"
+        StimulusTrace().save(str(stim))
+        assert main(["avoid", "--stimulus", str(stim), "--windows", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: decode: no spikes in window [0, 50)\n")
+
     def test_puzzle_token_names_row_and_column(self, tmp_path, capsys):
         puzzle = tmp_path / "p.txt"
         puzzle.write_text("1 0 0 0\n0 0 x 0\n0 0 0 0\n0 0 0 0\n")
         assert main(["sudoku", "--puzzle", str(puzzle)]) == 2
         self.one_error_line(
-            capsys, "error: ValueError: row 1, column 2: expected a digit or '.', got 'x'")
+            capsys, "error: puzzle: row 1, column 2: expected a digit or '.', got 'x'")

@@ -8,6 +8,7 @@ import os
 import re
 import stat
 import struct
+import tempfile
 import weakref
 import zlib
 
@@ -161,6 +162,53 @@ class TestNetworkDescription:
         path.write_text(yaml.safe_dump(doc))
         assert desc_equal(desc, NetworkDescription.load(str(path)))
 
+    @pytest.mark.parametrize("sources, message", [
+        ({"noise": [{"npu": 1, "addrs": [0], "low": 0, "high": 1},
+                    {"npu": 3, "addrs": [0], "low": 0, "high": 1}]},
+         "stimulus.noise[1].npu: must be 1 or 2, got 3"),
+        ({"noise": [{"npu": 2, "addrs": [0], "low": 0, "high": 1},
+                    {"npu": 1, "addrs": [0], "low": 5, "high": 1}]},
+         "stimulus.noise[1]: need -128 <= low <= high <= 127, got [5, 1]"),
+        ({"noise": [{"npu": 2, "addrs": [0], "low": 0, "high": 1},
+                    {"npu": 1, "addrs": [1, 40, 0], "low": 0, "high": 1}]},
+         "stimulus.noise[1].addrs[1]: address 40 out of range for npu1"),
+        ({"dc": [{"npu": 1, "addr": 0, "value": 300}]},
+         "stimulus.dc[0].value: must fit signed 8-bit, got 300"),
+        ({"dc": [{"npu": 1, "addr": 0, "value": 1}, {"npu": 2, "addr": 0, "value": 1},
+                 {"npu": 2, "addr": 9, "value": 1}]},
+         "stimulus.dc[2].addr: address 9 out of range for npu2"),
+    ])
+    def test_bad_source_named_by_index(self, tmp_path, sources, message):
+        """A loaded stimulus source that breaks a rule is named by its kind,
+        its index and its field."""
+        path = tmp_path / "net.yaml"
+        minimal_desc().save(str(path))
+        doc = yaml.safe_load(path.read_text())
+        doc["stimulus"] = sources
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            NetworkDescription.load(str(path))
+
+    @pytest.mark.parametrize("npu, change, weights, message", [
+        ("npu1", {"max_neurons": 128}, None,
+         "npu1.max_neurons: NPU1 must be the 32-neuron unit, got 128"),
+        ("npu2", {"max_neurons": 32}, None,
+         "npu2.max_neurons: NPU2 must be the 128-neuron unit, got 32"),
+        ("npu1", {"chop": (1, 1)}, [[0, 0, 0], [3, 0, 0]], "weights.npu1: chop violation: "
+         "source 1 (sub-population 2) has weight to target 0 (sub-population 1)"),
+        ("npu2", {"chop": (1, 1)}, [[0, 0, 0]] * 4 + [[-1, 0, 0]], "weights.npu2: chop "
+         "violation: source 1 (sub-population 2) has weight to target 0 (sub-population 1)"),
+    ])
+    def test_chip_rules_checked_when_built(self, npu, change, weights, message):
+        """The chip's own rules hold for every description: each NPU is its
+        unit, and no chopped sub-population 2 feeds its sub-population 1."""
+        desc = minimal_desc(n1=2, n2=2)
+        changes = {npu: dataclasses.replace(getattr(desc, npu), **change)}
+        if weights is not None:
+            changes["weights" + npu[-1]] = weights
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            dataclasses.replace(desc, **changes)
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             NpuConfig(max_neurons=128, active_neurons=3, params=[QUIET] * 3,
@@ -205,7 +253,8 @@ class TestNetworkDescription:
             minimal_desc(dc=[DcSource(npu=1, addr=7, value=1)])
 
     def test_first_bad_noise_address_named(self):
-        with pytest.raises(ConfigError, match=r"^stimulus: address 9 out of range for npu1$"):
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                "stimulus.noise[1].addrs[1]: address 9 out of range for npu1") + "$"):
             minimal_desc(noise=[NoiseSource(npu=1, addrs=[1, 0], low=0, high=1),
                                 NoiseSource(npu=1, addrs=[1, 9, -1, 12], low=0, high=1)])
 
@@ -608,32 +657,33 @@ class TestChipCache:
         assert after != before
         assert after == run_bytes(equal_copy(desc), tmp_path)
 
-    def test_weights_cannot_change(self):
-        """The description copies every matrix assigned to it and keeps it
-        read-only: writes raise, and so does making it writable again."""
-        desc = noisy_desc(0)
-        with pytest.raises(ValueError, match="read-only"):
-            desc.weights1[0, 1] = 7
-        w = np.zeros((13, 9), dtype=np.int64)
-        desc.weights2 = w
-        with pytest.raises(ValueError, match="read-only"):
-            desc.weights2[0, 0] = 1
-        w[0, 0] = 5  # the caller's array was copied
-        assert desc.weights2[0, 0] == 0
-        w.setflags(write=False)  # read-only, but the caller can undo that
-        desc.weights2 = w
-        assert desc.weights2.base is not w
-        w.setflags(write=True)
-        w[0, 1] = 5
-        assert desc.weights2[0, 1] == 0
-        for weights in (desc.weights1, desc.weights2):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                weights.setflags(write=True)
+    @pytest.mark.parametrize("route", ["direct", "caller", "base"])
+    def test_in_place_write_reaches_the_next_run(self, tmp_path, route):
+        """After a run, a write into a matrix gives the bytes of a newly built
+        equal description: made through the description, through the
+        caller's reference to the array it was given, or after the owner of
+        read-only memory made it writable again through `.base`."""
+        caller = np.array(noisy_desc(0).weights2)
+        if route == "base":
+            caller.setflags(write=False)
+            caller = caller[...]
+        desc = dataclasses.replace(noisy_desc(0), weights2=caller)
+        assert desc.weights2 is caller  # held as given, not copied
+        before = run_bytes(desc, tmp_path)
+        if route == "base":
+            caller.base.setflags(write=True)
+        target = {"direct": desc.weights2, "caller": caller, "base": caller.base}[route]
+        target[5:] = noisy_desc(1).weights2[5:]  # NPU2's own sources
+        after = run_bytes(desc, tmp_path)
+        assert after != before
+        assert after == run_bytes(equal_copy(desc), tmp_path)
         with pytest.raises(dataclasses.FrozenInstanceError):
             desc.npu1.decay_a = 1
         assert type(desc.npu1.params) is tuple
 
-    def test_loaded_matrix_kept_without_a_copy(self, tmp_path, monkeypatch):
+    def test_loaded_matrix_held_as_unpacked(self, tmp_path, monkeypatch):
+        """A loaded description holds the matrices `unpack` returned, with
+        no copy, and a write into one reaches the next run."""
         unpacked = []
         unpack = synapse.WeightMemory.unpack
         monkeypatch.setattr(synapse.WeightMemory, "unpack",
@@ -641,9 +691,27 @@ class TestChipCache:
         noisy_desc(0).save(str(tmp_path / "net.yaml"))
         desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
         assert desc.weights1 is unpacked[0] and desc.weights2 is unpacked[1]
-        for weights in (desc.weights1, desc.weights2):
-            with pytest.raises(ValueError, match="WRITEABLE"):
-                weights.setflags(write=True)
+        before = run_bytes(desc, tmp_path)
+        desc.weights1[:, 2] = 7
+        after = run_bytes(desc, tmp_path)
+        assert after != before
+        assert after == run_bytes(equal_copy(desc), tmp_path)
+
+    def test_equal_reassignment_keeps_the_chip(self):
+        """Inputs reassigned to equal values keep the compiled chip, and a
+        copy shares it until the copy's own inputs change."""
+        desc = noisy_desc(0)
+        chip = desc.build_processor().crossbar
+        desc.weights1 = np.array(desc.weights1)
+        desc.weights2 = desc.weights2.tolist()
+        desc.npu1 = dataclasses.replace(desc.npu1)
+        desc.gs_mode = "auto"
+        assert desc.build_processor().crossbar is chip
+        other = copy.copy(desc)
+        assert other.build_processor().crossbar is chip
+        other.weights2 = noisy_desc(1).weights2
+        assert other.build_processor().crossbar is not chip
+        assert desc.build_processor().crossbar is chip
 
     @pytest.mark.parametrize("loaded", [False, True])
     def test_chip_freed_with_its_description(self, tmp_path, loaded):
@@ -652,9 +720,9 @@ class TestChipCache:
             desc.save(str(tmp_path / "net.yaml"))
             desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
         run(desc, None, 5)
-        chip = weakref.ref(desc._chip)
+        chip = weakref.ref(desc._chip[1])
         run(desc, None, 5)
-        assert desc._chip is chip()
+        assert desc._chip[1] is chip()
         del desc
         gc.collect()
         assert chip() is None
@@ -671,6 +739,45 @@ class TestChipCache:
             want_raster, want_rows, want_agg = run(equal_copy(descs[k]), None, steps, seed)
             assert np.array_equal(raster, want_raster)
             assert rows == want_rows and agg == want_agg
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 3), st.one_of(
+        st.tuples(st.just("write"), st.sampled_from(["weights1", "weights2"]),
+                  st.integers(0, 12), st.integers(-8, 7)),
+        st.tuples(st.just("assign"),
+                  st.sampled_from(["npu1", "npu2", "weights1", "weights2", "gs_mode"]),
+                  st.integers(0, 7)),
+    )), max_size=6))
+    def test_runs_between_changes_match_new_descriptions(self, seed, changes):
+        """In-place writes (of a whole row) and reassignments of every chip
+        input, on a built and a loaded description and their `copy.copy`s,
+        which share their matrices. All four run at the start and after
+        each change, and every run is byte-identical to a newly built equal
+        description's."""
+        built = noisy_desc(0)
+        built.weights2[:, 8] = 0  # an all-zero group in every row, so gs_mode counts
+        with tempfile.TemporaryDirectory() as tmp:
+            built.save(os.path.join(tmp, "net.yaml"))
+            loaded = NetworkDescription.load(os.path.join(tmp, "net.yaml"))
+        descs = [built, copy.copy(built), loaded, copy.copy(loaded)]
+        for change in [None] + changes:
+            if change is not None:
+                k, (op, name, x, *value) = change
+                desc = descs[k]
+                if op == "write":
+                    matrix = getattr(desc, name)
+                    matrix[x % len(matrix)] = value[0]
+                elif name == "gs_mode":
+                    desc.gs_mode = ("auto", "dense")[x % 2]
+                elif name.startswith("npu"):
+                    setattr(desc, name, dataclasses.replace(getattr(desc, name), decay_a=x))
+                else:  # equal values when x is odd, else another network's
+                    setattr(desc, name, np.array(getattr(desc if x % 2 else noisy_desc(x), name)))
+            for desc in descs:
+                raster, rows, agg = run(desc, None, 30, seed)
+                want_raster, want_rows, want_agg = run(equal_copy(desc), None, 30, seed)
+                assert raster.tobytes() == want_raster.tobytes()
+                assert rows == want_rows and agg == want_agg
 
 
 class TestLcg:

@@ -235,7 +235,7 @@ class TestCompile:
             desc.build_processor()
 
     def test_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"npu1 weights of shape \(3, 5\), expected \(4, 5\)"):
+        with pytest.raises(ValueError, match=r"weights\.npu1: shape \(3, 5\), expected \(4, 5\)"):
             on_chip(*make_npu(weights=np.zeros((3, 5), dtype=int)))
 
 

@@ -128,9 +128,9 @@ class TestAssembly:
             ((quiet_npu(2, 128), npu2), "NPU1 must be the 32-neuron"),
             ((npu1, quiet_npu(4, 32, n_ff=3)), "NPU2 must be the 128-neuron"),
             ((quiet_npu(2, 32, n_ff=1), npu2),
-             r"npu1 weights of shape \(3, 3\), expected \(2, 3\)"),
+             r"weights\.npu1: shape \(3, 3\), expected \(2, 3\)"),
             ((npu1, quiet_npu(4, 128, n_ff=4)),
-             r"npu2 weights of shape \(8, 5\), expected \(7, 5\)"),
+             r"weights\.npu2: shape \(8, 5\), expected \(7, 5\)"),
         ):
             with pytest.raises(ValueError, match=match):
                 Processor(*bad[0], *bad[1])
