@@ -8,7 +8,6 @@ from .npu import (
     NpuConfig,
     PhaseCycles,
     chop_op_count,
-    configure_chop,
     dense_op_count,
 )
 from .processor import (
@@ -17,6 +16,6 @@ from .processor import (
     hierarchy_op_reduction,
     synapse_count,
 )
-from .synapse import Crossbar, GroupSparseConfig, WeightMemory
+from .synapse import Crossbar, WeightMemory
 
 __version__ = "0.1.0"

@@ -55,6 +55,12 @@ def _next_pow2(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Sudoku
 
+def check_side(n: int) -> None:
+    """Reject a puzzle side outside 2..5, the sides the chip can hold."""
+    if not 2 <= n <= 5:
+        raise PuzzleError(f"side length must be 2..5, got {n}")
+
+
 @dataclass
 class SudokuPuzzle:
     n: int
@@ -65,8 +71,7 @@ class SudokuPuzzle:
         a cell given two digits is reported at its first repeat, else the
         first pair in clue order that repeats a digit in a unit."""
         n = self.n
-        if not 2 <= n <= 5:
-            raise PuzzleError(f"side length must be 2..5, got {n}")
+        check_side(n)
         for r, c, d in self.clues:
             if not (0 <= r < n and 0 <= c < n and 1 <= d <= n):
                 raise PuzzleError(f"clue out of range: {(r, c, d)}")
@@ -321,6 +326,7 @@ def random_puzzle(n: int, seed: int) -> SudokuPuzzle:
     of the first full grid the exact solver finds, then keep a random subset
     of its cells as clues. Both Fisher-Yates shuffles draw from one
     NoiseDraws(seed, ...) step, digits first."""
+    check_side(n)
     swaps = [(0, i) for i in range(n - 1, 0, -1)] + [(0, i) for i in range(n * n - 1, 0, -1)]
     js = iter(NoiseDraws(seed, swaps).draw(1)[0].tolist())
     base = solve_exact(SudokuPuzzle(n=n, clues=[]), limit=1)[0]
@@ -472,16 +478,6 @@ def behavior_sweep(
             "spikes": spikes,
         }
     return out
-
-
-def isi_signature(spikes: list[int]) -> tuple[int, int]:
-    """(spike count, ISI coefficient-of-variation bucket in tenths)."""
-    times = [t for t, s in enumerate(spikes) if s]
-    if len(times) < 2:
-        return len(times), 0
-    isis = np.diff(times)
-    cv = float(isis.std() / isis.mean()) if isis.mean() else 0.0
-    return len(times), int(round(cv * 10))
 
 
 BEHAVIOR_STEPS = 400

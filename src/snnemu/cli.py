@@ -16,6 +16,7 @@ from .netio import (
     NetworkDescription,
     StimulusError,
     StimulusTrace,
+    read_text,
     run,
     save_cycles,
     save_raster,
@@ -41,8 +42,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sudoku(args) -> int:
     if args.puzzle:
-        with open(args.puzzle) as f:
-            puzzle = apps.SudokuPuzzle.from_text(f.read())
+        text = read_text(args.puzzle, lambda path, detail: apps.PuzzleError(f"{path}: {detail}"))
+        puzzle = apps.SudokuPuzzle.from_text(text)
         if puzzle.n != args.n:
             raise apps.PuzzleError(f"puzzle is {puzzle.n}x{puzzle.n}, --n says {args.n}")
     else:

@@ -28,7 +28,7 @@ import yaml
 from .neuron import NeuronParams
 from .npu import ConfigError, GlobalNeuronConfig, NpuConfig
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip
-from .synapse import GroupSparseConfig, WeightMemory
+from .synapse import WeightMemory
 
 WEIGHT_MAGIC = b"SNNW"
 WEIGHT_VERSION = 1
@@ -111,6 +111,18 @@ def _write_file(path: str, data: bytes) -> None:
         f.write(data)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f.truncate()
+
+
+def read_text(path: str, error) -> str:
+    """The UTF-8 text of the file at `path`, the one way snnemu reads a text
+    file. A byte that is not UTF-8 raises `error(path, detail)`, the detail
+    naming the byte's offset: a whole-file read decodes all of the file's
+    bytes at once, so the decoder's offset is the file's."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(path, f"byte {e.start} (0x{e.object[e.start]:02x}) is not UTF-8") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +343,11 @@ class NetworkDescription:
     _chip = (None, None)  # the key of the kept chip's inputs, and the chip
 
     def __post_init__(self):
-        if self.gs_mode not in ("auto", "dense"):
-            raise ConfigError("gs_mode", f"must be auto or dense, got {self.gs_mode}")
         if self.clock_hz < 1:
             raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         self.weights1 = np.asarray(self.weights1, dtype=np.int64)
         self.weights2 = np.asarray(self.weights2, dtype=np.int64)
-        check_chip(self.npu1, self.weights1, self.npu2, self.weights2)
+        check_chip(self.npu1, self.weights1, self.npu2, self.weights2, self.gs_mode)
         self.check_stimulus()
 
     def check_stimulus(self) -> None:
@@ -361,9 +371,7 @@ class NetworkDescription:
         w1, w2 = (np.asarray(w, dtype=np.int64) for w in (self.weights1, self.weights2))
         key = (self.npu1, self.npu2, self.gs_mode, w1.shape, w1.tobytes(), w2.shape, w2.tobytes())
         if self._chip[0] != key:
-            gs = tuple(GroupSparseConfig.from_weights(w) if self.gs_mode == "auto" else None
-                       for w in (w1, w2))
-            self._chip = key, Processor(self.npu1, w1, self.npu2, w2, gs=gs)
+            self._chip = key, Processor(self.npu1, w1, self.npu2, w2, self.gs_mode)
         return self._chip[1].fresh()
 
     # -- serialization ------------------------------------------------------
@@ -464,8 +472,7 @@ class NetworkDescription:
 
     @classmethod
     def _load(cls, path: str) -> "NetworkDescription":
-        with open(path) as f:
-            text = f.read()
+        text = read_text(path, ConfigError)
         try:
             if len(text) >= _DEPTH_CHECK_CHARS:
                 _check_depth(text, path)
@@ -572,9 +579,8 @@ def _read_rows(path: str, header: str, what: str,
     """The integer rows of a CSV file led by `header`, blank lines skipped:
     an (n, width) int64 array parsed in one pass, else a per-line `int()`
     parse (lists of Python ints) that names the first line it rejects with
-    `error`."""
-    with open(path) as f:
-        text = f.read()
+    `error`, as it does a byte that is not UTF-8."""
+    text = read_text(path, lambda path, detail: error(f"{path}: {detail}"))
     lines = text.split("\n")
     if lines[0].strip() != header:
         raise error(f"{path}: unexpected {what} header {lines[0].strip()!r}")

@@ -6,7 +6,6 @@ half-hierarchy chop and its weight check, and per-phase cycle tallies.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,20 +88,6 @@ class NpuConfig:
     def total_neurons(self) -> int:
         """Active neurons plus the global neuron."""
         return self.active_neurons + 1
-
-
-def configure_chop(cfg: NpuConfig, n1: int, n2: int) -> NpuConfig:
-    """Split the population into two uni-directional sub-populations
-    (sub-population 1 feeds 2, never the reverse). `NpuConfig` checks the
-    sizes."""
-    new_params = cfg.params
-    if n1 + n2 != cfg.active_neurons:
-        if len(cfg.params) < n1 + n2:
-            raise ValueError("not enough neuron parameter sets for chop sizes")
-        new_params = cfg.params[: n1 + n2]
-    return dataclasses.replace(
-        cfg, chop=(n1, n2), active_neurons=n1 + n2, params=new_params
-    )
 
 
 def dense_op_count(n: int) -> int:

@@ -28,14 +28,7 @@ import numpy as np
 from .neuron import V_MAX, neuron_tables
 from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
                   dense_op_count)
-from .synapse import (
-    EXT_BOUND,
-    MAC_BOUND,
-    SAT_DECAY_LO,
-    Crossbar,
-    GroupSparseConfig,
-    sat_decay_table,
-)
+from .synapse import EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, Crossbar, sat_decay_table
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -77,12 +70,13 @@ class Processor:
     (t1 + active2, t2) matrix, NPU1's neurons (global included) as its
     feedforward rows first. Every row spans its NPU's total targets, so the
     global neuron can receive ordinary synaptic weight. Each NPU's crossbar
-    is compiled once under its group masks (`gs`, dense where None), with
-    its global broadcast as its last row, into one block matrix
-    `[[W1, W2_ff], [0, W2_rec]]` whose sources are every neuron of the
-    chip, with one cost column per NPU. The scheduler's one-step delay
-    needs no buffer: NPU2's feedforward rows read the chip's spikes of the
-    previous step, the same vector NPU1's recurrent rows read.
+    is compiled once, with its global broadcast as its last row, into one
+    block matrix `[[W1, W2_ff], [0, W2_rec]]` whose sources are every
+    neuron of the chip, with one cost column per NPU: under `gs_mode`
+    "auto" a spiking row reads its nonzero 8-target groups, under "dense"
+    all of them. The scheduler's one-step delay needs no buffer: NPU2's
+    feedforward rows read the chip's spikes of the previous step, the same
+    vector NPU1's recurrent rows read.
 
     `advance` is the one copy of the phase code; saturation, decay and the
     neuron update read lookup tables held once per distinct exponent,
@@ -95,8 +89,8 @@ class Processor:
     """
 
     def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2,
-                 gs: tuple[GroupSparseConfig | None, GroupSparseConfig | None] = (None, None)):
-        check_chip(npu1, weights1, npu2, weights2)
+                 gs_mode: str = "dense"):
+        check_chip(npu1, weights1, npu2, weights2, gs_mode)
         self.t1 = t1 = npu1.total_neurons
         self.n = t1 + npu2.total_neurons
         weights = np.zeros((self.n, self.n), dtype=np.int64)
@@ -106,7 +100,7 @@ class Processor:
         # after them: n_ff is both its first own row and its first column.
         for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
             total = cfg.total_neurons
-            xbar = Crossbar.compile(w, gs[k] or GroupSparseConfig.dense(total),
+            xbar = Crossbar.compile(w, gs_mode == "auto",
                                     broadcast=cfg.global_neuron.effective_weight)
             weights[: n_ff + total, n_ff : n_ff + total] = xbar.weights
             cost[: n_ff + total, k] = xbar.cost
@@ -193,11 +187,14 @@ class Processor:
         return out
 
 
-def check_chip(npu1: NpuConfig, weights1, npu2: NpuConfig, weights2) -> None:
+def check_chip(npu1: NpuConfig, weights1, npu2: NpuConfig, weights2, gs_mode: str) -> None:
     """The chip's rules, the one copy of each, raising a ConfigError that
-    names the field: NPU1 is the 32-neuron unit and NPU2 the 128-neuron
-    one, each weight matrix has its NPU's shape (NPU2's feedforward rows
-    first), and no chopped NPU's sub-population 2 feeds its sub-population 1."""
+    names the field: gs_mode is auto or dense, NPU1 is the 32-neuron unit
+    and NPU2 the 128-neuron one, each weight matrix has its NPU's shape
+    (NPU2's feedforward rows first), and no chopped NPU's sub-population 2
+    feeds its sub-population 1."""
+    if gs_mode not in ("auto", "dense"):
+        raise ConfigError("gs_mode", f"must be auto or dense, got {gs_mode}")
     for k, cfg, w, n_ff, size in ((1, npu1, weights1, 0, 32),
                                   (2, npu2, weights2, npu1.total_neurons, 128)):
         if cfg.max_neurons != size:

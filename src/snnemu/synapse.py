@@ -1,10 +1,11 @@
-"""Synaptic weight memory, group-sparse masks, the compiled crossbar,
-post-synaptic accumulation and reciprocal decay.
+"""Synaptic weight memory, the compiled crossbar, post-synaptic
+accumulation and reciprocal decay.
 
 Weights are signed 4-bit (-8..+7), packed eight to a 32-bit word with nibble 0
 holding the lowest-indexed target. One word read costs one clock cycle in the
-cycle model. Targets are partitioned into groups of 8; a group-sparse bitmask
-selects which words are actually read for a given presynaptic source.
+cycle model. Targets are partitioned into groups of 8, one word each; a
+group-sparse read skips the words that are 0, so it sets a row's read cost
+and never its weights.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ WEIGHT_MAX = 7
 GROUP_SIZE = 8
 SAT_MAX = 2047
 SAT_MIN = -2048
-MAX_GROUPS = 62  # group masks are held in int64
 # The largest |MAC| of one step: every one of the chip's 33 + 129 sources
 # spiking at |weight| 8 (the global broadcast can be +8).
 MAC_BOUND = (33 + 129) * 8
@@ -110,83 +110,32 @@ def _group_bits(codes, n_groups: int) -> np.ndarray:
     return (codes >> np.arange(n_groups)) & 1
 
 
-@dataclass
-class GroupSparseConfig:
-    """Bitmask over 8-target weight groups. A cleared bit skips that word's
-    SRAM read entirely. `per_source` overrides the default mask of the first
-    rows, one mask per row; a compile rejects more masks than rows.
-    Masks are held in int64 and limited to 62 groups (496 targets); the
-    chip's widest row has 129 targets, 17 groups."""
-
-    n_groups: int
-    gs_code: int
-    per_source: list[int] | None = None
-
-    def __post_init__(self):
-        if self.n_groups > MAX_GROUPS:
-            raise ValueError(f"at most {MAX_GROUPS} groups, got {self.n_groups}")
-        full = (1 << self.n_groups) - 1
-        if self.gs_code & ~full:
-            raise ValueError("gs_code has bits beyond the group count")
-        # code & ~full is nonzero exactly when code < 0 or code > full, so two
-        # reductions pass valid masks; only bad ones are searched.
-        codes = self.per_source
-        if codes is not None and len(codes) and (min(codes) < 0 or max(codes) > full):
-            i = next(i for i, code in enumerate(codes) if code & ~full)
-            raise ValueError(f"per-source gs_code {i} beyond group count")
-
-    @classmethod
-    def dense(cls, n_targets: int) -> "GroupSparseConfig":
-        n_groups = group_count(n_targets)
-        return cls(n_groups=n_groups, gs_code=(1 << n_groups) - 1)
-
-    @classmethod
-    def from_weights(cls, weights: np.ndarray) -> "GroupSparseConfig":
-        """Per-source masks of a (sources, targets) matrix with all-zero
-        groups disabled: a 4-bit weight is 0 exactly when its nibble is, so
-        these are the groups whose SRAM word is 0. A group's eight bools,
-        zero-padded, are nonzero exactly when their uint64 view is."""
-        rows, cols = weights.shape
-        n = group_count(cols)
-        padded = np.zeros((rows, n * GROUP_SIZE), dtype=bool)
-        np.not_equal(weights, 0, out=padded[:, :cols])
-        nonzero = padded.view(np.uint64) != 0
-        per_source = (nonzero @ (1 << np.arange(n))).tolist()
-        return cls(n_groups=n, gs_code=(1 << n) - 1, per_source=per_source)
-
-
 @dataclass(frozen=True)
 class Crossbar:
     """The weights a spike can reach, compiled once from the signed weight
-    matrix: one row per source with its masked groups zeroed, and the word
-    reads each row costs (popcount of its group mask). The chip's crossbar
-    keeps one cost column per NPU."""
+    matrix: one row per source, and the word reads each row costs. The
+    chip's crossbar keeps one cost column per NPU."""
 
     weights: np.ndarray  # (sources, targets) int64
     cost: np.ndarray  # (sources,) or (sources, NPUs) int64
 
     @classmethod
-    def compile(
-        cls, weights, gs: GroupSparseConfig, broadcast: int | None = None
-    ) -> "Crossbar":
-        """Rows of the (sources, targets) matrix `weights` under the masks
-        of `gs`, plus an optional last row holding `broadcast` in every
-        column at a cost of one cycle."""
+    def compile(cls, weights, sparse: bool, broadcast: int | None = None) -> "Crossbar":
+        """The (sources, targets) matrix `weights`, each row costing its
+        nonzero 8-target groups when `sparse` (a 4-bit weight is 0 exactly
+        when its nibble is, so these are the row's nonzero SRAM words) and
+        every group otherwise, plus an optional last row holding `broadcast`
+        in every column at a cost of one cycle. A group's eight bools,
+        zero-padded, are nonzero exactly when their uint64 view is."""
         weights = check_weights(weights)
         n_rows, n_targets = weights.shape
         n_groups = group_count(n_targets)
-        if gs.n_groups != n_groups:
-            raise ValueError(f"group mask of {gs.n_groups} groups for rows of "
-                             f"{n_targets} targets, which have {n_groups} groups")
-        codes = np.full(n_rows, gs.gs_code, dtype=np.int64)
-        if gs.per_source is not None:
-            if len(gs.per_source) > n_rows:
-                raise ValueError(f"{len(gs.per_source)} per-source group masks "
-                                 f"for a matrix of {n_rows} rows")
-            codes[:len(gs.per_source)] = gs.per_source
-        bits = _group_bits(codes, n_groups)
-        weights = weights * bits.repeat(GROUP_SIZE, axis=1)[:, :n_targets]
-        cost = bits.sum(axis=1)
+        if sparse:
+            padded = np.zeros((n_rows, n_groups * GROUP_SIZE), dtype=bool)
+            np.not_equal(weights, 0, out=padded[:, :n_targets])
+            cost = np.count_nonzero(padded.view(np.uint64), axis=1)
+        else:
+            cost = np.full(n_rows, n_groups)
         if broadcast is not None:
             weights = np.vstack((weights, np.full(n_targets, broadcast)))
             cost = np.append(cost, 1)

@@ -14,7 +14,6 @@ from snnemu.apps import (
     build_avoidance_network,
     decide_direction,
     default_behavior_cases,
-    isi_signature,
     make_direction_stimulus,
     random_puzzle,
     solve_sudoku,
@@ -26,10 +25,10 @@ from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
     SAT_DECAY_LO,
     Crossbar,
-    GroupSparseConfig,
     decay_array,
     sat_decay_table,
 )
+from test_apps import isi_signature
 from test_processor import events, make_processor, step
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -110,38 +109,41 @@ def test_2_decay_exhaustive():
 
 
 def test_3_crossbar_equivalence():
-    """200 random instances up to 160x160: the compiled crossbar's MAC (the
-    one Processor.advance runs), saturated, matches the dense matrix-vector
-    oracle, and the sat-decay table's lookup of it (exponents 1..7) matches
-    one decay of the oracle, with cycle charge = popcount(gs_code) per
-    spike from the word reads Processor.cycles charges."""
+    """200 random instances up to 160x160 whose weights hold random all-zero
+    8-target groups, compiled with and without group-sparse reads in turn:
+    the compiled crossbar's MAC (the one Processor.advance runs), saturated,
+    matches the dense matrix-vector oracle, and the sat-decay table's
+    lookup of it (exponents 1..7) matches one decay of the oracle. The
+    cycle charge from the word reads Processor.cycles charges is, per
+    spiking row, its count of nonzero groups when sparse, else its group
+    count."""
     rng = np.random.default_rng(7)
     failures = 0
     for trial in range(200):
         n_src = int(rng.integers(1, 161))
         n_tgt = int(rng.integers(1, 161))
-        w = rng.integers(-8, 8, size=(n_src, n_tgt))
-        spikes = rng.integers(0, 2, size=n_src)
         n_groups = -(-n_tgt // 8)
-        gs_code = int(rng.integers(0, 1 << n_groups))
-        gs = GroupSparseConfig(n_groups=n_groups, gs_code=gs_code)
+        w = rng.integers(-8, 8, size=(n_src, n_tgt))
+        zero = rng.random((n_src, n_groups)) < rng.random()
+        w[zero.repeat(8, axis=1)[:, :n_tgt]] = 0
+        spikes = rng.integers(0, 2, size=n_src)
+        sparse = trial % 2 == 0
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(w, gs)
+        xbar = Crossbar.compile(w, sparse)
         xbar.mac(spikes, acc)
         cycles = xbar.reads(spikes)
         decay_a = trial % 7 + 1
         y = sat_decay_table((decay_a,))[0].take(acc - SAT_DECAY_LO)
-        mask = np.zeros(n_groups * 8, dtype=bool)
-        for g in range(n_groups):
-            if (gs_code >> g) & 1:
-                mask[g * 8 : g * 8 + 8] = True
-        w_masked = np.where(mask[None, :n_tgt], w, 0)
-        oracle = np.clip(w_masked.T @ spikes, -2048, 2047)
+        oracle = np.clip(w.T @ spikes, -2048, 2047)
+        reads = 0
+        for row in w[spikes == 1].tolist():
+            groups = [row[g * 8 : g * 8 + 8] for g in range(n_groups)]
+            reads += sum(any(group) for group in groups) if sparse else n_groups
         if not np.array_equal(np.clip(acc, -2048, 2047), oracle):
             failures += 1
         if not np.array_equal(y, decay_array(oracle, decay_a)):
             failures += 1
-        if cycles != int(spikes.sum()) * bin(gs_code).count("1"):
+        if cycles != reads:
             failures += 1
     report("3 crossbar-equivalence", failures == 0, f"(failures={failures})")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from snnemu.apps import (
     INTEGRATOR,
     NoDecisionError,
+    PuzzleError,
     SudokuPuzzle,
     behavior_sweep,
     box_shape,
@@ -24,7 +25,6 @@ from snnemu.apps import (
     decode_counts,
     decode_sudoku_solution,
     default_behavior_cases,
-    isi_signature,
     make_direction_stimulus,
     neuron_index,
     random_puzzle,
@@ -38,6 +38,16 @@ from scalar_ref import NeuronState, delta_vm, neuron_step
 from test_neuron import params_st
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def isi_signature(spikes: list[int]) -> tuple[int, int]:
+    """(spike count, ISI coefficient-of-variation bucket in tenths)."""
+    times = [t for t, s in enumerate(spikes) if s]
+    if len(times) < 2:
+        return len(times), 0
+    isis = np.diff(times)
+    cv = float(isis.std() / isis.mean()) if isis.mean() else 0.0
+    return len(times), int(round(cv * 10))
 
 
 def brute_force_conflicts(n, kind="all"):
@@ -309,6 +319,12 @@ class TestSudokuEndToEnd:
         assert result.solved
         for r, c, d in puz.clues:
             assert result.grid[r][c] == d
+
+    @pytest.mark.parametrize("n", [1, 6, 10**6])
+    def test_generated_side_out_of_range(self, n):
+        """The side is checked before any work that grows with it."""
+        with pytest.raises(PuzzleError, match=f"^side length must be 2..5, got {n}$"):
+            random_puzzle(n, 0)
 
     def test_n2_puzzle(self):
         puz = SudokuPuzzle(2, random_puzzle(2, seed=5).clues[:1])

@@ -262,6 +262,7 @@ class TestErrorContract:
         ("max_neurons", "npu1.max_neurons: NPU1 must be the 32-neuron unit, got 128"),
         ("chop", "weights.npu1: chop violation: source 1 (sub-population 2) has weight "
                  "to target 0 (sub-population 1)"),
+        ("gs_mode", "gs_mode: must be auto or dense, got bogus"),
     ])
     def test_chip_rule_broken_at_load(self, tmp_path, capsys, command, rule, detail):
         """A config that breaks a rule of the chip is rejected when it loads,
@@ -278,6 +279,8 @@ class TestErrorContract:
         desc.save(str(path))
         if rule == "max_neurons":
             path.write_text(path.read_text().replace("max_neurons: 32", "max_neurons: 128"))
+        elif rule == "gs_mode":
+            path.write_text(path.read_text().replace("gs_mode: auto", "gs_mode: bogus"))
         else:  # sub-population 2's neuron 1 feeds neuron 0 of sub-population 1
             save_weight_image(str(tmp_path / "net.weights.bin"),
                               [np.array([[0, 0, 0], [3, 0, 0]]), desc.weights2])
@@ -440,6 +443,28 @@ class TestErrorContract:
         puzzle.write_text(grid)
         assert main(["sudoku", "--n", str(n), "--puzzle", str(puzzle)]) == 2
         assert capsys.readouterr() == ("", f"error: puzzle: {detail}\n")
+
+    @pytest.mark.parametrize("kind", ["config", "stimulus", "puzzle"])
+    def test_file_not_utf8(self, config_path, tmp_path, capsys, kind):
+        """A byte that is not UTF-8 is one line of the file's category that
+        names the file and the byte's offset."""
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
+        path = {"config": config_path, "stimulus": stim, "puzzle": tmp_path / "p.txt"}[kind]
+        text = {"puzzle": b"1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"}.get(kind)
+        text = text or open(path, "rb").read()
+        with open(path, "wb") as f:
+            f.write(text + b"# caf\xe9\n")
+        argv = {"config": ["inspect", "--config", config_path],
+                "stimulus": ["avoid", "--stimulus", str(stim)],
+                "puzzle": ["sudoku", "--puzzle", str(path)]}[kind]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {kind}: {path}: byte {len(text) + 5} (0xe9) is not UTF-8\n")
+
+    def test_generated_puzzle_side_out_of_range(self, capsys):
+        assert main(["sudoku", "--n", "300"]) == 2
+        assert capsys.readouterr() == ("", "error: puzzle: side length must be 2..5, got 300\n")
 
     def test_window_without_spikes_is_decode_error(self, tmp_path, capsys):
         stim = tmp_path / "stim.csv"

@@ -657,6 +657,18 @@ class TestChipCache:
         assert after != before
         assert after == run_bytes(equal_copy(desc), tmp_path)
 
+    @pytest.mark.parametrize("built", [False, True])
+    @pytest.mark.parametrize("call", ["build_processor", "run"])
+    def test_gs_mode_set_after_construction_is_checked(self, built, call):
+        """A gs_mode assigned after construction is checked where the chip
+        compiles, before or after a chip was kept, never read as dense."""
+        desc = noisy_desc(0)
+        if built:
+            desc.build_processor()
+        desc.gs_mode = "bogus"
+        with pytest.raises(ConfigError, match="^gs_mode: must be auto or dense, got bogus$"):
+            desc.build_processor() if call == "build_processor" else run(desc, None, 5)
+
     @pytest.mark.parametrize("route", ["direct", "caller", "base"])
     def test_in_place_write_reaches_the_next_run(self, tmp_path, route):
         """After a run, a write into a matrix gives the bytes of a newly built

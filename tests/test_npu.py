@@ -2,6 +2,7 @@
 recurrent delay, global neuron broadcast, chop validation, and agreement with
 a dense reference simulator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,8 @@ from snnemu.npu import (
     NpuConfig,
     check_chop_weights,
     chop_op_count,
-    configure_chop,
     dense_op_count,
 )
-from snnemu.synapse import GroupSparseConfig
 from test_processor import events, on_chip, quiet_npu, step
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
@@ -25,8 +24,8 @@ LEAKY = NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)
 
 
 def make_npu(active=4, params=None, weights=None, decay_a=3, global_cfg=None,
-             max_neurons=32, gs=None):
-    """(config, weights, group masks) of an NPU under test, for `on_chip`."""
+             max_neurons=32, gs_mode="dense"):
+    """(config, weights, gs_mode) of an NPU under test, for `on_chip`."""
     total = active + 1
     params = params if params is not None else [QUIET] * active
     if weights is None:
@@ -38,7 +37,21 @@ def make_npu(active=4, params=None, weights=None, decay_a=3, global_cfg=None,
         global_neuron=global_cfg or GlobalNeuronConfig(params=QUIET),
         decay_a=decay_a,
     )
-    return cfg, weights, gs
+    return cfg, weights, gs_mode
+
+
+def configure_chop(cfg: NpuConfig, n1: int, n2: int) -> NpuConfig:
+    """Split the population into two uni-directional sub-populations
+    (sub-population 1 feeds 2, never the reverse). `NpuConfig` checks the
+    sizes."""
+    new_params = cfg.params
+    if n1 + n2 != cfg.active_neurons:
+        if len(cfg.params) < n1 + n2:
+            raise ValueError("not enough neuron parameter sets for chop sizes")
+        new_params = cfg.params[: n1 + n2]
+    return dataclasses.replace(
+        cfg, chop=(n1, n2), active_neurons=n1 + n2, params=new_params
+    )
 
 
 def dense_reference(weights, params, decay_a, stim_fn, steps, v0=None):
@@ -203,9 +216,8 @@ class TestCycles:
 
     def test_mac_charge_is_popcount(self):
         w = np.zeros((8, 9), dtype=int)
-        w[0, :] = 1
-        gs = GroupSparseConfig(n_groups=2, gs_code=0b11, per_source=[0b01] * 8)
-        proc = on_chip(*make_npu(active=8, weights=w, gs=gs))
+        w[0, :8] = 1  # group 1 (target 8) is all zero
+        proc = on_chip(*make_npu(active=8, weights=w, gs_mode="auto"))
         proc.last_spikes[0] = 1
         _, _, rep = step(proc)
         assert rep.npu1.mac == 1

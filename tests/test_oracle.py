@@ -6,9 +6,12 @@ The reference works on plain Python ints and lists, straight from the phase
 order in the README: external events, then the spike MACs of the previous
 step (NPU2's feedforward stream is NPU1's raster of the step before, the
 scheduler's one-step delay), then 12-bit saturation, decay, and the neuron
-update. Group masks are applied per target from the mask bits; nothing is
-shared with the packed weight memory or the compiled crossbar.
+update. Group masks are applied per target from the mask bits the test
+computes itself; nothing is shared with the packed weight memory or the
+compiled crossbar.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,12 +23,13 @@ from snnemu.netio import (
     NetworkDescription,
     NoiseSource,
     StimulusTrace,
+    run,
     simulate,
 )
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import Processor
-from snnemu.synapse import EXT_BOUND, MAC_BOUND, GroupSparseConfig
+from snnemu.synapse import EXT_BOUND, MAC_BOUND
 from scalar_ref import Lcg
 from test_processor import events, step
 
@@ -128,42 +132,42 @@ def _params(rng):
     )
 
 
-def _masks(rng, weights, gs_mode):
-    """Per-row mask bits: every group, the non-zero groups, or random bits
-    (which may also drop non-zero weights)."""
+def _masks(weights, gs_mode):
+    """Per-row mask bits: every group, or the non-zero groups."""
     n_groups = -(-weights.shape[1] // 8)
-    full = (1 << n_groups) - 1
     if gs_mode == "dense":
-        return [full] * weights.shape[0]
-    if gs_mode == "auto":
-        return [
-            sum(1 << g for g in range(n_groups) if row[8 * g:8 * g + 8].any())
-            for row in weights
-        ]
-    return [int(rng.integers(0, full + 1)) for _ in range(weights.shape[0])]
+        return [(1 << n_groups) - 1] * weights.shape[0]
+    return [
+        sum(1 << g for g in range(n_groups) if row[8 * g:8 * g + 8].any())
+        for row in weights
+    ]
+
+
+def _weights(rng, rows, total):
+    """Random 4-bit weights with some all-zero columns and 8-target groups."""
+    w = rng.integers(-8, 8, size=(rows, total))
+    w[:, rng.random(total) < 0.3] = 0
+    zero = rng.random((rows, -(-total // 8))) < 0.3
+    w[zero.repeat(8, axis=1)[:, :total]] = 0
+    return w
 
 
 def _pair(n, rng, chopped, n_ff, gs_mode, g_mode, g_weight, max_neurons):
-    """A random NPU of n active neurons as (config, weights, group masks),
-    and its reference twin."""
+    """A random NPU of n active neurons as (config, weights), and its
+    reference twin."""
     total = n + 1
     params = [_params(rng) for _ in range(total)]
     chop = (n // 2, n // 2) if chopped and n >= 2 else None
-    weights = rng.integers(-8, 8, size=(n_ff + n, total))
-    weights[:, rng.random(total) < 0.3] = 0  # some all-zero groups and columns
+    weights = _weights(rng, n_ff + n, total)
     if chop is not None:
         # sub-population 2 never feeds sub-population 1
         weights[n_ff + chop[0]:n_ff + n, :chop[0]] = 0
-    masks = _masks(rng, weights, gs_mode)
     g = GlobalNeuronConfig(params=params[-1], out_weight=g_weight, mode=g_mode)
     cfg = NpuConfig(max_neurons=max_neurons, active_neurons=n, params=params[:-1],
                     global_neuron=g, decay_a=int(rng.integers(0, 8)), chop=chop)
-    n_groups = -(-total // 8)
-    gs = GroupSparseConfig(n_groups=n_groups, gs_code=(1 << n_groups) - 1,
-                           per_source=masks)
     ref = RefNpu(params, g.effective_weight, cfg.decay_a,
-                 weights.tolist(), masks, n_ff)
-    return (cfg, weights, gs), ref
+                 weights.tolist(), _masks(weights, gs_mode), n_ff)
+    return (cfg, weights), ref
 
 
 def _stimulus(rng, totals):
@@ -187,7 +191,7 @@ def drive(proc, stimulus):
     seed=st.integers(0, 2**32 - 1),
     n1=st.sampled_from([1, 2, 4, 8, 16, 32]),
     n2=st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
-    gs_mode=st.sampled_from(["dense", "auto", "random"]),
+    gs_mode=st.sampled_from(["dense", "auto"]),
     chop=st.tuples(st.booleans(), st.booleans()),
     globals_=st.tuples(
         st.sampled_from(["excitatory", "inhibitory"]), st.integers(-8, 7),
@@ -200,8 +204,7 @@ def test_processor_matches_scalar_reference(seed, n1, n2, gs_mode, chop, globals
     g1_mode, g1_weight, g2_mode, g2_weight = globals_
     npu1, ref1 = _pair(n1, rng, chop[0], 0, gs_mode, g1_mode, g1_weight, 32)
     npu2, ref2 = _pair(n2, rng, chop[1], n1 + 1, gs_mode, g2_mode, g2_weight, 128)
-    (cfg1, w1, gs1), (cfg2, w2, gs2) = npu1, npu2
-    proc = Processor(cfg1, w1, cfg2, w2, gs=(gs1, gs2))
+    proc = Processor(*npu1, *npu2, gs_mode)
     ref = RefProcessor(ref1, ref2)
     for t in range(steps):
         check_step(t, proc, ref, _stimulus(rng, (n1 + 1, n2 + 1)))
@@ -273,8 +276,7 @@ def _desc_and_reference(rng, n1, n2, gs_mode):
     for n, n_ff, max_neurons in ((n1, 0, 32), (n2, n1 + 1, 128)):
         total = n + 1
         params = [_params(rng) for _ in range(total)]
-        w = rng.integers(-8, 8, size=(n_ff + n, total))
-        w[:, rng.random(total) < 0.3] = 0
+        w = _weights(rng, n_ff + n, total)
         g = GlobalNeuronConfig(params=params[-1], out_weight=int(rng.integers(-8, 8)),
                                mode=str(rng.choice(["excitatory", "inhibitory"])))
         cfg = NpuConfig(max_neurons=max_neurons, active_neurons=n, params=params[:-1],
@@ -282,7 +284,7 @@ def _desc_and_reference(rng, n1, n2, gs_mode):
         cfgs.append(cfg)
         weights.append(w)
         refs.append(RefNpu(params, g.effective_weight, cfg.decay_a, w.tolist(),
-                           _masks(rng, w, gs_mode), n_ff))
+                           _masks(w, gs_mode), n_ff))
     totals = (n1 + 1, n2 + 1)
     dc = [DcSource(npu=k, addr=int(rng.integers(0, totals[k - 1])),
                    value=int(rng.integers(-128, 128)))
@@ -345,3 +347,31 @@ def test_simulate_matches_scalar_reference(seed, n1, n2, gs_mode, steps, block):
             )
         seen += len(spikes)
     assert seen == steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([1, 2, 8, 32]),
+    n2=st.sampled_from([1, 8, 16, 64, 128]),
+    g_modes=st.tuples(*[st.sampled_from(["excitatory", "inhibitory"])] * 2),
+    steps=st.integers(1, 80),
+)
+def test_gs_mode_moves_only_the_mac_cycles(seed, n1, n2, g_modes, steps):
+    """One random description, whose matrices hold all-zero 8-target
+    groups, run under auto and under dense: the rasters are the same, and
+    so is every cycle count but each NPU's mac, which auto never raises."""
+    desc, _ = _desc_and_reference(np.random.default_rng(seed), n1, n2, "auto")
+    desc.npu1, desc.npu2 = (
+        dataclasses.replace(cfg, global_neuron=dataclasses.replace(cfg.global_neuron, mode=mode))
+        for cfg, mode in zip((desc.npu1, desc.npu2), g_modes))
+    raster, rows, _ = run(desc, None, steps, seed)
+    dense = dataclasses.replace(desc, gs_mode="dense")
+    dense_raster, dense_rows, _ = run(dense, None, steps, seed)
+    assert raster.tobytes() == dense_raster.tobytes()
+    for (t, rep), (_, dense_rep) in zip(rows, dense_rows, strict=True):
+        for unit, dense_unit in ((rep.npu1, dense_rep.npu1), (rep.npu2, dense_rep.npu2)):
+            assert unit.mac <= dense_unit.mac, f"step {t}: mac"
+            assert dataclasses.replace(unit, mac=0) == dataclasses.replace(dense_unit, mac=0), (
+                f"step {t}: cycles other than mac"
+            )

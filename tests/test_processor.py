@@ -49,15 +49,14 @@ def quiet_npu(active, max_neurons, n_ff=0):
     return cfg, np.zeros((n_ff + active, active + 1), dtype=int)
 
 
-def on_chip(cfg, weights, gs=None):
+def on_chip(cfg, weights, gs_mode="dense"):
     """A Processor around the NPU under test: as NPU1 ahead of a quiet
     one-neuron NPU2 when it is the 32-neuron unit, else as NPU2 behind a
     quiet NPU1 whose spikes are its feedforward rows."""
     if cfg.max_neurons == 32:
-        return Processor(cfg, weights, *quiet_npu(1, 128, n_ff=cfg.total_neurons),
-                         gs=(gs, None))
+        return Processor(cfg, weights, *quiet_npu(1, 128, n_ff=cfg.total_neurons), gs_mode)
     n_ff = len(weights) - cfg.active_neurons
-    return Processor(*quiet_npu(n_ff - 1, 32), cfg, weights, gs=(None, gs))
+    return Processor(*quiet_npu(n_ff - 1, 32), cfg, weights, gs_mode)
 
 
 def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):

@@ -1,5 +1,5 @@
-"""Tests for weight packing, group-sparse masks, the compiled crossbar, the
-spike-stream scan charge, and decay."""
+"""Tests for weight packing, the compiled crossbar and its group-sparse read
+cost, the spike-stream scan charge, and decay."""
 
 import math
 
@@ -13,7 +13,6 @@ from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.synapse import (
     SAT_DECAY_LO,
     Crossbar,
-    GroupSparseConfig,
     WeightMemory,
     check_weights,
     decay_array,
@@ -25,15 +24,15 @@ from test_processor import on_chip, step
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
 
-def silent_npu(active, n_ff=0, gs=None):
-    """(config, weights, group masks) of an NPU of pure integrators with
-    all-ones weights, so any spiking source costs its mask's popcount in MAC
-    cycles; NPU2 of a chip if it reads a feedforward stream, else NPU1."""
+def silent_npu(active, n_ff=0):
+    """(config, weights) of an NPU of pure integrators with all-ones
+    weights, so any spiking source reads all its groups in MAC cycles; NPU2
+    of a chip if it reads a feedforward stream, else NPU1."""
     total = active + 1
     cfg = NpuConfig(max_neurons=128 if n_ff else 32, active_neurons=active,
                     params=[QUIET] * active,
                     global_neuron=GlobalNeuronConfig(params=QUIET))
-    return cfg, np.ones((n_ff + active, total), dtype=int), gs
+    return cfg, np.ones((n_ff + active, total), dtype=int)
 
 
 class TestPacking:
@@ -63,9 +62,10 @@ class TestPacking:
         with pytest.raises(ValueError, match="^weight out of range at row 0, target 5: 8$"):
             check_weights(w)
 
-    def test_empty_matrix_compiles(self):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_empty_matrix_compiles(self, sparse):
         """A matrix of no rows has no min or max and no bad weight."""
-        xbar = Crossbar.compile(np.zeros((0, 8), dtype=int), GroupSparseConfig.dense(8))
+        xbar = Crossbar.compile(np.zeros((0, 8), dtype=int), sparse)
         assert xbar.weights.shape == (0, 8) and xbar.cost.tolist() == []
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=300))
@@ -148,8 +148,8 @@ class TestDecay:
 
 
 class TestWholeArray:
-    """The whole-array unpack, masks and crossbar compile against the
-    row-by-row reads of the packed SRAM image."""
+    """The whole-array unpack and crossbar compile against the row-by-row
+    reads of the packed SRAM image."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -162,36 +162,20 @@ class TestWholeArray:
         g = mem.row_stride_words
         assert np.array_equal(mem.unpack().reshape(rows, targets), w)
 
-        gs = GroupSparseConfig.from_weights(w)
-        assert gs.per_source == [
-            sum(1 << k for k in range(g) if mem.words[r, k] != 0) for r in range(rows)
-        ]
-        # a shorter per-source list: later rows take the default mask
-        per_source = [int(c) for c in rng.integers(0, 1 << g, size=rows // 2)]
-        masks = GroupSparseConfig(n_groups=g, gs_code=int(rng.integers(0, 1 << g)),
-                                  per_source=per_source)
-        for cfg in (gs, masks):
-            codes = cfg.per_source + [cfg.gs_code] * (rows - len(cfg.per_source))
-            xbar = Crossbar.compile(w, cfg, broadcast=-2)
-            want = [mem.row_weights(r, gs_code=codes[r]) for r in range(rows)]
-            want.append(np.full(targets, -2))
-            assert np.array_equal(xbar.weights, np.array(want).reshape(rows + 1, targets))
-            assert xbar.cost.tolist() == [bin(c).count("1") for c in codes] + [1]
+        want = np.array([mem.row_weights(r) for r in range(rows)] + [np.full(targets, -2)])
+        for sparse, cost in ((True, [int((mem.words[r] != 0).sum()) for r in range(rows)]),
+                             (False, [g] * rows)):
+            xbar = Crossbar.compile(w, sparse, broadcast=-2)
+            assert np.array_equal(xbar.weights, want.reshape(rows + 1, targets))
+            assert xbar.cost.tolist() == cost + [1]
 
-    def test_masks_beyond_62_groups(self):
-        """Masks are limited to 62 groups: 62 compile, 63 are rejected."""
-        w = np.zeros((2, 8 * 62), dtype=int)
-        w[0, 8 * 61] = 3
-        gs = GroupSparseConfig.from_weights(w)
-        assert gs.per_source == [1 << 61, 0]
-        xbar = Crossbar.compile(w, gs)
-        assert xbar.cost.tolist() == [1, 0]
-        assert np.array_equal(xbar.weights, w)
-        wide = np.zeros((2, 8 * 63), dtype=int)
-        with pytest.raises(ValueError, match="at most 62 groups, got 63"):
-            GroupSparseConfig.from_weights(wide)
-        with pytest.raises(ValueError, match="at most 62 groups, got 70"):
-            GroupSparseConfig.dense(8 * 70)
+    def test_rows_of_any_width(self):
+        """A row's cost is counted from its own groups, however many: the
+        word at group 69 of a 70-group row is read alone."""
+        w = np.zeros((2, 8 * 70), dtype=int)
+        w[0, 8 * 69] = 3
+        assert Crossbar.compile(w, True).cost.tolist() == [1, 0]
+        assert Crossbar.compile(w, False).cost.tolist() == [70, 70]
 
 
 class TestDecode:
@@ -212,11 +196,11 @@ class TestDecode:
         assert cyc.mac == 17
         assert cyc.scan == 1 + 65
 
-    def test_half_enabled_groups(self):
-        # 65 targets -> 9 groups; enable 4 of them
-        gs = GroupSparseConfig(n_groups=9, gs_code=0b001010101)
-        assert bin(gs.gs_code).count("1") == 4
-        proc = on_chip(*silent_npu(active=64, n_ff=33, gs=gs))
+    def test_half_nonzero_groups(self):
+        # 65 targets -> 9 groups; 4 of them nonzero in every row
+        cfg, w = silent_npu(active=64, n_ff=33)
+        w[:, np.isin(np.arange(65) // 8, [1, 3, 5, 7, 8])] = 0
+        proc = on_chip(cfg, w, gs_mode="auto")
         proc.last_spikes[[0, 5]] = 1
         cyc = step(proc)[2].npu2
         assert cyc.mac == 8
@@ -231,39 +215,38 @@ class TestDecode:
 class TestAccumulate:
     def test_single_row(self):
         row = [1, -8, 7] + [0] * 61
-        gs = GroupSparseConfig.dense(64)
         y = np.zeros(64, dtype=np.int64)
-        xbar = Crossbar.compile([row], gs)
+        xbar = Crossbar.compile([row], False)
         xbar.mac(np.array([1]), y)
-        assert xbar.reads(np.array([1])) == bin(gs.gs_code).count("1") == 8
+        assert xbar.reads(np.array([1])) == 8
         assert list(y) == row
 
     def test_saturation_at_boundary(self):
-        gs = GroupSparseConfig.dense(8)
         y = np.full(8, 2040)
-        Crossbar.compile([[7] * 8, [7] * 8], gs).mac(np.array([1, 1]), y)
+        Crossbar.compile([[7] * 8, [7] * 8], False).mac(np.array([1, 1]), y)
         assert y[0] == 2054  # wide intermediate, not yet clamped
         table = sat_decay_table(tuple(range(8)))
         for a in range(8):
             assert list(table[a].take(y - SAT_DECAY_LO)) == [decay_value(2047, a)] * 8
 
     def test_source_out_of_range(self):
-        xbar = Crossbar.compile([[0] * 8], GroupSparseConfig.dense(8))
+        xbar = Crossbar.compile([[0] * 8], False)
         spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row matrix
         with pytest.raises(ValueError, match="expected 1 sources"):
             xbar.mac(spikes, np.zeros(8, dtype=np.int64))
 
-    def test_disabled_groups_skipped(self):
-        row = [5] * 16
-        gs = GroupSparseConfig(n_groups=2, gs_code=0b01)
-        y = np.zeros(16, dtype=np.int64)
-        xbar = Crossbar.compile([row], gs)
-        xbar.mac(np.array([1]), y)
-        assert xbar.reads(np.array([1])) == 1
-        assert list(y) == [5] * 8 + [0] * 8
+    def test_zero_groups_skipped(self):
+        """A sparse read skips the all-zero word and adds the same row."""
+        row = [5] * 8 + [0] * 8
+        for sparse, reads in ((True, 1), (False, 2)):
+            y = np.zeros(16, dtype=np.int64)
+            xbar = Crossbar.compile([row], sparse)
+            xbar.mac(np.array([1]), y)
+            assert xbar.reads(np.array([1])) == reads
+            assert list(y) == row
 
     def test_broadcast_row(self):
-        xbar = Crossbar.compile([[3] * 12], GroupSparseConfig.dense(12), broadcast=-4)
+        xbar = Crossbar.compile([[3] * 12], False, broadcast=-4)
         assert xbar.cost.tolist() == [2, 1]
         y = np.zeros(12, dtype=np.int64)
         xbar.mac(np.array([1, 1]), y)
@@ -278,9 +261,8 @@ class TestAccumulate:
         n_tgt = int(rng.integers(1, 80))
         w = rng.integers(-8, 8, size=(n_src, n_tgt))
         spikes = rng.integers(0, 2, size=n_src)
-        gs = GroupSparseConfig.dense(n_tgt)
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(w, gs)
+        xbar = Crossbar.compile(w, False)
         xbar.mac(spikes, acc)
         total = xbar.reads(spikes)
         a = int(rng.integers(1, 8))
@@ -288,57 +270,23 @@ class TestAccumulate:
         oracle = np.clip(w.T @ spikes, -2048, 2047)
         assert np.array_equal(np.clip(acc, -2048, 2047), oracle)
         assert np.array_equal(y, decay_array(oracle, a))
-        assert total == int(spikes.sum()) * bin(gs.gs_code).count("1")
+        assert total == int(spikes.sum()) * -(-n_tgt // 8)
 
 
 class TestGroupSparse:
-    def test_from_memory_masks_zero_words(self):
-        """`from_weights` disables exactly the groups whose packed SRAM word
-        is 0, including words of negative weights only (nibbles 8..15)."""
+    def test_sparse_cost_counts_nonzero_words(self):
+        """A sparse row costs exactly its packed SRAM words that are not 0,
+        including words of negative weights only (nibbles 8..15)."""
         w = np.zeros((3, 16), dtype=int)
         w[0, 12] = 3  # only group 1 of row 0 non-zero
         w[2, :8] = -8
-        gs = GroupSparseConfig.from_weights(w)
         mem = WeightMemory.from_matrix(w)
-        assert gs.per_source == [0b10, 0, 0b01]
-        assert gs.per_source == ((mem.words != 0) @ (1 << np.arange(2))).tolist()
-        assert Crossbar.compile(w, gs).cost.tolist() == [1, 0, 1]
+        cost = Crossbar.compile(w, True).cost
+        assert cost.tolist() == [1, 0, 1] == (mem.words != 0).sum(axis=1).tolist()
 
-    @pytest.mark.parametrize("n_targets, n_groups", [(16, 1), (8, 5)])
-    def test_mask_width_must_match_rows(self, n_targets, n_groups):
-        """A mask built for another row width is rejected, not applied:
-        a 1-group mask would silently drop a 16-target row's second group."""
-        gs = GroupSparseConfig(n_groups=n_groups, gs_code=1)
-        expected = -(-n_targets // 8)
-        with pytest.raises(ValueError, match=(
-                f"^group mask of {n_groups} groups for rows of {n_targets} "
-                f"targets, which have {expected} groups$")):
-            Crossbar.compile(np.ones((1, n_targets), dtype=int), gs)
-
-    def test_more_masks_than_rows_rejected(self):
-        """Per-source masks built for a longer matrix are rejected, not
-        ignored."""
-        gs = GroupSparseConfig(n_groups=1, gs_code=1, per_source=[1, 0, 1, 1])
-        with pytest.raises(ValueError,
-                           match="^4 per-source group masks for a matrix of 1 rows$"):
-            Crossbar.compile(np.ones((1, 8), dtype=int), gs)
-
-    @pytest.mark.parametrize("per_source, first", [
-        ([1, 3, 4, 8], 2),
-        ([3, -1, 4], 1),
-        ([2**70, 4], 0),
-        ([1, 2, 2**70], 2),
-    ])
-    def test_first_mask_beyond_group_count_named(self, per_source, first):
-        with pytest.raises(ValueError, match=f"^per-source gs_code {first} beyond group count$"):
-            GroupSparseConfig(n_groups=2, gs_code=3, per_source=per_source)
-
-    def test_fewer_masks_than_rows_fall_back_to_gs_code(self):
-        gs = GroupSparseConfig(n_groups=1, gs_code=1, per_source=[0])
-        assert Crossbar.compile(np.ones((3, 8)), gs).cost.tolist() == [0, 1, 1]
-
-    def test_gs_num_is_popcount(self):
-        """A spiking row is charged the popcount of its group mask."""
-        gs = GroupSparseConfig(n_groups=16, gs_code=0b1010101010101010)
-        xbar = Crossbar.compile(np.ones((1, 128), dtype=int), gs)
+    def test_spiking_row_reads_its_nonzero_groups(self):
+        """A spiking row is charged its nonzero groups, 8 of 16 here."""
+        w = np.ones((1, 128), dtype=int)
+        w[:, (np.arange(128) // 8) % 2 == 0] = 0
+        xbar = Crossbar.compile(w, True)
         assert xbar.reads(np.array([1])) == 8
