@@ -22,6 +22,7 @@ import numpy as np
 from .neuron import V_MAX, NeuronParams, neuron_tables
 from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
+    BLOCK,
     DcSource,
     NetworkDescription,
     NoiseDraws,
@@ -217,21 +218,6 @@ class SudokuDecode:
     low_confidence: set[tuple[int, int]] = field(default_factory=set)
 
 
-def _window_counts(raster: np.ndarray, npu: int, window: tuple[int, int], n: int) -> np.ndarray:
-    """Spikes per address 0..n-1 of NPU `npu` inside [window[0], window[1])
-    among the (t, npu, addr) records of `raster`; other addresses are
-    ignored."""
-    t, unit, addr = np.asarray(raster, dtype=np.int64).reshape(-1, 3).T
-    keep = (unit == npu) & (window[0] <= t) & (t < window[1]) & (addr >= 0) & (addr < n)
-    return np.bincount(addr[keep], minlength=n)
-
-
-def decode_sudoku_solution(raster: np.ndarray, window: tuple[int, int], n: int) -> SudokuDecode:
-    """Per cell, pick the digit whose neuron spiked most inside
-    [window[0], window[1]). Ties go to the lowest digit and are flagged."""
-    return decode_counts(_window_counts(raster, 2, window, n**3), n)
-
-
 def decode_counts(counts: np.ndarray, n: int) -> SudokuDecode:
     """The decode of a window from its spike count per (cell, digit)
     neuron, indexed by `neuron_index`: per cell, the digit that spiked most,
@@ -425,25 +411,44 @@ def make_direction_stimulus(direction: int, steps: int, seed: int = 0) -> Stimul
     return StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
 
 
-def decide_direction(raster: np.ndarray, window: tuple[int, int]) -> tuple[int, bool, list[int]]:
-    """Argmax of per-direction NPU1 spike counts over [window[0], window[1]).
-    Returns (direction, tie_flag, counts); ties resolve to the lowest index."""
-    counts = _window_counts(raster, 1, window, N_DIRECTIONS).tolist()
+def decide_counts(counts: list[int], window: tuple[int, int]) -> tuple[int, bool, list[int]]:
+    """The decision of the window [window[0], window[1]) from its spike
+    count per direction: (direction, tie_flag, counts), the most-spiking
+    direction, the lowest one on a tie."""
     if not any(counts):
         raise NoDecisionError(f"no spikes in window [{window[0]}, {window[1]})")
     best = counts.index(max(counts))  # the lowest index wins a tie
     return best, counts.count(counts[best]) > 1, counts
 
 
-def decide_windows(
-    raster: np.ndarray, total_steps: int, window_steps: int
-) -> list[tuple[int, int, bool, list[int]]]:
-    """One decision per consecutive window of `window_steps` steps:
-    (index, direction, tie, counts)."""
+def decide_direction(raster: np.ndarray, window: tuple[int, int]) -> tuple[int, bool, list[int]]:
+    """`decide_counts` of the NPU1 direction neurons' spikes inside
+    [window[0], window[1]) among the (t, npu, addr) records of `raster`."""
+    t, npu, addr = np.asarray(raster, dtype=np.int64).reshape(-1, 3).T
+    keep = (npu == 1) & (window[0] <= t) & (t < window[1]) & (addr >= 0) & (addr < N_DIRECTIONS)
+    return decide_counts(np.bincount(addr[keep], minlength=N_DIRECTIONS).tolist(), window)
+
+
+def avoid(
+    stimulus: StimulusTrace | None, windows: int, window_steps: int, seed: int = 0
+) -> tuple[list[tuple[int, bool, list[int]]], CycleReport]:
+    """Run the avoidance network for `windows` consecutive windows of
+    `window_steps` steps, deciding each from its spike counts; returns the
+    decisions in window order and the run's aggregate cycles. Every block
+    of the run loop holds whole windows. The first window without a
+    direction spike raises `NoDecisionError`."""
     if window_steps < 1:
         raise ValueError("window_steps must be >= 1")
-    return [(i, *decide_direction(raster, (t0, t0 + window_steps)))
-            for i, t0 in enumerate(range(0, total_steps, window_steps))]
+    steps = windows * window_steps
+    block = window_steps * -(-BLOCK // window_steps)
+    decisions = []
+    total = np.zeros((2, 5), dtype=np.int64)
+    for t0, spikes, cycles in simulate(build_avoidance_network(), stimulus, steps, seed, block):
+        total += cycles.sum(axis=0)
+        counts = spikes[:, :N_DIRECTIONS].reshape(-1, window_steps, N_DIRECTIONS).sum(axis=1)
+        decisions += [decide_counts(c, (t, t + window_steps))
+                      for t, c in zip(range(t0, steps, window_steps), counts.tolist())]
+    return decisions, CycleReport.of(total.tolist(), steps)
 
 
 # ---------------------------------------------------------------------------

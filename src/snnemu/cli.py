@@ -59,11 +59,9 @@ def _cmd_sudoku(args) -> int:
 
 
 def _cmd_avoid(args) -> int:
-    desc = apps.build_avoidance_network()
     stim = StimulusTrace.load(args.stimulus)
-    steps = args.windows * args.window_steps
-    raster, _, agg = run(desc, stim, steps=steps, seed=args.seed)
-    for idx, direction, tie, counts in apps.decide_windows(raster, steps, args.window_steps):
+    decisions, agg = apps.avoid(stim, args.windows, args.window_steps, seed=args.seed)
+    for idx, (direction, tie, counts) in enumerate(decisions):
         print(f"{idx},{direction},{int(tie)}," + ",".join(str(c) for c in counts))
     per_decision = agg.total_parallel / args.windows
     print(f"# cycles_per_decision={per_decision:.0f}", file=sys.stderr)

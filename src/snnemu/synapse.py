@@ -62,10 +62,6 @@ class WeightMemory:
         self.words = words
         self.n_targets = n_targets
 
-    @property
-    def row_stride_words(self) -> int:
-        return self.words.shape[1]
-
     @classmethod
     def from_matrix(cls, matrix) -> "WeightMemory":
         """Pack a (sources, targets) weight matrix, one row per source."""
@@ -79,14 +75,11 @@ class WeightMemory:
         words = (nibbles << shifts).sum(axis=2, dtype=np.uint32)
         return cls(words, n_targets)
 
-    def row_weights(self, source: int, gs_code: int | None = None) -> np.ndarray:
-        """Unpack one row to signed weights; groups cleared in gs_code read 0."""
+    def row_weights(self, source: int) -> np.ndarray:
+        """Unpack one row to signed weights."""
         if not 0 <= source < len(self.words):
             raise IndexError(f"source {source} out of range (rows={len(self.words)})")
-        row = _signed_nibbles(self.words[source : source + 1])[0]
-        if gs_code is not None:
-            row *= _group_bits([gs_code], self.row_stride_words)[0].repeat(GROUP_SIZE)
-        return row[: self.n_targets]
+        return _signed_nibbles(self.words[source : source + 1])[0, : self.n_targets]
 
     def unpack(self) -> np.ndarray:
         """Full (sources, targets) signed weight matrix."""
@@ -102,12 +95,6 @@ def _signed_nibbles(words: np.ndarray) -> np.ndarray:
     little-endian bytes of a word hold its nibbles 0..7 low nibble first."""
     data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
     return _BYTE_NIBBLES.take(data, axis=0).reshape(words.shape[0], GROUP_SIZE * words.shape[1])
-
-
-def _group_bits(codes, n_groups: int) -> np.ndarray:
-    """(rows, n_groups) 0/1 array of the group masks in `codes`."""
-    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
-    return (codes >> np.arange(n_groups)) & 1
 
 
 @dataclass(frozen=True)

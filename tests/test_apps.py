@@ -15,15 +15,14 @@ from snnemu.apps import (
     NoDecisionError,
     PuzzleError,
     SudokuPuzzle,
+    avoid,
     behavior_sweep,
     box_shape,
     build_avoidance_network,
     build_sudoku_network,
     conflict_matrix,
     decide_direction,
-    decide_windows,
     decode_counts,
-    decode_sudoku_solution,
     default_behavior_cases,
     make_direction_stimulus,
     neuron_index,
@@ -32,7 +31,7 @@ from snnemu.apps import (
     solve_sudoku,
     verify_sudoku,
 )
-from snnemu.netio import raster_records, run
+from snnemu.netio import StimulusTrace, raster_records, run
 from snnemu.neuron import NeuronParams
 from scalar_ref import NeuronState, delta_vm, neuron_step
 from test_neuron import params_st
@@ -204,17 +203,26 @@ class TestSudokuTopology:
         assert neuron_index(4, 3, 3, 4) == 63
 
 
+def spike_counts(raster, n):
+    """The spike count per (cell, digit) neuron of NPU2 records."""
+    counts = [0] * n**3
+    for _, npu, addr in raster:
+        if npu == 2:
+            counts[addr] += 1
+    return counts
+
+
 class TestSudokuDecode:
     def test_dominant_digit_wins(self):
         raster = [(t, 2, neuron_index(2, 0, 0, 2)) for t in range(10)]
         raster += [(t, 2, neuron_index(2, r, c, 1)) for t in range(5)
                    for r in range(2) for c in range(2) if (r, c) != (0, 0)]
-        dec = decode_sudoku_solution(raster, (0, 10), 2)
+        dec = decode_counts(spike_counts(raster, 2), 2)
         assert dec.grid[0][0] == 2
 
     def test_empty_raster_no_decision(self):
         with pytest.raises(NoDecisionError, match=r"cell \(0, 0\)"):
-            decode_sudoku_solution([], (0, 10), 2)
+            decode_counts(spike_counts([], 2), 2)
 
     def test_tie_flags_low_confidence(self):
         raster = []
@@ -224,7 +232,7 @@ class TestSudokuDecode:
                 raster += [(t, 2, neuron_index(2, r, c, d)) for t in range(4)]
         # cell (0,0): equal counts for digits 1 and 2
         raster += [(t, 2, neuron_index(2, 0, 0, 1)) for t in range(4)]
-        dec = decode_sudoku_solution(raster, (0, 4), 2)
+        dec = decode_counts(spike_counts(raster, 2), 2)
         assert dec.grid[0][0] == 1
         assert (0, 0) in dec.low_confidence
 
@@ -249,9 +257,9 @@ def loop_decode(raster, window, n):
     return grid, low
 
 
-def decoded(fn, *args):
+def decoded(counts, n):
     try:
-        dec = fn(*args)
+        dec = decode_counts(counts, n)
     except NoDecisionError as e:
         return str(e)
     return dec.grid, dec.low_confidence
@@ -262,9 +270,9 @@ class TestDecodeForms:
     @given(n=st.sampled_from([2, 3]), t0=st.integers(1, 500), k=st.integers(1, 6),
            density=st.sampled_from([0.02, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1))
     def test_raster_and_counts_agree(self, n, t0, k, density, seed):
-        """solve_sudoku's decode of a block's spike counts, the raster form
-        and the reference loop agree: grids, ties and silent cells. The
-        raster also holds NPU1 records, records outside the window, and
+        """solve_sudoku's decode of a block's spike counts and the reference
+        loop over the block's raster agree: grids, ties and silent cells.
+        The raster also holds NPU1 records, records outside the window, and
         spikes of the padding and global neurons past n^3."""
         rng = np.random.default_rng(seed)
         spikes = (rng.random((k, (1 << (n**3 - 1).bit_length()) + 1)) < density).astype(np.uint8)
@@ -273,8 +281,7 @@ class TestDecodeForms:
         raster = raster[np.lexsort(raster.T[::-1])]
         window = (t0, t0 + k)
         want = loop_decode(raster, window, n)
-        assert decoded(decode_sudoku_solution, raster, window, n) == want
-        assert decoded(decode_counts, spikes[:, : n**3].sum(axis=0), n) == want
+        assert decoded(spikes[:, : n**3].sum(axis=0), n) == want
 
 
 class TestVerify:
@@ -363,20 +370,43 @@ class TestAvoidance:
         d, tie, _ = decide_direction(raster, (0, 50))
         assert d == direction and not tie
 
+    @settings(max_examples=80, deadline=None)
+    @given(t0=st.integers(2, 500), k=st.integers(1, 60),
+           density=st.sampled_from([0.0, 0.005, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+    def test_decide_direction_agrees_with_loop(self, t0, k, density, seed):
+        """decide_direction against a Python loop over the records: the
+        raster also holds NPU2 records, records on both sides of the window
+        and NPU1 addresses 8 and up (the padding and global neurons)."""
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((k + 4, 33 + 129)) < density).astype(np.uint8)
+        raster = raster_records(t0 - 2, spikes, 33)
+        window = (t0, t0 + k)
+        counts = [0] * 8
+        for t, npu, addr in raster.tolist():
+            if npu == 1 and window[0] <= t < window[1] and addr < 8:
+                counts[addr] += 1
+        if not any(counts):
+            msg = re.escape(f"no spikes in window [{t0}, {t0 + k})")
+            with pytest.raises(NoDecisionError, match=f"^{msg}$"):
+                decide_direction(raster, window)
+            return
+        d, tie, got = decide_direction(raster, window)
+        best = min(i for i in range(8) if counts[i] == max(counts))
+        assert (d, tie, got) == (best, counts.count(max(counts)) > 1, counts)
+        assert (type(d), type(tie), {type(c) for c in got}) == (int, bool, {int})
+
     def test_multi_window_decisions(self):
         desc = build_avoidance_network()
         stim1 = make_direction_stimulus(2, steps=50, seed=1)
         stim2 = make_direction_stimulus(5, steps=50, seed=2)
-        records = np.vstack((stim1.records, stim2.records + [50, 0, 0, 0]))
-        from snnemu.netio import StimulusTrace
-        raster, _, _ = run(desc, StimulusTrace(records=records), steps=100, seed=3)
-        decisions = decide_windows(raster, 100, 50)
-        assert decisions[0][1] == 2
-        assert decisions[1][1] == 5
+        stim = StimulusTrace(records=np.vstack((stim1.records, stim2.records + [50, 0, 0, 0])))
+        decisions, cycles = avoid(stim, 2, 50, seed=3)
+        assert [d for d, _, _ in decisions] == [2, 5]
+        assert cycles == run(desc, stim, steps=100, seed=3)[2]
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window_steps must be >= 1"):
-            decide_windows([], 100, 0)
+            avoid(None, 100, 0)
 
 
 class TestBehaviorSweep:

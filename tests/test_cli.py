@@ -1,5 +1,7 @@
 """CLI subcommands exercised through main()."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snnemu
 from snnemu.cli import main
-from snnemu.apps import make_direction_stimulus
+from snnemu.apps import build_avoidance_network, make_direction_stimulus
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.netio import (
@@ -18,6 +22,7 @@ from snnemu.netio import (
     NetworkDescription,
     StimulusTrace,
     load_raster,
+    run,
     save_weight_image,
 )
 
@@ -98,6 +103,103 @@ class TestAvoidCommand:
         line = capsys.readouterr().out.strip().splitlines()[0]
         idx, direction, tie = line.split(",")[:3]
         assert (idx, direction, tie) == ("0", "3", "0")
+
+
+def avoid_reference(stim, windows, window_steps, seed):
+    """What `snnemu avoid` answers, from `run`'s raster: each window's
+    spikes of NPU1's eight direction neurons counted in a Python loop, the
+    most-spiking direction decided, the lowest one on a tie (flagged);
+    (exit code, stdout, stderr)."""
+    raster, _, agg = run(build_avoidance_network(), stim, windows * window_steps, seed)
+    counts = [[0] * 8 for _ in range(windows)]
+    for t, npu, addr in raster.tolist():
+        if npu == 1 and addr < 8:
+            counts[t // window_steps][addr] += 1
+    out = ""
+    for i, c in enumerate(counts):
+        if not any(c):
+            a, b = i * window_steps, (i + 1) * window_steps
+            return 2, "", f"error: decode: no spikes in window [{a}, {b})\n"
+        best = min(d for d in range(8) if c[d] == max(c))
+        out += f"{i},{best},{int(c.count(c[best]) > 1)}," + ",".join(map(str, c)) + "\n"
+    return 0, out, f"# cycles_per_decision={agg.total_parallel / windows:.0f}\n"
+
+
+def avoid_trace(kind, windows, window_steps, seed):
+    """A random stimulus of `windows` windows on the eight direction
+    channels. "sparse" writes any signed 8-bit value (0 included) to about
+    a third of the (step, channel) pairs. The other kinds leave some
+    windows after the first silent and drive the rest: "biased" favours one
+    random direction, with jitter, "tied" drives two random directions
+    equally and the others less, and "fade" drives only the first window."""
+    rng = np.random.default_rng(seed)
+    steps = windows * window_steps
+    if kind == "sparse":
+        t, d = np.nonzero(rng.random((steps, 8)) < 0.3)
+        value = rng.integers(-128, 128, size=len(t))
+        return StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
+    value = np.zeros((steps, 8), dtype=np.int64)
+    for i in range(windows):
+        rows = slice(i * window_steps, (i + 1) * window_steps)
+        if i and (kind == "fade" or rng.random() < 0.2):
+            continue
+        base = np.full(8, int(rng.integers(0, 24)))
+        if kind == "tied":
+            base[rng.choice(8, 2, replace=False)] = int(rng.integers(24, 90))
+            value[rows] = base
+            continue
+        base[rng.integers(8)] = int(rng.integers(24, 90))
+        value[rows] = base + rng.integers(-6, 7, size=(window_steps, 8))
+    t, d = np.nonzero(value)
+    return StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value[t, d])))
+
+
+class TestAvoidDifferential:
+    """`snnemu avoid` against `avoid_reference`, byte for byte: stdout,
+    stderr and the exit code, for window lengths around the run's 64-step
+    block and its multiples."""
+
+    @staticmethod
+    def check(tmp, stim, windows, window_steps, seed):
+        path = os.path.join(tmp, "stim.csv")
+        stim.save(path)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["avoid", "--stimulus", path, "--windows", str(windows),
+                       "--window-steps", str(window_steps), "--seed", str(seed)])
+        want = avoid_reference(stim, windows, window_steps, seed)
+        assert (rc, out.getvalue(), err.getvalue()) == want
+        return want
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["biased", "tied", "sparse", "fade"]),
+           window_steps=st.sampled_from([1, 7, 63, 64, 65, 130]),
+           windows=st.integers(1, 5), trace_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, tmp_path_factory, kind, window_steps, windows,
+                               trace_seed, seed):
+        stim = avoid_trace(kind, windows, window_steps, trace_seed)
+        self.check(tmp_path_factory.getbasetemp(), stim, windows, window_steps, seed)
+
+    @pytest.mark.parametrize("window_steps", [7, 64, 65, 130])
+    def test_tied_windows(self, tmp_path, window_steps):
+        """Two directions driven alike spike alike: every window is a tie,
+        decided for the lower one."""
+        t, d = np.indices((3 * window_steps, 8)).reshape(2, -1)
+        value = np.where((d == 2) | (d == 5), 60, 10)
+        stim = StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
+        rc, out, _ = self.check(str(tmp_path), stim, 3, window_steps, 0)
+        assert rc == 0 and [line.split(",")[1:3] for line in out.splitlines()] == [["2", "1"]] * 3
+
+    @pytest.mark.parametrize("window_steps", [7, 63, 64, 130])
+    def test_spikeless_window_after_the_first(self, tmp_path, window_steps):
+        """A silent window after decided ones is one decode error, and no
+        decision is printed."""
+        stim = make_direction_stimulus(4, window_steps, seed=3)
+        rc, out, err = self.check(str(tmp_path), stim, 5, window_steps, 0)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: decode: no spikes in window [")
+        assert not err.startswith("error: decode: no spikes in window [0,")
 
 
 class TestInspectCommand:

@@ -46,7 +46,7 @@ class TestPacking:
 
     def test_padding_to_second_word(self):
         mem = WeightMemory.from_matrix([[0] * 8 + [3]])
-        assert mem.row_stride_words == 2
+        assert mem.words.shape[1] == 2
         assert mem.words[0, 1] == 0x3
 
     def test_out_of_range_rejected_with_index(self):
@@ -159,7 +159,7 @@ class TestWholeArray:
         w = rng.integers(-8, 8, size=(rows, targets))
         w[:, rng.random(targets) < 0.5] = 0
         mem = WeightMemory.from_matrix(w)
-        g = mem.row_stride_words
+        g = mem.words.shape[1]
         assert np.array_equal(mem.unpack().reshape(rows, targets), w)
 
         want = np.array([mem.row_weights(r) for r in range(rows)] + [np.full(targets, -2)])
