@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neuron import V_MAX, NeuronParams, neuron_tables
+from .neuron import V_MAX, NeuronParams, neuron_tables, next_membrane
 from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
     BLOCK,
@@ -466,13 +466,15 @@ def behavior_sweep(
         bad = [i for i in currents if not SAT_MIN <= i <= SAT_MAX]
         if bad:
             raise ValueError(f"case {name!r}: current {bad[0]} outside {SAT_MIN}..{SAT_MAX}")
-        vd, _, reset, roff = neuron_tables([params])
-        v, vs, spikes = params.v_r, [], []
+        step, (off,) = neuron_tables([params])
+        w, candidates = int(step[params.v_r + off]), []
         for i_t in currents:
-            s = int(vd[v]) + i_t
-            v = int(reset[s + roff[0]])
-            vs.append(v)
-            spikes.append(int(s > V_MAX))
+            s = w + i_t
+            w = int(step[s])
+            candidates.append(s - off)
+        candidates = np.array(candidates, dtype=np.int64)
+        vs = next_membrane(candidates, params.v_reset).tolist()
+        spikes = (candidates > V_MAX).astype(int).tolist()
         out[name] = {
             "params": {
                 "a_num": params.a_num, "b_num": params.b_num,

@@ -14,6 +14,7 @@ reproducible across implementations.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import os
 import stat
@@ -115,14 +116,17 @@ def _write_file(path: str, data: bytes) -> None:
 
 def read_text(path: str, error) -> str:
     """The UTF-8 text of the file at `path`, the one way snnemu reads a text
-    file. A byte that is not UTF-8 raises `error(path, detail)`, the detail
-    naming the byte's offset: a whole-file read decodes all of the file's
-    bytes at once, so the decoder's offset is the file's."""
+    file, with "\r\n" and "\r" line ends read as "\n", as text mode reads
+    them. A byte that is not UTF-8 raises `error(path, detail)`, the detail
+    naming the byte's offset: the file's bytes are decoded all at once, so
+    the decoder's offset is the file's."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise error(path, f"byte {e.start} (0x{e.object[e.start]:02x}) is not UTF-8") from None
+        raise error(path, f"byte {e.start} (0x{data[e.start]:02x}) is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -574,30 +578,51 @@ CYCLES_HEADER = (
 _WIDTHS = {3: "three", 4: "four"}
 
 
+PARSE_CHUNK = 1 << 16  # characters of whole lines split at a time
+
+
+def _line_chunks(text: str, start: int):
+    """text[start:].split("\n") in consecutive lists of whole lines, each
+    about PARSE_CHUNK characters long, so no list of every line is built."""
+    while start <= len(text):
+        end = text.find("\n", start + PARSE_CHUNK)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].split("\n")
+        start = end + 1
+
+
 def _read_rows(path: str, header: str, what: str,
                error: type[ValueError] = ValueError) -> np.ndarray | list[list[int]]:
     """The integer rows of a CSV file led by `header`, blank lines skipped:
     an (n, width) int64 array parsed in one pass, else a per-line `int()`
     parse (lists of Python ints) that names the first line it rejects with
-    `error`, as it does a byte that is not UTF-8."""
+    `error`, as it does a byte that is not UTF-8. Both take the lines a
+    chunk at a time."""
     text = read_text(path, lambda path, detail: error(f"{path}: {detail}"))
-    lines = text.split("\n")
-    if lines[0].strip() != header:
-        raise error(f"{path}: unexpected {what} header {lines[0].strip()!r}")
+    first = text.find("\n")
+    if first < 0:
+        first = len(text)
+    if text[:first].strip() != header:
+        raise error(f"{path}: unexpected {what} header {text[:first].strip()!r}")
+
+    def lines():
+        return itertools.chain.from_iterable(_line_chunks(text, first + 1))
+
     width = header.count(",") + 1
     # numpy 2.4's int parser crashes on a digit then some non-BMP characters.
     if text.isascii():
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # loadtxt only warns when there are no rows
-                rows = np.loadtxt(lines[1:], dtype=np.int64, delimiter=",",
+                rows = np.loadtxt(lines(), dtype=np.int64, delimiter=",",
                                   comments=None, ndmin=2)
             if rows.shape[1] == width:
                 return rows
         except (ValueError, Warning):
             pass
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines(), start=2):
         line = line.strip()
         if not line:
             continue

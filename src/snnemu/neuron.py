@@ -53,48 +53,57 @@ def pde_threshold(params: NeuronParams) -> int:
     return (params.a_num * params.v_r + params.b_num * params.v_t) // denom
 
 
-@functools.lru_cache(maxsize=16)
 def drift_table(params: tuple[NeuronParams, ...]) -> np.ndarray:
-    """(len(params), 256) read-only table of the membrane after drift: row
-    k, column v holds v plus the drift (a_num * (v_r - v)) >> 3 below
-    params[k]'s switch point `pde_threshold`, else (b_num * (v - v_t)) >> 3.
-    Cached per tuple of distinct parameter sets; a population shares a few."""
+    """(len(params), 256) table of the membrane after drift: row k, column v
+    holds v plus the drift (a_num * (v_r - v)) >> 3 below params[k]'s
+    switch point `pde_threshold`, else (b_num * (v - v_t)) >> 3."""
     a, b, v_r, v_t, th = np.array(
         [(p.a_num, p.b_num, p.v_r, p.v_t, pde_threshold(p)) for p in params],
         dtype=np.int64,
     ).reshape(-1, 5).T[:, :, None]
     v = np.arange(V_MAX + 1)
-    table = v + np.where(v < th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
-    table.setflags(write=False)
-    return table
+    return v + np.where(v < th, (a * (v_r - v)) >> 3, (b * (v - v_t)) >> 3)
+
+
+def next_membrane(s, v_reset):
+    """The reset rule, the one copy of it: the membrane after the candidate
+    s = v + drift(v) + i is v_reset if s spikes (s > V_MAX), else s clamped
+    at 0."""
+    return np.where(s > V_MAX, v_reset, np.maximum(s, 0))
 
 
 @functools.lru_cache(maxsize=16)
-def reset_table(v_reset: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """(len(v_reset), hi - lo + 1) read-only table of the next membrane: row
-    k, column s - lo holds v_reset[k] if the candidate s spikes (s > V_MAX),
-    else s clamped at 0. Cached per tuple of distinct reset potentials and
-    candidate range."""
-    s = np.arange(lo, hi + 1)
-    table = np.where(s > V_MAX, np.array(v_reset)[:, None], np.maximum(s, 0))
+def step_table(params: tuple[NeuronParams, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The neuron update of each parameter set as one read-only table row
+    and offset (step, off). A neuron holds its candidate s as s + off[k]:
+    row k, column s - lo holds the next step's drifted, offset membrane
+    drift_table[k, next_membrane(s)] + off[k], for every candidate lo..hi
+    that the drift table and a signed 12-bit current can form. Rows lie end
+    to end, so off[k] = k * (hi - lo + 1) - lo, and a membrane v in 0..255
+    is its own candidate: step.ravel()[v + off[k]] drifts it. Cached per
+    tuple of distinct parameter sets."""
+    vd = drift_table(params)
+    lo, hi = int(vd.min()) + SAT_MIN, int(vd.max()) + SAT_MAX
+    off = np.arange(len(params)) * (hi - lo + 1) - lo
+    nxt = next_membrane(np.arange(lo, hi + 1), np.array([[p.v_reset] for p in params]))
+    table = np.take_along_axis(vd, nxt, axis=1)
+    table += off[:, None]
     table.setflags(write=False)
-    return table
+    off.setflags(write=False)
+    return table, off
 
 
 def neuron_tables(params: list[NeuronParams]):
-    """The neuron update of a population as flat tables and per-neuron
-    offsets (vd, vbase, reset, roff), for any 12-bit current i. Neuron k at
-    membrane v has the candidate s = vd[vbase[k] + v] + i, spikes if
-    s > V_MAX, and moves to reset[s + roff[k]]: v_reset on a spike, else s
-    clamped at 0. The tables hold one row per distinct parameter set and
-    reset potential, never one per neuron. Only the first object of each
-    identity is hashed: a population usually shares one."""
+    """The neuron update of a population as a flat table and per-neuron
+    offsets (step, off), for any 12-bit current i. Neuron k carries its
+    drifted, offset membrane w, starting from w = step[v + off[k]]; each
+    step its candidate is s = w + i, it spikes if s > V_MAX + off[k], and
+    it carries w = step[s] on, while its membrane is
+    next_membrane(s - off[k], v_reset). The table holds one row per
+    distinct parameter set, never one per neuron. Only the first object of
+    each identity is hashed: a population usually shares one."""
     sets: dict[NeuronParams, int] = {}
     row_of = {i: sets.setdefault(p, len(sets)) for i, p in {id(p): p for p in params}.items()}
     rows = np.array([row_of[id(p)] for p in params], dtype=np.int64)
-    resets = {r: k for k, r in enumerate(dict.fromkeys(p.v_reset for p in sets))}
-    vd = drift_table(tuple(sets))
-    lo, hi = int(vd.min()) + SAT_MIN, int(vd.max()) + SAT_MAX
-    reset = reset_table(tuple(resets), lo, hi)
-    roff = np.array([resets[p.v_reset] for p in sets])[rows] * (hi - lo + 1) - lo
-    return vd.ravel(), rows * (V_MAX + 1), reset.ravel(), roff
+    step, off = step_table(tuple(sets))
+    return step.ravel(), off[rows]

@@ -25,7 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .neuron import V_MAX, neuron_tables
+from .neuron import V_MAX, neuron_tables, next_membrane
 from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
                   dense_op_count)
 from .synapse import EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, Crossbar, sat_decay_table
@@ -78,10 +78,10 @@ class Processor:
     feedforward rows read the chip's spikes of the previous step, the same
     vector NPU1's recurrent rows read.
 
-    `advance` is the one copy of the phase code; saturation, decay and the
-    neuron update read lookup tables held once per distinct exponent,
-    parameter set or reset potential. A step's cycles depend only on its
-    inputs, so `cycles` charges a whole block of steps at once.
+    `advance` is the one copy of the phase code; saturation and decay read
+    a lookup table held once per distinct exponent, and the neuron update
+    one held once per distinct parameter set. A step's cycles depend only
+    on its inputs, so `cycles` charges a whole block of steps at once.
 
     The compiled arrays are read-only; the state is `v_m`, `y` and
     `last_spikes`. `fresh` gives a copy at step 0 that shares the compiled
@@ -118,11 +118,13 @@ class Processor:
         rows = np.repeat([exps[cfg.decay_a] for cfg in cfgs], (t1, self.n - t1))
         self._sd_off = rows * sat_decay.shape[1] - SAT_DECAY_LO
         params = [p for cfg in cfgs for p in (*cfg.params, cfg.global_neuron.params)]
-        self._vd, self._vbase, self._reset, self._roff = neuron_tables(params)
+        self._step, self._off = neuron_tables(params)
+        self._thr = self._off + V_MAX
         self._v_r = np.array([p.v_r for p in params], dtype=np.int64)
-        # _sat_decay, _vd and _reset view cached tables that are read-only.
-        for compiled in (weights, cost, self._fixed, self._sd_off, self._vbase,
-                         self._roff, self._v_r):
+        self._v_reset = np.array([p.v_reset for p in params], dtype=np.int64)
+        # _sat_decay and _step view cached tables that are read-only.
+        for compiled in (weights, cost, self._fixed, self._sd_off, self._off, self._thr,
+                         self._v_r, self._v_reset):
             compiled.setflags(write=False)
         self._start()
 
@@ -147,7 +149,13 @@ class Processor:
 
         Each step: external input, one MAC over the sources that spiked at
         the step before, saturation and decay as one table lookup, then the
-        neuron update with i_t sampled after decay. The input is clipped to
+        neuron update with i_t sampled after decay, as one addition, the
+        spike test and one lookup. The loop carries each neuron's drifted,
+        offset membrane (`neuron_tables`), not `v_m`: a membrane in 0..255
+        is its own candidate, so the table drifts `v_m` at the block's
+        start, and `next_membrane` rebuilds it from the last candidate at
+        the end (a block of no steps gives it back); between calls `v_m`,
+        `y` and `last_spikes` are the state. The input is clipped to
         +-EXT_BOUND and offset to each neuron's sat-decay row once per
         block. The invariants (12-bit y, 0..255 v_m, the clip, column sums
         within MAC_BOUND) keep each index inside its row of the flat tables;
@@ -159,19 +167,18 @@ class Processor:
         spikes[0] = self.last_spikes
         ext = np.clip(ext, -EXT_BOUND, EXT_BOUND)
         ext += self._sd_off
-        y, v = self.y, self.v_m
-        mac, sat_decay, vd, reset = self.crossbar.mac, self._sat_decay, self._vd, self._reset
-        vbase, roff, v_max, fired = self._vbase, self._roff, np.full(self.n, V_MAX), spikes.view(bool)
+        y, s = self.y, self.v_m + self._off
+        mac, sat_decay, step, thr, fired = (self.crossbar.mac, self._sat_decay, self._step,
+                                            self._thr, spikes.view(bool))
+        w = step.take(s)
         for t, row in enumerate(ext):
-            idx = y + row
-            mac(spikes[t], idx)
-            y = sat_decay.take(idx)
-            s = vd.take(vbase + v)
-            s += y
-            np.greater(s, v_max, out=fired[t + 1])
-            s += roff
-            v = reset.take(s)
-        self.y[:], self.v_m[:] = y, v
+            row += y
+            mac(spikes[t], row)
+            y = sat_decay.take(row)
+            s = w + y
+            np.greater(s, thr, out=fired[t + 1])
+            w = step.take(s)
+        self.y[:], self.v_m[:] = y, next_membrane(s - self._off, self._v_reset)
         self.last_spikes = spikes[-1].copy()
         return spikes[1:], self.cycles(spikes[:-1], counts)
 

@@ -19,7 +19,7 @@ from snnemu.apps import (
     solve_sudoku,
     verify_sudoku,
 )
-from snnemu.neuron import NeuronParams, neuron_tables
+from snnemu.neuron import NeuronParams, neuron_tables, next_membrane
 from snnemu.netio import run as run_network
 from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
@@ -54,15 +54,17 @@ def test_1_neuron_oracle_equivalence():
     v_reset = rng.integers(0, 256, cases)
     denom = a + b
     params = [NeuronParams(*map(int, p)) for p in zip(a, b, v_r, v_t, v_reset)]
-    vd, vbase, reset, roff = neuron_tables(params)
-    v_impl = rng.integers(0, 256, cases)
-    v_ref = v_impl.astype(np.int64).copy()
+    table, off = neuron_tables(params)
+    v_ref = rng.integers(0, 256, cases)
+    w_impl = table.take(v_ref + off)
     mismatches = 0
     for step in range(steps):
         i_t = rng.integers(-2047, 2048, cases) if step % 10 == 0 else rng.integers(-80, 81, cases)
-        s_impl = vd.take(vbase + v_impl) + i_t
-        spk_impl = s_impl > 255
-        v_impl = reset.take(s_impl + roff)
+        # the chip's loop carries w_impl; v_impl is its membrane at a block end
+        s_impl = w_impl + i_t
+        spk_impl = s_impl > 255 + off
+        w_impl = table.take(s_impl)
+        v_impl = next_membrane(s_impl - off, v_reset)
         # independent evaluator: floor division only, no shifts
         th = np.where(denom == 0, v_t, np.floor_divide(a * v_r + b * v_t, np.maximum(denom, 1)))
         drift = np.where(

@@ -8,9 +8,12 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 import weakref
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnemu import synapse
+from snnemu import netio, synapse
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.netio import (
@@ -366,12 +369,49 @@ class TestStimulusParse:
     """The one-pass parse of `StimulusTrace.load` against a per-line
     reference: the same records, or an error at the same line or record."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(text=stimulus_text())
-    def test_matches_per_line_reference(self, tmp_path_factory, text):
+    @settings(max_examples=600, deadline=None)
+    @given(text=stimulus_text(), chunk=st.sampled_from([netio.PARSE_CHUNK, 0, 1, 7, 40]))
+    def test_matches_per_line_reference(self, tmp_path_factory, text, chunk):
+        """Also with the lines taken a few characters at a time, down to one
+        line per chunk."""
         path = tmp_path_factory.mktemp("stim") / "stim.csv"
         path.write_bytes(text.encode())
-        assert fast_load(path) == per_line_load(path)
+        with mock.patch.object(netio, "PARSE_CHUNK", chunk):
+            assert fast_load(path) == per_line_load(path)
+
+    def test_long_trace_memory(self, tmp_path):
+        """An 800k-record, 10 MB trace loads with at most 70 MiB of peak RSS
+        above the interpreter's after import (30 MiB on CPython 3.11 with
+        numpy 2.4, so 100 MiB in all; the whole-text line list peaked 107
+        MiB above it). The records array alone is 24 MiB. The peak is the
+        child's VmHWM: its ru_maxrss starts at this process's RSS, which
+        fork hands down through exec."""
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("needs VmHWM from /proc/self/status")
+        rng = np.random.default_rng(7)
+        n = 800_000
+        records = np.column_stack((np.sort(rng.integers(0, 10_000, n)), rng.integers(1, 3, n),
+                                   rng.integers(0, 129, n), rng.integers(-9, 10, n)))
+        path = tmp_path / "long.csv"
+        StimulusTrace(records).save(str(path))
+        assert path.stat().st_size > 10_000_000
+        code = (
+            "import sys\n"
+            "from snnemu.netio import StimulusTrace\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return next(int(x.split()[1]) for x in f if x.startswith('VmHWM')) / 1024\n"
+            "base = peak()\n"
+            "n = len(StimulusTrace.load(sys.argv[1]).records)\n"
+            "print(n, peak() - base)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert int(out[0]) == n
+        assert float(out[1]) <= 70, f"peak {float(out[1]):.1f} MiB above the import baseline"
 
     @pytest.mark.parametrize("text", [
         "timestep,npu,neuron,value\n",

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalar_ref import NeuronState, delta_vm, neuron_step
-from snnemu.neuron import NeuronParams, drift_table, neuron_tables, pde_threshold
+from snnemu.neuron import (V_MAX, NeuronParams, drift_table, neuron_tables, next_membrane,
+                           pde_threshold)
 
 
 def reference_step(v_m, a_num, b_num, v_r, v_t, v_reset, i_t):
@@ -91,9 +92,9 @@ class TestDriftTable:
         assert table.shape == (len(params), 256)
         assert table.tolist() == [[v + delta_vm(v, p, 0) for v in range(256)] for p in params]
         population = params + params[::7]
-        vd, vbase, _, _ = neuron_tables(population)
-        assert vd.size == table.size
-        assert vd.take(vbase[:, None] + range(256)).tolist() == [
+        step, off = neuron_tables(population)
+        assert step.size == len(params) * (int(table.max()) - int(table.min()) + 4096)
+        assert (step.take(off[:, None] + range(256)) - off[:, None]).tolist() == [
             [v + delta_vm(v, p, 0) for v in range(256)] for p in population
         ]
 
@@ -115,11 +116,17 @@ class TestNeuronTables:
 
     @staticmethod
     def step_all(params, currents):
-        """(next membrane, spiked) of the tables for neuron k at v with
-        current currents[k][v][j], as nested lists of that shape."""
-        vd, vbase, reset, roff = neuron_tables(params)
-        s = vd.take(vbase[:, None, None] + np.arange(256)[:, None]) + np.array(currents)
-        return reset.take(s + roff[:, None, None]).tolist(), (s > 255).tolist()
+        """(next membrane, spiked, carried) of the tables for neuron k at v
+        with current currents[k][v][j], as nested lists of that shape: the
+        membrane is next_membrane of the candidate, and carried is the
+        drifted membrane the step table hands to the next step, less its
+        offset."""
+        step, off = neuron_tables(params)
+        off = off[:, None, None]
+        s = step.take(off + np.arange(256)[:, None]) + np.array(currents)
+        v_reset = np.array([p.v_reset for p in params])[:, None, None]
+        return (next_membrane(s - off, v_reset).tolist(), (s > V_MAX + off).tolist(),
+                (step.take(s) - off).tolist())
 
     def test_every_current(self):
         """Every v and every post-decay current, for a regenerative and a
@@ -127,12 +134,14 @@ class TestNeuronTables:
         params = [NeuronParams(a_num=7, b_num=7, v_r=0, v_t=255, v_reset=0),
                   NeuronParams(a_num=3, b_num=5, v_r=40, v_t=160, v_reset=255)]
         currents = range(-2048, 2048)
-        nxt, spiked = self.step_all(params, [[currents] * 256] * 2)
+        nxt, spiked, carried = self.step_all(params, [[currents] * 256] * 2)
         for k, p in enumerate(params):
+            drifted = [v + delta_vm(v, p, 0) for v in range(256)]
             for v in range(256):
                 want = map(neuron_step, repeat(NeuronState(v_m=v)), repeat(p), currents)
-                assert all(st_.v_m == got_v and sp == got_sp for (st_, sp), got_v, got_sp
-                           in zip(want, nxt[k][v], spiked[k][v])), (p, v)
+                assert all(st_.v_m == got_v and sp == got_sp and drifted[st_.v_m] == got_w
+                           for (st_, sp), got_v, got_sp, got_w
+                           in zip(want, nxt[k][v], spiked[k][v], carried[k][v])), (p, v)
 
     def test_sweep_at_the_edges(self):
         """Every v for every parameter set of the sweep, at the ends of the
@@ -143,24 +152,25 @@ class TestNeuronTables:
              for v in range(256)]
             for p in self.SWEEP
         ]
-        nxt, spiked = self.step_all(self.SWEEP, currents)
+        nxt, spiked, carried = self.step_all(self.SWEEP, currents)
         for k, p in enumerate(self.SWEEP):
             for v in range(256):
                 want = [neuron_step(NeuronState(v_m=v), p, c) for c in currents[k][v]]
                 assert nxt[k][v] == [w.v_m for w, _ in want], (p, v)
                 assert spiked[k][v] == [sp for _, sp in want], (p, v)
+                assert carried[k][v] == [w.v_m + delta_vm(w.v_m, p, 0) for w, _ in want], (p, v)
 
     def test_tables_are_shared_and_read_only(self):
-        """One row per distinct parameter set and reset potential, built
-        once and cached."""
-        vd, vbase, reset, roff = neuron_tables(self.SWEEP * 3)
-        assert vd.size == 64 * 256 and not vd.flags.writeable
-        assert reset.size == 2 * (int(vd.max()) - int(vd.min()) + 4096)
-        assert not reset.flags.writeable
-        assert vbase.tolist() == list(range(0, 64 * 256, 256)) * 3
-        assert len(set(roff.tolist())) == 2
+        """One row per distinct parameter set, built once and cached: each
+        row spans every candidate of the drift table and a 12-bit current,
+        and the rows lie end to end."""
+        step, off = neuron_tables(self.SWEEP * 3)
+        vd = drift_table(tuple(self.SWEEP))
+        width = int(vd.max()) - int(vd.min()) + 4096
+        assert step.size == 64 * width and not step.flags.writeable
+        assert off.tolist() == [k * width - int(vd.min()) + 2048 for k in range(64)] * 3
         again = neuron_tables(self.SWEEP)
-        assert again[0].base is vd.base and again[2].base is reset.base
+        assert again[0].base is step.base
 
     @pytest.mark.parametrize("population", [
         [NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)] * 162,
@@ -169,7 +179,7 @@ class TestNeuronTables:
     ], ids=["one-object", "shared-and-distinct"])
     def test_shared_objects_match_equal_copies(self, population):
         """Tables are deduplicated by identity before equality: references
-        to shared objects give the same four arrays as equal but distinct
+        to shared objects give the same two arrays as equal but distinct
         objects, one per neuron."""
         copies = [dataclasses.replace(p) for p in population]
         assert all(a is not b and a == b for a, b in zip(population, copies))

@@ -225,6 +225,63 @@ def check_step(t, proc, ref, stimulus):
         assert proc.v_m[span].tolist() == unit.v, f"step {t}: membranes"
 
 
+def advance_block(proc, stimuli):
+    """Feed one block of steps, each a list of (npu, addr, value) events,
+    through one `Processor.advance` call; returns its spikes and cycles."""
+    ext = np.zeros((len(stimuli), proc.n), dtype=np.int64)
+    counts = np.zeros((len(stimuli), 2), dtype=np.int64)
+    for i, stimulus in enumerate(stimuli):
+        for npu, addr, value in stimulus:
+            ext[i, addr + (npu - 1) * proc.t1] += value
+            counts[i, npu - 1] += 1
+    return proc.advance(ext, counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([1, 4, 32]),
+    n2=st.sampled_from([1, 8, 64, 128]),
+    gs_mode=st.sampled_from(["dense", "auto"]),
+    blocks=st.lists(st.integers(0, 9), min_size=2, max_size=4),
+)
+def test_state_written_between_blocks(seed, n1, n2, gs_mode, blocks):
+    """Random membranes, accumulators and last spikes written into the chip
+    between two `advance` calls are the state the next block starts from.
+    Inside a block the loop carries each neuron's drifted membrane and
+    converts it back to `v_m` only at the block's end (a block of no steps
+    included), so the scalar reference, started from the same written
+    state, must agree on every step's spikes and cycles and on the state
+    at every block end."""
+    rng = np.random.default_rng(seed)
+    npu1, ref1 = _pair(n1, rng, False, 0, gs_mode, "excitatory", int(rng.integers(-8, 8)), 32)
+    npu2, ref2 = _pair(n2, rng, False, n1 + 1, gs_mode, "inhibitory",
+                       int(rng.integers(-8, 8)), 128)
+    proc = Processor(*npu1, *npu2, gs_mode)
+    ref = RefProcessor(ref1, ref2)
+    t1, totals = proc.t1, (n1 + 1, n2 + 1)
+    for b, k in enumerate(blocks):
+        if b:
+            v = rng.integers(0, 256, proc.n)
+            y = rng.integers(-2048, 2048, proc.n)
+            last = rng.integers(0, 2, proc.n, dtype=np.uint8)
+            proc.v_m[:], proc.y[:], proc.last_spikes[:] = v, y, last
+            for unit, span in ((ref1, slice(None, t1)), (ref2, slice(t1, None))):
+                unit.v, unit.y, unit.last = v[span].tolist(), y[span].tolist(), last[span].tolist()
+            ref.pending = last[:t1].tolist()
+        stimuli = [_stimulus(rng, totals) for _ in range(k)]
+        spikes, cycles = advance_block(proc, stimuli)
+        for i, (stimulus, row, cyc) in enumerate(zip(stimuli, spikes, cycles, strict=True)):
+            r1, r2, c1, c2 = ref.step(stimulus)
+            assert row.tolist() == r1 + r2, f"block {b}, step {i}: spikes"
+            assert cyc.tolist() == [[c[name] for name in PHASES] for c in (c1, c2)], (
+                f"block {b}, step {i}: cycles"
+            )
+        assert proc.v_m.tolist() == ref1.v + ref2.v, f"block {b}: membranes"
+        assert proc.y.tolist() == ref1.y + ref2.y, f"block {b}: accumulators"
+        assert proc.last_spikes.tolist() == ref1.last + ref2.last, f"block {b}: last spikes"
+
+
 @pytest.mark.parametrize("global2", [-8, 8])
 def test_full_chip_at_the_table_bounds(global2):
     """A full 32+1 -> 128+1 chip with every source spiking, each weight -8

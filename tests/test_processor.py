@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu import apps
-from snnemu.neuron import NeuronParams
+from snnemu.neuron import NeuronParams, drift_table
 from snnemu.netio import DcSource, NoiseSource, StimulusTrace
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import (
@@ -135,6 +135,26 @@ class TestAssembly:
                 Processor(*bad[0], *bad[1])
         assert Processor(*npu1, *npu2).crossbar.weights.shape == (8, 8)
 
+    def test_distinct_neurons_cost_one_row_each(self):
+        """A full chip whose 162 neurons each have their own parameter set
+        and reset potential holds one step-table row per neuron, and no
+        more bytes than a drift row per parameter set plus a reset row per
+        reset potential over the candidate range, the neuron tables it
+        replaced."""
+        params = [NeuronParams(a_num=k % 8, b_num=k // 8 % 8, v_r=k % 97,
+                               v_t=97 + k % 159, v_reset=k) for k in range(162)]
+        cfg1 = NpuConfig(max_neurons=32, active_neurons=32, params=params[:32],
+                         global_neuron=GlobalNeuronConfig(params=params[32]))
+        cfg2 = NpuConfig(max_neurons=128, active_neurons=128, params=params[33:161],
+                         global_neuron=GlobalNeuronConfig(params=params[161]))
+        proc = Processor(cfg1, np.zeros((32, 33), dtype=int), cfg2,
+                         np.zeros((33 + 128, 129), dtype=int))
+        vd = drift_table(tuple(params))
+        width = int(vd.max()) - int(vd.min()) + 4096
+        assert proc._step.size == 162 * width
+        assert len(set(proc._off.tolist())) == 162
+        assert proc._step.nbytes <= vd.nbytes + 162 * width * 8
+
 
 class TestFresh:
     """`Processor.fresh` is the chip at step 0 with its own state, sharing the
@@ -151,7 +171,7 @@ class TestFresh:
         state = [a.copy() for a in (proc.v_m, proc.y, proc.last_spikes)]
         assert proc.last_spikes.any() and proc.y.any()
         copy = proc.fresh()
-        assert copy.crossbar is proc.crossbar and copy._reset is proc._reset
+        assert copy.crossbar is proc.crossbar and copy._step is proc._step
         assert copy.v_m.tolist() == start.tolist()
         assert not copy.y.any() and not copy.last_spikes.any()
         step(copy, events((0, 100)))
