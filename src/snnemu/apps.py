@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class SudokuPuzzle:
             if not (0 <= r < n and 0 <= c < n and 1 <= d <= n):
                 raise PuzzleError(f"clue out of range: {(r, c, d)}")
         idx = np.array([neuron_index(n, r, c, d) for r, c, d in self.clues], dtype=np.intp)
-        pairs = conflict_matrix(n)[idx[:, None], idx]
+        pairs = _conflicts(n, idx)
         if not pairs.any():
             return
         cell = idx // n
@@ -129,6 +129,12 @@ def conflict_matrix(n: int, kind: str = "all") -> np.ndarray:
     "unit" for same-digit row/column/box pairs, "all" for their union.
     """
     return _conflict_matrices(n)[kind]
+
+
+def _conflicts(n: int, idx: np.ndarray) -> np.ndarray:
+    """Which pairs of the (cell, digit) neurons `idx` exclude each other:
+    `conflict_matrix(n)` restricted to their rows and columns."""
+    return conflict_matrix(n)[idx[:, None], idx]
 
 
 @functools.lru_cache(maxsize=16)
@@ -212,96 +218,60 @@ def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, Stim
     return desc, StimulusTrace()
 
 
-@dataclass
-class SudokuDecode:
-    grid: list[list[int]]
-    low_confidence: set[tuple[int, int]] = field(default_factory=set)
-
-
-def decode_counts(counts: np.ndarray, n: int) -> SudokuDecode:
-    """The decode of a window from its spike count per (cell, digit)
+def decode_counts(counts: np.ndarray, n: int) -> list[list[int]]:
+    """The grid decoded from a window's spike count per (cell, digit)
     neuron, indexed by `neuron_index`: per cell, the digit that spiked most,
-    ties to the lowest digit and flagged."""
+    the lowest on a tie."""
     cells = np.asarray(counts).reshape(n, n, n)  # (row, column, digit)
     silent = np.argwhere(cells.sum(axis=2) == 0)
     if len(silent):
         r, c = silent[0].tolist()
         raise NoDecisionError(f"no spikes for cell ({r}, {c}) in window")
-    tied = (cells == cells.max(axis=2, keepdims=True)).sum(axis=2) > 1
-    return SudokuDecode(
-        grid=(cells.argmax(axis=2) + 1).tolist(),
-        low_confidence={(r, c) for r, c in np.argwhere(tied).tolist()},
-    )
+    return (cells.argmax(axis=2) + 1).tolist()
 
 
 def verify_sudoku(grid: list[list[int]], puzzle: SudokuPuzzle) -> bool:
-    """Exhaustive validity check: every unit holds each digit once and all
-    clues are respected. Independent of the network entirely."""
+    """Whether `grid` solves `puzzle`: n rows of n digits 1..n that keep
+    every clue, no two of whose (cell, digit) neurons `conflict_matrix`
+    excludes. With one digit per cell, that is each row, column and box
+    holding each digit once."""
     n = puzzle.n
-    if len(grid) != n or any(len(row) != n for row in grid):
+    if len(grid) != n or any(len(row) != n or not all(1 <= d <= n for d in row) for row in grid):
         return False
-    digits = set(range(1, n + 1))
-    for r in range(n):
-        if set(grid[r]) != digits:
-            return False
-    for c in range(n):
-        if {grid[r][c] for r in range(n)} != digits:
-            return False
-    box = box_shape(n)
-    if box is not None:
-        bh, bw = box
-        for br in range(0, n, bh):
-            for bc in range(0, n, bw):
-                cells = {
-                    grid[r][c]
-                    for r in range(br, br + bh)
-                    for c in range(bc, bc + bw)
-                }
-                if cells != digits:
-                    return False
-    for r, c, d in puzzle.clues:
-        if grid[r][c] != d:
-            return False
-    return True
+    if any(grid[r][c] != d for r, c, d in puzzle.clues):
+        return False
+    return not _conflicts(n, np.arange(0, n**3, n) + np.ravel(grid) - 1).any()
 
 
 def solve_exact(puzzle: SudokuPuzzle, limit: int = 2) -> list[list[list[int]]]:
-    """Backtracking solver, used to generate puzzles and as an independent
-    check that an instance is satisfiable. Returns up to `limit` solutions."""
+    """Backtracking solver, used to generate puzzles. It fills the empty
+    cells in row-major order, digits ascending, skipping each digit whose
+    neuron `conflict_matrix` excludes from one already placed. Returns up
+    to `limit` solutions."""
     n = puzzle.n
-    grid = [[0] * n for _ in range(n)]
+    exclusive = conflict_matrix(n)
+    cells = [0] * (n * n)  # digit per cell, 0 while empty
+    blocked = np.zeros(n**3, dtype=np.int64)  # per neuron, the placed ones excluding it
     for r, c, d in puzzle.clues:
-        grid[r][c] = d
+        cells[r * n + c] = d
+        blocked += exclusive[neuron_index(n, r, c, d)]
     sols: list[list[list[int]]] = []
-
-    def admissible(r, c, d):
-        for k in range(n):
-            if grid[r][k] == d or grid[k][c] == d:
-                return False
-        box = box_shape(n)
-        if box is not None:
-            bh, bw = box
-            for r2 in range(r // bh * bh, r // bh * bh + bh):
-                for c2 in range(c // bw * bw, c // bw * bw + bw):
-                    if grid[r2][c2] == d:
-                        return False
-        return True
 
     def rec(i):
         if len(sols) >= limit:
             return
         if i == n * n:
-            sols.append([row[:] for row in grid])
+            sols.append(np.reshape(cells, (n, n)).tolist())
             return
-        r, c = divmod(i, n)
-        if grid[r][c]:
+        if cells[i]:
             rec(i + 1)
             return
-        for d in range(1, n + 1):
-            if admissible(r, c, d):
-                grid[r][c] = d
-                rec(i + 1)
-                grid[r][c] = 0
+        for d in np.flatnonzero(blocked[i * n : (i + 1) * n] == 0).tolist():
+            cells[i] = d + 1
+            blocked[:] += exclusive[i * n + d]
+            rec(i + 1)
+            blocked[:] -= exclusive[i * n + d]
+            cells[i] = 0
 
     rec(0)
     return sols
@@ -352,11 +322,11 @@ def solve_sudoku(puzzle: SudokuPuzzle, seed: int = 0, max_steps: int = 100_000) 
         if len(spikes) < CHECK_EVERY:
             break
         try:
-            decode = decode_counts(spikes[:, t1 : t1 + n**3].sum(axis=0), n)
+            decoded = decode_counts(spikes[:, t1 : t1 + n**3].sum(axis=0), n)
         except NoDecisionError:
             continue
-        if verify_sudoku(decode.grid, puzzle):
-            steps, grid = t0 + CHECK_EVERY, decode.grid
+        if verify_sudoku(decoded, puzzle):
+            steps, grid = t0 + CHECK_EVERY, decoded
             break
     report = CycleReport.of(total.tolist(), steps)
     return SudokuResult(grid is not None, steps, grid, report, np.concatenate(raster))
@@ -430,20 +400,21 @@ def decide_direction(raster: np.ndarray, window: tuple[int, int]) -> tuple[int, 
 
 
 def avoid(
-    stimulus: StimulusTrace | None, windows: int, window_steps: int, seed: int = 0
+    stimulus: StimulusTrace | None, windows: int, window_steps: int
 ) -> tuple[list[tuple[int, bool, list[int]]], CycleReport]:
     """Run the avoidance network for `windows` consecutive windows of
     `window_steps` steps, deciding each from its spike counts; returns the
     decisions in window order and the run's aggregate cycles. Every block
     of the run loop holds whole windows. The first window without a
-    direction spike raises `NoDecisionError`."""
+    direction spike raises `NoDecisionError`. The network draws no noise,
+    so no seed is taken."""
     if window_steps < 1:
         raise ValueError("window_steps must be >= 1")
     steps = windows * window_steps
     block = window_steps * -(-BLOCK // window_steps)
     decisions = []
     total = np.zeros((2, 5), dtype=np.int64)
-    for t0, spikes, cycles in simulate(build_avoidance_network(), stimulus, steps, seed, block):
+    for t0, spikes, cycles in simulate(build_avoidance_network(), stimulus, steps, block=block):
         total += cycles.sum(axis=0)
         counts = spikes[:, :N_DIRECTIONS].reshape(-1, window_steps, N_DIRECTIONS).sum(axis=1)
         decisions += [decide_counts(c, (t, t + window_steps))

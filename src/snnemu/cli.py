@@ -60,7 +60,7 @@ def _cmd_sudoku(args) -> int:
 
 def _cmd_avoid(args) -> int:
     stim = StimulusTrace.load(args.stimulus)
-    decisions, agg = apps.avoid(stim, args.windows, args.window_steps, seed=args.seed)
+    decisions, agg = apps.avoid(stim, args.windows, args.window_steps)
     for idx, (direction, tie, counts) in enumerate(decisions):
         print(f"{idx},{direction},{int(tie)}," + ",".join(str(c) for c in counts))
     per_decision = agg.total_parallel / args.windows
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--stimulus", required=True)
     a.add_argument("--windows", type=int, default=1)
     a.add_argument("--window-steps", type=int, default=50)
-    a.add_argument("--seed", type=int, default=0)
     a.set_defaults(func=_cmd_avoid)
 
     i = sub.add_parser("inspect", help="print network statistics")

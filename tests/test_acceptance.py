@@ -28,7 +28,7 @@ from snnemu.synapse import (
     decay_array,
     sat_decay_table,
 )
-from test_apps import isi_signature
+from test_apps import isi_signature, reference_verify
 from test_processor import events, make_processor, step
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -204,14 +204,18 @@ def test_6_determinism(tmp_path):
 
 def test_7_sudoku():
     """>= 95% of 20 seeded 4x4 puzzles solved within 100k timesteps; cycle
-    cost per solved puzzle within 100x of ~7.5k cycles."""
+    cost per solved puzzle within 100x of ~7.5k cycles. Every grid
+    `verify_sudoku` accepts must pass the tests' reference check too."""
     t0 = time.time()
     solved = 0
     cycles = []
+    rejected = []  # seeds whose grid verify_sudoku accepts and the reference does not
     for seed in range(20):
         puz = random_puzzle(4, seed=seed)
         result = solve_sudoku(puz, seed=1000 + seed, max_steps=100_000)
         if result.solved and verify_sudoku(result.grid, puz):
+            if not reference_verify(result.grid, puz):
+                rejected.append(seed)
             solved += 1
             cycles.append(result.cycles.total_parallel)
     mean_cycles = float(np.mean(cycles)) if cycles else float("inf")
@@ -219,8 +223,9 @@ def test_7_sudoku():
     elapsed = time.time() - t0
     report(
         "7 sudoku",
-        solved >= 19 and within,
-        f"(solved={solved}/20, mean_cycles_per_puzzle={mean_cycles:.0f}, {elapsed:.0f}s)",
+        solved >= 19 and within and not rejected,
+        f"(solved={solved}/20, mean_cycles_per_puzzle={mean_cycles:.0f}, "
+        f"reference_rejects={rejected}, {elapsed:.0f}s)",
     )
 
 

@@ -1,6 +1,7 @@
 """Sudoku builder/decoder/verifier, avoidance decisions, behavior fixtures."""
 
 import functools
+import hashlib
 import json
 import os
 import re
@@ -217,14 +218,13 @@ class TestSudokuDecode:
         raster = [(t, 2, neuron_index(2, 0, 0, 2)) for t in range(10)]
         raster += [(t, 2, neuron_index(2, r, c, 1)) for t in range(5)
                    for r in range(2) for c in range(2) if (r, c) != (0, 0)]
-        dec = decode_counts(spike_counts(raster, 2), 2)
-        assert dec.grid[0][0] == 2
+        assert decode_counts(spike_counts(raster, 2), 2)[0][0] == 2
 
     def test_empty_raster_no_decision(self):
         with pytest.raises(NoDecisionError, match=r"cell \(0, 0\)"):
             decode_counts(spike_counts([], 2), 2)
 
-    def test_tie_flags_low_confidence(self):
+    def test_tie_goes_to_lowest_digit(self):
         raster = []
         for r in range(2):
             for c in range(2):
@@ -232,19 +232,18 @@ class TestSudokuDecode:
                 raster += [(t, 2, neuron_index(2, r, c, d)) for t in range(4)]
         # cell (0,0): equal counts for digits 1 and 2
         raster += [(t, 2, neuron_index(2, 0, 0, 1)) for t in range(4)]
-        dec = decode_counts(spike_counts(raster, 2), 2)
-        assert dec.grid[0][0] == 1
-        assert (0, 0) in dec.low_confidence
+        assert decode_counts(spike_counts(raster, 2), 2) == [[1, 2], [2, 1]]
 
 
 def loop_decode(raster, window, n):
     """Reference decode: count each record in a Python loop, then pick each
-    cell's most-spiking digit; (grid, low_confidence) or the error text."""
+    cell's most-spiking digit, the lowest on a tie; the grid or the error
+    text."""
     counts = [0] * n**3
     for t, npu, addr in raster:
         if npu == 2 and window[0] <= t < window[1] and addr < n**3:
             counts[addr] += 1
-    grid, low = [], set()
+    grid = []
     for r in range(n):
         grid.append([])
         for c in range(n):
@@ -252,17 +251,14 @@ def loop_decode(raster, window, n):
             if not sum(cell):
                 return f"no spikes for cell ({r}, {c}) in window"
             grid[r].append(cell.index(max(cell)) + 1)
-            if cell.count(max(cell)) > 1:
-                low.add((r, c))
-    return grid, low
+    return grid
 
 
 def decoded(counts, n):
     try:
-        dec = decode_counts(counts, n)
+        return decode_counts(counts, n)
     except NoDecisionError as e:
         return str(e)
-    return dec.grid, dec.low_confidence
 
 
 class TestDecodeForms:
@@ -271,7 +267,8 @@ class TestDecodeForms:
            density=st.sampled_from([0.02, 0.1, 0.4]), seed=st.integers(0, 2**32 - 1))
     def test_raster_and_counts_agree(self, n, t0, k, density, seed):
         """solve_sudoku's decode of a block's spike counts and the reference
-        loop over the block's raster agree: grids, ties and silent cells.
+        loop over the block's raster agree: grids, ties (to the lowest
+        digit) and silent cells.
         The raster also holds NPU1 records, records outside the window, and
         spikes of the padding and global neurons past n^3."""
         rng = np.random.default_rng(seed)
@@ -284,8 +281,73 @@ class TestDecodeForms:
         assert decoded(spikes[:, : n**3].sum(axis=0), n) == want
 
 
+def reference_verify(grid, puzzle):
+    """Reference check built from the brute-force rule alone: n rows of n
+    digits 1..n, no pair of its cells that `loop_clue_check` rejects, and
+    every clue kept."""
+    n = puzzle.n
+    if len(grid) != n or any(len(row) != n for row in grid):
+        return False
+    if not all(1 <= d <= n for row in grid for d in row):
+        return False
+    cells = [(r, c, grid[r][c]) for r in range(n) for c in range(n)]
+    return loop_clue_check(n, cells) is None and all(grid[r][c] == d for r, c, d in puzzle.clues)
+
+
+# 4x4: every row and column holds each digit once, but the 2x2 boxes do not.
+LATIN_NOT_SUDOKU = [[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]]
+
+
+@st.composite
+def verify_cases(draw):
+    """(grid, puzzle): a valid grid with its digits relabelled (or, at n =
+    4, the Latin square whose boxes repeat a digit), then perhaps one cell
+    set to any of 0..n+1, two cells swapped, or a row made ragged; clues
+    from the unchanged grid or from another valid grid."""
+    n = draw(st.integers(2, 5))
+    grids = solve_exact(SudokuPuzzle(n=n, clues=[]), limit=5)
+    base = draw(st.sampled_from(grids + [LATIN_NOT_SUDOKU] * (n == 4)))
+    perm = draw(st.permutations(range(1, n + 1)))
+    grid = [[perm[d - 1] for d in row] for row in base]
+    other = [[perm[d - 1] for d in row] for row in grids[draw(st.integers(0, len(grids) - 1))]]
+    source = other if base is LATIN_NOT_SUDOKU else draw(st.sampled_from([grid, other]))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * n, unique=True))
+    puzzle = SudokuPuzzle(n=n, clues=[(r, c, source[r][c]) for r, c in cells])
+    index = st.integers(0, n - 1)
+    edit = draw(st.sampled_from(["none", "set", "swap", "ragged"]))
+    if edit == "set":
+        r, c = draw(index), draw(index)
+        grid[r][c] = draw(st.integers(0, n + 1))
+    elif edit == "swap":
+        (r1, c1), (r2, c2) = draw(st.tuples(index, index)), draw(st.tuples(index, index))
+        grid[r1][c1], grid[r2][c2] = grid[r2][c2], grid[r1][c1]
+    elif edit == "ragged":
+        r = draw(index)
+        if draw(st.booleans()):
+            grid[r].append(draw(st.integers(1, n)))
+        elif draw(st.booleans()):
+            grid[r].pop()
+        else:
+            del grid[r]
+    return grid, puzzle
+
+
 class TestVerify:
     GOOD = [[1, 2, 3, 4], [3, 4, 1, 2], [2, 1, 4, 3], [4, 3, 2, 1]]
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=verify_cases())
+    def test_matches_reference(self, case):
+        grid, puzzle = case
+        assert verify_sudoku(grid, puzzle) is reference_verify(grid, puzzle)
+
+    @pytest.mark.parametrize("value", [0, 5, -1, 2**70])
+    def test_digit_out_of_range(self, value):
+        bad = [row[:] for row in self.GOOD]
+        bad[2][1] = value
+        assert not verify_sudoku(bad, SudokuPuzzle(n=4, clues=[]))
+        assert not reference_verify(bad, SudokuPuzzle(n=4, clues=[]))
 
     def test_valid_grid(self):
         assert verify_sudoku(self.GOOD, SudokuPuzzle(n=4, clues=[(0, 0, 1)]))
@@ -296,9 +358,7 @@ class TestVerify:
         assert not verify_sudoku(bad, SudokuPuzzle(n=4, clues=[]))
 
     def test_box_duplicate_detected(self):
-        # valid rows/columns but broken 2x2 boxes
-        latin_not_sudoku = [[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]]
-        assert not verify_sudoku(latin_not_sudoku, SudokuPuzzle(n=4, clues=[]))
+        assert not verify_sudoku(LATIN_NOT_SUDOKU, SudokuPuzzle(n=4, clues=[]))
 
     def test_clue_respected(self):
         assert not verify_sudoku(self.GOOD, SudokuPuzzle(n=4, clues=[(0, 0, 2)]))
@@ -307,6 +367,34 @@ class TestVerify:
         puz = random_puzzle(4, seed=3)
         for sol in solve_exact(puz, limit=4):
             assert verify_sudoku(sol, puz)
+
+
+def digest(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestSudokuPins:
+    """The generator's puzzles and the exact solver's solutions, in order,
+    are pinned by digest."""
+
+    def test_random_puzzle_clues(self):
+        clues = [[list(map(list, random_puzzle(n, seed).clues)) for seed in range(100)]
+                 for n in range(2, 6)]
+        assert digest(clues) == "06935cad102a761661a73da7ce8cf9e27ffbcfa8f5eab9267a149f22a7b58319"
+
+    def test_solve_exact_solutions(self):
+        """Limits 1, 2 and 5 on, per side, no clue and the first one, half
+        and all of the clues of eight generated puzzles."""
+        def clue_sets(n):
+            out = [[]]
+            for seed in range(8):
+                cl = random_puzzle(n, seed).clues
+                out += [cl[:k] for k in (1, len(cl) // 2, len(cl))]
+            return out
+
+        sols = [[solve_exact(SudokuPuzzle(n, cl), limit) for cl in clue_sets(n)]
+                for n in range(2, 6) for limit in (1, 2, 5)]
+        assert digest(sols) == "d6104a4c9e3564da461b3f16feb289561bff4ab3d527981c73f4ed623d0ec1d8"
 
 
 class TestSudokuEndToEnd:
@@ -400,9 +488,9 @@ class TestAvoidance:
         stim1 = make_direction_stimulus(2, steps=50, seed=1)
         stim2 = make_direction_stimulus(5, steps=50, seed=2)
         stim = StimulusTrace(records=np.vstack((stim1.records, stim2.records + [50, 0, 0, 0])))
-        decisions, cycles = avoid(stim, 2, 50, seed=3)
+        decisions, cycles = avoid(stim, 2, 50)
         assert [d for d, _, _ in decisions] == [2, 5]
-        assert cycles == run(desc, stim, steps=100, seed=3)[2]
+        assert cycles == run(desc, stim, steps=100)[2]
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window_steps must be >= 1"):

@@ -98,19 +98,19 @@ class TestAvoidCommand:
         stim = make_direction_stimulus(3, steps=50, seed=9)
         path = tmp_path / "stim.csv"
         stim.save(str(path))
-        rc = main(["avoid", "--stimulus", str(path), "--windows", "1", "--seed", "9"])
+        rc = main(["avoid", "--stimulus", str(path), "--windows", "1"])
         assert rc == 0
         line = capsys.readouterr().out.strip().splitlines()[0]
         idx, direction, tie = line.split(",")[:3]
         assert (idx, direction, tie) == ("0", "3", "0")
 
 
-def avoid_reference(stim, windows, window_steps, seed):
-    """What `snnemu avoid` answers, from `run`'s raster: each window's
-    spikes of NPU1's eight direction neurons counted in a Python loop, the
-    most-spiking direction decided, the lowest one on a tie (flagged);
-    (exit code, stdout, stderr)."""
-    raster, _, agg = run(build_avoidance_network(), stim, windows * window_steps, seed)
+def avoid_reference(stim, windows, window_steps):
+    """What `snnemu avoid` answers, from `run`'s raster with seed 0: each
+    window's spikes of NPU1's eight direction neurons counted in a Python
+    loop, the most-spiking direction decided, the lowest one on a tie
+    (flagged); (exit code, stdout, stderr)."""
+    raster, _, agg = run(build_avoidance_network(), stim, windows * window_steps, 0)
     counts = [[0] * 8 for _ in range(windows)]
     for t, npu, addr in raster.tolist():
         if npu == 1 and addr < 8:
@@ -160,26 +160,24 @@ class TestAvoidDifferential:
     block and its multiples."""
 
     @staticmethod
-    def check(tmp, stim, windows, window_steps, seed):
+    def check(tmp, stim, windows, window_steps):
         path = os.path.join(tmp, "stim.csv")
         stim.save(path)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(["avoid", "--stimulus", path, "--windows", str(windows),
-                       "--window-steps", str(window_steps), "--seed", str(seed)])
-        want = avoid_reference(stim, windows, window_steps, seed)
+                       "--window-steps", str(window_steps)])
+        want = avoid_reference(stim, windows, window_steps)
         assert (rc, out.getvalue(), err.getvalue()) == want
         return want
 
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(["biased", "tied", "sparse", "fade"]),
            window_steps=st.sampled_from([1, 7, 63, 64, 65, 130]),
-           windows=st.integers(1, 5), trace_seed=st.integers(0, 2**32 - 1),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference(self, tmp_path_factory, kind, window_steps, windows,
-                               trace_seed, seed):
+           windows=st.integers(1, 5), trace_seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, tmp_path_factory, kind, window_steps, windows, trace_seed):
         stim = avoid_trace(kind, windows, window_steps, trace_seed)
-        self.check(tmp_path_factory.getbasetemp(), stim, windows, window_steps, seed)
+        self.check(tmp_path_factory.getbasetemp(), stim, windows, window_steps)
 
     @pytest.mark.parametrize("window_steps", [7, 64, 65, 130])
     def test_tied_windows(self, tmp_path, window_steps):
@@ -188,7 +186,7 @@ class TestAvoidDifferential:
         t, d = np.indices((3 * window_steps, 8)).reshape(2, -1)
         value = np.where((d == 2) | (d == 5), 60, 10)
         stim = StimulusTrace(records=np.column_stack((t, np.ones_like(t), d, value)))
-        rc, out, _ = self.check(str(tmp_path), stim, 3, window_steps, 0)
+        rc, out, _ = self.check(str(tmp_path), stim, 3, window_steps)
         assert rc == 0 and [line.split(",")[1:3] for line in out.splitlines()] == [["2", "1"]] * 3
 
     @pytest.mark.parametrize("window_steps", [7, 63, 64, 130])
@@ -196,7 +194,7 @@ class TestAvoidDifferential:
         """A silent window after decided ones is one decode error, and no
         decision is printed."""
         stim = make_direction_stimulus(4, window_steps, seed=3)
-        rc, out, err = self.check(str(tmp_path), stim, 5, window_steps, 0)
+        rc, out, err = self.check(str(tmp_path), stim, 5, window_steps)
         assert (rc, out) == (2, "")
         assert err.startswith("error: decode: no spikes in window [")
         assert not err.startswith("error: decode: no spikes in window [0,")
@@ -442,19 +440,26 @@ class TestErrorContract:
         self.one_error_line(capsys, f"error: usage: {flag} must be at least 1, got {value}")
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("command", ["run", "sudoku", "avoid"])
+    @pytest.mark.parametrize("command", ["run", "sudoku"])
     @pytest.mark.parametrize("seed", [-1, 2**32])
     def test_seed_outside_32_bits(self, config_path, tmp_path, capsys, command, seed):
         """The LCG keeps 32 bits of state, so a seed outside 0..2**32-1
         would alias one inside; it is rejected before anything runs."""
-        stim = tmp_path / "stim.csv"
-        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
         files = {"run": ["--config", config_path, "--steps", "5",
                          "--raster-out", str(tmp_path / "r.csv")],
-                 "sudoku": [], "avoid": ["--stimulus", str(stim)]}[command]
+                 "sudoku": []}[command]
         assert main([command, "--seed", str(seed)] + files) == 2
         self.one_error_line(capsys, f"error: usage: --seed must be 0..4294967295, got {seed}")
         assert not (tmp_path / "r.csv").exists()
+
+    def test_avoid_takes_no_seed(self, tmp_path, capsys):
+        """The avoidance network draws no noise, so `avoid` has no --seed."""
+        stim = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
+        with pytest.raises(SystemExit) as exc:
+            main(["avoid", "--stimulus", str(stim), "--seed", "9"])
+        assert exc.value.code == 2
+        self.one_error_line(capsys, "error: usage: unrecognized arguments: --seed 9")
 
     def test_seed_at_32_bit_ends(self, config_path, tmp_path):
         for seed in (0, 2**32 - 1):

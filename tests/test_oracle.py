@@ -11,14 +11,18 @@ computes itself; nothing is shared with the packed weight memory or the
 compiled crossbar.
 """
 
+import contextlib
 import dataclasses
+import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from snnemu.cli import main
 from snnemu.netio import (
+    BLOCK,
     DcSource,
     NetworkDescription,
     NoiseSource,
@@ -326,30 +330,40 @@ def test_full_chip_at_the_table_bounds(global2):
         check_step(t, proc, ref, stimulus)
 
 
-def _desc_and_reference(rng, n1, n2, gs_mode):
+def _desc_and_reference(rng, n1, n2, gs_mode, chop=(False, False), ranges=False):
     """A random NetworkDescription with DC and noise on both NPUs, and the
-    scalar reference processor of the same network."""
+    scalar reference processor of the same network. `chop[k]` halves NPU
+    k+1 (when it has two neurons or more); with `ranges`, each noise source
+    is drawn either as a list or as one ascending run of addresses, which
+    `save` writes in the range form."""
     cfgs, refs, weights = [], [], []
-    for n, n_ff, max_neurons in ((n1, 0, 32), (n2, n1 + 1, 128)):
+    for n, n_ff, max_neurons, chopped in ((n1, 0, 32, chop[0]), (n2, n1 + 1, 128, chop[1])):
         total = n + 1
         params = [_params(rng) for _ in range(total)]
         w = _weights(rng, n_ff + n, total)
+        halves = (n // 2, n // 2) if chopped and n >= 2 else None
+        if halves is not None:
+            w[n_ff + halves[0]:n_ff + n, :halves[0]] = 0
         g = GlobalNeuronConfig(params=params[-1], out_weight=int(rng.integers(-8, 8)),
                                mode=str(rng.choice(["excitatory", "inhibitory"])))
         cfg = NpuConfig(max_neurons=max_neurons, active_neurons=n, params=params[:-1],
-                        global_neuron=g, decay_a=int(rng.integers(0, 8)))
+                        global_neuron=g, decay_a=int(rng.integers(0, 8)), chop=halves)
         cfgs.append(cfg)
         weights.append(w)
         refs.append(RefNpu(params, g.effective_weight, cfg.decay_a, w.tolist(),
                            _masks(w, gs_mode), n_ff))
     totals = (n1 + 1, n2 + 1)
-    dc = [DcSource(npu=k, addr=int(rng.integers(0, totals[k - 1])),
+    dc = [DcSource(npu=int(k), addr=int(rng.integers(0, totals[k - 1])),
                    value=int(rng.integers(-128, 128)))
           for k in rng.integers(1, 3, size=int(rng.integers(0, 4)))]
     noise = []
     for k in rng.integers(1, 3, size=int(rng.integers(0, 4))):
         low = int(rng.integers(-128, 128))
-        addrs = rng.integers(0, totals[k - 1], size=int(rng.integers(1, 6))).tolist()
+        if ranges and rng.random() < 0.5:
+            start = int(rng.integers(0, totals[k - 1]))
+            addrs = list(range(start, int(rng.integers(start + 1, totals[k - 1] + 1))))
+        else:
+            addrs = rng.integers(0, totals[k - 1], size=int(rng.integers(1, 6))).tolist()
         noise.append(NoiseSource(npu=int(k), addrs=addrs, low=low,
                                  high=int(rng.integers(low, 128))))
     desc = NetworkDescription(npu1=cfgs[0], npu2=cfgs[1], weights1=weights[0],
@@ -432,3 +446,100 @@ def test_gs_mode_moves_only_the_mac_cycles(seed, n1, n2, g_modes, steps):
             assert dataclasses.replace(unit, mac=0) == dataclasses.replace(dense_unit, mac=0), (
                 f"step {t}: cycles other than mac"
             )
+
+
+RASTER_HEAD = "timestep,npu,neuron"
+CYCLES_HEAD = ("timestep,npu1_external,npu1_scan,npu1_mac,npu1_decay,npu1_pde,"
+               "npu2_external,npu2_scan,npu2_mac,npu2_decay,npu2_pde,"
+               "total_parallel,total_serial,model")
+
+
+def parse_csv(text, header):
+    """The comma-split fields, as strings, of each line after `header`;
+    every line, the header's too, must end in a newline."""
+    lines = text.split("\n")
+    assert lines[0] == header and lines[-1] == "", "header or final newline"
+    return [line.split(",") for line in lines[1:-1]]
+
+
+def reference_run(ref, desc, records, steps, seed):
+    """The scalar reference of `snnemu run`: the raster records, each
+    step's ten phase counts (NPU1's five, then NPU2's), and the summary
+    line, all as ints."""
+    lcg = Lcg(seed)
+    raster, counts = [], []
+    for t in range(steps):
+        stimulus = [(k, a, v) for ts, k, a, v in records if ts == t]
+        stimulus += [(s.npu, s.addr, s.value) for s in desc.dc]
+        stimulus += [(ns.npu, a, lcg.int_range(ns.low, ns.high))
+                     for ns in desc.noise for a in ns.addrs]
+        r1, r2, c1, c2 = ref.step(stimulus)
+        raster += [[t, k, a] for k, spikes in ((1, r1), (2, r2)) for a, s in enumerate(spikes) if s]
+        counts.append([c[name] for c in (c1, c2) for name in PHASES])
+    npu1, npu2 = (sum(row[k] for row in counts for k in span)
+                  for span in (range(0, 5), range(5, 10)))
+    parallel = max(npu1, npu2)
+    rate = f"{desc.clock_hz * steps / parallel:.0f}" if parallel else "inf"
+    summary = (f"steps={steps} spikes={len(raster)} cycles_parallel={parallel} "
+               f"cycles_serial={npu1 + npu2} timesteps_per_sec={rate}\n")
+    return raster, counts, summary
+
+
+# The explain phase, which varies each argument of a failing example in
+# turn, runs thousands of CLI calls here; a shrunk failure says enough.
+@settings(max_examples=100, deadline=None,
+          phases=[p for p in Phase if p is not Phase.explain])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([1, 2, 8, 32]),
+    n2=st.sampled_from([1, 2, 16, 64]),
+    gs_mode=st.sampled_from(["dense", "auto"]),
+    chop=st.tuples(st.booleans(), st.booleans()),
+    steps=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]) | st.integers(1, 150),
+    with_trace=st.booleans(),
+)
+def test_cli_run_matches_scalar_reference(tmp_path_factory, seed, n1, n2, gs_mode, chop,
+                                          steps, with_trace):
+    """`snnemu run` on a random description saved to YAML and a weight
+    image, a random stimulus CSV and seed, against the scalar reference:
+    every raster record, every step's phase counts and per-step totals in
+    cycles.csv, and the summary line's totals. Fields are compared as the
+    decimal text of the reference's ints, so the files must match byte for
+    byte. Step counts around and between multiples of the run's block, so
+    the last block is short."""
+    rng = np.random.default_rng(seed)
+    desc, ref = _desc_and_reference(rng, n1, n2, gs_mode, chop, ranges=True)
+    desc.clock_hz = int(rng.choice([1, 7, 100_000_000]))
+    totals = (n1 + 1, n2 + 1)
+    records = sorted(
+        (int(t), int(k), int(rng.integers(0, totals[k - 1])), int(rng.integers(-128, 128)))
+        for t, k in zip(rng.integers(0, steps, size=int(rng.integers(0, 2 * steps))),
+                        rng.integers(1, 3, size=2 * steps))
+    ) if with_trace else []
+    noise_seed = int(rng.integers(0, 2**32))
+    tmp = tmp_path_factory.mktemp("run")
+    desc.save(str(tmp / "net.yaml"))
+    argv = ["run", "--config", str(tmp / "net.yaml"), "--steps", str(steps),
+            "--seed", str(noise_seed), "--raster-out", str(tmp / "raster.csv"),
+            "--cycles-out", str(tmp / "cycles.csv")]
+    if with_trace:
+        StimulusTrace(records=records).save(str(tmp / "stim.csv"))
+        argv += ["--stimulus", str(tmp / "stim.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert (rc, err.getvalue()) == (0, "")
+
+    raster, counts, summary = reference_run(ref, desc, records, steps, noise_seed)
+    got = parse_csv((tmp / "raster.csv").read_text(), RASTER_HEAD)
+    raster = [[str(v) for v in record] for record in raster]
+    first = next((i for i, (a, b) in enumerate(zip(got, raster)) if a != b), None)
+    assert first is None, f"record {first}: {got[first]}, want {raster[first]}"
+    assert len(got) == len(raster), f"{len(got)} records, want {len(raster)}"
+    rows = parse_csv((tmp / "cycles.csv").read_text(), CYCLES_HEAD)
+    assert len(rows) == steps, f"{len(rows)} cycle rows, want {steps}"
+    for t, (row, want) in enumerate(zip(rows, counts)):
+        assert row[:11] == [str(v) for v in [t] + want], f"step {t}: phase counts"
+        parallel, serial = max(sum(want[:5]), sum(want[5:])), sum(want)
+        assert row[11:] == [str(parallel), str(serial), "sequential"], f"step {t}: totals"
+    assert out.getvalue() == summary
