@@ -13,9 +13,7 @@ reproducible across implementations.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import os
 import stat
 import struct
@@ -46,6 +44,13 @@ MAX_ADDRESS = 128
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _Dumper(yaml.SafeDumper):
+    """PyYAML's safe dumper, with numpy integers written as plain ints."""
+
+
+_Dumper.add_multi_representer(np.integer, lambda dumper, v: dumper.represent_int(int(v)))
+
+
 class StimulusError(ValueError):
     """Invalid stimulus trace: a bad file, record or address."""
 
@@ -58,48 +63,55 @@ class NoiseDraws:
     per call, bit-identical to drawing them one by one.
 
     The j-th state after x is x_j = (A_j * x + C_j) mod 2^32, with
-    A_j = a^j and C_j = c * (a^(j-1) + ... + 1) tabled once (jump-ahead,
-    F. Brown, "Random number generation with arbitrary strides", Trans. ANS
-    1994). One step advances the state by (A_n, C_n), n = len(ranges).
-    uint32 arithmetic wraps modulo 2^32, the generator's modulus.
+    A_j = a^j and C_j = c * (a^(j-1) + ... + 1) (jump-ahead, F. Brown,
+    "Random number generation with arbitrary strides", Trans. ANS 1994).
+    A block of k steps over n ranges reads x_1..x_(k*n) from the first
+    k*n entries of one shared table (`_jump_tables`): one uint32 multiply,
+    one add and the modulo, with no loop per step. uint32 arithmetic wraps
+    modulo 2^32, the generator's modulus.
     """
 
     def __init__(self, seed: int, ranges):
         """`ranges` is a sequence of (lo, hi) pairs or an (n, 2) array."""
         self.state = seed & 0xFFFFFFFF
         ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-        self._mult, self._inc = _jump_tables(len(ranges))
-        self._step = (int(self._mult[-1]), int(self._inc[-1])) if len(ranges) else (1, 0)
         self._low = ranges[:, 0]
         self._span = (ranges[:, 1] - ranges[:, 0] + 1).astype(np.uint32)
 
     def draw(self, k: int) -> np.ndarray:
         """The values of every range for the next k steps, as a fresh
         (k, len(ranges)) int64 array."""
-        if not (k and len(self._span)):
-            return np.zeros((k, len(self._span)), dtype=np.int64)
-        a, c = self._step
-        x = self.state
-        starts = []
-        for _ in range(k):
-            starts.append(x)
-            x = (a * x + c) & 0xFFFFFFFF
-        self.state = x
-        xs = np.multiply.outer(np.array(starts, dtype=np.uint32), self._mult)
-        xs += self._inc
-        return self._low + xs % self._span
+        n = len(self._span)
+        if not (k and n):
+            return np.zeros((k, n), dtype=np.int64)
+        mult, inc = _jump_tables(k * n)
+        xs = mult * np.uint32(self.state)
+        xs += inc
+        self.state = int(xs[-1])
+        return self._low + xs.reshape(k, n) % self._span
 
 
-@functools.lru_cache(maxsize=16)
-def _jump_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only uint32 (A_j, C_j) of `NoiseDraws`, j = 1..n, cached per
-    count: A_j is a running product of LCG_MULT, C_j is LCG_INC times the
-    running sum of A_0..A_(j-1), both wrapping modulo 2^32."""
-    mult = np.multiply.accumulate(np.full(n, LCG_MULT, dtype=np.uint32), dtype=np.uint32)
-    inc = np.cumsum(np.concatenate(([1], mult))[:-1], dtype=np.uint32) * np.uint32(LCG_INC)
-    for table in (mult, inc):
-        table.setflags(write=False)
-    return mult, inc
+# The (A_j, C_j) tables of `NoiseDraws`, kept while they hold at most
+# _JUMP_KEEP entries each; a longer block builds its own.
+_JUMP_KEEP = 1 << 20
+_jump = (np.ones(0, dtype=np.uint32), np.zeros(0, dtype=np.uint32))
+
+
+def _jump_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only uint32 (A_j, C_j) of `NoiseDraws`, j = 1..m: A_j is a
+    running product of LCG_MULT, C_j is LCG_INC times the running sum of
+    A_0..A_(j-1), both wrapping modulo 2^32. They are the first m entries
+    of one kept pair, built again, m long, when a longer block arrives."""
+    global _jump
+    mult, inc = _jump
+    if len(mult) < m:
+        mult = np.multiply.accumulate(np.full(m, LCG_MULT, dtype=np.uint32), dtype=np.uint32)
+        inc = np.cumsum(np.concatenate(([1], mult))[:-1], dtype=np.uint32) * np.uint32(LCG_INC)
+        for table in (mult, inc):
+            table.setflags(write=False)
+        if m <= _JUMP_KEEP:
+            _jump = mult, inc
+    return mult[:m], inc[:m]
 
 
 def _write_file(path: str, data: bytes) -> None:
@@ -439,7 +451,9 @@ class NetworkDescription:
             raise ConfigError(path, str(e)) from None
 
     def save(self, path: str) -> None:
-        """Write the YAML description plus the weight image next to it."""
+        """Write the YAML description plus the weight image next to it. The
+        YAML is rendered first, so a field it cannot hold writes neither
+        file; numpy integers are written as plain ints."""
         weight_name = os.path.splitext(os.path.basename(path))[0] + ".weights.bin"
         doc = {
             "version": CONFIG_VERSION,
@@ -461,11 +475,12 @@ class NetworkDescription:
             ]
         if stim:
             doc["stimulus"] = stim
+        text = yaml.dump(doc, Dumper=_Dumper, sort_keys=False).encode()
         save_weight_image(
             os.path.join(os.path.dirname(path) or ".", weight_name),
             [self.weights1, self.weights2],
         )
-        _write_file(path, yaml.safe_dump(doc, sort_keys=False).encode())
+        _write_file(path, text)
 
     @classmethod
     def load(cls, path: str) -> "NetworkDescription":
@@ -535,34 +550,47 @@ class StimulusTrace:
     records: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        try:
+        try:  # a copy, so the caller's list or array stays its own
             rec = np.array(self.records, dtype=np.int64)
         except OverflowError:  # every such record fails a check below
             rec = np.array(self.records, dtype=object)
-        rec = rec.reshape(-1, 4) if rec.size == 0 else rec
-        if rec.shape[1:] != (4,):
-            raise StimulusError("records must be (timestep, npu, neuron, value) rows")
-        t, npu, addr, value = rec.T
-        checks = [  # in the order each record is checked; messages format the record
-            (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
-            (t >= 2**63, "timestep {0} does not fit 64 bits"),
-            ((addr < 0) | (addr > MAX_ADDRESS), f"neuron address must be 0..{MAX_ADDRESS}, got {{2}}"),
-            ((npu != 1) & (npu != 2), "npu must be 1 or 2, got {1}"),
-            ((value < -128) | (value > 127), "value must fit signed 8-bit"),
-        ]
-        bad = np.flatnonzero(np.any([c for c, _ in checks], axis=0))
-        if bad.size:
-            i = int(bad[0])
-            msg = next(m for c, m in checks if c[i])
-            raise StimulusError(f"record {i}: " + msg.format(*rec[i].tolist()))
-        self.records = rec.astype(np.int64, copy=False)
+        self.records = _checked_records(rec)
 
     def save(self, path: str) -> None:
         _write_rows(path, STIMULUS_HEADER, self.records)
 
     @classmethod
     def load(cls, path: str) -> "StimulusTrace":
-        return cls(records=_read_rows(path, STIMULUS_HEADER, "stimulus", StimulusError))
+        """The trace of a CSV file. A parsed int64 array is the trace's own
+        and is checked where it stands, not copied."""
+        rows = _read_rows(path, STIMULUS_HEADER, "stimulus", StimulusError)
+        if isinstance(rows, list):
+            return cls(records=rows)
+        trace = cls.__new__(cls)
+        trace.records = _checked_records(rows)
+        return trace
+
+
+def _checked_records(rec: np.ndarray) -> np.ndarray:
+    """`rec` as (n, 4) int64 stimulus records, each checked; the first bad
+    record is reported."""
+    rec = rec.reshape(-1, 4) if rec.size == 0 else rec
+    if rec.shape[1:] != (4,):
+        raise StimulusError("records must be (timestep, npu, neuron, value) rows")
+    t, npu, addr, value = rec.T
+    checks = [  # in the order each record is checked; messages format the record
+        (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
+        (t >= 2**63, "timestep {0} does not fit 64 bits"),
+        ((addr < 0) | (addr > MAX_ADDRESS), f"neuron address must be 0..{MAX_ADDRESS}, got {{2}}"),
+        ((npu != 1) & (npu != 2), "npu must be 1 or 2, got {1}"),
+        ((value < -128) | (value > 127), "value must fit signed 8-bit"),
+    ]
+    bad = np.flatnonzero(np.any([c for c, _ in checks], axis=0))
+    if bad.size:
+        i = int(bad[0])
+        msg = next(m for c, m in checks if c[i])
+        raise StimulusError(f"record {i}: " + msg.format(*rec[i].tolist()))
+    return rec.astype(np.int64, copy=False)
 
 
 STIMULUS_HEADER = "timestep,npu,neuron,value"
@@ -654,13 +682,47 @@ def _sorted_rows(rows: np.ndarray) -> bool:
     return not np.any(after)
 
 
+# The b"npu,addr\n" text of every chip address, at (npu - 1) * _ADDRS + addr.
+_ADDRS = MAX_ADDRESS + 1
+_ADDR_TEXT = np.array([b"%d,%d\n" % (npu, addr) for npu in (1, 2) for addr in range(_ADDRS)],
+                      dtype=object)
+
+
+def _pair_texts(npu: np.ndarray, addr: np.ndarray) -> list[bytes]:
+    """The b"npu,addr\n" text of each (npu, addr) pair: `_ADDR_TEXT`'s
+    for a chip address, formatted with %d for any other int64 pair."""
+    key = npu - 1
+    # npu - 1 in 0..1 and addr in 0..MAX_ADDRESS, negatives read as unsigned.
+    other = np.flatnonzero((key.view(np.uint64) > 1) | (addr.view(np.uint64) > MAX_ADDRESS))
+    key *= _ADDRS
+    key += addr
+    key[other] = 0
+    texts = _ADDR_TEXT.take(key).tolist()
+    for i in other.tolist():
+        texts[i] = b"%d,%d\n" % (npu[i], addr[i])
+    return texts
+
+
 def save_raster(path: str, records: np.ndarray) -> None:
     """Write (t, npu, addr) records in sorted order; `run` returns them
-    sorted, so they are sorted here only when they are not."""
+    sorted, so they are sorted here only when they are not. Each
+    timestep's b"t," is formatted once and joined with its records'
+    `_pair_texts`, so the bytes are those of a %d per field."""
     records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
     if not _sorted_rows(records):
         records = records[np.lexsort(records.T[::-1])]
-    _write_rows(path, RASTER_HEADER, records)
+    t = records[:, 0]
+    texts = _pair_texts(records[:, 1], records[:, 2])
+    first = np.ones(len(t), dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    bounds = [*starts.tolist(), len(t)]
+    parts = [RASTER_HEADER.encode() + b"\n"]
+    for step, lo, hi in zip(t[starts].tolist(), bounds, bounds[1:]):
+        head = b"%d," % step
+        parts += (head, head.join(texts[lo:hi]))
+    del texts
+    _write_file(path, b"".join(parts))
 
 
 def load_raster(path: str) -> np.ndarray:
@@ -669,10 +731,8 @@ def load_raster(path: str) -> np.ndarray:
 
 def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
     """`CYCLES_HEADER`, then one line per (timestep, report) row, all
-    formatted in one pass."""
-    phases = operator.attrgetter(*CYCLES_FIELDS)
-    vals = [v for t, rep in rows for v in (t, *phases(rep.npu1), *phases(rep.npu2),
-                                           rep.total_parallel, rep.total_serial, rep.model)]
+    formatted in one pass from each report's `CycleReport.row`."""
+    vals = [v for t, rep in rows for v in (t, *rep.row(), rep.model)]
     line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + "%s\n"
     text = CYCLES_HEADER + "\n" + line * len(rows) % tuple(vals)
     _write_file(path, text.encode())
@@ -686,40 +746,40 @@ def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
 BLOCK = 64
 
 
-def _per_address(noise: list[NoiseSource], values) -> np.ndarray:
-    """`values`, one item per noise source, as int64 rows repeated once per
-    address of their source."""
-    return np.repeat(np.array(values, dtype=np.int64), [len(ns.addrs) for ns in noise], axis=0)
-
-
 def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
-    """A function from (t0, the noise draws of steps t0..t0+k-1) to the
-    block's dense external input, (k, t1+t2) summed per neuron of the chip,
-    and its (k, 2) event counts per NPU: trace records, DC sources and noise
-    sources. Every address is checked here, before any step runs."""
+    """A function from (t0, the (k, addresses) noise draws of steps
+    t0..t0+k-1) to the block's dense external input, (k, t1+t2) summed per
+    neuron of the chip, and its (k, 2) event counts per NPU: trace records,
+    DC sources and noise sources. Every address is checked here, before any
+    step runs. A block's draws are added with one fancy-index `+=`, or with
+    `np.add.at` when a column is listed again (an address twice in a
+    source, or sources that overlap). A part that a run does not have
+    (trace records, noise) costs no numpy call per block."""
     desc.check_stimulus()
     t1 = desc.npu1.total_neurons
-    totals = np.array([0, t1, desc.npu2.total_neurons])
-    offsets = np.array([0, 0, t1])
-    trace = (stimulus or StimulusTrace()).records
-    bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
-    if bad.size:
-        i = int(bad[0])
-        raise StimulusError(
-            f"record {i}: address {trace[i, 2]} out of range for npu{trace[i, 1]}"
-        )
-    trace_t, trace_npu = trace[:, 0], trace[:, 1] - 1
-    trace_col, trace_value = trace[:, 2] + offsets[trace[:, 1]], trace[:, 3]
+    offsets = (0, 0, t1)
+    dc = np.zeros(t1 + desc.npu2.total_neurons, dtype=np.int64)
+    base = np.zeros(2, dtype=np.int64)
+    for s in desc.dc:
+        dc[offsets[s.npu] + s.addr] += s.value
+        base[s.npu - 1] += 1
+    cols = [offsets[ns.npu] + a for ns in desc.noise for a in ns.addrs]
+    for ns in desc.noise:
+        base[ns.npu - 1] += len(ns.addrs)
+    noise_col = np.array(cols, dtype=np.int64)
+    repeats = len(set(cols)) < len(cols)
 
-    dc_src = np.array([(s.npu, s.addr, s.value) for s in desc.dc], dtype=np.int64).reshape(-1, 3)
-    dc = np.zeros(t1 + totals[2], dtype=np.int64)
-    np.add.at(dc, offsets[dc_src[:, 0]] + dc_src[:, 1], dc_src[:, 2])
-    noise_npu = _per_address(desc.noise, [ns.npu for ns in desc.noise])
-    noise_addrs = np.concatenate(
-        [np.empty(0, np.int64), *(np.asarray(ns.addrs, dtype=np.int64) for ns in desc.noise)]
-    )
-    noise_col = offsets[noise_npu] + noise_addrs
-    base = np.bincount(np.concatenate((dc_src[:, 0], noise_npu)), minlength=3)[1:]
+    trace = stimulus.records if stimulus is not None and len(stimulus.records) else None
+    if trace is not None:
+        totals = np.array([0, t1, desc.npu2.total_neurons])
+        bad = np.flatnonzero((trace[:, 2] < 0) | (trace[:, 2] >= totals[trace[:, 1]]))
+        if bad.size:
+            i = int(bad[0])
+            raise StimulusError(
+                f"record {i}: address {trace[i, 2]} out of range for npu{trace[i, 1]}"
+            )
+        trace_t, trace_npu = trace[:, 0], trace[:, 1] - 1
+        trace_col, trace_value = trace[:, 2] + np.array(offsets)[trace[:, 1]], trace[:, 3]
 
     def inputs(t0: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = len(draws)
@@ -727,12 +787,16 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
         ext[:] = dc
         counts = np.empty((k, 2), dtype=np.int64)
         counts[:] = base
-        np.add.at(ext, (slice(None), noise_col), draws)
-        lo, hi = trace_t.searchsorted((t0, t0 + k))
-        if hi > lo:
-            rows = trace_t[lo:hi] - t0
-            np.add.at(ext, (rows, trace_col[lo:hi]), trace_value[lo:hi])
-            np.add.at(counts, (rows, trace_npu[lo:hi]), 1)
+        if repeats:
+            np.add.at(ext, (slice(None), noise_col), draws)
+        elif cols:
+            ext[:, noise_col] += draws
+        if trace is not None:
+            lo, hi = trace_t.searchsorted((t0, t0 + k))
+            if hi > lo:
+                rows = trace_t[lo:hi] - t0
+                np.add.at(ext, (rows, trace_col[lo:hi]), trace_value[lo:hi])
+                np.add.at(counts, (rows, trace_npu[lo:hi]), 1)
         return ext, counts
 
     return inputs
@@ -758,7 +822,8 @@ def simulate(
         raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
     inputs = _compile_stimulus(desc, stimulus)
-    noise = NoiseDraws(seed, _per_address(desc.noise, [(ns.low, ns.high) for ns in desc.noise]))
+    ranges = np.array([(ns.low, ns.high) for ns in desc.noise], dtype=np.int64).reshape(-1, 2)
+    noise = NoiseDraws(seed, ranges.repeat([len(ns.addrs) for ns in desc.noise], axis=0))
     for t0 in range(0, steps, block):
         ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
         yield t0, *proc.advance(ext, counts)

@@ -20,7 +20,8 @@ total is the max of the two; the serial sum is reported alongside.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -28,9 +29,13 @@ import numpy as np
 from .neuron import V_MAX, neuron_tables, next_membrane
 from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
                   dense_op_count)
-from .synapse import EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, Crossbar, sat_decay_table
+from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar,
+                      sat_decay_table)
 
 DEFAULT_CLOCK_HZ = 100_000_000
+
+# A PhaseCycles' five counts, in field order.
+_PHASES = operator.attrgetter(*(f.name for f in fields(PhaseCycles)))
 
 
 @dataclass
@@ -44,12 +49,19 @@ class CycleReport:
 
     @property
     def total_parallel(self) -> int:
-        """NPUs run simultaneously; the slower one bounds the timestep."""
-        return max(self.npu1.total, self.npu2.total)
+        return self.row()[10]
 
     @property
     def total_serial(self) -> int:
-        return self.npu1.total + self.npu2.total
+        return self.row()[11]
+
+    def row(self) -> tuple[int, ...]:
+        """NPU1's five phase counts and NPU2's, in `PhaseCycles` field
+        order, then `total_parallel` and `total_serial`: the NPUs run
+        simultaneously, so the slower one bounds the timestep, and the
+        serial total is their sum."""
+        a, b = self.npu1.total, self.npu2.total
+        return (*_PHASES(self.npu1), *_PHASES(self.npu2), max(a, b), a + b)
 
     @classmethod
     def of(cls, phases, timesteps: int = 1) -> "CycleReport":
@@ -93,6 +105,11 @@ class Processor:
         check_chip(npu1, weights1, npu2, weights2, gs_mode)
         self.t1 = t1 = npu1.total_neurons
         self.n = t1 + npu2.total_neurons
+        cfgs = (npu1, npu2)
+        exps = {a: k for k, a in enumerate(dict.fromkeys(cfg.decay_a for cfg in cfgs))}
+        sat_decay = sat_decay_table(tuple(exps))
+        self._sat_decay = sat_decay.ravel()
+        self._sd_off = np.empty(self.n, dtype=np.int64)
         weights = np.zeros((self.n, self.n), dtype=np.int64)
         cost = np.zeros((self.n, 2), dtype=np.int64)
         self._fixed = np.zeros((2, 5), dtype=np.int64)
@@ -104,19 +121,19 @@ class Processor:
                                     broadcast=cfg.global_neuron.effective_weight)
             weights[: n_ff + total, n_ff : n_ff + total] = xbar.weights
             cost[: n_ff + total, k] = xbar.cost
+            # Each neuron's offset to its NPU's row of the flat sat-decay table.
+            self._sd_off[n_ff : n_ff + total] = (exps[cfg.decay_a] * sat_decay.shape[1]
+                                                 - SAT_DECAY_LO)
             # Per NPU: external and mac (filled per step); scan, two bits of
             # each spike stream per clock, odd lengths padded; decay and pde,
             # one shifter pass and one neuron update per neuron.
             self._fixed[k] = [0, (n_ff + 1) // 2 + (total + 1) // 2, 0, total, total]
-        if np.abs(weights).sum(axis=0).max() > MAC_BOUND:
+        # A column sums at most one |weight| <= -WEIGHT_MIN per source, so
+        # the exact sum is needed only when the sources could pass MAC_BOUND.
+        if (-WEIGHT_MIN * self.n > MAC_BOUND
+                and np.abs(weights).sum(axis=0).max() > MAC_BOUND):
             raise ValueError(f"a crossbar column's |weights| sum past MAC_BOUND ({MAC_BOUND})")
         self.crossbar = Crossbar(weights, cost)
-        cfgs = (npu1, npu2)
-        exps = {a: k for k, a in enumerate(dict.fromkeys(cfg.decay_a for cfg in cfgs))}
-        sat_decay = sat_decay_table(tuple(exps))
-        self._sat_decay = sat_decay.ravel()
-        rows = np.repeat([exps[cfg.decay_a] for cfg in cfgs], (t1, self.n - t1))
-        self._sd_off = rows * sat_decay.shape[1] - SAT_DECAY_LO
         params = [p for cfg in cfgs for p in (*cfg.params, cfg.global_neuron.params)]
         self._step, self._off = neuron_tables(params)
         self._thr = self._off + V_MAX

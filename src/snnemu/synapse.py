@@ -117,15 +117,16 @@ class Crossbar:
         weights = check_weights(weights)
         n_rows, n_targets = weights.shape
         n_groups = group_count(n_targets)
+        cost = np.full(n_rows + (broadcast is not None), n_groups)
         if sparse:
             padded = np.zeros((n_rows, n_groups * GROUP_SIZE), dtype=bool)
             np.not_equal(weights, 0, out=padded[:, :n_targets])
-            cost = np.count_nonzero(padded.view(np.uint64), axis=1)
-        else:
-            cost = np.full(n_rows, n_groups)
+            cost[:n_rows] = np.count_nonzero(padded.view(np.uint64), axis=1)
         if broadcast is not None:
-            weights = np.vstack((weights, np.full(n_targets, broadcast)))
-            cost = np.append(cost, 1)
+            cost[n_rows] = 1
+            out = np.empty((n_rows + 1, n_targets), dtype=np.int64)
+            out[:n_rows], out[n_rows] = weights, broadcast
+            weights = out
         return cls(weights, cost)
 
     def mac(self, spikes: np.ndarray, y: np.ndarray) -> None:

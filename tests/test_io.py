@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 import zlib
 from unittest import mock
@@ -154,6 +155,31 @@ class TestNetworkDescription:
         loaded = NetworkDescription.load(str(path))
         assert desc_equal(desc, loaded) and type(loaded.noise[0].addrs) is list
 
+    def test_numpy_integer_fields_round_trip(self, tmp_path):
+        """DC and noise fields given as numpy integers are saved as plain
+        ints and load to an equal description."""
+        desc = minimal_desc(
+            n1=4, n2=8,
+            dc=[DcSource(npu=np.int64(1), addr=np.int32(2), value=np.int8(-5))],
+            noise=[NoiseSource(npu=np.int64(2), addrs=[np.int64(a) for a in range(1, 5)],
+                               low=np.int16(-3), high=np.uint8(7)),
+                   NoiseSource(npu=np.uint8(1), addrs=list(np.array([4, 0, 4])),
+                               low=np.int64(0), high=np.int64(1))],
+        )
+        path = tmp_path / "net.yaml"
+        desc.save(str(path))
+        doc = yaml.safe_load(path.read_text())["stimulus"]
+        assert doc["noise"][0]["addrs"] == {"start": 1, "stop": 5}
+        assert doc["noise"][1]["addrs"] == [4, 0, 4]
+        assert desc_equal(desc, NetworkDescription.load(str(path)))
+
+    def test_unrepresentable_field_writes_no_file(self, tmp_path):
+        """The YAML is rendered before either file is written."""
+        desc = minimal_desc(dc=[DcSource(npu=1, addr=0, value=np.float64(5))])
+        with pytest.raises(yaml.representer.RepresenterError):
+            desc.save(str(tmp_path / "net.yaml"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_listed_run_still_loads(self, tmp_path):
         """A config that lists every address of a run loads as its range does."""
         desc = minimal_desc(n2=32, noise=[NoiseSource(npu=2, addrs=list(range(33)),
@@ -289,6 +315,27 @@ class TestStimulusTrace:
     def test_decreasing_timestep_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             StimulusTrace(records=[(5, 1, 0, 1), (2, 1, 0, 1)])
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_callers_records_are_copied(self, kind):
+        """A caller's list or int64 array is copied: writing it afterwards
+        leaves the trace as it was."""
+        records = kind([[0, 1, 0, 10], [3, 2, 1, -5]])
+        trace = StimulusTrace(records=records)
+        records[0][3] = 99
+        assert trace.records.tolist() == [[0, 1, 0, 10], [3, 2, 1, -5]]
+
+    def test_load_keeps_the_parsed_array(self, tmp_path):
+        """`load` checks the array it parsed and keeps it, with no copy."""
+        path = tmp_path / "stim.csv"
+        StimulusTrace(records=[(0, 1, 0, 10), (3, 2, 1, -5)]).save(str(path))
+        parsed = []
+        read_rows = netio._read_rows
+        with mock.patch.object(netio, "_read_rows",
+                               lambda *a: parsed.append(read_rows(*a)) or parsed[0]):
+            trace = StimulusTrace.load(str(path))
+        assert trace.records is parsed[0]
+        assert trace.records.tolist() == [[0, 1, 0, 10], [3, 2, 1, -5]]
 
 
 def per_line_load(path):
@@ -480,6 +527,52 @@ class TestRasterFile:
         path = tmp_path / "raster.csv"
         save_raster(str(path), np.array(rows, dtype=np.int64))
         assert load_raster(str(path)).tolist() == sorted(map(list, rows))
+
+
+CHIP_RECORD = st.tuples(st.integers(0, 4), st.sampled_from([1, 2]),
+                        st.integers(0, netio.MAX_ADDRESS))
+
+
+def reference_raster(rows):
+    """The raster file's bytes, one `%d` per field of the sorted rows."""
+    return ("timestep,npu,neuron\n"
+            + "".join("%d,%d,%d\n" % tuple(r) for r in sorted(rows))).encode()
+
+
+class TestRasterBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(CHIP_RECORD | st.tuples(RASTER_INT, RASTER_INT, RASTER_INT),
+                         max_size=80),
+           presort=st.booleans())
+    def test_matches_per_field_reference(self, tmp_path_factory, rows, presort):
+        """Chip addresses, many records per timestep, mixed with arbitrary
+        int64 pairs, given sorted or not."""
+        rows = sorted(rows) if presort else rows
+        path = tmp_path_factory.mktemp("raster") / "raster.csv"
+        save_raster(str(path), np.array(rows, dtype=np.int64).reshape(-1, 3))
+        assert path.read_bytes() == reference_raster(rows)
+
+    def test_long_raster_memory(self, tmp_path):
+        """600k sorted records (a 20k-step chip run's worth) are written
+        with at most 25 MiB of traced peak; the whole-tuple `%` pass peaked
+        at 52 MiB."""
+        rng = np.random.default_rng(5)
+        n = 600_000
+        npu = rng.integers(1, 3, n)
+        records = np.column_stack((np.sort(rng.integers(0, 20_000, n)), npu,
+                                   rng.integers(0, 33, n) + 96 * (npu - 1)))
+        records = records[np.lexsort(records.T[::-1])]
+        path = tmp_path / "raster.csv"
+        tracemalloc.start()
+        try:
+            save_raster(str(path), records)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25, f"peak {peak:.1f} MiB"
+        with open(path, "rb") as f:
+            assert f.readline() == b"timestep,npu,neuron\n"
+            assert f.readline() == b"%d,%d,%d\n" % tuple(records[0].tolist())
 
 
 WRITERS = {
@@ -880,13 +973,41 @@ class TestNoiseDraws:
             assert noise.state == scalar.state
 
     def test_array_of_ranges_and_shared_tables(self):
-        """An (n, 2) array draws as its list of pairs does, and generators
-        of one address count share read-only jump-ahead tables."""
+        """An (n, 2) array draws as its list of pairs does, and draws of
+        every length read prefixes of one read-only jump-ahead table pair."""
         ranges = [(-3, 4), (0, 0), (-128, 127), (10, 20)]
         a, b = NoiseDraws(8, ranges), NoiseDraws(9, np.array(ranges))
-        assert a._mult is b._mult and a._inc is b._inc
-        assert not (a._mult.flags.writeable or a._inc.flags.writeable)
-        assert NoiseDraws(9, ranges).draw(5).tolist() == b.draw(5).tolist()
+        want = b.draw(5).tolist()
+        a.draw(3)
+        for short, long in zip(netio._jump_tables(3 * 4), netio._jump_tables(5 * 4)):
+            assert np.shares_memory(short, long)
+            assert not (short.flags.writeable or long.flags.writeable)
+        assert NoiseDraws(9, ranges).draw(5).tolist() == want
+
+    def test_blocks_of_growing_and_shrinking_length(self):
+        """Blocks of 1, 64, 200, 201, 7 and 0 steps in sequence, each longer
+        one growing the kept table and each shorter one reading its prefix,
+        chain into the scalar stream."""
+        ranges = [(-10, 38)] * 3 + [(-128, 127), (0, 0), (5, 9)]
+        scalar = Lcg(2**32 - 1)
+        noise = NoiseDraws(2**32 - 1, ranges)
+        for k in (1, 64, 200, 201, 7, 0):
+            want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(k)]
+            assert noise.draw(k).tolist() == want
+            assert noise.state == scalar.state
+
+    def test_table_past_the_kept_length_is_not_kept(self, monkeypatch):
+        """A block longer than _JUMP_KEEP entries draws from a table of its
+        own and leaves the kept one as it was."""
+        monkeypatch.setattr(netio, "_JUMP_KEEP", 40)
+        monkeypatch.setattr(netio, "_jump", netio._jump_tables(0))
+        ranges = [(0, 99)] * 4
+        scalar = Lcg(3)
+        noise = NoiseDraws(3, ranges)
+        for k in (10, 11, 2):
+            want = [[scalar.int_range(lo, hi) for lo, hi in ranges] for _ in range(k)]
+            assert noise.draw(k).tolist() == want
+        assert len(netio._jump[0]) == 40
 
     def test_no_ranges_draw_nothing(self):
         noise = NoiseDraws(5, [])

@@ -13,6 +13,7 @@ compiled crossbar.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -28,6 +29,8 @@ from snnemu.netio import (
     NoiseSource,
     StimulusTrace,
     run,
+    save_cycles,
+    save_raster,
     simulate,
 )
 from snnemu.neuron import NeuronParams
@@ -543,3 +546,54 @@ def test_cli_run_matches_scalar_reference(tmp_path_factory, seed, n1, n2, gs_mod
         parallel, serial = max(sum(want[:5]), sum(want[5:])), sum(want)
         assert row[11:] == [str(parallel), str(serial), "sequential"], f"step {t}: totals"
     assert out.getvalue() == summary
+
+
+# Noise columns that repeat an address, overlap across sources or form one
+# run over the whole chip, on both NPUs of one random network (8 + 16
+# active neurons). Each case's raster.csv and cycles.csv sha256 digests were
+# recorded from the run that scattered every noise column with np.add.at.
+NOISE_CASES = {
+    "repeated_and_overlapping": (
+        [(1, [0, 3, 3, 8, 0], -20, 60), (1, [3, 4, 5], -5, 5),
+         (2, [16, 2, 9, 2], -40, 90), (2, [2, 2, 2], 0, 3), (2, [9, 10], -128, 127)],
+        "f6877ef0f337f3465bea73af325a0065b2fa6693a1d85095b2846fbb548a957a",
+        "e4872c57e4a38e0d48e315e7f88ee84a4923d83715a57d91a563bbc21957999c"),
+    "one_run_over_the_chip": (
+        [(1, list(range(9)), -10, 38), (2, list(range(17)), -10, 38)],
+        "efc959443f32952c2f1fcecad16318f0949fadc7200bb888e74342092dc26e79",
+        "5d3975f88695c548b475b9af19e6eab8fb49d930db8c20c560854b65e016293d"),
+    "distinct_unordered": (
+        [(2, [5, 1, 16], -30, 80), (1, [7, 2], -1, 40), (2, [0, 3], 10, 20)],
+        "2aa6cde3fd8bf5a0a715c4286c2752b8f3305bde8bbee9e8e0048773a20c57f5",
+        "28e5117ac651c36d4ba1aae959b6137bfd4b9f8bbbb3336970b20f0d3771085a"),
+}
+
+
+def _noise_case_files(case, tmp):
+    """The description of `case`, its scalar reference, the run's result
+    and the bytes of the two files `run` writes."""
+    desc, ref = _desc_and_reference(np.random.default_rng(2020), 8, 16, "auto")
+    desc.noise = [NoiseSource(npu=k, addrs=addrs, low=lo, high=hi)
+                  for k, addrs, lo, hi in NOISE_CASES[case][0]]
+    desc.dc = [DcSource(npu=2, addr=2, value=30), DcSource(npu=1, addr=3, value=-7)]
+    result = run(desc, None, 2 * BLOCK + 5, seed=12345)
+    save_raster(str(tmp / "raster.csv"), result[0])
+    save_cycles(str(tmp / "cycles.csv"), result[1])
+    files = [(tmp / name).read_bytes() for name in ("raster.csv", "cycles.csv")]
+    return desc, ref, result, files
+
+
+@pytest.mark.parametrize("case", NOISE_CASES)
+def test_pinned_noise_scatter(tmp_path, case):
+    """Each noise case's run equals the scalar reference, which adds every
+    draw one at a time, over three blocks (the last one short), and its
+    files equal the pinned bytes."""
+    steps = 2 * BLOCK + 5
+    desc, ref, (raster, rows, _), files = _noise_case_files(case, tmp_path)
+    want_raster, counts, _ = reference_run(ref, desc, [], steps, 12345)
+    assert raster.tolist() == want_raster
+    assert [[*dataclasses.astuple(rep.npu1), *dataclasses.astuple(rep.npu2)]
+            for _, rep in rows] == counts
+    assert len(want_raster) > steps, "the case should spike on most steps"
+    digests = [hashlib.sha256(data).hexdigest() for data in files]
+    assert digests == list(NOISE_CASES[case][1:])
