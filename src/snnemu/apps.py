@@ -1,6 +1,5 @@
 """Demo applications on top of the processor: Sudoku constraint solving via
-winner-take-all competition, 8-direction avoidance decisions, and the neuron
-behavior sweep harness.
+winner-take-all competition and 8-direction avoidance decisions.
 
 Sudoku mapping: one neuron per (cell, digit) in NPU2. Conflicting assignments
 (same cell/different digit; same digit in a row, column, or box) inhibit each
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import V_MAX, NeuronParams, neuron_tables, next_membrane
+from .neuron import NeuronParams
 from .npu import GlobalNeuronConfig, NpuConfig
 from .netio import (
     BLOCK,
@@ -32,7 +31,6 @@ from .netio import (
     simulate,
 )
 from .processor import CycleReport
-from .synapse import SAT_MAX, SAT_MIN
 
 # Pure-integrator neuron: drift is zero everywhere, the membrane just sums
 # the synaptic current until it overflows.
@@ -200,10 +198,10 @@ def _sudoku_chip(n: int) -> NetworkDescription:
     return desc
 
 
-def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, StimulusTrace]:
+def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, None]:
     """Map a puzzle onto NPU2. All stimulus (clue drive and noise) is declared
-    in the config, so the returned trace is empty; the rest is shared by
-    every puzzle of its size."""
+    in the config, so there is no trace (None); the rest is shared by every
+    puzzle of its size."""
     n = puzzle.n
     size = n**3
     clue_addrs = {neuron_index(n, r, c, d) for r, c, d in puzzle.clues}
@@ -215,7 +213,7 @@ def build_sudoku_network(puzzle: SudokuPuzzle) -> tuple[NetworkDescription, Stim
         if noise_addrs
         else []
     )
-    return desc, StimulusTrace()
+    return desc, None
 
 
 def decode_counts(counts: np.ndarray, n: int) -> list[list[int]]:
@@ -420,60 +418,3 @@ def avoid(
         decisions += [decide_counts(c, (t, t + window_steps))
                       for t, c in zip(range(t0, steps, window_steps), counts.tolist())]
     return decisions, CycleReport.of(total.tolist(), steps)
-
-
-# ---------------------------------------------------------------------------
-# neuron behavior sweep
-
-def behavior_sweep(
-    cases: dict[str, tuple[NeuronParams, list[int]]]
-) -> dict[str, dict]:
-    """Record (v_m, spike) trajectories per named (params, current profile)
-    case, from v_r, stepped through the chip's neuron tables. Currents are
-    signed 12-bit, as the chip's are. Output is JSON-friendly so fixtures
-    can be pinned verbatim."""
-    out = {}
-    for name, (params, currents) in cases.items():
-        bad = [i for i in currents if not SAT_MIN <= i <= SAT_MAX]
-        if bad:
-            raise ValueError(f"case {name!r}: current {bad[0]} outside {SAT_MIN}..{SAT_MAX}")
-        step, (off,) = neuron_tables([params])
-        w, candidates = int(step[params.v_r + off]), []
-        for i_t in currents:
-            s = w + i_t
-            w = int(step[s])
-            candidates.append(s - off)
-        candidates = np.array(candidates, dtype=np.int64)
-        vs = next_membrane(candidates, params.v_reset).tolist()
-        spikes = (candidates > V_MAX).astype(int).tolist()
-        out[name] = {
-            "params": {
-                "a_num": params.a_num, "b_num": params.b_num,
-                "v_r": params.v_r, "v_t": params.v_t, "v_reset": params.v_reset,
-            },
-            "currents": list(currents),
-            "v_m": vs,
-            "spikes": spikes,
-        }
-    return out
-
-
-BEHAVIOR_STEPS = 400
-
-
-def default_behavior_cases() -> dict[str, tuple[NeuronParams, list[int]]]:
-    """Five parameter/input sets of `BEHAVIOR_STEPS` steps each, chosen to
-    produce distinct inter-spike interval signatures (different counts or CV
-    buckets)."""
-    steps = BEHAVIOR_STEPS
-    ramp = [min(60, 2 + t // 8) for t in range(steps)]
-    burst_drive = ([70] * 40 + [0] * 40) * (steps // 80)
-    return {
-        "tonic_slow": (INTEGRATOR, [20] * steps),
-        "tonic_fast": (INTEGRATOR, [85] * steps),
-        "accelerating": (NeuronParams(a_num=0, b_num=3, v_r=0, v_t=60, v_reset=70),
-                         ramp),
-        "phasic_onset": (NeuronParams(a_num=6, b_num=0, v_r=0, v_t=255, v_reset=0),
-                         [40] * 30 + [12] * (steps - 30)),
-        "burst_pause": (INTEGRATOR, burst_drive[:steps]),
-    }

@@ -359,10 +359,15 @@ class NetworkDescription:
     _chip = (None, None)  # the key of the kept chip's inputs, and the chip
 
     def __post_init__(self):
-        if self.clock_hz < 1:
-            raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         self.weights1 = np.asarray(self.weights1, dtype=np.int64)
         self.weights2 = np.asarray(self.weights2, dtype=np.int64)
+        self._check()
+
+    def _check(self) -> None:
+        """What construction, and so `load`, checks: the clock, the chip
+        and the stimulus addresses."""
+        if self.clock_hz < 1:
+            raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         check_chip(self.npu1, self.weights1, self.npu2, self.weights2, self.gs_mode)
         self.check_stimulus()
 
@@ -451,9 +456,12 @@ class NetworkDescription:
             raise ConfigError(path, str(e)) from None
 
     def save(self, path: str) -> None:
-        """Write the YAML description plus the weight image next to it. The
-        YAML is rendered first, so a field it cannot hold writes neither
-        file; numpy integers are written as plain ints."""
+        """Write the YAML description plus the weight image next to it.
+        The description is checked as `load` checks it, and the YAML is
+        rendered, before either file is written, so fields reassigned to
+        values that `load` would reject, or that the YAML cannot hold, write
+        neither file; numpy integers are written as plain ints."""
+        self._check()
         weight_name = os.path.splitext(os.path.basename(path))[0] + ".weights.bin"
         doc = {
             "version": CONFIG_VERSION,
@@ -723,10 +731,6 @@ def save_raster(path: str, records: np.ndarray) -> None:
         parts += (head, head.join(texts[lo:hi]))
     del texts
     _write_file(path, b"".join(parts))
-
-
-def load_raster(path: str) -> np.ndarray:
-    return np.asarray(_read_rows(path, RASTER_HEADER, "raster"), dtype=np.int64).reshape(-1, 3)
 
 
 def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:

@@ -10,10 +10,8 @@ import time
 import numpy as np
 
 from snnemu.apps import (
-    behavior_sweep,
     build_avoidance_network,
     decide_direction,
-    default_behavior_cases,
     make_direction_stimulus,
     random_puzzle,
     solve_sudoku,
@@ -28,7 +26,7 @@ from snnemu.synapse import (
     decay_array,
     sat_decay_table,
 )
-from test_apps import isi_signature, reference_verify
+from test_apps import behavior_sweep, default_behavior_cases, isi_signature, reference_verify
 from test_processor import events, make_processor, step
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")

@@ -1,4 +1,5 @@
-"""Sudoku builder/decoder/verifier, avoidance decisions, behavior fixtures."""
+"""Sudoku builder/decoder/verifier, avoidance decisions, and the neuron
+behavior sweep harness with its pinned fixtures."""
 
 import functools
 import hashlib
@@ -17,14 +18,12 @@ from snnemu.apps import (
     PuzzleError,
     SudokuPuzzle,
     avoid,
-    behavior_sweep,
     box_shape,
     build_avoidance_network,
     build_sudoku_network,
     conflict_matrix,
     decide_direction,
     decode_counts,
-    default_behavior_cases,
     make_direction_stimulus,
     neuron_index,
     random_puzzle,
@@ -33,7 +32,8 @@ from snnemu.apps import (
     verify_sudoku,
 )
 from snnemu.netio import StimulusTrace, raster_records, run
-from snnemu.neuron import NeuronParams
+from snnemu.neuron import V_MAX, NeuronParams, neuron_tables, next_membrane
+from snnemu.synapse import SAT_MAX, SAT_MIN
 from scalar_ref import NeuronState, delta_vm, neuron_step
 from test_neuron import params_st
 
@@ -48,6 +48,60 @@ def isi_signature(spikes: list[int]) -> tuple[int, int]:
     isis = np.diff(times)
     cv = float(isis.std() / isis.mean()) if isis.mean() else 0.0
     return len(times), int(round(cv * 10))
+
+
+def behavior_sweep(
+    cases: dict[str, tuple[NeuronParams, list[int]]]
+) -> dict[str, dict]:
+    """Record (v_m, spike) trajectories per named (params, current profile)
+    case, from v_r, stepped through the chip's neuron tables. Currents are
+    signed 12-bit, as the chip's are. Output is JSON-friendly so fixtures
+    can be pinned verbatim."""
+    out = {}
+    for name, (params, currents) in cases.items():
+        bad = [i for i in currents if not SAT_MIN <= i <= SAT_MAX]
+        if bad:
+            raise ValueError(f"case {name!r}: current {bad[0]} outside {SAT_MIN}..{SAT_MAX}")
+        step, (off,) = neuron_tables([params])
+        w, candidates = int(step[params.v_r + off]), []
+        for i_t in currents:
+            s = w + i_t
+            w = int(step[s])
+            candidates.append(s - off)
+        candidates = np.array(candidates, dtype=np.int64)
+        vs = next_membrane(candidates, params.v_reset).tolist()
+        spikes = (candidates > V_MAX).astype(int).tolist()
+        out[name] = {
+            "params": {
+                "a_num": params.a_num, "b_num": params.b_num,
+                "v_r": params.v_r, "v_t": params.v_t, "v_reset": params.v_reset,
+            },
+            "currents": list(currents),
+            "v_m": vs,
+            "spikes": spikes,
+        }
+    return out
+
+
+BEHAVIOR_STEPS = 400
+
+
+def default_behavior_cases() -> dict[str, tuple[NeuronParams, list[int]]]:
+    """Five parameter/input sets of `BEHAVIOR_STEPS` steps each, chosen to
+    produce distinct inter-spike interval signatures (different counts or CV
+    buckets)."""
+    steps = BEHAVIOR_STEPS
+    ramp = [min(60, 2 + t // 8) for t in range(steps)]
+    burst_drive = ([70] * 40 + [0] * 40) * (steps // 80)
+    return {
+        "tonic_slow": (INTEGRATOR, [20] * steps),
+        "tonic_fast": (INTEGRATOR, [85] * steps),
+        "accelerating": (NeuronParams(a_num=0, b_num=3, v_r=0, v_t=60, v_reset=70),
+                         ramp),
+        "phasic_onset": (NeuronParams(a_num=6, b_num=0, v_r=0, v_t=255, v_reset=0),
+                         [40] * 30 + [12] * (steps - 30)),
+        "burst_pause": (INTEGRATOR, burst_drive[:steps]),
+    }
 
 
 def brute_force_conflicts(n, kind="all"):
@@ -169,7 +223,7 @@ class TestSudokuTopology:
     def test_network_sizes(self):
         desc, trace = build_sudoku_network(SudokuPuzzle(n=4, clues=[]))
         assert desc.npu2.active_neurons == 64
-        assert trace.records.shape == (0, 4)
+        assert trace is None
         # nominal synapse budget n^6
         assert conflict_matrix(4).shape == (64, 64)
         assert 4**6 == 4096

@@ -21,10 +21,10 @@ from snnemu.netio import (
     DcSource,
     NetworkDescription,
     StimulusTrace,
-    load_raster,
     run,
     save_weight_image,
 )
+from test_io import load_raster
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu import netio, synapse
+from snnemu.apps import build_avoidance_network
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.netio import (
@@ -33,7 +34,6 @@ from snnemu.netio import (
     NoiseDraws,
     NoiseSource,
     StimulusTrace,
-    load_raster,
     load_weight_image,
     run,
     save_cycles,
@@ -57,6 +57,12 @@ def minimal_desc(n1=1, n2=1, **kwargs):
                        global_neuron=GlobalNeuronConfig(params=QUIET)),
         **kwargs,
     )
+
+
+def load_raster(path: str) -> np.ndarray:
+    """A raster file's records, (n, 3) int64 in file order."""
+    return np.asarray(netio._read_rows(path, netio.RASTER_HEADER, "raster"),
+                      dtype=np.int64).reshape(-1, 3)
 
 
 def desc_equal(a, b):
@@ -280,6 +286,23 @@ class TestNetworkDescription:
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):
             minimal_desc(dc=[DcSource(npu=1, addr=7, value=1)])
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("noise", [NoiseSource(npu=2, addrs=list(range(3, 9)), low=0, high=1)],
+         "stimulus.noise[0].addrs[0]"),
+        ("weights1", np.zeros((8, 8), dtype=np.int64), "weights.npu1"),
+        ("clock_hz", 0, "clock_hz"),
+    ])
+    def test_save_checks_what_load_checks(self, tmp_path, field, value, where):
+        """A field reassigned to a value that `load` would reject fails the
+        save with the field's ConfigError, and neither file is written."""
+        desc = build_avoidance_network()
+        setattr(desc, field, value)
+        with pytest.raises(ConfigError) as err:
+            desc.save(str(tmp_path / "net.yaml"))
+        assert err.value.path == where
+        assert not (tmp_path / "net.yaml").exists()
+        assert not (tmp_path / "net.weights.bin").exists()
 
     def test_first_bad_noise_address_named(self):
         with pytest.raises(ConfigError, match="^" + re.escape(
@@ -650,6 +673,20 @@ class TestRun:
         p = tmp_path / "r.csv"
         save_raster(str(p), [(3, 2, 1), (0, 1, 0), (3, 1, 5)])
         assert load_raster(str(p)).tolist() == [[0, 1, 0], [3, 1, 5], [3, 2, 1]]
+
+    def test_no_trace_empty_trace_and_header_only_file_run_alike(self, tmp_path):
+        """None, an empty StimulusTrace and a loaded header-only CSV drive
+        the same run, with DC and noise sources, over more than two blocks."""
+        desc = minimal_desc(n1=2, n2=4, dc=[DcSource(npu=1, addr=0, value=40)],
+                            noise=[NoiseSource(npu=2, addrs=[0, 1, 3], low=0, high=60)])
+        path = tmp_path / "stim.csv"
+        path.write_text(netio.STIMULUS_HEADER + "\n")
+        outs = []
+        for trace in (None, StimulusTrace(), StimulusTrace.load(str(path))):
+            raster, rows, _ = run(desc, trace, steps=2 * netio.BLOCK + 5, seed=7)
+            outs.append((raster.tobytes(), [(t, rep.row()) for t, rep in rows]))
+        assert set(raster[:, 1].tolist()) == {1, 2}
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_trace_events_applied(self):
         desc = minimal_desc()
