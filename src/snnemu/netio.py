@@ -14,11 +14,13 @@ reproducible across implementations.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import stat
 import struct
 import warnings
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,7 @@ import yaml
 
 from .neuron import NeuronParams
 from .npu import ConfigError, GlobalNeuronConfig, NpuConfig
-from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip
+from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip, cycle_totals
 from .synapse import WeightMemory
 
 WEIGHT_MAGIC = b"SNNW"
@@ -571,7 +573,7 @@ class StimulusTrace:
     def load(cls, path: str) -> "StimulusTrace":
         """The trace of a CSV file. A parsed int64 array is the trace's own
         and is checked where it stands, not copied."""
-        rows = _read_rows(path, STIMULUS_HEADER, "stimulus", StimulusError)
+        rows = _read_rows(path)
         if isinstance(rows, list):
             return cls(records=rows)
         trace = cls.__new__(cls)
@@ -579,12 +581,37 @@ class StimulusTrace:
         return trace
 
 
+CHECK_CHUNK = 1 << 16  # records checked per column copy
+# The least and the greatest value of each stimulus column.
+_RECORD_LOW = np.array([0, 1, 0, -128])
+_RECORD_HIGH = np.array([2**63 - 1, 2, MAX_ADDRESS, 127])
+
+
 def _checked_records(rec: np.ndarray) -> np.ndarray:
     """`rec` as (n, 4) int64 stimulus records, each checked; the first bad
-    record is reported."""
+    record is reported. An int64 array is checked `CHECK_CHUNK` records at
+    a time by column reductions: each column within its bounds, timesteps
+    not decreasing. The chunk is copied column by column, since numpy
+    reduces rows of four slowly, and overlaps the next chunk by one record.
+    Only an array that fails them is searched record by record."""
     rec = rec.reshape(-1, 4) if rec.size == 0 else rec
     if rec.shape[1:] != (4,):
         raise StimulusError("records must be (timestep, npu, neuron, value) rows")
+    if rec.dtype != np.int64:  # a value past 64 bits
+        _check_each_record(rec)
+    for lo in range(0, len(rec), CHECK_CHUNK):
+        cols = rec[lo : lo + CHECK_CHUNK + 1].T.copy()
+        if not ((cols.min(axis=1) >= _RECORD_LOW).all()
+                and (cols.max(axis=1) <= _RECORD_HIGH).all()
+                and (cols[0, 1:] >= cols[0, :-1]).all()):
+            _check_each_record(rec)
+    return rec.astype(np.int64, copy=False)
+
+
+def _check_each_record(rec: np.ndarray) -> None:
+    """Raise a StimulusError naming the first bad record of the (n, 4)
+    records `rec`, if one is bad: the first record that fails a check, and
+    the first check that it fails."""
     t, npu, addr, value = rec.T
     checks = [  # in the order each record is checked; messages format the record
         (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
@@ -598,7 +625,6 @@ def _checked_records(rec: np.ndarray) -> np.ndarray:
         i = int(bad[0])
         msg = next(m for c, m in checks if c[i])
         raise StimulusError(f"record {i}: " + msg.format(*rec[i].tolist()))
-    return rec.astype(np.int64, copy=False)
 
 
 STIMULUS_HEADER = "timestep,npu,neuron,value"
@@ -611,7 +637,6 @@ CYCLES_HEADER = (
     + ",".join(f"npu2_{f}" for f in CYCLES_FIELDS)
     + ",total_parallel,total_serial,model"
 )
-_WIDTHS = {3: "three", 4: "four"}
 
 
 PARSE_CHUNK = 1 << 16  # characters of whole lines split at a time
@@ -628,24 +653,22 @@ def _line_chunks(text: str, start: int):
         start = end + 1
 
 
-def _read_rows(path: str, header: str, what: str,
-               error: type[ValueError] = ValueError) -> np.ndarray | list[list[int]]:
-    """The integer rows of a CSV file led by `header`, blank lines skipped:
-    an (n, width) int64 array parsed in one pass, else a per-line `int()`
-    parse (lists of Python ints) that names the first line it rejects with
-    `error`, as it does a byte that is not UTF-8. Both take the lines a
-    chunk at a time."""
-    text = read_text(path, lambda path, detail: error(f"{path}: {detail}"))
+def _read_rows(path: str) -> np.ndarray | list[list[int]]:
+    """The stimulus rows of a CSV file led by `STIMULUS_HEADER`, blank lines
+    skipped: an (n, 4) int64 array parsed in one pass, else a per-line
+    `int()` parse (lists of Python ints) that names the first line it
+    rejects, as it does a byte that is not UTF-8, with a StimulusError.
+    Both take the lines a chunk at a time."""
+    text = read_text(path, lambda path, detail: StimulusError(f"{path}: {detail}"))
     first = text.find("\n")
     if first < 0:
         first = len(text)
-    if text[:first].strip() != header:
-        raise error(f"{path}: unexpected {what} header {text[:first].strip()!r}")
+    if text[:first].strip() != STIMULUS_HEADER:
+        raise StimulusError(f"{path}: unexpected stimulus header {text[:first].strip()!r}")
 
     def lines():
         return itertools.chain.from_iterable(_line_chunks(text, first + 1))
 
-    width = header.count(",") + 1
     # numpy 2.4's int parser crashes on a digit then some non-BMP characters.
     if text.isascii():
         try:
@@ -653,7 +676,7 @@ def _read_rows(path: str, header: str, what: str,
                 warnings.simplefilter("error")  # loadtxt only warns when there are no rows
                 rows = np.loadtxt(lines(), dtype=np.int64, delimiter=",",
                                   comments=None, ndmin=2)
-            if rows.shape[1] == width:
+            if rows.shape[1] == 4:
                 return rows
         except (ValueError, Warning):
             pass
@@ -666,9 +689,9 @@ def _read_rows(path: str, header: str, what: str,
             row = [int(x) for x in line.split(",")]
         except ValueError:
             row = []
-        if len(row) != width:
-            raise error(f"{path}: line {lineno}: expected {_WIDTHS[width]} integers "
-                        f"{header}, got {_show(line)}")
+        if len(row) != 4:
+            raise StimulusError(f"{path}: line {lineno}: expected four integers "
+                                f"{STIMULUS_HEADER}, got {_show(line)}")
         rows.append(row)
     return rows
 
@@ -733,13 +756,23 @@ def save_raster(path: str, records: np.ndarray) -> None:
     _write_file(path, b"".join(parts))
 
 
-def save_cycles(path: str, rows: list[tuple[int, CycleReport]]) -> None:
-    """`CYCLES_HEADER`, then one line per (timestep, report) row, all
-    formatted in one pass from each report's `CycleReport.row`."""
-    vals = [v for t, rep in rows for v in (t, *rep.row(), rep.model)]
-    line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + "%s\n"
-    text = CYCLES_HEADER + "\n" + line * len(rows) % tuple(vals)
-    _write_file(path, text.encode())
+CYCLES_CHUNK = 4096  # steps formatted per % pass
+
+
+def save_cycles(path: str, cycles) -> None:
+    """`CYCLES_HEADER`, then one line per step of `cycles`, a (steps, 2, 5)
+    int array or `run`'s `CycleRows`: the step, its ten phase counts, its
+    two `cycle_totals` and the model. The lines are formatted
+    `CYCLES_CHUNK` steps per % pass, so no tuple of every field is built."""
+    cycles = np.asarray(cycles, dtype=np.int64).reshape(-1, 2, 5)
+    line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + CycleReport.model + "\n"
+    parts = [CYCLES_HEADER.encode() + b"\n"]
+    for t0 in range(0, len(cycles), CYCLES_CHUNK):
+        chunk = cycles[t0 : t0 + CYCLES_CHUNK]
+        fields = np.column_stack((np.arange(t0, t0 + len(chunk)), chunk.reshape(-1, 10),
+                                  cycle_totals(chunk)))
+        parts.append((line * len(chunk) % tuple(fields.ravel().tolist())).encode())
+    _write_file(path, b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +830,12 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
             ext[:, noise_col] += draws
         if trace is not None:
             lo, hi = trace_t.searchsorted((t0, t0 + k))
-            if hi > lo:
+            if hi > lo:  # flat indices into the C-ordered ext and counts
                 rows = trace_t[lo:hi] - t0
-                np.add.at(ext, (rows, trace_col[lo:hi]), trace_value[lo:hi])
-                np.add.at(counts, (rows, trace_npu[lo:hi]), 1)
+                np.add.at(counts.reshape(-1), 2 * rows + trace_npu[lo:hi], 1)
+                rows *= len(dc)
+                rows += trace_col[lo:hi]
+                np.add.at(ext.reshape(-1), rows, trace_value[lo:hi])
         return ext, counts
 
     return inputs
@@ -842,20 +877,45 @@ def raster_records(t0: int, spikes: np.ndarray, t1: int) -> np.ndarray:
     return np.column_stack((ts + t0, npu2 + 1, idx - t1 * npu2))
 
 
+class CycleRows(Sequence):
+    """The per-step cycles of a run: a view of `cycles`, one read-only
+    (steps, 2, 5) int64 array, whose item t is (t, the CycleReport of step
+    t). A report is built only for an item that is read, and numpy reads
+    the view as `cycles`."""
+
+    def __init__(self, cycles: np.ndarray):
+        self.cycles = cycles
+
+    def __len__(self) -> int:
+        return len(self.cycles)
+
+    def __getitem__(self, i) -> tuple[int, CycleReport]:
+        t = range(len(self.cycles))[operator.index(i)]
+        return t, CycleReport.of(self.cycles[t].tolist())
+
+    def __iter__(self):
+        return ((t, CycleReport.of(c)) for t, c in enumerate(self.cycles.tolist()))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.cycles, dtype=dtype, copy=copy)
+
+
 def run(
     desc: NetworkDescription,
     stimulus: StimulusTrace | None,
     steps: int,
     seed: int = 0,
-) -> tuple[np.ndarray, list[tuple[int, CycleReport]], CycleReport]:
+) -> tuple[np.ndarray, CycleRows, CycleReport]:
     """Execute `steps` timesteps; returns (the (n, 3) raster records in
-    (t, npu, addr) order, per-step cycle rows, aggregate report). Only
+    (t, npu, addr) order, the per-step `CycleRows`, aggregate report). Only
     declared noise generators consume the seed."""
     raster = [np.empty((0, 3), dtype=np.int64)]
-    cycle_rows: list[tuple[int, CycleReport]] = []
-    total = np.zeros((2, 5), dtype=np.int64)
-    for t0, spikes, cycles in simulate(desc, stimulus, steps, seed):
+    # Filled a block at a time: blocks kept for one concatenate fragment
+    # the heap, and raised a 100k-step run's peak RSS by 8 MiB.
+    cycles = np.empty((max(steps, 0), 2, 5), dtype=np.int64)
+    for t0, spikes, block in simulate(desc, stimulus, steps, seed):
         raster.append(raster_records(t0, spikes, desc.npu1.total_neurons))
-        cycle_rows += [(t0 + i, CycleReport.of(c)) for i, c in enumerate(cycles.tolist())]
-        total += cycles.sum(axis=0)
-    return np.concatenate(raster), cycle_rows, CycleReport.of(total.tolist(), steps)
+        cycles[t0 : t0 + len(block)] = block
+    cycles.setflags(write=False)
+    return (np.concatenate(raster), CycleRows(cycles),
+            CycleReport.of(cycles.sum(axis=0).tolist(), steps))

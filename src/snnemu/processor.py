@@ -38,6 +38,14 @@ DEFAULT_CLOCK_HZ = 100_000_000
 _PHASES = operator.attrgetter(*(f.name for f in fields(PhaseCycles)))
 
 
+def cycle_totals(cycles: np.ndarray) -> np.ndarray:
+    """The (..., 2) `total_parallel` and `total_serial` of (..., 2, 5)
+    cycles, per NPU and phase: the NPUs run simultaneously, so the slower
+    one bounds the timestep, and the serial total is their sum."""
+    sums = cycles.sum(axis=-1)
+    return np.stack((sums.max(axis=-1), sums.sum(axis=-1)), axis=-1)
+
+
 @dataclass
 class CycleReport:
     """Per-NPU, per-phase clock-cycle tallies for one or more timesteps."""
@@ -57,11 +65,9 @@ class CycleReport:
 
     def row(self) -> tuple[int, ...]:
         """NPU1's five phase counts and NPU2's, in `PhaseCycles` field
-        order, then `total_parallel` and `total_serial`: the NPUs run
-        simultaneously, so the slower one bounds the timestep, and the
-        serial total is their sum."""
-        a, b = self.npu1.total, self.npu2.total
-        return (*_PHASES(self.npu1), *_PHASES(self.npu2), max(a, b), a + b)
+        order, then `total_parallel` and `total_serial` (`cycle_totals`)."""
+        phases = [_PHASES(self.npu1), _PHASES(self.npu2)]
+        return (*phases[0], *phases[1], *cycle_totals(np.array(phases)).tolist())
 
     @classmethod
     def of(cls, phases, timesteps: int = 1) -> "CycleReport":

@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ class TestErrorContract:
     @staticmethod
     def replace_key(config_path, key, text):
         """Replace the lines of the top-level `key` of the config with `text`."""
-        lines = open(config_path).read().splitlines(keepends=True)
+        lines = Path(config_path).read_text().splitlines(keepends=True)
         start = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
         end = next((i for i in range(start + 1, len(lines))
                     if not lines[i].startswith(" ")), len(lines))
@@ -304,7 +305,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("chop", ["[a, b]", "4", "[0.5, 0.5]"])
     def test_non_integer_chop(self, config_path, capsys, chop):
-        text = open(config_path).read()
+        text = Path(config_path).read_text()
         with open(config_path, "w") as f:
             f.write(text.replace("npu2:\n", f"npu2:\n  chop: {chop}\n"))
         assert self.inspect(config_path) == 2
@@ -504,7 +505,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("clock_hz", [0, -5])
     def test_clock_below_one(self, config_path, tmp_path, capsys, clock_hz):
-        text = open(config_path).read()
+        text = Path(config_path).read_text()
         with open(config_path, "w") as f:
             f.write(text.replace("clock_hz: 100000000", f"clock_hz: {clock_hz}"))
         assert main(["run", "--config", config_path, "--steps", "5",
@@ -559,7 +560,7 @@ class TestErrorContract:
         StimulusTrace(records=[(0, 1, 0, 5)]).save(str(stim))
         path = {"config": config_path, "stimulus": stim, "puzzle": tmp_path / "p.txt"}[kind]
         text = {"puzzle": b"1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n"}.get(kind)
-        text = text or open(path, "rb").read()
+        text = text or Path(path).read_bytes()
         with open(path, "wb") as f:
             f.write(text + b"# caf\xe9\n")
         argv = {"config": ["inspect", "--config", config_path],

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 import zlib
 from unittest import mock
@@ -26,6 +27,7 @@ from snnemu import netio, synapse
 from snnemu.apps import build_avoidance_network
 from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
+from snnemu.processor import CycleReport
 from snnemu.netio import (
     WEIGHT_MAGIC,
     ConfigError,
@@ -33,6 +35,7 @@ from snnemu.netio import (
     NetworkDescription,
     NoiseDraws,
     NoiseSource,
+    StimulusError,
     StimulusTrace,
     load_weight_image,
     run,
@@ -61,8 +64,11 @@ def minimal_desc(n1=1, n2=1, **kwargs):
 
 def load_raster(path: str) -> np.ndarray:
     """A raster file's records, (n, 3) int64 in file order."""
-    return np.asarray(netio._read_rows(path, netio.RASTER_HEADER, "raster"),
-                      dtype=np.int64).reshape(-1, 3)
+    with open(path) as f:
+        assert f.readline() == netio.RASTER_HEADER + "\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when there are no rows
+            return np.loadtxt(f, dtype=np.int64, delimiter=",", ndmin=2).reshape(-1, 3)
 
 
 def desc_equal(a, b):
@@ -311,6 +317,70 @@ class TestNetworkDescription:
                                 NoiseSource(npu=1, addrs=[1, 9, -1, 12], low=0, high=1)])
 
 
+# Per column (timestep, npu, neuron, value): values at and next to each
+# bound, the int64 extremes, and values past 64 bits.
+RECORD_EDGES = [
+    [-1, 0, 1, 2**63 - 1, -2**63, 2**63, 2**64, -2**63 - 1],
+    [0, 1, 2, 3, 2**63 - 1, -2**63, 2**64, -2**63 - 1],
+    [-1, 0, 128, 129, 2**63 - 1, -2**63, 10**30, -2**70],
+    [-129, -128, 127, 128, 2**63 - 1, -2**63, 2**63, -2**63 - 1],
+]
+
+
+def first_bad_record(records):
+    """Reference check of stimulus records, one record and one rule at a
+    time on Python ints: the first bad record's (index, message), or None."""
+    last = 0
+    for i, (t, npu, addr, value) in enumerate(records):
+        for bad, msg in ((t < last, "timesteps must be non-negative and non-decreasing"),
+                         (t >= 2**63, f"timestep {t} does not fit 64 bits"),
+                         (not 0 <= addr <= 128, f"neuron address must be 0..128, got {addr}"),
+                         (npu not in (1, 2), f"npu must be 1 or 2, got {npu}"),
+                         (not -128 <= value <= 127, "value must fit signed 8-bit")):
+            if bad:
+                return i, msg
+        last = t
+    return None
+
+
+@st.composite
+def record_lists(draw):
+    """Valid records in timestep order, with up to two fields set to a
+    `RECORD_EDGES` value, and maybe a timestep that decreases in the first
+    or the last pair."""
+    n = draw(st.integers(0, 10))
+    records = [[t, draw(st.sampled_from([1, 2])), draw(st.integers(0, 128)),
+                draw(st.integers(-128, 127))]
+               for t in sorted(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))]
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            col = draw(st.integers(0, 3))
+            records[draw(st.integers(0, n - 1))][col] = draw(st.sampled_from(RECORD_EDGES[col]))
+    if n >= 2 and draw(st.booleans()):
+        i = draw(st.sampled_from([0, n - 2]))
+        records[i][0], records[i + 1][0] = 7, 6
+    return records
+
+
+def assert_checks_match_reference(records, chunk):
+    """`StimulusTrace(records)`, checked `chunk` records at a time, accepts
+    exactly what `first_bad_record` accepts, without searching record by
+    record, and rejects anything else with its first bad record and
+    message."""
+    want = first_bad_record(records)
+    with mock.patch.object(netio, "CHECK_CHUNK", chunk), \
+            mock.patch.object(netio, "_check_each_record",
+                              wraps=netio._check_each_record) as search:
+        try:
+            got = StimulusTrace(records=records).records
+        except StimulusError as e:
+            assert want is not None and str(e) == f"record {want[0]}: {want[1]}"
+        else:
+            assert want is None, f"accepted, but record {want[0]}: {want[1]}"
+            assert not search.called
+            assert got.dtype == np.int64 and got.reshape(-1, 4).tolist() == records
+
+
 class TestStimulusTrace:
     def test_round_trip(self, tmp_path):
         trace = StimulusTrace(records=[(0, 1, 0, 10), (0, 2, 1, -5), (3, 1, 1, 127)])
@@ -359,6 +429,26 @@ class TestStimulusTrace:
             trace = StimulusTrace.load(str(path))
         assert trace.records is parsed[0]
         assert trace.records.tolist() == [[0, 1, 0, 10], [3, 2, 1, -5]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=record_lists(), chunk=st.sampled_from([1, 2, 3, netio.CHECK_CHUNK]))
+    def test_checks_match_per_record_reference(self, records, chunk):
+        """The column reductions accept exactly the int64 records that the
+        per-record reference accepts, whatever the chunk, without searching
+        them; any other trace, records past 64 bits included, is rejected
+        with the reference's first bad record and message."""
+        assert_checks_match_reference(records, chunk)
+
+    @pytest.mark.parametrize("col, value", [(col, value) for col, values in
+                                            enumerate(RECORD_EDGES) for value in values])
+    @pytest.mark.parametrize("chunk", [2, netio.CHECK_CHUNK])
+    def test_each_edge_alone_matches_per_record_reference(self, col, value, chunk):
+        """Each `RECORD_EDGES` value as the one field that differs from a
+        valid trace, in its first, a middle and its last record."""
+        for i in range(3):
+            records = [[t, 1 + t % 2, t, t - 2] for t in range(3)]
+            records[i][col] = value
+            assert_checks_match_reference(records, chunk)
 
 
 def per_line_load(path):
@@ -649,7 +739,8 @@ class TestOutputFiles:
 class TestRun:
     def test_zero_steps(self):
         raster, rows, agg = run(minimal_desc(), None, steps=0, seed=1)
-        assert raster.shape == (0, 3) and rows == [] and agg.timesteps == 0
+        assert raster.shape == (0, 3) and agg.timesteps == 0
+        assert len(rows) == 0 and rows.cycles.shape == (0, 2, 5)
 
     def test_deterministic_same_seed(self, tmp_path):
         desc = minimal_desc(n2=4, noise=[NoiseSource(npu=2, addrs=[0, 1, 2], low=0, high=40)])
@@ -750,7 +841,55 @@ class TestRun:
         want = run(minimal_desc(n2=4, dc=desc.dc, noise=without), None, 40, 7)
         raster, rows, agg = run(desc, None, 40, 7)
         assert len(raster) and np.array_equal(raster, want[0])
-        assert rows == want[1] and agg == want[2]
+        assert np.array_equal(rows.cycles, want[1].cycles) and agg == want[2]
+
+
+class TestCycleRows:
+    def test_view_over_blocks(self):
+        """`run`'s rows over more than two blocks: `len`, indexing from
+        either end and iteration give each step and `CycleReport.of` its
+        row of `cycles`, which is read-only and holds every block's cycles
+        from `simulate`."""
+        steps = 2 * netio.BLOCK + 5
+        desc = noisy_desc(0)
+        _, rows, agg = run(desc, None, steps, 3)
+        want = np.concatenate([cycles for *_, cycles in simulate(desc, None, steps, 3)])
+        assert len(rows) == steps and np.array_equal(rows.cycles, want)
+        reports = [(t, CycleReport.of(c)) for t, c in enumerate(want.tolist())]
+        assert list(rows) == reports
+        assert [rows[t] for t in range(steps)] == reports
+        assert [rows[t - steps] for t in range(steps)] == reports
+        for t in (steps, -steps - 1):
+            with pytest.raises(IndexError):
+                rows[t]
+        with pytest.raises(ValueError, match="read-only"):
+            rows.cycles[-1, 1, 2] = 0
+        assert agg == CycleReport.of(want.sum(axis=0).tolist(), steps)
+
+    def test_save_cycles_peak_memory(self, tmp_path):
+        """`save_cycles` formats in chunks: its traced peak is at most 2.5
+        times the bytes it writes (2.1 here), where one % pass over a tuple
+        of every field peaks at 8.1 times. Both ratios are the same at 600k
+        steps, which tracemalloc takes ten times as long to format."""
+        rng = np.random.default_rng(5)
+        cycles = np.empty((60_000, 2, 5), dtype=np.int64)
+        cycles[:] = [[0, 17, 0, 33, 33], [0, 82, 0, 129, 129]]
+        cycles[:, :, 0] = rng.integers(0, 40, size=(len(cycles), 2))
+        cycles[:, :, 2] = rng.integers(0, 300, size=(len(cycles), 2))
+        path = tmp_path / "cycles.csv"
+        tracemalloc.start()
+        try:
+            save_cycles(str(path), cycles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f} times the {size} bytes written"
+        with open(path) as f:
+            assert f.readline() == netio.CYCLES_HEADER + "\n"
+            row = [0, *cycles[0].ravel().tolist()]
+            row += [max(sum(row[1:6]), sum(row[6:11])), sum(row[1:11])]
+            assert f.readline() == ",".join(map(str, row)) + ",sequential\n"
 
 
 def noisy_desc(seed):
@@ -920,7 +1059,7 @@ class TestChipCache:
             raster, rows, agg = run(descs[k], None, steps, seed)
             want_raster, want_rows, want_agg = run(equal_copy(descs[k]), None, steps, seed)
             assert np.array_equal(raster, want_raster)
-            assert rows == want_rows and agg == want_agg
+            assert np.array_equal(rows.cycles, want_rows.cycles) and agg == want_agg
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 3), st.one_of(
@@ -959,7 +1098,7 @@ class TestChipCache:
                 raster, rows, agg = run(desc, None, 30, seed)
                 want_raster, want_rows, want_agg = run(equal_copy(desc), None, 30, seed)
                 assert raster.tobytes() == want_raster.tobytes()
-                assert rows == want_rows and agg == want_agg
+                assert np.array_equal(rows.cycles, want_rows.cycles) and agg == want_agg
 
 
 class TestLcg:

@@ -597,3 +597,34 @@ def test_pinned_noise_scatter(tmp_path, case):
     assert len(want_raster) > steps, "the case should spike on most steps"
     digests = [hashlib.sha256(data).hexdigest() for data in files]
     assert digests == list(NOISE_CASES[case][1:])
+
+
+# Trace records on the first and last step of each block, on both NPUs:
+# seven on one (t, npu, addr), two more on another, and one address taken
+# on both NPUs. The sha256 digests of raster.csv and cycles.csv were
+# recorded from the run that scattered a block's records with a 2-D
+# np.add.at over (step, neuron) and (step, npu).
+TRACE_SCATTER_DIGESTS = (
+    "06bc3c1aefeeda4e1249f621a20237e0f3a6a7274c7002c5369731225b7f9f78",
+    "e2fafa23b7cd761aa8c56e04e3d909179c5ea52a5a4178c6dd8760d6b2002d11",
+)
+
+
+def test_pinned_trace_scatter(tmp_path):
+    """A block's trace records are summed per step and neuron, repeats
+    included, as the scalar reference adds them one at a time, over three
+    blocks (the last one short), and the files equal the pinned bytes."""
+    steps = 2 * BLOCK + 5
+    desc, ref = _desc_and_reference(np.random.default_rng(2022), 8, 16, "auto")
+    records = []
+    for t in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK, steps - 1):
+        records += [(t, 1, 3, 90)] * 7 + [(t, 2, 16, 60), (t, 1, 5, -100), (t, 2, 5, 33)] * 2
+    result = run(desc, StimulusTrace(records=records), steps, seed=12345)
+    want_raster, counts, _ = reference_run(ref, desc, records, steps, 12345)
+    assert result[0].tolist() == want_raster
+    assert result[1].cycles.reshape(steps, 10).tolist() == counts
+    save_raster(str(tmp_path / "raster.csv"), result[0])
+    save_cycles(str(tmp_path / "cycles.csv"), result[1])
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("raster.csv", "cycles.csv")]
+    assert digests == list(TRACE_SCATTER_DIGESTS)
