@@ -67,8 +67,8 @@ class SudokuPuzzle:
 
     def __post_init__(self):
         """Check the clues against the network's own rule, `conflict_matrix`:
-        a cell given two digits is reported at its first repeat, else the
-        first pair in clue order that repeats a digit in a unit."""
+        a cell given two digits is reported at its second clue, else the
+        first pair in clue order that gives a unit one digit twice."""
         n = self.n
         check_side(n)
         for r, c, d in self.clues:
@@ -79,9 +79,9 @@ class SudokuPuzzle:
         if not pairs.any():
             return
         cell = idx // n
-        repeats = np.tril(pairs & (cell[:, None] == cell)).any(axis=1)
-        if repeats.any():
-            r, c, _ = self.clues[repeats.argmax()]
+        twice = np.tril(pairs & (cell[:, None] == cell)).any(axis=1)
+        if twice.any():
+            r, c, _ = self.clues[twice.argmax()]
             raise PuzzleError(f"conflicting clues at cell {(r, c)}")
         i, j = np.argwhere(pairs & (cell[:, None] < cell))[0]
         (r1, c1, d1), (r2, c2, _) = self.clues[i], self.clues[j]
@@ -326,7 +326,7 @@ def solve_sudoku(puzzle: SudokuPuzzle, seed: int = 0, max_steps: int = 100_000) 
         if verify_sudoku(decoded, puzzle):
             steps, grid = t0 + CHECK_EVERY, decoded
             break
-    report = CycleReport.of(total.tolist(), steps)
+    report = CycleReport.of(total, steps)
     return SudokuResult(grid is not None, steps, grid, report, np.concatenate(raster))
 
 
@@ -417,4 +417,4 @@ def avoid(
         counts = spikes[:, :N_DIRECTIONS].reshape(-1, window_steps, N_DIRECTIONS).sum(axis=1)
         decisions += [decide_counts(c, (t, t + window_steps))
                       for t, c in zip(range(t0, steps, window_steps), counts.tolist())]
-    return decisions, CycleReport.of(total.tolist(), steps)
+    return decisions, CycleReport.of(total, steps)

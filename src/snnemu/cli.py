@@ -131,7 +131,8 @@ def _range_error(args) -> str | None:
 
 # The category of each typed error, first match; other errors name their class.
 _CATEGORIES = ((ConfigError, "config"), (StimulusError, "stimulus"), (OSError, "io"),
-               (apps.PuzzleError, "puzzle"), (apps.NoDecisionError, "decode"))
+               (apps.PuzzleError, "puzzle"), (apps.NoDecisionError, "decode"),
+               (MemoryError, "memory"))
 
 
 def main(argv=None) -> int:
@@ -142,7 +143,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError) as e:
+    except (ValueError, IndexError, OSError, MemoryError) as e:
         category = next((c for cls, c in _CATEGORIES if isinstance(e, cls)), type(e).__name__)
         print(f"error: {category}: {e}", file=sys.stderr)
         return 2

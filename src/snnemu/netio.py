@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .neuron import NeuronParams
-from .npu import ConfigError, GlobalNeuronConfig, NpuConfig
+from .npu import ConfigError, GlobalNeuronConfig, NpuConfig, PhaseCycles
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip, cycle_totals
 from .synapse import WeightMemory
 
@@ -567,7 +567,8 @@ class StimulusTrace:
         self.records = _checked_records(rec)
 
     def save(self, path: str) -> None:
-        _write_rows(path, STIMULUS_HEADER, self.records)
+        rec = self.records
+        _write_lines(path, STIMULUS_HEADER, "%d,%d,%d,%d\n", len(rec), lambda lo, hi: rec[lo:hi])
 
     @classmethod
     def load(cls, path: str) -> "StimulusTrace":
@@ -629,14 +630,9 @@ def _check_each_record(rec: np.ndarray) -> None:
 
 STIMULUS_HEADER = "timestep,npu,neuron,value"
 RASTER_HEADER = "timestep,npu,neuron"
-CYCLES_FIELDS = ["external", "scan", "mac", "decay", "pde"]
-CYCLES_HEADER = (
-    "timestep,"
-    + ",".join(f"npu1_{f}" for f in CYCLES_FIELDS)
-    + ","
-    + ",".join(f"npu2_{f}" for f in CYCLES_FIELDS)
-    + ",total_parallel,total_serial,model"
-)
+CYCLES_FIELDS = PhaseCycles._fields
+CYCLES_HEADER = ",".join(["timestep", *(f"npu{k}_{f}" for k in (1, 2) for f in CYCLES_FIELDS),
+                          "total_parallel", "total_serial", "model"])
 
 
 PARSE_CHUNK = 1 << 16  # characters of whole lines split at a time
@@ -696,13 +692,6 @@ def _read_rows(path: str) -> np.ndarray | list[list[int]]:
     return rows
 
 
-def _write_rows(path: str, header: str, rows: np.ndarray) -> None:
-    """`header`, then one comma-separated line per row of an int array."""
-    line = ",".join(["%d"] * (header.count(",") + 1)) + "\n"
-    text = header + "\n" + line * len(rows) % tuple(rows.ravel().tolist())
-    _write_file(path, text.encode())
-
-
 def _sorted_rows(rows: np.ndarray) -> bool:
     """Whether the rows of an int array are in lexicographic order. Adjacent
     rows are compared column by column, last column first, without
@@ -756,23 +745,33 @@ def save_raster(path: str, records: np.ndarray) -> None:
     _write_file(path, b"".join(parts))
 
 
-CYCLES_CHUNK = 4096  # steps formatted per % pass
+WRITE_CHUNK = 4096  # lines formatted per % pass
+
+
+def _write_lines(path: str, header: str, line: str, n: int, fields) -> None:
+    """Write `header`, then `n` lines of the format `line`: `fields(lo,
+    hi)` gives lines lo..hi-1 as a 2-D int array, one row per line, and
+    `WRITE_CHUNK` lines are formatted per % pass, so no tuple of every
+    field is built."""
+    parts = [header.encode() + b"\n"]
+    for lo in range(0, n, WRITE_CHUNK):
+        block = fields(lo, min(lo + WRITE_CHUNK, n))
+        parts.append((line * len(block) % tuple(block.ravel().tolist())).encode())
+    _write_file(path, b"".join(parts))
 
 
 def save_cycles(path: str, cycles) -> None:
     """`CYCLES_HEADER`, then one line per step of `cycles`, a (steps, 2, 5)
     int array or `run`'s `CycleRows`: the step, its ten phase counts, its
-    two `cycle_totals` and the model. The lines are formatted
-    `CYCLES_CHUNK` steps per % pass, so no tuple of every field is built."""
+    two `cycle_totals` and the model."""
     cycles = np.asarray(cycles, dtype=np.int64).reshape(-1, 2, 5)
+
+    def fields(lo: int, hi: int) -> np.ndarray:
+        chunk = cycles[lo:hi]
+        return np.column_stack((np.arange(lo, hi), chunk.reshape(-1, 10), cycle_totals(chunk)))
+
     line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + CycleReport.model + "\n"
-    parts = [CYCLES_HEADER.encode() + b"\n"]
-    for t0 in range(0, len(cycles), CYCLES_CHUNK):
-        chunk = cycles[t0 : t0 + CYCLES_CHUNK]
-        fields = np.column_stack((np.arange(t0, t0 + len(chunk)), chunk.reshape(-1, 10),
-                                  cycle_totals(chunk)))
-        parts.append((line * len(chunk) % tuple(fields.ravel().tolist())).encode())
-    _write_file(path, b"".join(parts))
+    _write_lines(path, CYCLES_HEADER, line, len(cycles), fields)
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +782,17 @@ def save_cycles(path: str, cycles) -> None:
 BLOCK = 64
 
 
-def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
+def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None, block: int):
     """A function from (t0, the (k, addresses) noise draws of steps
-    t0..t0+k-1) to the block's dense external input, (k, t1+t2) summed per
-    neuron of the chip, and its (k, 2) event counts per NPU: trace records,
-    DC sources and noise sources. Every address is checked here, before any
-    step runs. A block's draws are added with one fancy-index `+=`, or with
-    `np.add.at` when a column is listed again (an address twice in a
-    source, or sources that overlap). A part that a run does not have
-    (trace records, noise) costs no numpy call per block."""
+    t0..t0+k-1, k <= `block`) to the block's dense external input,
+    (k, t1+t2) summed per neuron of the chip, and its (k, 2) event counts
+    per NPU: trace records, DC sources and noise sources. Every address is
+    checked here, before any step runs. Noise draws and trace records are
+    each added with one `np.add.at` on flat indices into the C-ordered
+    input, which sums an address listed twice, overlapping sources and
+    repeated records; the noise indices are built once, `block` steps
+    long, and a shorter block takes a prefix of them. A part that a run
+    does not have (trace records, noise) costs no numpy call per block."""
     desc.check_stimulus()
     t1 = desc.npu1.total_neurons
     offsets = (0, 0, t1)
@@ -800,11 +801,11 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
     for s in desc.dc:
         dc[offsets[s.npu] + s.addr] += s.value
         base[s.npu - 1] += 1
-    cols = [offsets[ns.npu] + a for ns in desc.noise for a in ns.addrs]
+    cols = np.array([offsets[ns.npu] + a for ns in desc.noise for a in ns.addrs], dtype=np.int64)
     for ns in desc.noise:
         base[ns.npu - 1] += len(ns.addrs)
-    noise_col = np.array(cols, dtype=np.int64)
-    repeats = len(set(cols)) < len(cols)
+    if cols.size:  # (block, addresses) flat indices, row-major as the draws
+        noise_at = (np.arange(block)[:, None] * len(dc) + cols).ravel()
 
     trace = stimulus.records if stimulus is not None and len(stimulus.records) else None
     if trace is not None:
@@ -824,10 +825,8 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None):
         ext[:] = dc
         counts = np.empty((k, 2), dtype=np.int64)
         counts[:] = base
-        if repeats:
-            np.add.at(ext, (slice(None), noise_col), draws)
-        elif cols:
-            ext[:, noise_col] += draws
+        if cols.size:
+            np.add.at(ext.reshape(-1), noise_at[: draws.size], draws.reshape(-1))
         if trace is not None:
             lo, hi = trace_t.searchsorted((t0, t0 + k))
             if hi > lo:  # flat indices into the C-ordered ext and counts
@@ -860,7 +859,7 @@ def simulate(
     if block < 1:
         raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
-    inputs = _compile_stimulus(desc, stimulus)
+    inputs = _compile_stimulus(desc, stimulus, min(block, steps))
     ranges = np.array([(ns.low, ns.high) for ns in desc.noise], dtype=np.int64).reshape(-1, 2)
     noise = NoiseDraws(seed, ranges.repeat([len(ns.addrs) for ns in desc.noise], axis=0))
     for t0 in range(0, steps, block):
@@ -891,10 +890,7 @@ class CycleRows(Sequence):
 
     def __getitem__(self, i) -> tuple[int, CycleReport]:
         t = range(len(self.cycles))[operator.index(i)]
-        return t, CycleReport.of(self.cycles[t].tolist())
-
-    def __iter__(self):
-        return ((t, CycleReport.of(c)) for t, c in enumerate(self.cycles.tolist()))
+        return t, CycleReport.of(self.cycles[t])
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.cycles, dtype=dtype, copy=copy)
@@ -918,4 +914,4 @@ def run(
         cycles[t0 : t0 + len(block)] = block
     cycles.setflags(write=False)
     return (np.concatenate(raster), CycleRows(cycles),
-            CycleReport.of(cycles.sum(axis=0).tolist(), steps))
+            CycleReport.of(cycles.sum(axis=0), steps))

@@ -7,6 +7,7 @@ half-hierarchy chop and its weight check, and per-phase cycle tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,9 +117,9 @@ def check_chop_weights(weights: np.ndarray, n_ff: int, n1: int, n2: int,
                                 f"has weight to target {tgt} (sub-population 1)")
 
 
-@dataclass
-class PhaseCycles:
-    """Clock cycles charged per timestep phase (sequential model)."""
+class PhaseCycles(NamedTuple):
+    """Clock cycles charged per timestep phase (sequential model). Its
+    `_fields` are the one list of the paper's phase names."""
 
     external: int = 0
     scan: int = 0
@@ -128,4 +129,4 @@ class PhaseCycles:
 
     @property
     def total(self) -> int:
-        return self.external + self.scan + self.mac + self.decay + self.pde
+        return sum(self)

@@ -20,8 +20,8 @@ total is the max of the two; the serial sum is reported alongside.
 from __future__ import annotations
 
 import copy
-import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -34,9 +34,6 @@ from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar,
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
-# A PhaseCycles' five counts, in field order.
-_PHASES = operator.attrgetter(*(f.name for f in fields(PhaseCycles)))
-
 
 def cycle_totals(cycles: np.ndarray) -> np.ndarray:
     """The (..., 2) `total_parallel` and `total_serial` of (..., 2, 5)
@@ -46,34 +43,35 @@ def cycle_totals(cycles: np.ndarray) -> np.ndarray:
     return np.stack((sums.max(axis=-1), sums.sum(axis=-1)), axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CycleReport:
     """Per-NPU, per-phase clock-cycle tallies for one or more timesteps."""
 
-    npu1: PhaseCycles = field(default_factory=PhaseCycles)
-    npu2: PhaseCycles = field(default_factory=PhaseCycles)
+    npu1: PhaseCycles = PhaseCycles()
+    npu2: PhaseCycles = PhaseCycles()
     timesteps: int = 0
     model: ClassVar[str] = "sequential"
 
+    @cached_property
+    def _totals(self) -> list[int]:
+        """`total_parallel` and `total_serial`, by `cycle_totals`."""
+        return cycle_totals(np.array((self.npu1, self.npu2))).tolist()
+
     @property
     def total_parallel(self) -> int:
-        return self.row()[10]
+        return self._totals[0]
 
     @property
     def total_serial(self) -> int:
-        return self.row()[11]
-
-    def row(self) -> tuple[int, ...]:
-        """NPU1's five phase counts and NPU2's, in `PhaseCycles` field
-        order, then `total_parallel` and `total_serial` (`cycle_totals`)."""
-        phases = [_PHASES(self.npu1), _PHASES(self.npu2)]
-        return (*phases[0], *phases[1], *cycle_totals(np.array(phases)).tolist())
+        return self._totals[1]
 
     @classmethod
-    def of(cls, phases, timesteps: int = 1) -> "CycleReport":
-        """The report of `phases`: per NPU, its five phase counts in
-        `PhaseCycles` field order, as one row of `Processor.cycles` lists."""
-        return cls(PhaseCycles(*phases[0]), PhaseCycles(*phases[1]), timesteps)
+    def of(cls, cycles, timesteps: int = 1) -> "CycleReport":
+        """The report of `cycles`, a (2, 5) int array such as one row of
+        `Processor.cycles`: per NPU, its phase counts in `PhaseCycles`
+        field order."""
+        npu1, npu2 = np.asarray(cycles).tolist()
+        return cls(PhaseCycles(*npu1), PhaseCycles(*npu2), timesteps)
 
     def timesteps_per_sec(self, clock_hz: int = DEFAULT_CLOCK_HZ) -> float:
         if self.total_parallel == 0:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -538,6 +539,37 @@ class TestErrorContract:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"error: config: {config_path}: nested too deeply\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "avoid.yaml", "--steps", "1000000000000", "--raster-out", "r.csv"],
+        ["avoid", "--stimulus", "stim.csv", "--window-steps", "100000000000"],
+    ])
+    def test_allocation_failure_is_memory_error(self, tmp_path, argv):
+        """A run whose arrays cannot be allocated exits 2 with one
+        `error: memory:` line and writes no file. The child's address space
+        is capped as the CI step caps it (`ulimit -v 3000000`), so the
+        allocation fails at once; uncapped, overcommit could let the run
+        start stepping."""
+        build_avoidance_network().save(str(tmp_path / "avoid.yaml"))
+        make_direction_stimulus(3, 100).save(str(tmp_path / "stim.csv"))
+        inputs = sorted(os.listdir(tmp_path))
+
+        def cap():
+            limit = 3_000_000 * 1024
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            if hard != resource.RLIM_INFINITY:
+                limit = min(limit, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(snnemu.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "snnemu.cli", *argv], cwd=tmp_path, preexec_fn=cap,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: memory: "), done.stderr
+        assert sorted(os.listdir(tmp_path)) == inputs
 
     @pytest.mark.parametrize("grid, n, detail", [
         ("1 0 0 0\n0 0 0 0\n0 0 0 0\n0 0 0 0\n", 3, "puzzle is 4x4, --n says 3"),

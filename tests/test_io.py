@@ -381,6 +381,20 @@ def assert_checks_match_reference(records, chunk):
             assert got.dtype == np.int64 and got.reshape(-1, 4).tolist() == records
 
 
+@st.composite
+def valid_traces(draw):
+    """A valid trace of 0, 1, `WRITE_CHUNK` or `WRITE_CHUNK` + 1 records,
+    or of up to 40: seeded random records whose timesteps start anywhere
+    in 0..2^63-1 and rise by 0 or 1, and whose other fields span their
+    ranges."""
+    n = draw(st.sampled_from([0, 1, netio.WRITE_CHUNK, netio.WRITE_CHUNK + 1])
+             | st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = draw(st.integers(0, 2**63 - 1 - n)) + np.cumsum(rng.integers(0, 2, n))
+    return np.column_stack((t, rng.integers(1, 3, n), rng.integers(0, 129, n),
+                            rng.integers(-128, 128, n)))
+
+
 class TestStimulusTrace:
     def test_round_trip(self, tmp_path):
         trace = StimulusTrace(records=[(0, 1, 0, 10), (0, 2, 1, -5), (3, 1, 1, 127)])
@@ -449,6 +463,36 @@ class TestStimulusTrace:
             records = [[t, 1 + t % 2, t, t - 2] for t in range(3)]
             records[i][col] = value
             assert_checks_match_reference(records, chunk)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=valid_traces())
+    def test_save_matches_per_field_reference(self, tmp_path_factory, records):
+        """`save` writes the header, then one `%d` per field of each
+        record, whatever the number of chunks."""
+        path = tmp_path_factory.mktemp("stim") / "stim.csv"
+        StimulusTrace(records=records).save(str(path))
+        want = "".join("%d,%d,%d,%d\n" % tuple(r) for r in records.tolist())
+        assert path.read_bytes() == (netio.STIMULUS_HEADER + "\n" + want).encode()
+
+    def test_save_peak_memory(self, tmp_path):
+        """`save` formats in chunks: saving 100k records peaks at no more
+        than 2.5 times the bytes written (2.0 here), where one % pass over
+        a tuple of every field peaked at 8.8 times."""
+        rng = np.random.default_rng(6)
+        n = 100_000
+        trace = StimulusTrace(records=np.column_stack((
+            np.arange(n) // 8, rng.integers(1, 3, n), rng.integers(0, 129, n),
+            rng.integers(-128, 128, n))))
+        path = tmp_path / "stim.csv"
+        tracemalloc.start()
+        try:
+            trace.save(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert peak <= 2.5 * size, f"peak {peak / size:.2f} times the {size} bytes written"
 
 
 def per_line_load(path):
@@ -775,7 +819,7 @@ class TestRun:
         outs = []
         for trace in (None, StimulusTrace(), StimulusTrace.load(str(path))):
             raster, rows, _ = run(desc, trace, steps=2 * netio.BLOCK + 5, seed=7)
-            outs.append((raster.tobytes(), [(t, rep.row()) for t, rep in rows]))
+            outs.append((raster.tobytes(), rows.cycles.tobytes()))
         assert set(raster[:, 1].tolist()) == {1, 2}
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
@@ -845,6 +889,20 @@ class TestRun:
 
 
 class TestCycleRows:
+    def test_noise_indices_sized_by_the_run(self):
+        """A 3-step noisy run in one block of 10^9 steps builds its flat
+        noise indices 3 steps long, not one block long: the traced peak
+        stays within a few MiB."""
+        desc = noisy_desc(0)
+        tracemalloc.start()
+        try:
+            blocks = list(simulate(desc, None, steps=3, block=10**9))
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert [(t0, len(spikes)) for t0, spikes, _ in blocks] == [(0, 3)]
+        assert peak <= 4, f"peak {peak:.1f} MiB"
+
     def test_view_over_blocks(self):
         """`run`'s rows over more than two blocks: `len`, indexing from
         either end and iteration give each step and `CycleReport.of` its

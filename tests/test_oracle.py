@@ -446,7 +446,7 @@ def test_gs_mode_moves_only_the_mac_cycles(seed, n1, n2, g_modes, steps):
     for (t, rep), (_, dense_rep) in zip(rows, dense_rows, strict=True):
         for unit, dense_unit in ((rep.npu1, dense_rep.npu1), (rep.npu2, dense_rep.npu2)):
             assert unit.mac <= dense_unit.mac, f"step {t}: mac"
-            assert dataclasses.replace(unit, mac=0) == dataclasses.replace(dense_unit, mac=0), (
+            assert unit._replace(mac=0) == dense_unit._replace(mac=0), (
                 f"step {t}: cycles other than mac"
             )
 
@@ -592,8 +592,7 @@ def test_pinned_noise_scatter(tmp_path, case):
     desc, ref, (raster, rows, _), files = _noise_case_files(case, tmp_path)
     want_raster, counts, _ = reference_run(ref, desc, [], steps, 12345)
     assert raster.tolist() == want_raster
-    assert [[*dataclasses.astuple(rep.npu1), *dataclasses.astuple(rep.npu2)]
-            for _, rep in rows] == counts
+    assert [[*rep.npu1, *rep.npu2] for _, rep in rows] == counts
     assert len(want_raster) > steps, "the case should spike on most steps"
     digests = [hashlib.sha256(data).hexdigest() for data in files]
     assert digests == list(NOISE_CASES[case][1:])

@@ -1,6 +1,5 @@
 """Two-NPU scheduler delay, analytics formulas, cycle report arithmetic."""
 
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import (
     CycleReport,
     Processor,
+    cycle_totals,
     hierarchy_op_reduction,
     synapse_count,
 )
@@ -225,7 +225,7 @@ class TestCycleReport:
     def test_totals_additive(self):
         proc = make_processor()
         per = [step(proc)[2] for _ in range(5)]
-        phases = np.sum([[astuple(r.npu1), astuple(r.npu2)] for r in per], axis=0)
+        phases = np.sum([[r.npu1, r.npu2] for r in per], axis=0)
         agg = CycleReport.of(phases.tolist(), 5)
         assert agg.npu1.total == sum(r.npu1.total for r in per)
         assert agg.total_serial == agg.npu1.total + agg.npu2.total
@@ -236,6 +236,23 @@ class TestCycleReport:
         _, _, rep = step(proc)
         assert rep.total_parallel == max(rep.npu1.total, rep.npu2.total)
         assert rep.npu2.total > rep.npu1.total
+
+    @settings(max_examples=200, deadline=None)
+    @given(cycles=st.lists(st.integers(-2**40, 2**40), min_size=10, max_size=10),
+           timesteps=st.integers(0, 10**6))
+    def test_of_an_array(self, cycles, timesteps):
+        """`of` reads a (2, 5) int64 array as it reads its lists: the same
+        report, of Python ints, with the totals of `cycle_totals`. The
+        report and its phase tuples cannot be assigned to."""
+        array = np.array(cycles, dtype=np.int64).reshape(2, 5)
+        rep = CycleReport.of(array, timesteps)
+        assert rep == CycleReport.of(array.tolist(), timesteps)
+        assert all(type(c) is int for c in (*rep.npu1, *rep.npu2, rep.total_parallel))
+        assert [rep.total_parallel, rep.total_serial] == cycle_totals(array).tolist()
+        with pytest.raises(AttributeError):
+            rep.npu1 = rep.npu2
+        with pytest.raises(AttributeError):
+            rep.npu1.mac = 0
 
     def test_model_flag(self):
         assert CycleReport().model == "sequential"
