@@ -13,12 +13,13 @@ reproducible across implementations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
+import re
 import stat
 import struct
-import warnings
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ import yaml
 from .neuron import NeuronParams
 from .npu import ConfigError, GlobalNeuronConfig, NpuConfig, PhaseCycles
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip, cycle_totals
-from .synapse import WeightMemory
+from .synapse import WeightMemory, check_weights, int_array
 
 WEIGHT_MAGIC = b"SNNW"
 WEIGHT_VERSION = 1
@@ -361,9 +362,22 @@ class NetworkDescription:
     _chip = (None, None)  # the key of the kept chip's inputs, and the chip
 
     def __post_init__(self):
-        self.weights1 = np.asarray(self.weights1, dtype=np.int64)
-        self.weights2 = np.asarray(self.weights2, dtype=np.int64)
+        self.weights1, self.weights2 = self._matrices()
         self._check()
+
+    def _matrices(self) -> list[np.ndarray]:
+        """Both weight matrices as int64, each the same array when it is
+        int64, their integers taken at their values (`int_array`). A
+        weight that is not an integer, or that is past int64 and so out of
+        range, raises a ConfigError at weights.npu1 or weights.npu2."""
+        out = []
+        for k, w in ((1, self.weights1), (2, self.weights2)):
+            error = functools.partial(ConfigError, f"weights.npu{k}")
+            w = int_array(w, error)
+            if w.dtype != np.int64:  # a weight past int64, out of range at its value
+                check_weights(w, error)
+            out.append(w)
+        return out
 
     def _check(self) -> None:
         """What construction, and so `load`, checks: the clock, the chip
@@ -391,7 +405,7 @@ class NetworkDescription:
         current configs, matrices and gs_mode, kept with their key (each
         matrix as its int64 shape and bytes) and compiled again only when
         the key differs."""
-        w1, w2 = (np.asarray(w, dtype=np.int64) for w in (self.weights1, self.weights2))
+        w1, w2 = self._matrices()
         key = (self.npu1, self.npu2, self.gs_mode, w1.shape, w1.tobytes(), w2.shape, w2.tobytes())
         if self._chip[0] != key:
             self._chip = key, Processor(self.npu1, w1, self.npu2, w2, self.gs_mode)
@@ -487,8 +501,7 @@ class NetworkDescription:
             doc["stimulus"] = stim
         text = yaml.dump(doc, Dumper=_Dumper, sort_keys=False).encode()
         save_weight_image(
-            os.path.join(os.path.dirname(path) or ".", weight_name),
-            [self.weights1, self.weights2],
+            os.path.join(os.path.dirname(path) or ".", weight_name), self._matrices()
         )
         _write_file(path, text)
 
@@ -554,17 +567,16 @@ class NetworkDescription:
 @dataclass(eq=False)
 class StimulusTrace:
     """Ordered external events, one (timestep, npu_id, neuron_addr, value)
-    row each of an (n, 4) int64 array. Any sequence of 4-tuples is
-    accepted and checked at once; the first bad record is reported."""
+    row each of an (n, 4) int64 array. Any sequence of 4-tuples of
+    integers, or integer array, is accepted and checked at once; the first
+    bad record is reported."""
 
     records: np.ndarray = field(default_factory=list)
 
     def __post_init__(self):
-        try:  # a copy, so the caller's list or array stays its own
-            rec = np.array(self.records, dtype=np.int64)
-        except OverflowError:  # every such record fails a check below
-            rec = np.array(self.records, dtype=object)
-        self.records = _checked_records(rec)
+        rec = _checked_records(_record_array(self.records))
+        # A copy, so the caller's array stays its own.
+        self.records = rec.copy() if rec is self.records else rec
 
     def save(self, path: str) -> None:
         rec = self.records
@@ -574,58 +586,54 @@ class StimulusTrace:
     def load(cls, path: str) -> "StimulusTrace":
         """The trace of a CSV file. A parsed int64 array is the trace's own
         and is checked where it stands, not copied."""
-        rows = _read_rows(path)
-        if isinstance(rows, list):
-            return cls(records=rows)
         trace = cls.__new__(cls)
-        trace.records = _checked_records(rows)
+        trace.records = _checked_records(_read_rows(path))
         return trace
 
 
+def _record_array(records) -> np.ndarray:
+    """`int_array` of stimulus records, raising a StimulusError."""
+    return int_array(records, lambda detail: StimulusError("records " + detail))
+
+
 CHECK_CHUNK = 1 << 16  # records checked per column copy
-# The least and the greatest value of each stimulus column.
-_RECORD_LOW = np.array([0, 1, 0, -128])
-_RECORD_HIGH = np.array([2**63 - 1, 2, MAX_ADDRESS, 127])
+# The bounds of a stimulus record, (column, least, greatest value, message),
+# in the order each record is checked after the order rule: no timestep is
+# below the one before it, nor the first below 0. A message formats the
+# record.
+_ORDER_MESSAGE = "timesteps must be non-negative and non-decreasing"
+_RECORD_BOUNDS = (
+    (0, 0, 2**63 - 1, "timestep {0} does not fit 64 bits"),
+    (2, 0, MAX_ADDRESS, f"neuron address must be 0..{MAX_ADDRESS}, got {{2}}"),
+    (1, 1, 2, "npu must be 1 or 2, got {1}"),
+    (3, -128, 127, "value must fit signed 8-bit"),
+)
+_RECORD_LOW, _RECORD_HIGH = np.array(sorted(b[:3] for b in _RECORD_BOUNDS)).T[1:]  # by column
 
 
 def _checked_records(rec: np.ndarray) -> np.ndarray:
-    """`rec` as (n, 4) int64 stimulus records, each checked; the first bad
-    record is reported. An int64 array is checked `CHECK_CHUNK` records at
-    a time by column reductions: each column within its bounds, timesteps
-    not decreasing. The chunk is copied column by column, since numpy
-    reduces rows of four slowly, and overlaps the next chunk by one record.
-    Only an array that fails them is searched record by record."""
+    """`rec`, (n, 4) integer records, as int64, each checked; the first bad
+    record and the first rule it breaks are reported. Each `CHECK_CHUNK`
+    records, copied column by column (numpy reduces rows of four slowly)
+    and overlapping the next chunk by one record, pass when each column's
+    min and max are within its bounds and no timestep drops. Only a chunk
+    that fails is searched, each rule a mask over its records."""
     rec = rec.reshape(-1, 4) if rec.size == 0 else rec
     if rec.shape[1:] != (4,):
         raise StimulusError("records must be (timestep, npu, neuron, value) rows")
-    if rec.dtype != np.int64:  # a value past 64 bits
-        _check_each_record(rec)
     for lo in range(0, len(rec), CHECK_CHUNK):
         cols = rec[lo : lo + CHECK_CHUNK + 1].T.copy()
-        if not ((cols.min(axis=1) >= _RECORD_LOW).all()
-                and (cols.max(axis=1) <= _RECORD_HIGH).all()
-                and (cols[0, 1:] >= cols[0, :-1]).all()):
-            _check_each_record(rec)
+        drop = cols[0, 1:] < cols[0, :-1]
+        if ((cols.min(axis=1) >= _RECORD_LOW).all() and (cols.max(axis=1) <= _RECORD_HIGH).all()
+                and not drop.any()):
+            continue
+        # The chunk's first record is record 0 or passed the last chunk's checks.
+        bad = [(np.concatenate(([cols[0, 0] < 0], drop)), _ORDER_MESSAGE)]
+        bad += [((cols[c] < least) | (cols[c] > most), m) for c, least, most, m in _RECORD_BOUNDS]
+        i = np.flatnonzero(np.any([b for b, _ in bad], axis=0))[0]
+        msg = next(m for b, m in bad if b[i])
+        raise StimulusError(f"record {lo + i}: " + msg.format(*cols[:, i].tolist()))
     return rec.astype(np.int64, copy=False)
-
-
-def _check_each_record(rec: np.ndarray) -> None:
-    """Raise a StimulusError naming the first bad record of the (n, 4)
-    records `rec`, if one is bad: the first record that fails a check, and
-    the first check that it fails."""
-    t, npu, addr, value = rec.T
-    checks = [  # in the order each record is checked; messages format the record
-        (t < np.concatenate(([0], t[:-1])), "timesteps must be non-negative and non-decreasing"),
-        (t >= 2**63, "timestep {0} does not fit 64 bits"),
-        ((addr < 0) | (addr > MAX_ADDRESS), f"neuron address must be 0..{MAX_ADDRESS}, got {{2}}"),
-        ((npu != 1) & (npu != 2), "npu must be 1 or 2, got {1}"),
-        ((value < -128) | (value > 127), "value must fit signed 8-bit"),
-    ]
-    bad = np.flatnonzero(np.any([c for c, _ in checks], axis=0))
-    if bad.size:
-        i = int(bad[0])
-        msg = next(m for c, m in checks if c[i])
-        raise StimulusError(f"record {i}: " + msg.format(*rec[i].tolist()))
 
 
 STIMULUS_HEADER = "timestep,npu,neuron,value"
@@ -636,6 +644,7 @@ CYCLES_HEADER = ",".join(["timestep", *(f"npu{k}_{f}" for k in (1, 2) for f in C
 
 
 PARSE_CHUNK = 1 << 16  # characters of whole lines split at a time
+_NON_SPACE = re.compile(r"\S")
 
 
 def _line_chunks(text: str, start: int):
@@ -649,12 +658,12 @@ def _line_chunks(text: str, start: int):
         start = end + 1
 
 
-def _read_rows(path: str) -> np.ndarray | list[list[int]]:
+def _read_rows(path: str) -> np.ndarray:
     """The stimulus rows of a CSV file led by `STIMULUS_HEADER`, blank lines
-    skipped: an (n, 4) int64 array parsed in one pass, else a per-line
-    `int()` parse (lists of Python ints) that names the first line it
-    rejects, as it does a byte that is not UTF-8, with a StimulusError.
-    Both take the lines a chunk at a time."""
+    skipped, as an array: int64 parsed in one pass, else a per-line `int()`
+    parse through `_record_array` that names the first line it rejects, as
+    it does a byte that is not UTF-8, with a StimulusError. Both take the
+    lines a chunk at a time."""
     text = read_text(path, lambda path, detail: StimulusError(f"{path}: {detail}"))
     first = text.find("\n")
     if first < 0:
@@ -665,16 +674,14 @@ def _read_rows(path: str) -> np.ndarray | list[list[int]]:
     def lines():
         return itertools.chain.from_iterable(_line_chunks(text, first + 1))
 
-    # numpy 2.4's int parser crashes on a digit then some non-BMP characters.
-    if text.isascii():
+    # numpy 2.4's int parser crashes on a digit then some non-BMP characters,
+    # and loadtxt warns on a body of whitespace alone, which holds no rows.
+    if text.isascii() and _NON_SPACE.search(text, first):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # loadtxt only warns when there are no rows
-                rows = np.loadtxt(lines(), dtype=np.int64, delimiter=",",
-                                  comments=None, ndmin=2)
+            rows = np.loadtxt(lines(), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
             if rows.shape[1] == 4:
                 return rows
-        except (ValueError, Warning):
+        except ValueError:
             pass
     rows = []
     for lineno, line in enumerate(lines(), start=2):
@@ -689,7 +696,7 @@ def _read_rows(path: str) -> np.ndarray | list[list[int]]:
             raise StimulusError(f"{path}: line {lineno}: expected four integers "
                                 f"{STIMULUS_HEADER}, got {_show(line)}")
         rows.append(row)
-    return rows
+    return _record_array(rows)
 
 
 def _sorted_rows(rows: np.ndarray) -> bool:
@@ -708,31 +715,23 @@ _ADDR_TEXT = np.array([b"%d,%d\n" % (npu, addr) for npu in (1, 2) for addr in ra
                       dtype=object)
 
 
-def _pair_texts(npu: np.ndarray, addr: np.ndarray) -> list[bytes]:
-    """The b"npu,addr\n" text of each (npu, addr) pair: `_ADDR_TEXT`'s
-    for a chip address, formatted with %d for any other int64 pair."""
-    key = npu - 1
-    # npu - 1 in 0..1 and addr in 0..MAX_ADDRESS, negatives read as unsigned.
-    other = np.flatnonzero((key.view(np.uint64) > 1) | (addr.view(np.uint64) > MAX_ADDRESS))
-    key *= _ADDRS
-    key += addr
-    key[other] = 0
-    texts = _ADDR_TEXT.take(key).tolist()
-    for i in other.tolist():
-        texts[i] = b"%d,%d\n" % (npu[i], addr[i])
-    return texts
-
-
 def save_raster(path: str, records: np.ndarray) -> None:
-    """Write (t, npu, addr) records in sorted order; `run` returns them
-    sorted, so they are sorted here only when they are not. Each
-    timestep's b"t," is formatted once and joined with its records'
-    `_pair_texts`, so the bytes are those of a %d per field."""
+    """Write (t, npu, addr) records in sorted order, the bytes of a %d per
+    field; `run` returns them sorted, so they are sorted here only when
+    not. If every record names a chip address, each timestep's b"t," is
+    formatted once and joined with its records' `_ADDR_TEXT`."""
     records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
     if not _sorted_rows(records):
         records = records[np.lexsort(records.T[::-1])]
-    t = records[:, 0]
-    texts = _pair_texts(records[:, 1], records[:, 2])
+    t, key, addr = records[:, 0], records[:, 1] - 1, records[:, 2]
+    # npu - 1 in 0..1 and addr in 0..MAX_ADDRESS, negatives read as unsigned.
+    if (key.view(np.uint64) > 1).any() or (addr.view(np.uint64) > MAX_ADDRESS).any():
+        _write_lines(path, RASTER_HEADER, "%d,%d,%d\n", len(records),
+                     lambda lo, hi: records[lo:hi])
+        return
+    key *= _ADDRS
+    key += addr
+    texts = _ADDR_TEXT.take(key).tolist()
     first = np.ones(len(t), dtype=bool)
     np.not_equal(t[1:], t[:-1], out=first[1:])
     starts = np.flatnonzero(first)

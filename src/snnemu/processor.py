@@ -104,8 +104,7 @@ class Processor:
     arrays, so one compile serves any number of runs.
     """
 
-    def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2,
-                 gs_mode: str = "dense"):
+    def __init__(self, npu1: NpuConfig, weights1, npu2: NpuConfig, weights2, gs_mode: str):
         check_chip(npu1, weights1, npu2, weights2, gs_mode)
         self.t1 = t1 = npu1.total_neurons
         self.n = t1 + npu2.total_neurons

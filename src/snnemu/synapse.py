@@ -36,15 +36,41 @@ def group_count(n_targets: int) -> int:
     return max(1, -(-n_targets // GROUP_SIZE))
 
 
-def check_weights(matrix) -> np.ndarray:
-    """`matrix` as a (sources, targets) int64 array of signed 4-bit weights."""
-    matrix = np.asarray(matrix, dtype=np.int64)
+def int_array(values, error) -> np.ndarray:
+    """`values` as an array of integers taken at their values: int64 (an
+    int64 array is returned itself), or an object array of Python ints
+    when one is past int64. An integer dtype decides for an array; a
+    sequence is checked element by element, since numpy reads True as 1
+    and 2^63 as a float. A bool, float, str or any other non-integer
+    raises error("must be integers, got <its type>")."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "iu":
+            raise error(f"must be integers, got {values.dtype}")
+        wide = values.dtype == np.uint64 and values.size and values.max() > 2**63 - 1
+        return values.astype(object if wide else np.int64, copy=False)
+    values = np.array(values, dtype=object)
+    bad = [k for k in set(map(type, values.flat))
+           if issubclass(k, bool) or not issubclass(k, (int, np.integer))]
+    if bad:
+        raise error("must be integers, got " + next(type(x).__name__ for x in values.flat
+                                                     if type(x) in bad))
+    try:
+        return values.astype(np.int64)
+    except OverflowError:
+        return values
+
+
+def check_weights(matrix, error=ValueError) -> np.ndarray:
+    """`matrix` as a (sources, targets) int64 array of signed 4-bit
+    weights, integers taken at their values (`int_array`); a bad one
+    raises error(detail)."""
+    matrix = int_array(matrix, lambda detail: error("weights " + detail))
     if matrix.ndim != 2:
-        raise ValueError("weight matrix must be 2-D")
+        raise error("weight matrix must be 2-D")
     # Two reductions pass a valid matrix; only a bad one is searched.
     if matrix.size and (matrix.min() < WEIGHT_MIN or matrix.max() > WEIGHT_MAX):
         r, c = np.argwhere((matrix < WEIGHT_MIN) | (matrix > WEIGHT_MAX))[0]
-        raise ValueError(f"weight out of range at row {r}, target {c}: {matrix[r, c]}")
+        raise error(f"weight out of range at row {r}, target {c}: {matrix[r, c]}")
     return matrix
 
 

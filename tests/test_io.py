@@ -297,6 +297,7 @@ class TestNetworkDescription:
         ("noise", [NoiseSource(npu=2, addrs=list(range(3, 9)), low=0, high=1)],
          "stimulus.noise[0].addrs[0]"),
         ("weights1", np.zeros((8, 8), dtype=np.int64), "weights.npu1"),
+        ("weights2", build_avoidance_network().weights2 + 0.5, "weights.npu2"),
         ("clock_hz", 0, "clock_hz"),
     ])
     def test_save_checks_what_load_checks(self, tmp_path, field, value, where):
@@ -362,22 +363,33 @@ def record_lists(draw):
     return records
 
 
+class WatchedBounds(tuple):
+    """`netio._RECORD_BOUNDS`, noting whether it was read: the column
+    reductions use the arrays built from it at import, so only the search
+    for a bad record reads the table itself."""
+
+    def __iter__(self):
+        self.searched = True
+        return super().__iter__()
+
+
 def assert_checks_match_reference(records, chunk):
     """`StimulusTrace(records)`, checked `chunk` records at a time, accepts
     exactly what `first_bad_record` accepts, without searching record by
     record, and rejects anything else with its first bad record and
     message."""
     want = first_bad_record(records)
+    bounds = WatchedBounds(netio._RECORD_BOUNDS)
+    bounds.searched = False
     with mock.patch.object(netio, "CHECK_CHUNK", chunk), \
-            mock.patch.object(netio, "_check_each_record",
-                              wraps=netio._check_each_record) as search:
+            mock.patch.object(netio, "_RECORD_BOUNDS", bounds):
         try:
             got = StimulusTrace(records=records).records
         except StimulusError as e:
             assert want is not None and str(e) == f"record {want[0]}: {want[1]}"
         else:
             assert want is None, f"accepted, but record {want[0]}: {want[1]}"
-            assert not search.called
+            assert not bounds.searched
             assert got.dtype == np.int64 and got.reshape(-1, 4).tolist() == records
 
 
@@ -621,11 +633,18 @@ class TestStimulusParse:
         "timestep,npu,neuron,value\n",
         "timestep,npu,neuron,value",
         "timestep,npu,neuron,value\r\n\r\n  \n",
+        "timestep,npu,neuron,value\n\n\n",
+        "timestep,npu,neuron,value\n \t \n  ",
+        "timestep,npu,neuron,value\n\x0c\n",
     ])
     def test_header_only(self, tmp_path, text):
+        """A body of blank lines, whitespace or nothing loads to no records,
+        and no warning escapes the parse."""
         path = tmp_path / "stim.csv"
         path.write_bytes(text.encode())
-        assert StimulusTrace.load(str(path)).records.shape == (0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert StimulusTrace.load(str(path)).records.shape == (0, 4)
 
     @pytest.mark.parametrize("row, record", [
         ("0,1,0,4 # x", None), ("0,1,0,4,", None), ("1_0,1,0,4", [10, 1, 0, 4]),
@@ -707,6 +726,26 @@ class TestRasterBytes:
         rows = sorted(rows) if presort else rows
         path = tmp_path_factory.mktemp("raster") / "raster.csv"
         save_raster(str(path), np.array(rows, dtype=np.int64).reshape(-1, 3))
+        assert path.read_bytes() == reference_raster(rows)
+
+    @pytest.mark.parametrize("pair", [(0, 5), (3, 5), (1, -1), (2, 129), (-2**63, 0),
+                                      (1, 2**63 - 1), (2**63 - 1, -2**63)])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("presort", [True, False])
+    def test_one_record_off_the_chip(self, tmp_path, pair, where, presort):
+        """One (npu, addr) pair that is no chip address (npu 0 or 3, addr
+        -1 or 129, int64 extremes) first, in the middle or last among chip
+        records, given sorted or not, sends the whole file through the
+        per-field format, with the same bytes."""
+        rows = [(1, 1, 0), (1, 2, 128), (2, 1, 7), (2, 2, 0), (3, 1, 32), (4, 2, 5)]
+        other = ((0, 2, 5)[where], *pair)
+        if presort:
+            rows = sorted(rows + [other])
+        else:
+            rows = rows[::-1]
+            rows.insert((0, 3, 6)[where], other)
+        path = tmp_path / "raster.csv"
+        save_raster(str(path), np.array(rows, dtype=np.int64))
         assert path.read_bytes() == reference_raster(rows)
 
     def test_long_raster_memory(self, tmp_path):
@@ -1157,6 +1196,97 @@ class TestChipCache:
                 want_raster, want_rows, want_agg = run(equal_copy(desc), None, 30, seed)
                 assert raster.tobytes() == want_raster.tobytes()
                 assert np.array_equal(rows.cycles, want_rows.cycles) and agg == want_agg
+
+
+def last_element(value):
+    """A maker that sets the last element of list rows to `value`."""
+    return lambda rows: [*rows[:-1], [*rows[-1][:-1], value]]
+
+
+# Records or weights that are not integers, as an array or as one element of
+# a list, made from valid rows: (maker, the type the message names).
+NOT_INTEGERS = [
+    (lambda rows: np.array(rows, dtype=float), "float64"),
+    (last_element(1.5), "float"),
+    (lambda rows: np.array(rows, dtype="<U3"), "<U3"),
+    (last_element("5"), "str"),
+    (lambda rows: np.array(rows, dtype=bool), "bool"),
+    (last_element(True), "bool"),
+    (last_element(np.float32(3)), "float32"),
+]
+
+
+class TestIntegerInputs:
+    """Stimulus records and weight matrices are integers taken at their
+    values: a float, str or bool, as an array or as one element, raises its
+    category, an unsigned value past int64 is checked as it is, and every
+    integer dtype gives what int64 gives."""
+
+    @pytest.mark.parametrize("make, got", NOT_INTEGERS)
+    def test_records_that_are_not_integers(self, make, got):
+        with pytest.raises(StimulusError, match="^" + re.escape(
+                f"records must be integers, got {got}") + "$"):
+            StimulusTrace(records=make([[0, 1, 0, 3], [0, 2, 1, 3]]))
+
+    @pytest.mark.parametrize("record, message", [
+        ([0, 1, 0, 2**64 - 1], "record 0: value must fit signed 8-bit"),
+        ([2**63, 1, 0, 3], "record 0: timestep 9223372036854775808 does not fit 64 bits"),
+        ([0, 2**64 - 1, 0, 3], "record 0: npu must be 1 or 2, got 18446744073709551615"),
+    ])
+    def test_unsigned_records_past_int64(self, record, message):
+        with pytest.raises(StimulusError, match="^" + re.escape(message) + "$"):
+            StimulusTrace(records=np.array([record], dtype=np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("make, got", NOT_INTEGERS)
+    def test_weights_that_are_not_integers(self, k, make, got):
+        """At construction, and at the compile after a reassignment."""
+        desc = minimal_desc()
+        bad = make(getattr(desc, f"weights{k}").tolist())
+        message = "^" + re.escape(f"weights.npu{k}: must be integers, got {got}") + "$"
+        with pytest.raises(ConfigError, match=message):
+            minimal_desc(**{f"weights{k}": bad})
+        setattr(desc, f"weights{k}", bad)
+        with pytest.raises(ConfigError, match=message):
+            desc.build_processor()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unsigned_weights_past_int64(self, k):
+        desc = minimal_desc()
+        w = getattr(desc, f"weights{k}").astype(np.uint64)
+        w[-1, 1] = 2**64 - 2
+        message = "^" + re.escape(
+            f"weights.npu{k}: weight out of range at row {len(w) - 1}, target 1: {2**64 - 2}") + "$"
+        with pytest.raises(ConfigError, match=message):
+            minimal_desc(**{f"weights{k}": w})
+        setattr(desc, f"weights{k}", w)
+        with pytest.raises(ConfigError, match=message):
+            desc.build_processor()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint64, list])
+    def test_every_integer_dtype_runs_as_int64(self, tmp_path, dtype):
+        """The same records, and the same raster and cycle bytes, as int64
+        records and weights hold (values that every dtype holds)."""
+        rng = np.random.default_rng(3)
+        cast = (lambda a: a.tolist()) if dtype is list else (lambda a: a.astype(dtype))
+        weights1 = rng.integers(0, 8, (4, 5))
+        weights2 = rng.integers(0, 8, (5 + 8, 9)) * (rng.random((13, 9)) < 0.3)
+        t = np.sort(rng.integers(0, 100, 60))
+        records = np.column_stack((t, rng.integers(1, 3, 60), rng.integers(0, 5, 60),
+                                   rng.integers(0, 128, 60)))
+        files = []
+        for conv in (lambda a: a, cast):
+            trace = StimulusTrace(records=conv(records))
+            assert trace.records.dtype == np.int64
+            assert trace.records.tolist() == records.tolist()
+            desc = minimal_desc(n1=4, n2=8, weights1=conv(weights1), weights2=conv(weights2))
+            raster, rows, _ = run(desc, trace, 100)
+            out = tmp_path / str(len(files))
+            out.mkdir()
+            save_raster(str(out / "raster.csv"), raster)
+            save_cycles(str(out / "cycles.csv"), rows)
+            files.append([(out / name).read_bytes() for name in ("raster.csv", "cycles.csv")])
+        assert len(raster) and files[0] == files[1]
 
 
 class TestLcg:

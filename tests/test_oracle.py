@@ -315,7 +315,7 @@ def test_full_chip_at_the_table_bounds(global2):
         y0.append(np.where(col == 0, -2048, np.where(col == 1, 2047, rng.integers(-2048, 2048, total))))
         bound = EXT_BOUND + 1 - np.arange(total) // 3 % 3  # beyond, at, one below
         ext.append(np.where(col == 0, bound, np.where(col == 1, -bound, 0)))
-    proc = Processor(*units)
+    proc = Processor(*units, "dense")
     assert np.abs(proc.crossbar.weights).sum(axis=0).max() == MAC_BOUND
     stimulus = []
     for npu, values in ((1, ext[0]), (2, ext[1])):

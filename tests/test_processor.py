@@ -70,7 +70,7 @@ def make_processor(n1=2, n2=4, ff=None, w2=None, decay_a=3):
         rows2[:t1, :] = ff
     if w2 is not None:
         rows2[t1:, :] = w2
-    return Processor(cfg1, np.zeros((n1, t1), dtype=int), cfg2, rows2)
+    return Processor(cfg1, np.zeros((n1, t1), dtype=int), cfg2, rows2, "dense")
 
 
 class TestScheduler:
@@ -132,8 +132,8 @@ class TestAssembly:
              r"weights\.npu2: shape \(8, 5\), expected \(7, 5\)"),
         ):
             with pytest.raises(ValueError, match=match):
-                Processor(*bad[0], *bad[1])
-        assert Processor(*npu1, *npu2).crossbar.weights.shape == (8, 8)
+                Processor(*bad[0], *bad[1], "dense")
+        assert Processor(*npu1, *npu2, "dense").crossbar.weights.shape == (8, 8)
 
     def test_distinct_neurons_cost_one_row_each(self):
         """A full chip whose 162 neurons each have their own parameter set
@@ -148,7 +148,7 @@ class TestAssembly:
         cfg2 = NpuConfig(max_neurons=128, active_neurons=128, params=params[33:161],
                          global_neuron=GlobalNeuronConfig(params=params[161]))
         proc = Processor(cfg1, np.zeros((32, 33), dtype=int), cfg2,
-                         np.zeros((33 + 128, 129), dtype=int))
+                         np.zeros((33 + 128, 129), dtype=int), "dense")
         vd = drift_table(tuple(params))
         width = int(vd.max()) - int(vd.min()) + 4096
         assert proc._step.size == 162 * width

@@ -2,6 +2,7 @@
 cost, the spike-stream scan charge, and decay."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,22 @@ class TestPacking:
         w[1, 0] = -100
         with pytest.raises(ValueError, match="^weight out of range at row 0, target 5: 8$"):
             check_weights(w)
+
+    @pytest.mark.parametrize("build", [check_weights, WeightMemory.from_matrix,
+                                       lambda w: Crossbar.compile(w, True)])
+    @pytest.mark.parametrize("matrix, message", [
+        (np.full((2, 8), 1.5), "weights must be integers, got float64"),
+        ([[0] * 7 + [True]], "weights must be integers, got bool"),
+        ([[0] * 7 + ["1"]], "weights must be integers, got str"),
+        (np.full((2, 8), "1"), "weights must be integers, got <U1"),
+        (np.array([[0] * 7 + [2**64 - 2]], dtype=np.uint64),
+         f"weight out of range at row 0, target 7: {2**64 - 2}"),
+    ])
+    def test_weights_are_integers_at_their_values(self, build, matrix, message):
+        """Direct use checks what a description checks: no float, str or
+        bool is truncated to a weight, and no unsigned value wraps."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build(matrix)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_empty_matrix_compiles(self, sparse):
