@@ -198,6 +198,17 @@ def load_weight_image(path: str) -> list[WeightMemory]:
 # ---------------------------------------------------------------------------
 # network description
 
+def _check_integers(kind: str, **fields) -> None:
+    """Each field of a `kind` stimulus source, and each of its addrs, is an
+    integer by the one rule (`int_array`), else a ConfigError at the path
+    where the field's bounds are named; a Python int, or a list of them,
+    passes by one type test."""
+    for name, value in fields.items():
+        if type(value) is not int and not (type(value) is list and set(map(type, value)) <= {int}):
+            path = f"stimulus.{kind}" + ("" if name in ("low", "high") else f".{name}")
+            int_array(value, functools.partial(ConfigError, path))
+
+
 @dataclass
 class NoiseSource:
     """Seeded external-event generator: one event per listed address per
@@ -209,6 +220,7 @@ class NoiseSource:
     high: int
 
     def __post_init__(self):
+        _check_integers("noise", npu=self.npu, addrs=self.addrs, low=self.low, high=self.high)
         if self.npu not in (1, 2):
             raise ConfigError("stimulus.noise.npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.low <= self.high <= 127:
@@ -226,6 +238,7 @@ class DcSource:
     value: int
 
     def __post_init__(self):
+        _check_integers("dc", npu=self.npu, addr=self.addr, value=self.value)
         if self.npu not in (1, 2):
             raise ConfigError("stimulus.dc.npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.value <= 127:
@@ -345,10 +358,10 @@ class NetworkDescription:
 
     The matrices are held as given once they are int64 arrays, and may be
     written in place or reassigned, as may the frozen NPU configs and
-    gs_mode. `build_processor` keeps the chip it compiled with the key of
-    those inputs and compiles again only when the key differs, so every run
-    matches the current values; `copy.copy` of a description shares its
-    chip until the copy's inputs change. The stimulus lists may be
+    gs_mode. `build_processor` keeps the chip it compiled and compiles again
+    only when those inputs differ from the chip's, so every run matches the
+    current values; `copy.copy` of a description shares its chip until the
+    copy's inputs change. The stimulus lists may be
     reassigned too; every run checks them."""
 
     npu1: NpuConfig
@@ -359,7 +372,7 @@ class NetworkDescription:
     clock_hz: int = DEFAULT_CLOCK_HZ
     dc: list[DcSource] = field(default_factory=list)
     noise: list[NoiseSource] = field(default_factory=list)
-    _chip = (None, None)  # the key of the kept chip's inputs, and the chip
+    _chip = (None, None)  # the kept chip's configs and gs_mode, and the chip
 
     def __post_init__(self):
         self.weights1, self.weights2 = self._matrices()
@@ -402,12 +415,12 @@ class NetworkDescription:
 
     def build_processor(self) -> Processor:
         """The chip at step 0: a fresh state of the chip compiled from the
-        current configs, matrices and gs_mode, kept with their key (each
-        matrix as its int64 shape and bytes) and compiled again only when
-        the key differs."""
+        current configs, matrices and gs_mode, kept with the key of the
+        configs and gs_mode and compiled again when the key differs or the
+        kept chip's crossbar no longer holds the current matrices."""
         w1, w2 = self._matrices()
-        key = (self.npu1, self.npu2, self.gs_mode, w1.shape, w1.tobytes(), w2.shape, w2.tobytes())
-        if self._chip[0] != key:
+        key = (self.npu1, self.npu2, self.gs_mode)
+        if self._chip[0] != key or not self._chip[1].holds(w1, w2):
             self._chip = key, Processor(self.npu1, w1, self.npu2, w2, self.gs_mode)
         return self._chip[1].fresh()
 
@@ -867,12 +880,14 @@ def simulate(
 
 
 def raster_records(t0: int, spikes: np.ndarray, t1: int) -> np.ndarray:
-    """The (n, 3) int64 (t, npu, addr) records of the (k, neurons) spikes of
-    steps t0.., in that order: columns below t1 are NPU1's neurons, the rest
-    NPU2's."""
-    ts, idx = spikes.nonzero()
+    """The (n, 3) int64 (t, npu, addr) records of the (k, neurons) uint8
+    0/1 spikes of steps t0.., in that order: columns below t1 are NPU1's
+    neurons, the rest NPU2's."""
+    ts, idx = divmod(spikes.view(bool).ravel().nonzero()[0], spikes.shape[1])
     npu2 = idx >= t1
-    return np.column_stack((ts + t0, npu2 + 1, idx - t1 * npu2))
+    out = np.empty((len(ts), 3), dtype=np.int64)
+    out[:, 0], out[:, 1], out[:, 2] = ts + t0, npu2 + 1, idx - t1 * npu2
+    return out
 
 
 class CycleRows(Sequence):

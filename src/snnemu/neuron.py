@@ -95,15 +95,16 @@ def step_table(params: tuple[NeuronParams, ...]) -> tuple[np.ndarray, np.ndarray
 
 def neuron_tables(params: list[NeuronParams]):
     """The neuron update of a population as a flat table and per-neuron
-    offsets (step, off), for any 12-bit current i. Neuron k carries its
-    drifted, offset membrane w, starting from w = step[v + off[k]]; each
-    step its candidate is s = w + i, it spikes if s > V_MAX + off[k], and
-    it carries w = step[s] on, while its membrane is
-    next_membrane(s - off[k], v_reset). The table holds one row per
-    distinct parameter set, never one per neuron. Only the first object of
-    each identity is hashed: a population usually shares one."""
+    arrays (step, off, v_r, v_reset), for any 12-bit current i. Neuron k at
+    membrane v carries w = step[v + off[k]]; each step its candidate is
+    s = w + i, it spikes if s > V_MAX + off[k], and it carries w = step[s]
+    on, while its membrane is next_membrane(s - off[k], v_reset[k]). The
+    table holds one row per distinct parameter set, never one per neuron.
+    Only the first object of each identity is hashed: a population usually
+    shares one."""
+    ids = list(map(id, params))
     sets: dict[NeuronParams, int] = {}
-    row_of = {i: sets.setdefault(p, len(sets)) for i, p in {id(p): p for p in params}.items()}
-    rows = np.array([row_of[id(p)] for p in params], dtype=np.int64)
+    row_of = {i: sets.setdefault(p, len(sets)) for i, p in dict(zip(ids, params)).items()}
     step, off = step_table(tuple(sets))
-    return step.ravel(), off[rows]
+    per_set = np.array([off, [p.v_r for p in sets], [p.v_reset for p in sets]], dtype=np.int64)
+    return step.ravel(), *per_set[:, np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))]

@@ -29,8 +29,8 @@ import numpy as np
 from .neuron import V_MAX, neuron_tables, next_membrane
 from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
                   dense_op_count)
-from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar,
-                      sat_decay_table)
+from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar, check_weights,
+                      group_cost, sat_decay_table)
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -85,10 +85,10 @@ class Processor:
     `weights1` is NPU1's signed (active1, t1) matrix; `weights2` is NPU2's
     (t1 + active2, t2) matrix, NPU1's neurons (global included) as its
     feedforward rows first. Every row spans its NPU's total targets, so the
-    global neuron can receive ordinary synaptic weight. Each NPU's crossbar
-    is compiled once, with its global broadcast as its last row, into one
-    block matrix `[[W1, W2_ff], [0, W2_rec]]` whose sources are every
-    neuron of the chip, with one cost column per NPU: under `gs_mode`
+    global neuron can receive ordinary synaptic weight. Both are written
+    once, each NPU's global broadcast as its last row, into one block
+    matrix `[[W1, W2_ff], [0, W2_rec]]` whose sources are every neuron of
+    the chip, with one cost column per NPU (`group_cost`): under `gs_mode`
     "auto" a spiking row reads its nonzero 8-target groups, under "dense"
     all of them. The scheduler's one-step delay needs no buffer: NPU2's
     feedforward rows read the chip's spikes of the previous step, the same
@@ -108,8 +108,7 @@ class Processor:
         check_chip(npu1, weights1, npu2, weights2, gs_mode)
         self.t1 = t1 = npu1.total_neurons
         self.n = t1 + npu2.total_neurons
-        cfgs = (npu1, npu2)
-        exps = {a: k for k, a in enumerate(dict.fromkeys(cfg.decay_a for cfg in cfgs))}
+        exps = {a: k for k, a in enumerate(dict.fromkeys((npu1.decay_a, npu2.decay_a)))}
         sat_decay = sat_decay_table(tuple(exps))
         self._sat_decay = sat_decay.ravel()
         self._sd_off = np.empty(self.n, dtype=np.int64)
@@ -118,15 +117,16 @@ class Processor:
         self._fixed = np.zeros((2, 5), dtype=np.int64)
         # NPU2's feedforward sources are NPU1's neurons, and its targets sit
         # after them: n_ff is both its first own row and its first column.
+        # An NPU's last row is its global neuron's broadcast.
         for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
             total = cfg.total_neurons
-            xbar = Crossbar.compile(w, gs_mode == "auto",
-                                    broadcast=cfg.global_neuron.effective_weight)
-            weights[: n_ff + total, n_ff : n_ff + total] = xbar.weights
-            cost[: n_ff + total, k] = xbar.cost
+            own = slice(n_ff, n_ff + total)
+            weights[: n_ff + total - 1, own] = check_weights(w)
+            weights[n_ff + total - 1, own] = cfg.global_neuron.effective_weight
+            cost[: n_ff + total, k] = group_cost(weights[: n_ff + total, own], gs_mode == "auto")
+            cost[n_ff + total - 1, k] = 1
             # Each neuron's offset to its NPU's row of the flat sat-decay table.
-            self._sd_off[n_ff : n_ff + total] = (exps[cfg.decay_a] * sat_decay.shape[1]
-                                                 - SAT_DECAY_LO)
+            self._sd_off[own] = exps[cfg.decay_a] * sat_decay.shape[1] - SAT_DECAY_LO
             # Per NPU: external and mac (filled per step); scan, two bits of
             # each spike stream per clock, odd lengths padded; decay and pde,
             # one shifter pass and one neuron update per neuron.
@@ -137,11 +137,9 @@ class Processor:
                 and np.abs(weights).sum(axis=0).max() > MAC_BOUND):
             raise ValueError(f"a crossbar column's |weights| sum past MAC_BOUND ({MAC_BOUND})")
         self.crossbar = Crossbar(weights, cost)
-        params = [p for cfg in cfgs for p in (*cfg.params, cfg.global_neuron.params)]
-        self._step, self._off = neuron_tables(params)
+        self._step, self._off, self._v_r, self._v_reset = neuron_tables(
+            (*npu1.params, npu1.global_neuron.params, *npu2.params, npu2.global_neuron.params))
         self._thr = self._off + V_MAX
-        self._v_r = np.array([p.v_r for p in params], dtype=np.int64)
-        self._v_reset = np.array([p.v_reset for p in params], dtype=np.int64)
         # _sat_decay and _step view cached tables that are read-only.
         for compiled in (weights, cost, self._fixed, self._sd_off, self._off, self._thr,
                          self._v_r, self._v_reset):
@@ -153,6 +151,14 @@ class Processor:
         self.v_m = self._v_r.copy()
         self.y = np.zeros(self.n, dtype=np.int64)  # signed 12-bit after every step
         self.last_spikes = np.zeros(self.n, dtype=np.uint8)
+
+    def holds(self, weights1: np.ndarray, weights2: np.ndarray) -> bool:
+        """Whether the crossbar above each NPU's broadcast row equals its
+        int64 matrix, compared as bytes: on a small chip that costs less
+        than `np.array_equal`."""
+        w, t1 = self.crossbar.weights, self.t1
+        return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in ((w[: t1 - 1, :t1], weights1), (w[:-1, t1:], weights2)))
 
     def fresh(self) -> "Processor":
         """A copy of the chip at step 0 with its own state, sharing this
@@ -181,8 +187,8 @@ class Processor:
         within MAC_BOUND) keep each index inside its row of the flat tables;
         `take` only raises past either end of a table. On vectors this
         short a fresh `take` result is cheaper than `take(out=)`, which
-        mode="raise" buffers, and the spike test writes through a bool view
-        against an array to skip a cast and a scalar conversion."""
+        mode="raise" buffers. The spike test writes through a bool view, which
+        the MAC reads, against an array to skip a cast and a scalar conversion."""
         spikes = np.empty((len(ext) + 1, self.n), dtype=np.uint8)
         spikes[0] = self.last_spikes
         ext = np.clip(ext, -EXT_BOUND, EXT_BOUND)
@@ -193,7 +199,7 @@ class Processor:
         w = step.take(s)
         for t, row in enumerate(ext):
             row += y
-            mac(spikes[t], row)
+            mac(fired[t], row)
             y = sat_decay.take(row)
             s = w + y
             np.greater(s, thr, out=fired[t + 1])

@@ -60,6 +60,19 @@ def int_array(values, error) -> np.ndarray:
         return values
 
 
+def group_cost(weights: np.ndarray, sparse: bool) -> np.ndarray:
+    """Word reads of each row of a (rows, targets) int64 weight matrix: its
+    nonzero 8-target groups when `sparse` (a 4-bit weight is 0 exactly when
+    its nibble is, so these are the row's nonzero SRAM words), every group
+    otherwise. A weight's bool is its nonzero test, and a group's eight
+    bools, zero-padded, are nonzero exactly when their uint64 view is."""
+    n_rows, n_targets = weights.shape
+    nonzero = np.zeros((n_rows, GROUP_SIZE * group_count(n_targets)), dtype=bool)
+    nonzero[:, :n_targets] = weights
+    groups = nonzero.view(np.uint64) != 0
+    return groups.sum(axis=1) if sparse else np.full(n_rows, groups.shape[1])
+
+
 def check_weights(matrix, error=ValueError) -> np.ndarray:
     """`matrix` as a (sources, targets) int64 array of signed 4-bit
     weights, integers taken at their values (`int_array`); a bad one
@@ -135,28 +148,17 @@ class Crossbar:
     @classmethod
     def compile(cls, weights, sparse: bool, broadcast: int | None = None) -> "Crossbar":
         """The (sources, targets) matrix `weights`, each row costing its
-        nonzero 8-target groups when `sparse` (a 4-bit weight is 0 exactly
-        when its nibble is, so these are the row's nonzero SRAM words) and
-        every group otherwise, plus an optional last row holding `broadcast`
-        in every column at a cost of one cycle. A group's eight bools,
-        zero-padded, are nonzero exactly when their uint64 view is."""
+        `group_cost`, plus an optional last row holding `broadcast` in every
+        column at a cost of one cycle."""
         weights = check_weights(weights)
-        n_rows, n_targets = weights.shape
-        n_groups = group_count(n_targets)
-        cost = np.full(n_rows + (broadcast is not None), n_groups)
-        if sparse:
-            padded = np.zeros((n_rows, n_groups * GROUP_SIZE), dtype=bool)
-            np.not_equal(weights, 0, out=padded[:, :n_targets])
-            cost[:n_rows] = np.count_nonzero(padded.view(np.uint64), axis=1)
+        cost = group_cost(weights, sparse)
         if broadcast is not None:
-            cost[n_rows] = 1
-            out = np.empty((n_rows + 1, n_targets), dtype=np.int64)
-            out[:n_rows], out[n_rows] = weights, broadcast
-            weights = out
+            cost = np.append(cost, 1)
+            weights = np.vstack((weights, np.full((1, weights.shape[1]), broadcast)))
         return cls(weights, cost)
 
     def mac(self, spikes: np.ndarray, y: np.ndarray) -> None:
-        """Add the row of every spiking source (a 0/1 vector) into `y`,
+        """Add the row of every spiking source (a 0/1 or bool vector) into `y`,
         unsaturated: callers saturate once per timestep, so order never
         matters."""
         if len(spikes) != len(self.cost):

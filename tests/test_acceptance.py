@@ -52,7 +52,7 @@ def test_1_neuron_oracle_equivalence():
     v_reset = rng.integers(0, 256, cases)
     denom = a + b
     params = [NeuronParams(*map(int, p)) for p in zip(a, b, v_r, v_t, v_reset)]
-    table, off = neuron_tables(params)
+    table, off, _, _ = neuron_tables(params)
     v_ref = rng.integers(0, 256, cases)
     w_impl = table.take(v_ref + off)
     mismatches = 0

@@ -62,7 +62,7 @@ def behavior_sweep(
         bad = [i for i in currents if not SAT_MIN <= i <= SAT_MAX]
         if bad:
             raise ValueError(f"case {name!r}: current {bad[0]} outside {SAT_MIN}..{SAT_MAX}")
-        step, (off,) = neuron_tables([params])
+        step, (off,), _, _ = neuron_tables([params])
         w, candidates = int(step[params.v_r + off]), []
         for i_t in currents:
             s = w + i_t

@@ -38,6 +38,7 @@ from snnemu.netio import (
     StimulusError,
     StimulusTrace,
     load_weight_image,
+    raster_records,
     run,
     save_cycles,
     save_raster,
@@ -187,7 +188,8 @@ class TestNetworkDescription:
 
     def test_unrepresentable_field_writes_no_file(self, tmp_path):
         """The YAML is rendered before either file is written."""
-        desc = minimal_desc(dc=[DcSource(npu=1, addr=0, value=np.float64(5))])
+        desc = minimal_desc(dc=[DcSource(npu=1, addr=0, value=5)])
+        desc.dc[0].value = np.float64(5)
         with pytest.raises(yaml.representer.RepresenterError):
             desc.save(str(tmp_path / "net.yaml"))
         assert list(tmp_path.iterdir()) == []
@@ -288,6 +290,24 @@ class TestNetworkDescription:
     def test_clock_below_one_rejected(self, clock_hz):
         with pytest.raises(ConfigError, match=f"clock_hz: must be at least 1, got {clock_hz}"):
             minimal_desc(clock_hz=clock_hz)
+
+    @pytest.mark.parametrize("cls, field, value, path, kind", [
+        (DcSource, "npu", True, "stimulus.dc.npu", "bool"),
+        (DcSource, "addr", 0.5, "stimulus.dc.addr", "float"),
+        (DcSource, "value", 100.7, "stimulus.dc.value", "float"),
+        (NoiseSource, "npu", True, "stimulus.noise.npu", "bool"),
+        (NoiseSource, "addrs", [1, 0.5], "stimulus.noise.addrs", "float"),
+        (NoiseSource, "low", 0.5, "stimulus.noise", "float"),
+        (NoiseSource, "high", "20", "stimulus.noise", "str"),
+    ])
+    def test_source_fields_are_integers(self, cls, field, value, path, kind):
+        """A DC or noise source field that is not an integer (a bool, float
+        or str) is rejected where the source is built, never truncated."""
+        fields = {"npu": 1, "addr": 0, "value": 100} if cls is DcSource else {
+            "npu": 1, "addrs": [0, 1], "low": 0, "high": 20}
+        with pytest.raises(ConfigError) as err:
+            cls(**{**fields, field: value})
+        assert (err.value.path, err.value.msg) == (path, f"must be integers, got {kind}")
 
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):
@@ -1021,6 +1041,25 @@ def run_bytes(desc, tmp_path, steps=60, seed=3):
     return (tmp_path / "r.csv").read_bytes(), (tmp_path / "c.csv").read_bytes()
 
 
+class TestRasterRecords:
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(0, 70), t1=st.sampled_from([1, 2, 33]), t2=st.sampled_from([2, 9, 129]),
+           t0=st.integers(0, 10**6), density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           npu2_only=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_argwhere(self, k, t1, t2, t0, density, npu2_only, seed):
+        """The records of a block of spikes, contiguous or NPU2's column
+        slice as `solve_sudoku` passes it, empty or all spiking, are its
+        `np.argwhere` entries in order, as (t0 + t, npu, addr)."""
+        rng = np.random.default_rng(seed)
+        spikes = (rng.random((k, t1 + t2)) < density).astype(np.uint8)
+        block, split = (spikes[:, t1:], 0) if npu2_only else (spikes, t1)
+        want = [[t0 + t, 1, c] if c < split else [t0 + t, 2, c - split]
+                for t, c in np.argwhere(block).tolist()]
+        got = raster_records(t0, block, split)
+        assert got.dtype == np.int64 and got.shape == (len(want), 3)
+        assert got.tolist() == want
+
+
 class TestChipCache:
     """`build_processor` compiles a chip once per set of configs, matrices
     and gs_mode, and every run steps a fresh state of it."""
@@ -1032,6 +1071,25 @@ class TestChipCache:
         assert a.v_m is not b.v_m and a.y is not b.y and a.last_spikes is not b.last_spikes
         assert copy.copy(desc).build_processor().crossbar is a.crossbar
         assert equal_copy(desc).build_processor().crossbar is not a.crossbar
+
+    @pytest.mark.parametrize("change", ["weights1", "weights2", "gs_mode", "npu1", "npu2"])
+    def test_one_change_recompiles(self, change):
+        """One changed weight, gs_mode or NPU config compiles a new chip,
+        equal to the chip of a newly built equal description."""
+        desc = noisy_desc(0)
+        desc.weights2[:, 8] = 0  # an all-zero group, so that dense reads more words
+        chip = desc.build_processor().crossbar
+        if change.startswith("weights"):
+            w = np.array(getattr(desc, change))
+            w[-1, -1] = w[-1, -1] != 1  # 1, or 0 where it was 1
+            setattr(desc, change, w)
+        else:
+            setattr(desc, change, "dense" if change == "gs_mode"
+                    else dataclasses.replace(getattr(desc, change), decay_a=0))
+        new = desc.build_processor().crossbar
+        want = equal_copy(desc).build_processor().crossbar
+        assert new is not chip
+        assert np.array_equal(new.weights, want.weights) and np.array_equal(new.cost, want.cost)
 
     def test_interleaved_generators_match_runs_one_after_the_other(self):
         desc = noisy_desc(0)

@@ -92,7 +92,7 @@ class TestDriftTable:
         assert table.shape == (len(params), 256)
         assert table.tolist() == [[v + delta_vm(v, p, 0) for v in range(256)] for p in params]
         population = params + params[::7]
-        step, off = neuron_tables(population)
+        step, off, _, _ = neuron_tables(population)
         assert step.size == len(params) * (int(table.max()) - int(table.min()) + 4096)
         assert (step.take(off[:, None] + range(256)) - off[:, None]).tolist() == [
             [v + delta_vm(v, p, 0) for v in range(256)] for p in population
@@ -121,10 +121,9 @@ class TestNeuronTables:
         membrane is next_membrane of the candidate, and carried is the
         drifted membrane the step table hands to the next step, less its
         offset."""
-        step, off = neuron_tables(params)
-        off = off[:, None, None]
+        step, off, _, v_reset = neuron_tables(params)
+        off, v_reset = off[:, None, None], v_reset[:, None, None]
         s = step.take(off + np.arange(256)[:, None]) + np.array(currents)
-        v_reset = np.array([p.v_reset for p in params])[:, None, None]
         return (next_membrane(s - off, v_reset).tolist(), (s > V_MAX + off).tolist(),
                 (step.take(s) - off).tolist())
 
@@ -164,7 +163,7 @@ class TestNeuronTables:
         """One row per distinct parameter set, built once and cached: each
         row spans every candidate of the drift table and a 12-bit current,
         and the rows lie end to end."""
-        step, off = neuron_tables(self.SWEEP * 3)
+        step, off, _, _ = neuron_tables(self.SWEEP * 3)
         vd = drift_table(tuple(self.SWEEP))
         width = int(vd.max()) - int(vd.min()) + 4096
         assert step.size == 64 * width and not step.flags.writeable

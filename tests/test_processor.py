@@ -1,5 +1,6 @@
 """Two-NPU scheduler delay, analytics formulas, cycle report arithmetic."""
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snnemu import apps
-from snnemu.neuron import NeuronParams, drift_table
+from snnemu.neuron import NeuronParams, drift_table, step_table
 from snnemu.netio import DcSource, NoiseSource, StimulusTrace
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.processor import (
     CycleReport,
     Processor,
+    check_chip,
     cycle_totals,
     hierarchy_op_reduction,
     synapse_count,
 )
+from snnemu.synapse import GROUP_SIZE, SAT_DECAY_LO, Crossbar, sat_decay_table
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -120,7 +123,97 @@ class TestScheduler:
             NoiseSource(npu=0, addrs=[0], low=0, high=1)
 
 
+def per_npu_compile(npu1, weights1, npu2, weights2, gs_mode):
+    """The compiled arrays of a chip, built one NPU at a time: the chip's
+    rules (`check_chip`), then each NPU's crossbar compiled alone with its
+    global broadcast as its last row (`Crossbar.compile`) and placed into
+    the block, and each neuron's table row, offset, v_r and v_reset from
+    the parameter sets deduplicated by equality."""
+    check_chip(npu1, weights1, npu2, weights2, gs_mode)
+    t1 = npu1.total_neurons
+    n = t1 + npu2.total_neurons
+    exps = list(dict.fromkeys((npu1.decay_a, npu2.decay_a)))
+    width = sat_decay_table(tuple(exps)).shape[1]
+    out = {"weights": np.zeros((n, n), dtype=np.int64), "cost": np.zeros((n, 2), dtype=np.int64),
+           "_fixed": np.zeros((2, 5), dtype=np.int64), "_sd_off": np.zeros(n, dtype=np.int64)}
+    for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
+        total = cfg.total_neurons
+        xbar = Crossbar.compile(w, gs_mode == "auto", broadcast=cfg.global_neuron.effective_weight)
+        out["weights"][: n_ff + total, n_ff : n_ff + total] = xbar.weights
+        out["cost"][: n_ff + total, k] = xbar.cost
+        out["_sd_off"][n_ff : n_ff + total] = exps.index(cfg.decay_a) * width - SAT_DECAY_LO
+        out["_fixed"][k] = [0, (n_ff + 1) // 2 + (total + 1) // 2, 0, total, total]
+    params = [p for cfg in (npu1, npu2) for p in (*cfg.params, cfg.global_neuron.params)]
+    sets = list(dict.fromkeys(params))
+    step, off = step_table(tuple(sets))
+    out["_step"], out["_off"] = step.ravel(), off[[sets.index(p) for p in params]]
+    out["_v_r"], out["_v_reset"] = [[getattr(p, f) for p in params] for f in ("v_r", "v_reset")]
+    return out
+
+
+# Parameter sets the random chips draw from, each shared or as an equal copy.
+PARAM_POOL = [QUIET, apps.LEAKY, NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)]
+
+
+@st.composite
+def chip_inputs(draw):
+    """(npu1, weights1, npu2, weights2) of a random chip: any active sizes,
+    chopped or not, any decay exponents, shared and equal-but-distinct
+    parameter sets, either global mode at any out_weight (so the broadcast
+    can be +8), and weights with whole 8-target groups zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chip, n_ff = [], 0
+    for max_neurons in (32, 128):
+        active = draw(st.sampled_from([2**i for i in range(max_neurons.bit_length())]))
+        chop = (active // 2,) * 2 if active > 1 and draw(st.booleans()) else None
+        params = [dataclasses.replace(p) if rng.random() < 0.3 else p
+                  for p in rng.choice(np.array(PARAM_POOL, dtype=object), active)]
+        glob = GlobalNeuronConfig(params=draw(st.sampled_from(PARAM_POOL)),
+                                  out_weight=draw(st.integers(-8, 7)),
+                                  mode=draw(st.sampled_from(["excitatory", "inhibitory"])))
+        cfg = NpuConfig(max_neurons=max_neurons, active_neurons=active, params=params,
+                        global_neuron=glob, decay_a=draw(st.integers(0, 7)), chop=chop)
+        rows, groups = n_ff + active, -(-(active + 1) // GROUP_SIZE)
+        kept = rng.random((rows, groups)) < draw(st.sampled_from([0.0, 0.4, 1.0]))
+        w = rng.integers(-8, 8, (rows, active + 1)) * kept.repeat(GROUP_SIZE, axis=1)[:, : active + 1]
+        if chop is not None:
+            w[n_ff + chop[0] :, : chop[0]] = 0
+        chip += [cfg, w]
+        n_ff = cfg.total_neurons
+    return tuple(chip)
+
+
 class TestAssembly:
+    @settings(max_examples=80, deadline=None)
+    @given(chip=chip_inputs(), gs_mode=st.sampled_from(["auto", "dense"]))
+    def test_block_compile_matches_per_npu_compile(self, chip, gs_mode):
+        """The chip compiled in one pass into its block holds what the
+        compile of each NPU alone, placed into the block, holds."""
+        proc = Processor(*chip, gs_mode)
+        got = {"weights": proc.crossbar.weights, "cost": proc.crossbar.cost, **{
+            k: getattr(proc, k) for k in ("_fixed", "_sd_off", "_step", "_off", "_v_r", "_v_reset")}}
+        for key, want in per_npu_compile(*chip, gs_mode).items():
+            assert got[key].dtype == np.int64 and np.array_equal(got[key], want), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(chip=chip_inputs(), faults=st.sampled_from([(0,), (1,), (0, 1), (1, 0)]),
+           bad=st.sampled_from([0.5, 8, -9, 2**63, -2**70]), at=st.integers(0, 2**16),
+           gs_mode=st.sampled_from(["auto", "dense"]))
+    def test_bad_weight_raises_as_per_npu_compile(self, chip, faults, bad, at, gs_mode):
+        """A non-integer or out-of-range weight in either matrix, or one in
+        each, raises the exception and message of the per-NPU compile."""
+        chip = list(chip)
+        for k in faults:  # one bad weight, the matrix taken as floats or Python ints
+            w = chip[2 * k + 1].astype(float if isinstance(bad, float) else object)
+            w.flat[at % w.size] = bad
+            chip[2 * k + 1] = w
+            bad = 0.5 if bad != 0.5 else 8  # the other matrix gets the other kind
+        with pytest.raises(Exception) as want:
+            per_npu_compile(*chip, gs_mode)
+        with pytest.raises(Exception) as got:
+            Processor(*chip, gs_mode)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
     def test_rejects_malformed_chip(self):
         npu1, npu2 = quiet_npu(2, 32), quiet_npu(4, 128, n_ff=3)
         for bad, match in (
