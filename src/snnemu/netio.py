@@ -14,10 +14,8 @@ reproducible across implementations.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
-import re
 import stat
 import struct
 import zlib
@@ -122,11 +120,19 @@ def _write_file(path: str, data: bytes) -> None:
     regular file is overwritten in place and then cut to the new length,
     since an open with O_TRUNC can cost far more than the write on some
     filesystems; a device, FIFO or tty is written, never truncated. A new
-    file gets mode 0o666 less the umask, as with the built-in `open`."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    file gets mode 0o666 less the umask, as with the built-in `open`. The
+    bytes go straight to the descriptor, again after a short write, and
+    the file is cut only when it is still longer than them."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = os.write(fd, data)
+        while done < len(data):
+            done += os.write(fd, memoryview(data)[done:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def read_text(path: str, error) -> str:
@@ -199,20 +205,32 @@ def load_weight_image(path: str) -> list[WeightMemory]:
 # network description
 
 def _check_integers(kind: str, **fields) -> None:
-    """Each field of a `kind` stimulus source, and each of its addrs, is an
-    integer by the one rule (`int_array`), else a ConfigError at the path
-    where the field's bounds are named; a Python int, or a list of them,
-    passes by one type test."""
+    """Each field of a `kind` stimulus source is an integer by the one rule
+    (`int_array`), else a ConfigError at the path where the field's bounds
+    are named; a Python int passes by one type test."""
     for name, value in fields.items():
-        if type(value) is not int and not (type(value) is list and set(map(type, value)) <= {int}):
+        if type(value) is not int:
             path = f"stimulus.{kind}" + ("" if name in ("low", "high") else f".{name}")
             int_array(value, functools.partial(ConfigError, path))
+
+
+def _int_list(value, path: str) -> list[int]:
+    """`value`, a list of Python ints as it is, else any 1-D sequence or
+    array of integers by the one rule (`int_array`), as a list of Python
+    ints; anything else raises a ConfigError at `path`."""
+    if type(value) is list and set(map(type, value)) <= {int}:
+        return value
+    values = int_array(value, functools.partial(ConfigError, path))
+    if values.ndim != 1:
+        raise ConfigError(path, f"must be a list of integers, got shape {values.shape}")
+    return values.tolist()
 
 
 @dataclass
 class NoiseSource:
     """Seeded external-event generator: one event per listed address per
-    timestep with value drawn uniformly from [low, high]."""
+    timestep with value drawn uniformly from [low, high]. The addresses are
+    kept as a list of Python ints, whatever integer sequence they came as."""
 
     npu: int
     addrs: list[int]
@@ -220,7 +238,8 @@ class NoiseSource:
     high: int
 
     def __post_init__(self):
-        _check_integers("noise", npu=self.npu, addrs=self.addrs, low=self.low, high=self.high)
+        _check_integers("noise", npu=self.npu, low=self.low, high=self.high)
+        self.addrs = _int_list(self.addrs, "stimulus.noise.addrs")
         if self.npu not in (1, 2):
             raise ConfigError("stimulus.noise.npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.low <= self.high <= 127:
@@ -657,47 +676,34 @@ CYCLES_HEADER = ",".join(["timestep", *(f"npu{k}_{f}" for k in (1, 2) for f in C
 
 
 PARSE_CHUNK = 1 << 16  # characters of whole lines split at a time
-_NON_SPACE = re.compile(r"\S")
 
 
 def _line_chunks(text: str, start: int):
     """text[start:].split("\n") in consecutive lists of whole lines, each
     about PARSE_CHUNK characters long, so no list of every line is built."""
-    while start <= len(text):
-        end = text.find("\n", start + PARSE_CHUNK)
-        if end < 0:
-            end = len(text)
+    while (end := text.find("\n", start + PARSE_CHUNK)) >= 0:
         yield text[start:end].split("\n")
         start = end + 1
+    yield text[start:].split("\n")
 
 
-def _read_rows(path: str) -> np.ndarray:
-    """The stimulus rows of a CSV file led by `STIMULUS_HEADER`, blank lines
-    skipped, as an array: int64 parsed in one pass, else a per-line `int()`
-    parse through `_record_array` that names the first line it rejects, as
-    it does a byte that is not UTF-8, with a StimulusError. Both take the
-    lines a chunk at a time."""
-    text = read_text(path, lambda path, detail: StimulusError(f"{path}: {detail}"))
-    first = text.find("\n")
-    if first < 0:
-        first = len(text)
-    if text[:first].strip() != STIMULUS_HEADER:
-        raise StimulusError(f"{path}: unexpected stimulus header {text[:first].strip()!r}")
+def _loadtxt(lines) -> np.ndarray | None:
+    """The int64 (n, 4) rows that `np.loadtxt` parses from `lines`, or None
+    where it rejects them."""
+    try:
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 4 else None
 
-    def lines():
-        return itertools.chain.from_iterable(_line_chunks(text, first + 1))
 
-    # numpy 2.4's int parser crashes on a digit then some non-BMP characters,
-    # and loadtxt warns on a body of whitespace alone, which holds no rows.
-    if text.isascii() and _NON_SPACE.search(text, first):
-        try:
-            rows = np.loadtxt(lines(), dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-            if rows.shape[1] == 4:
-                return rows
-        except ValueError:
-            pass
+def _parse_lines(path: str, lines, lineno: int) -> np.ndarray:
+    """The (n, 4) rows of `lines`, the first of them line `lineno` of the
+    file at `path`, by a per-line `int()` parse through `_record_array`:
+    blank lines are skipped, and the first line that is not four integers
+    raises a StimulusError naming its line."""
     rows = []
-    for lineno, line in enumerate(lines(), start=2):
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
             continue
@@ -709,17 +715,30 @@ def _read_rows(path: str) -> np.ndarray:
             raise StimulusError(f"{path}: line {lineno}: expected four integers "
                                 f"{STIMULUS_HEADER}, got {_show(line)}")
         rows.append(row)
-    return _record_array(rows)
+    return _record_array(rows).reshape(-1, 4)
 
 
-def _sorted_rows(rows: np.ndarray) -> bool:
-    """Whether the rows of an int array are in lexicographic order. Adjacent
-    rows are compared column by column, last column first, without
-    subtracting, so values at the int64 extremes cannot overflow."""
-    after = False  # whether each row sorts after the next one
-    for x, y in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):
-        after = (x > y) | ~(x < y) & after
-    return not np.any(after)
+def _read_rows(path: str) -> np.ndarray:
+    """The stimulus rows of a CSV file led by `STIMULUS_HEADER`, blank lines
+    skipped, as an int64 array parsed by `loadtxt` a `_line_chunks` chunk
+    at a time; only a chunk that `loadtxt` rejects takes the per-line parse
+    (`_parse_lines`). That names the first line it rejects, as `read_text`
+    does a byte that is not UTF-8, with a StimulusError."""
+    text = read_text(path, lambda path, detail: StimulusError(f"{path}: {detail}"))
+    first = text.find("\n")
+    if first < 0:
+        first = len(text)
+    if text[:first].strip() != STIMULUS_HEADER:
+        raise StimulusError(f"{path}: unexpected stimulus header {text[:first].strip()!r}")
+    # numpy 2.4's int parser crashes on a digit then some non-BMP characters,
+    # and loadtxt warns on a chunk of empty lines alone, which holds no rows.
+    fast = text.isascii()
+    parts, lineno = [], 2
+    for lines in _line_chunks(text, first + 1):
+        rows = _loadtxt(lines) if fast and any(lines) else None
+        parts.append(_parse_lines(path, lines, lineno) if rows is None else rows)
+        lineno += len(lines)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # The b"npu,addr\n" text of every chip address, at (npu - 1) * _ADDRS + addr.
@@ -728,25 +747,46 @@ _ADDR_TEXT = np.array([b"%d,%d\n" % (npu, addr) for npu in (1, 2) for addr in ra
                       dtype=object)
 
 
+def _chip_keys(records: np.ndarray):
+    """The (t, key, first) of (t, npu, addr) records that each name a chip
+    address and lie in sorted order, else None: key is (npu - 1) * _ADDRS
+    + addr and first marks each record whose timestep differs from the one
+    before. With npu in 1..2 and addr in 0..MAX_ADDRESS the key orders
+    (npu, addr) as the records do, so the records are sorted when no
+    timestep drops and no key drops within a timestep. Nothing is
+    subtracted from a timestep, so the int64 extremes cannot overflow."""
+    t, npu, addr = records.T
+    key = npu - 1
+    # npu - 1 in 0..1 and addr in 0..MAX_ADDRESS, negatives read as unsigned.
+    if len(key) and (key.view(np.uint64).max() > 1
+                     or addr.view(np.uint64).max() > MAX_ADDRESS):
+        return None
+    key *= _ADDRS
+    key += addr
+    first = np.ones(len(t), dtype=bool)
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    if ((t[1:] < t[:-1]) | ~first[1:] & (key[1:] < key[:-1])).any():
+        return None
+    return t, key, first
+
+
 def save_raster(path: str, records: np.ndarray) -> None:
     """Write (t, npu, addr) records in sorted order, the bytes of a %d per
     field; `run` returns them sorted, so they are sorted here only when
-    not. If every record names a chip address, each timestep's b"t," is
-    formatted once and joined with its records' `_ADDR_TEXT`."""
+    not. If every record names a chip address (`_chip_keys`), each
+    timestep's b"t," is formatted once and joined with its records'
+    `_ADDR_TEXT`."""
     records = np.asarray(records, dtype=np.int64).reshape(-1, 3)
-    if not _sorted_rows(records):
+    keys = _chip_keys(records)
+    if keys is None:
         records = records[np.lexsort(records.T[::-1])]
-    t, key, addr = records[:, 0], records[:, 1] - 1, records[:, 2]
-    # npu - 1 in 0..1 and addr in 0..MAX_ADDRESS, negatives read as unsigned.
-    if (key.view(np.uint64) > 1).any() or (addr.view(np.uint64) > MAX_ADDRESS).any():
+        keys = _chip_keys(records)
+    if keys is None:
         _write_lines(path, RASTER_HEADER, "%d,%d,%d\n", len(records),
                      lambda lo, hi: records[lo:hi])
         return
-    key *= _ADDRS
-    key += addr
+    t, key, first = keys
     texts = _ADDR_TEXT.take(key).tolist()
-    first = np.ones(len(t), dtype=bool)
-    np.not_equal(t[1:], t[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     bounds = [*starts.tolist(), len(t)]
     parts = [RASTER_HEADER.encode() + b"\n"]
@@ -775,14 +815,19 @@ def _write_lines(path: str, header: str, line: str, n: int, fields) -> None:
 def save_cycles(path: str, cycles) -> None:
     """`CYCLES_HEADER`, then one line per step of `cycles`, a (steps, 2, 5)
     int array or `run`'s `CycleRows`: the step, its ten phase counts, its
-    two `cycle_totals` and the model."""
+    two `cycle_totals` and the model. Each chunk's fields are filled into
+    one int64 buffer, reused by every chunk."""
     cycles = np.asarray(cycles, dtype=np.int64).reshape(-1, 2, 5)
+    buf = np.empty((min(len(cycles), WRITE_CHUNK), 3 + 2 * len(CYCLES_FIELDS)), dtype=np.int64)
 
     def fields(lo: int, hi: int) -> np.ndarray:
-        chunk = cycles[lo:hi]
-        return np.column_stack((np.arange(lo, hi), chunk.reshape(-1, 10), cycle_totals(chunk)))
+        block, chunk = buf[: hi - lo], cycles[lo:hi]
+        block[:, 0] = np.arange(lo, hi)
+        block[:, 1:-2] = chunk.reshape(hi - lo, -1)
+        cycle_totals(chunk, out=block[:, -2:])
+        return block
 
-    line = "%d," * (3 + 2 * len(CYCLES_FIELDS)) + CycleReport.model + "\n"
+    line = "%d," * buf.shape[1] + CycleReport.model + "\n"
     _write_lines(path, CYCLES_HEADER, line, len(cycles), fields)
 
 

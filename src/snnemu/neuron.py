@@ -9,6 +9,8 @@ unsigned 8-bit value; the per-step update is a piecewise-linear drift with
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,11 +102,18 @@ def neuron_tables(params: list[NeuronParams]):
     s = w + i, it spikes if s > V_MAX + off[k], and it carries w = step[s]
     on, while its membrane is next_membrane(s - off[k], v_reset[k]). The
     table holds one row per distinct parameter set, never one per neuron.
-    Only the first object of each identity is hashed: a population usually
-    shares one."""
-    ids = list(map(id, params))
+    A population usually shares one object per NPU, as (p,) * active, so
+    it is mapped a run of one object at a time, and only the first object
+    of each identity is hashed."""
+    n = len(params)
+    # The end of each run of one object, found by a pass in C.
+    ends = [*itertools.compress(itertools.count(1), map(operator.is_not, params, params[1:])), n]
+    firsts = [params[e - 1] for e in ends]
+    ids = list(map(id, firsts))
     sets: dict[NeuronParams, int] = {}
-    row_of = {i: sets.setdefault(p, len(sets)) for i, p in dict(zip(ids, params)).items()}
+    row_of = {i: sets.setdefault(p, len(sets)) for i, p in dict(zip(ids, firsts)).items()}
     step, off = step_table(tuple(sets))
     per_set = np.array([off, [p.v_r for p in sets], [p.v_reset for p in sets]], dtype=np.int64)
-    return step.ravel(), *per_set[:, np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))]
+    cols = per_set[:, np.fromiter(map(row_of.__getitem__, ids), np.int64, len(ids))]
+    cols = cols.repeat(list(map(operator.sub, ends, [0, *ends])), axis=1)
+    return step.ravel(), *cols

@@ -35,12 +35,17 @@ from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar, 
 DEFAULT_CLOCK_HZ = 100_000_000
 
 
-def cycle_totals(cycles: np.ndarray) -> np.ndarray:
+def cycle_totals(cycles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (..., 2) `total_parallel` and `total_serial` of (..., 2, 5)
     cycles, per NPU and phase: the NPUs run simultaneously, so the slower
-    one bounds the timestep, and the serial total is their sum."""
+    one bounds the timestep, and the serial total is their sum. Written
+    into `out` when it is given."""
     sums = cycles.sum(axis=-1)
-    return np.stack((sums.max(axis=-1), sums.sum(axis=-1)), axis=-1)
+    if out is None:
+        out = np.empty(sums.shape, dtype=sums.dtype)
+    sums.max(axis=-1, out=out[..., 0])
+    sums.sum(axis=-1, out=out[..., 1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,22 +193,26 @@ class Processor:
         `take` only raises past either end of a table. On vectors this
         short a fresh `take` result is cheaper than `take(out=)`, which
         mode="raise" buffers. The spike test writes through a bool view, which
-        the MAC reads, against an array to skip a cast and a scalar conversion."""
+        the MAC reads, against an array to skip a cast and a scalar conversion.
+        The loop's callables are bound once per block, and it walks the rows
+        of the input and of the spikes split into lists beforehand; the MAC
+        stays one call of `Crossbar.mac` per step."""
         spikes = np.empty((len(ext) + 1, self.n), dtype=np.uint8)
         spikes[0] = self.last_spikes
         ext = np.clip(ext, -EXT_BOUND, EXT_BOUND)
         ext += self._sd_off
         y, s = self.y, self.v_m + self._off
-        mac, sat_decay, step, thr, fired = (self.crossbar.mac, self._sat_decay, self._step,
-                                            self._thr, spikes.view(bool))
-        w = step.take(s)
-        for t, row in enumerate(ext):
-            row += y
-            mac(fired[t], row)
-            y = sat_decay.take(row)
-            s = w + y
-            np.greater(s, thr, out=fired[t + 1])
-            w = step.take(s)
+        mac, sat_decay, step, thr = (self.crossbar.mac, self._sat_decay.take, self._step.take,
+                                     self._thr)
+        add, greater, fired = np.add, np.greater, list(spikes.view(bool))
+        w = step(s)
+        for row, src, dst in zip(list(ext), fired, fired[1:]):
+            add(row, y, row)
+            mac(src, row)
+            y = sat_decay(row)
+            s = add(w, y)
+            greater(s, thr, dst)
+            w = step(s)
         self.y[:], self.v_m[:] = y, next_membrane(s - self._off, self._v_reset)
         self.last_spikes = spikes[-1].copy()
         return spikes[1:], self.cycles(spikes[:-1], counts)

@@ -309,6 +309,34 @@ class TestNetworkDescription:
             cls(**{**fields, field: value})
         assert (err.value.path, err.value.msg) == (path, f"must be integers, got {kind}")
 
+    @pytest.mark.parametrize("addrs", [np.arange(3), np.arange(3, dtype=np.uint8),
+                                       (0, 1, 2), [np.int64(0), 1, np.int32(2)]])
+    def test_noise_addrs_array_runs_as_the_list(self, tmp_path, addrs):
+        """Noise addresses given as an integer array or another integer
+        sequence are kept as a list of Python ints: the source runs to the
+        list's raster and round-trips through `save` and `load`."""
+        src = NoiseSource(npu=1, addrs=addrs, low=0, high=60)
+        assert src.addrs == [0, 1, 2] and set(map(type, src.addrs)) == {int}
+        listed = noisy_desc(0)
+        listed.noise = [NoiseSource(npu=1, addrs=[0, 1, 2], low=0, high=60)]
+        given = copy.copy(listed)
+        given.noise = [src]
+        want, got = run(listed, None, 30, 5), run(given, None, 30, 5)
+        assert len(want[0]) and np.array_equal(got[0], want[0])
+        given.save(str(tmp_path / "net.yaml"))
+        assert NetworkDescription.load(str(tmp_path / "net.yaml")).noise == listed.noise
+
+    @pytest.mark.parametrize("addrs, msg", [
+        (np.zeros((2, 3), dtype=np.int64), "must be a list of integers, got shape (2, 3)"),
+        ([[0, 1]], "must be a list of integers, got shape (1, 2)"),
+        (3, "must be a list of integers, got shape ()"),
+        (np.array([True, False]), "must be integers, got bool"),
+    ])
+    def test_noise_addrs_not_a_list_of_integers(self, addrs, msg):
+        with pytest.raises(ConfigError) as err:
+            NoiseSource(npu=1, addrs=addrs, low=0, high=5)
+        assert (err.value.path, err.value.msg) == ("stimulus.noise.addrs", msg)
+
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):
             minimal_desc(dc=[DcSource(npu=1, addr=7, value=1)])
@@ -686,6 +714,66 @@ class TestStimulusParse:
         with pytest.raises(ValueError, match="line 3: expected four integers"):
             StimulusTrace.load(str(path))
 
+    @staticmethod
+    def parse_calls(path, chunk):
+        """The records `StimulusTrace.load` returns with `PARSE_CHUNK` at
+        `chunk`, the lines each per-line parse was given, and the number
+        of `loadtxt` calls."""
+        seen, loads = [], []
+        parse_lines, loadtxt = netio._parse_lines, np.loadtxt
+        with mock.patch.object(netio, "PARSE_CHUNK", chunk), \
+                mock.patch.object(netio, "_parse_lines",
+                                  lambda p, lines, n: seen.append(list(lines))
+                                  or parse_lines(p, seen[-1], n)), \
+                mock.patch.object(np, "loadtxt",
+                                  lambda *a, **k: loads.append(1) or loadtxt(*a, **k)):
+            records = StimulusTrace.load(str(path)).records.tolist()
+        return records, seen, len(loads)
+
+    @pytest.mark.parametrize("blank", ["   ", "\t", " \x0c "])
+    def test_whitespace_line_parses_only_its_chunk(self, tmp_path, blank):
+        """One whitespace-only line in the third of five chunks sends that
+        chunk alone to the per-line parse, and the records are those of the
+        clean trace."""
+        lines = [f"{t},{1 + t % 2},{t % 9},{t % 7 - 3}" for t in range(50)]
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        clean.write_text("\n".join([netio.STIMULUS_HEADER, *lines]) + "\n")
+        chunk = 90  # about ten 9-character lines per chunk
+        want, seen, _ = self.parse_calls(clean, chunk)
+        assert seen == [] and len(want) == 50
+        with mock.patch.object(netio, "PARSE_CHUNK", chunk):
+            chunks = list(netio._line_chunks(clean.read_text(), len(netio.STIMULUS_HEADER) + 1))
+        assert len(chunks) == 5
+        at = len(chunks[0]) + len(chunks[1]) + 3  # inside the third chunk
+        dirty.write_text("\n".join([netio.STIMULUS_HEADER, *lines[:at], blank, *lines[at:]])
+                         + "\n")
+        got, seen, _ = self.parse_calls(dirty, chunk)
+        assert got == want
+        assert len(seen) == 1 and blank in seen[0] and len(seen[0]) <= len(chunks[2]) + 1
+        assert set(seen[0]) - {blank} <= set(chunks[2])
+
+    def test_bad_record_in_the_last_chunk_names_its_line(self, tmp_path):
+        lines = [f"{t},1,0,1" for t in range(40)] + ["40,1,0"]
+        path = tmp_path / "stim.csv"
+        path.write_text("\n".join([netio.STIMULUS_HEADER, *lines]) + "\n")
+        with mock.patch.object(netio, "PARSE_CHUNK", 60), \
+                pytest.raises(StimulusError, match="line 42: expected four integers"):
+            StimulusTrace.load(str(path))
+
+    @pytest.mark.parametrize("blank", [False, True])
+    def test_one_chunk_file_loadtxt_calls(self, tmp_path, blank):
+        """A trace of one chunk, such as avoid's, makes one `loadtxt` call;
+        with a whitespace-only line, `loadtxt` rejects the chunk, which is
+        then parsed line by line."""
+        lines = [f"{t},1,0,1" for t in range(400)]
+        if blank:
+            lines.insert(200, "  ")
+        path = tmp_path / "stim.csv"
+        path.write_text("\n".join([netio.STIMULUS_HEADER, *lines]) + "\n")
+        records, seen, loads = self.parse_calls(path, netio.PARSE_CHUNK)
+        assert records == [[t, 1, 0, 1] for t in range(400)]
+        assert (len(seen), loads) == ((1, 1) if blank else (0, 1))
+
     @pytest.mark.parametrize("text, message", [
         (f"{2**63},1,0,1", "record 0: timestep 9223372036854775808 does not fit 64 bits"),
         (f"0,2,{10**30},1", "record 0: neuron address must be 0..128"),
@@ -748,15 +836,26 @@ class TestRasterBytes:
         save_raster(str(path), np.array(rows, dtype=np.int64).reshape(-1, 3))
         assert path.read_bytes() == reference_raster(rows)
 
+    @staticmethod
+    def wrapped(key, addr):
+        """The (npu, addr) pair, npu off the chip, whose (npu - 1) * 129 +
+        addr wraps in int64 to the chip key `key`: 129 is odd, so it has
+        an inverse mod 2**64."""
+        npu = (key - addr) * pow(129, -1, 2**64) % 2**64
+        return (npu - 2**64 if npu >= 2**63 else npu) + 1, addr
+
     @pytest.mark.parametrize("pair", [(0, 5), (3, 5), (1, -1), (2, 129), (-2**63, 0),
-                                      (1, 2**63 - 1), (2**63 - 1, -2**63)])
+                                      (1, 2**63 - 1), (2**63 - 1, -2**63),
+                                      wrapped(1, 0), wrapped(0, 128), wrapped(200, 5),
+                                      wrapped(257, 0), wrapped(129, 1)])
     @pytest.mark.parametrize("where", [0, 1, 2])
     @pytest.mark.parametrize("presort", [True, False])
     def test_one_record_off_the_chip(self, tmp_path, pair, where, presort):
         """One (npu, addr) pair that is no chip address (npu 0 or 3, addr
-        -1 or 129, int64 extremes) first, in the middle or last among chip
-        records, given sorted or not, sends the whole file through the
-        per-field format, with the same bytes."""
+        -1 or 129, int64 extremes, an npu whose key wraps onto a chip
+        address's) first, in the middle or last among chip records, given
+        sorted or not, sends the whole file through the per-field format,
+        with the same bytes."""
         rows = [(1, 1, 0), (1, 2, 128), (2, 1, 7), (2, 2, 0), (3, 1, 32), (4, 2, 5)]
         other = ((0, 2, 5)[where], *pair)
         if presort:
@@ -809,6 +908,22 @@ class TestOutputFiles:
         reused.write_bytes(b"9,9,9\n" * fresh.stat().st_size)
         WRITERS[writer](str(reused))
         assert reused.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_over_a_shorter_file(self, tmp_path, writer):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        WRITERS[writer](str(fresh))
+        reused.write_bytes(b"9" * (fresh.stat().st_size // 2))
+        WRITERS[writer](str(reused))
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_short_writes_are_resumed(self, tmp_path):
+        """Every byte is written when each `os.write` takes at most 7."""
+        write = os.write
+        data = bytes(range(256)) * 40
+        with mock.patch.object(os, "write", lambda fd, b: write(fd, bytes(b[:7]))):
+            netio._write_file(str(tmp_path / "out.bin"), data)
+        assert (tmp_path / "out.bin").read_bytes() == data
 
     def test_config_and_weight_image_over_longer_files(self, tmp_path):
         desc = minimal_desc(n1=4, n2=8)

@@ -77,8 +77,21 @@ class TestDeltaVm:
         assert delta_vm(100, self.P, 0) == -13
 
 
+def populations(base):
+    """Populations of every parameter set of `base`, in the forms a chip
+    can hold: runs of one shared object, each followed by a run of an equal
+    copy (as NPUs built with `(p,) * active`), equal but distinct objects
+    throughout, and one shared object alternating with the others."""
+    return {
+        "runs": [q for p in base for q in [p] * 3 + [dataclasses.replace(p)] * 2],
+        "equal-copies": [dataclasses.replace(p) for p in base * 2],
+        "alternating": [q for p in base for q in (base[0], p)],
+    }
+
+
 class TestDriftTable:
-    def test_every_potential_and_slope_pair(self):
+    @pytest.mark.parametrize("form", ["mixed", "runs", "equal-copies", "alternating"])
+    def test_every_potential_and_slope_pair(self, form):
         """Row k, column v of the table is v + delta_vm(v, params[k], 0), for
         every v in 0..255 and every (a_num, b_num), with the switch point
         at both ends of the range and in between; parameter sets that
@@ -91,7 +104,7 @@ class TestDriftTable:
         table = drift_table(tuple(params))
         assert table.shape == (len(params), 256)
         assert table.tolist() == [[v + delta_vm(v, p, 0) for v in range(256)] for p in params]
-        population = params + params[::7]
+        population = params + params[::7] if form == "mixed" else populations(params)[form]
         step, off, _, _ = neuron_tables(population)
         assert step.size == len(params) * (int(table.max()) - int(table.min()) + 4096)
         assert (step.take(off[:, None] + range(256)) - off[:, None]).tolist() == [
@@ -159,15 +172,21 @@ class TestNeuronTables:
                 assert spiked[k][v] == [sp for _, sp in want], (p, v)
                 assert carried[k][v] == [w.v_m + delta_vm(w.v_m, p, 0) for w, _ in want], (p, v)
 
-    def test_tables_are_shared_and_read_only(self):
+    @pytest.mark.parametrize("form", ["repeated", "runs", "equal-copies", "alternating"])
+    def test_tables_are_shared_and_read_only(self, form):
         """One row per distinct parameter set, built once and cached: each
         row spans every candidate of the drift table and a 12-bit current,
-        and the rows lie end to end."""
-        step, off, _, _ = neuron_tables(self.SWEEP * 3)
+        and the rows lie end to end. Each neuron's offset, v_r and v_reset
+        are those of its set, whatever form the population takes."""
+        population = self.SWEEP * 3 if form == "repeated" else populations(self.SWEEP)[form]
+        step, off, v_r, v_reset = neuron_tables(population)
         vd = drift_table(tuple(self.SWEEP))
         width = int(vd.max()) - int(vd.min()) + 4096
         assert step.size == 64 * width and not step.flags.writeable
-        assert off.tolist() == [k * width - int(vd.min()) + 2048 for k in range(64)] * 3
+        assert off.tolist() == [self.SWEEP.index(p) * width - int(vd.min()) + 2048
+                                for p in population]
+        assert v_r.tolist() == [p.v_r for p in population]
+        assert v_reset.tolist() == [p.v_reset for p in population]
         again = neuron_tables(self.SWEEP)
         assert again[0].base is step.base
 
@@ -175,7 +194,8 @@ class TestNeuronTables:
         [NeuronParams(a_num=2, b_num=4, v_r=50, v_t=150, v_reset=30)] * 162,
         ([NeuronParams(a_num=1, b_num=1, v_r=0, v_t=255, v_reset=0)] * 2 + SWEEP[:3]) * 32
         + SWEEP[:2],
-    ], ids=["one-object", "shared-and-distinct"])
+        *populations(SWEEP[:6]).values(),
+    ], ids=["one-object", "shared-and-distinct", *populations([]).keys()])
     def test_shared_objects_match_equal_copies(self, population):
         """Tables are deduplicated by identity before equality: references
         to shared objects give the same two arrays as equal but distinct

@@ -279,6 +279,27 @@ class TestFresh:
         for a in compiled:
             assert not a.flags.writeable
 
+    def test_mac_is_one_call_per_step(self, monkeypatch):
+        """`advance` calls `Crossbar.mac`, looked up on the class, once per
+        step of a block, with the spikes of the step before: a wrapper put
+        on the class before the chip is built sees every MAC, as a tracer
+        that times the MAC there does."""
+        calls = []
+        mac = Crossbar.mac
+        monkeypatch.setattr(Crossbar, "mac", lambda xbar, spikes, y: (
+            calls.append(spikes.astype(np.uint8)), mac(xbar, spikes, y))[1])
+        proc = make_processor(ff=np.full((3, 5), 7), w2=np.full((4, 5), 3))
+        ext = np.zeros((6, proc.n), dtype=np.int64)
+        ext[::2, :2] = 300
+        for k in (6, 1, 0):
+            before = proc.last_spikes.copy()
+            spikes, _ = proc.advance(ext[:k].copy(), np.zeros((k, 2), dtype=np.int64))
+            assert len(calls) == k
+            assert np.array_equal(np.array(calls, dtype=np.uint8).reshape(k, proc.n),
+                                  np.concatenate(([before], spikes[:-1]))[:k])
+            calls.clear()
+        assert spikes.size == 0 and proc.last_spikes.any()
+
     def test_sudoku_puzzles_share_one_chip(self):
         a, _ = apps.build_sudoku_network(apps.random_puzzle(4, seed=1))
         b, _ = apps.build_sudoku_network(apps.random_puzzle(4, seed=2))
