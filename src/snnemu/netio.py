@@ -20,7 +20,7 @@ import stat
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -204,42 +204,40 @@ def load_weight_image(path: str) -> list[WeightMemory]:
 # ---------------------------------------------------------------------------
 # network description
 
-def _check_integers(kind: str, **fields) -> None:
-    """Each field of a `kind` stimulus source is an integer by the one rule
-    (`int_array`), else a ConfigError at the path where the field's bounds
-    are named; a Python int passes by one type test."""
-    for name, value in fields.items():
-        if type(value) is not int:
+def _store_ints(src, kind: str, names) -> None:
+    """Store each field `names` of a `kind` stimulus source in its one form:
+    `addrs` a tuple of Python ints, any other a Python int, by the integer
+    rule (`int_array`) at 1-D or 0-d, else a ConfigError at the path naming
+    the field's bounds. An int, or a list or tuple of ints, passes by type."""
+    for name in names:
+        value, many = getattr(src, name), name == "addrs"
+        if not many and type(value) is int:
+            continue
+        if many and type(value) in (list, tuple) and set(map(type, value)) <= {int}:
+            value = tuple(value)
+        else:
             path = f"stimulus.{kind}" + ("" if name in ("low", "high") else f".{name}")
-            int_array(value, functools.partial(ConfigError, path))
+            values = int_array(value, functools.partial(ConfigError, path))
+            if values.ndim != many:
+                what = "a list of integers" if many else "an integer"
+                raise ConfigError(path, f"must be {what}, got shape {values.shape}")
+            value = tuple(map(int, values.flat)) if many else int(values)
+        object.__setattr__(src, name, value)
 
 
-def _int_list(value, path: str) -> list[int]:
-    """`value`, a list of Python ints as it is, else any 1-D sequence or
-    array of integers by the one rule (`int_array`), as a list of Python
-    ints; anything else raises a ConfigError at `path`."""
-    if type(value) is list and set(map(type, value)) <= {int}:
-        return value
-    values = int_array(value, functools.partial(ConfigError, path))
-    if values.ndim != 1:
-        raise ConfigError(path, f"must be a list of integers, got shape {values.shape}")
-    return values.tolist()
-
-
-@dataclass
+@dataclass(frozen=True)
 class NoiseSource:
     """Seeded external-event generator: one event per listed address per
-    timestep with value drawn uniformly from [low, high]. The addresses are
-    kept as a list of Python ints, whatever integer sequence they came as."""
+    timestep with value drawn uniformly from [low, high]. A frozen value:
+    `addrs` is a tuple of Python ints, every other field a Python int."""
 
     npu: int
-    addrs: list[int]
+    addrs: tuple[int, ...]
     low: int
     high: int
 
     def __post_init__(self):
-        _check_integers("noise", npu=self.npu, low=self.low, high=self.high)
-        self.addrs = _int_list(self.addrs, "stimulus.noise.addrs")
+        _store_ints(self, "noise", ("npu", "low", "high", "addrs"))
         if self.npu not in (1, 2):
             raise ConfigError("stimulus.noise.npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.low <= self.high <= 127:
@@ -248,16 +246,19 @@ class NoiseSource:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DcSource:
-    """Constant external event applied every timestep."""
+    """Constant external event applied every timestep; a frozen value whose
+    fields are Python ints."""
 
     npu: int
     addr: int
     value: int
 
     def __post_init__(self):
-        _check_integers("dc", npu=self.npu, addr=self.addr, value=self.value)
+        # One test for three ints: an app builds a DC source per clue per solve.
+        if not type(self.npu) is type(self.addr) is type(self.value) is int:
+            _store_ints(self, "dc", ("npu", "addr", "value"))
         if self.npu not in (1, 2):
             raise ConfigError("stimulus.dc.npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.value <= 127:
@@ -349,9 +350,9 @@ def _addrs_from(value, total: int, path: str) -> list[int]:
     return list(range(start, stop))
 
 
-def _addrs_to(addrs: list[int]):
+def _addrs_to(addrs: tuple[int, ...]):
     """The range form of one ascending contiguous run, else the list."""
-    run = addrs and addrs == list(range(addrs[0], addrs[-1] + 1))
+    run = addrs and addrs == tuple(range(addrs[0], addrs[-1] + 1))
     return {"start": addrs[0], "stop": addrs[-1] + 1} if run else list(addrs)
 
 
@@ -425,7 +426,7 @@ class NetworkDescription:
         for kind, field_, sources in (("dc", "addr", self.dc), ("noise", "addrs", self.noise)):
             for i, src in enumerate(sources):
                 total = (self.npu1 if src.npu == 1 else self.npu2).total_neurons
-                addrs = src.addrs if kind == "noise" else [src.addr]
+                addrs = src.addrs if kind == "noise" else (src.addr,)
                 # Two reductions pass valid addresses; only bad ones are searched.
                 if addrs and (min(addrs) < 0 or max(addrs) >= total):
                     j = next(j for j, a in enumerate(addrs) if not 0 <= a < total)
@@ -576,11 +577,10 @@ class NetworkDescription:
               for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc"))]
         noise = []
         for i, s in enumerate(_list(stim.get("noise", []), "stimulus.noise")):
-            src = _source(NoiseSource, s, ("npu", "low", "high"), "noise", i, addrs=[])
+            src = _source(NoiseSource, s, ("npu", "low", "high"), "noise", i, addrs=())
             total = (npu1, npu2)[src.npu - 1].total_neurons
-            src.addrs = _addrs_from(_get(s, "addrs", f"stimulus.noise[{i}]"), total,
-                                    f"stimulus.noise[{i}].addrs")
-            noise.append(src)
+            noise.append(replace(src, addrs=_addrs_from(
+                _get(s, "addrs", f"stimulus.noise[{i}]"), total, f"stimulus.noise[{i}].addrs")))
         return cls(
             npu1=npu1,
             npu2=npu2,

@@ -145,18 +145,6 @@ class Crossbar:
     weights: np.ndarray  # (sources, targets) int64
     cost: np.ndarray  # (sources,) or (sources, NPUs) int64
 
-    @classmethod
-    def compile(cls, weights, sparse: bool, broadcast: int | None = None) -> "Crossbar":
-        """The (sources, targets) matrix `weights`, each row costing its
-        `group_cost`, plus an optional last row holding `broadcast` in every
-        column at a cost of one cycle."""
-        weights = check_weights(weights)
-        cost = group_cost(weights, sparse)
-        if broadcast is not None:
-            cost = np.append(cost, 1)
-            weights = np.vstack((weights, np.full((1, weights.shape[1]), broadcast)))
-        return cls(weights, cost)
-
     def mac(self, spikes: np.ndarray, y: np.ndarray) -> None:
         """Add the row of every spiking source (a 0/1 or bool vector) into `y`,
         unsaturated: callers saturate once per timestep, so order never

@@ -2,14 +2,31 @@
 noise generator: one neuron, one accumulator, one draw at a time in plain
 integers. The chip runs the first two as lookup tables (`neuron_tables`,
 `sat_decay_table`) and draws noise a block at a time (`NoiseDraws`); the
-tests check every table entry and every draw against these."""
+tests check every table entry and every draw against these. Beside them is
+the reference crossbar compile of one weight matrix (`compile_crossbar`),
+which the chip does for both NPUs in one pass."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from snnemu.netio import LCG_INC, LCG_MULT
 from snnemu.neuron import V_MAX, NeuronParams, pde_threshold
+from snnemu.synapse import Crossbar, check_weights, group_cost
+
+
+def compile_crossbar(weights, sparse: bool, broadcast: int | None = None) -> Crossbar:
+    """The crossbar of one (sources, targets) matrix `weights`, each row
+    costing its `group_cost`, plus an optional last row holding `broadcast`
+    in every column at a cost of one cycle."""
+    weights = check_weights(weights)
+    cost = group_cost(weights, sparse)
+    if broadcast is not None:
+        cost = np.append(cost, 1)
+        weights = np.vstack((weights, np.full((1, weights.shape[1]), broadcast)))
+    return Crossbar(weights, cost)
 
 
 class Lcg:

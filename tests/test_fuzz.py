@@ -1,10 +1,14 @@
-"""Fuzzers for the three input formats: YAML config text, stimulus CSV
-text and weight-image bytes. Every input either loads or makes the CLI exit
-2 with exactly one `error: ...` line on stderr, never a traceback."""
+"""Fuzzers for the four input formats: YAML config text, stimulus CSV
+text, weight-image bytes and puzzle text, and for the argv of all four
+subcommands. Every input either loads or makes the CLI exit 2 with exactly
+one `error: ...` line on stderr, never a traceback; only `sudoku` may also
+exit 1, for a puzzle it did not solve."""
 
 import contextlib
 import io
+import re
 import struct
+import tempfile
 import zlib
 
 import numpy as np
@@ -13,6 +17,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from snnemu import apps
 from snnemu.cli import main
 from snnemu.neuron import NeuronParams
 from snnemu.netio import DcSource, NetworkDescription, NoiseSource
@@ -54,14 +59,26 @@ def workdir(tmp_path_factory):
         noise=[NoiseSource(npu=2, addrs=[0, 1], low=-5, high=9)],
     )
     desc.save(str(d / "net.yaml"))
+    apps.make_direction_stimulus(3, 60).save(str(d / "stim.csv"))
+    (d / "puzzle.txt").write_text(". 2 . 4\n3 . . .\n. . 4 .\n. . . .\n")
     return d
 
 
 def cli(*argv):
+    """The exit status and stderr of `main(argv)`, argparse's own exits (a
+    usage error, `-h`) included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([str(a) for a in argv])
+        try:
+            rc = main([str(a) for a in argv])
+        except SystemExit as e:
+            rc = e.code
     return rc, err.getvalue()
+
+
+# A run exits 2 with one `error: <category>: <detail>` line, the form CI
+# checks for the installed script.
+ONE_ERROR = re.compile(r"error: [A-Za-z]+: [^\n]*\n")
 
 
 def assert_loads_or_one_error(rc, err):
@@ -69,7 +86,15 @@ def assert_loads_or_one_error(rc, err):
         assert err == ""
     else:
         assert rc == 2, err
-        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert ONE_ERROR.fullmatch(err), err
+
+
+def assert_exit_status(rc, err):
+    """0 or 1 (`sudoku` unsolved), whatever the run printed, or 2 with one
+    error line."""
+    assert rc in (0, 1, 2), (rc, err)
+    if rc == 2:
+        assert ONE_ERROR.fullmatch(err), err
 
 
 def paths_of(doc, prefix=()):
@@ -158,3 +183,97 @@ def test_weight_image(workdir, data):
     config.write_text((workdir / "net.yaml").read_text().replace(
         "net.weights.bin", "fuzz.weights.bin"))
     assert_loads_or_one_error(*cli("inspect", "--config", config))
+
+
+PUZZLE_BYTES = st.sampled_from([b"0", b"1", b"4", b"5", b"9", b"12", b".", b" ", b"\n", b"\r",
+                                b"\t", b"-1", b"x", b"\xff", "\u0663".encode(), b"\xe2\x82"])
+
+
+@FUZZ
+@given(data=st.data())
+def test_puzzle_text(workdir, data):
+    """A puzzle grid, the saved one or a random puzzle's, with bytes cut or
+    inserted, is solved, left unsolved (exit 1) or rejected with one error
+    line. `--n` is the grid's side or a drawn one, and the step budget is
+    short, so no run is long."""
+    text = (workdir / "puzzle.txt").read_bytes()
+    if data.draw(st.booleans(), label="random"):
+        puzzle = apps.random_puzzle(data.draw(st.integers(2, 5), label="side"),
+                                    data.draw(st.integers(0, 99), label="seed"))
+        grid = [[b"."] * puzzle.n for _ in range(puzzle.n)]
+        for r, c, d in puzzle.clues:
+            grid[r][c] = b"%d" % d
+        text = b"\n".join(b" ".join(row) for row in grid)
+    for _ in range(data.draw(st.integers(0, 2), label="edits")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        cut = data.draw(st.integers(0, 3), label="cut")
+        text = text[:at] + data.draw(PUZZLE_BYTES, label="insert") + text[at + cut:]
+    (workdir / "fuzz_puzzle.txt").write_bytes(text)
+    rows = len(text.split(b"\n"))
+    n = data.draw(st.sampled_from([rows, rows, rows, 4, 6]), label="n")
+    assert_exit_status(*cli("sudoku", "--n", n, "--puzzle", workdir / "fuzz_puzzle.txt",
+                            "--seed", 1, "--max-steps",
+                            data.draw(st.integers(1, 250), label="max_steps")))
+
+
+BASE_ARGVS = {
+    "run": ["run", "--config", "net.yaml", "--stimulus", "stim.csv", "--seed", "3",
+            "--raster-out", "raster.csv", "--cycles-out", "cycles.csv"],
+    "sudoku": ["sudoku", "--n", "4", "--puzzle", "puzzle.txt", "--seed", "0"],
+    "avoid": ["avoid", "--stimulus", "stim.csv"],
+    "inspect": ["inspect", "--config", "net.yaml"],
+}
+OPTIONS = sorted({t for argv in BASE_ARGVS.values() for t in argv if t.startswith("--")}
+                 | {"--steps", "--max-steps", "--windows", "--window-steps"})
+# Values of each kind: counts at and past their bounds, a seed past 32
+# bits, text that is no number, and file names of each input, of a missing
+# file and of a directory.
+VALUES = st.sampled_from(sorted({
+    *(t for argv in BASE_ARGVS.values() for t in argv[1:] if not t.startswith("--")),
+    "-1", "0", "1", "2", "5", "4294967296", str(2**70), "1.5", "x", "", "-",
+    "net.weights.bin", "missing.yaml", ".",
+}))
+TOKENS = VALUES | st.sampled_from([*BASE_ARGVS, *OPTIONS, "-h", "--", "--steps=2",
+                                   "--config=stim.csv"])
+# The last word on each count, appended after the edits, so that no run
+# takes more than a few hundred steps.
+BUDGETS = {"run": ("--steps",), "sudoku": ("--max-steps",),
+           "avoid": ("--windows", "--window-steps"), "inspect": ()}
+
+
+def edit_argv(data, argv):
+    """`argv` with one edit: an option's value replaced, an option and its
+    value dropped or added, or any token deleted, inserted or replaced."""
+    pairs = [i for i, t in enumerate(argv[:-1]) if t.startswith("--")]
+    op = data.draw(st.sampled_from(["value", "drop", "add", "token"]), label="op")
+    if op in ("value", "drop") and pairs:
+        i = data.draw(st.sampled_from(pairs), label="option")
+        if op == "value":
+            argv[i + 1] = data.draw(VALUES, label="value")
+        else:
+            del argv[i : i + 2]
+    elif op == "add":
+        argv += [data.draw(st.sampled_from(OPTIONS), label="added"), data.draw(VALUES)]
+    else:
+        at = data.draw(st.integers(0, len(argv)), label="at")
+        cut = data.draw(st.integers(0, 1), label="cut")
+        argv[at : at + cut] = [data.draw(TOKENS, label="token")] * data.draw(st.booleans())
+
+
+@FUZZ
+@given(data=st.data())
+def test_argv(workdir, data):
+    """Each subcommand's argv, edited with every option and value of the
+    CLI, runs in a directory of its own inputs and exits 0, 1 or 2, with
+    one error line on exit 2."""
+    argv = list(BASE_ARGVS[data.draw(st.sampled_from(sorted(BASE_ARGVS)), label="command")])
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        edit_argv(data, argv)
+    for option in BUDGETS.get(argv[0] if argv else "", ()):
+        top = 250 if option == "--max-steps" else 12
+        argv += [option, data.draw(st.sampled_from([-1, 0, *range(1, top + 1)]), label=option)]
+    with tempfile.TemporaryDirectory() as d, contextlib.chdir(d):
+        for name in ("net.yaml", "net.weights.bin", "stim.csv", "puzzle.txt"):
+            with open(name, "wb") as f:
+                f.write((workdir / name).read_bytes())
+        assert_exit_status(*cli(*argv))

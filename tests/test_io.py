@@ -166,14 +166,16 @@ class TestNetworkDescription:
         desc.save(str(path))
         assert yaml.safe_load(path.read_text())["stimulus"]["noise"][0]["addrs"] == saved
         loaded = NetworkDescription.load(str(path))
-        assert desc_equal(desc, loaded) and type(loaded.noise[0].addrs) is list
+        assert desc_equal(desc, loaded) and type(loaded.noise[0].addrs) is tuple
 
     def test_numpy_integer_fields_round_trip(self, tmp_path):
-        """DC and noise fields given as numpy integers are saved as plain
-        ints and load to an equal description."""
+        """DC and noise fields given as numpy integers or 0-d arrays are
+        stored as Python ints, saved as plain ints and load to an equal
+        description."""
         desc = minimal_desc(
             n1=4, n2=8,
-            dc=[DcSource(npu=np.int64(1), addr=np.int32(2), value=np.int8(-5))],
+            dc=[DcSource(npu=np.int64(1), addr=np.int32(2), value=np.int8(-5)),
+                DcSource(npu=np.array(2), addr=np.array(3), value=np.array(7, dtype=np.uint8))],
             noise=[NoiseSource(npu=np.int64(2), addrs=[np.int64(a) for a in range(1, 5)],
                                low=np.int16(-3), high=np.uint8(7)),
                    NoiseSource(npu=np.uint8(1), addrs=list(np.array([4, 0, 4])),
@@ -185,11 +187,13 @@ class TestNetworkDescription:
         assert doc["noise"][0]["addrs"] == {"start": 1, "stop": 5}
         assert doc["noise"][1]["addrs"] == [4, 0, 4]
         assert desc_equal(desc, NetworkDescription.load(str(path)))
+        fields = [v for src in desc.dc + desc.noise for v in dataclasses.astuple(src)]
+        assert {type(v) for v in fields} == {int, tuple} and desc.dc[1] == DcSource(2, 3, 7)
 
     def test_unrepresentable_field_writes_no_file(self, tmp_path):
         """The YAML is rendered before either file is written."""
         desc = minimal_desc(dc=[DcSource(npu=1, addr=0, value=5)])
-        desc.dc[0].value = np.float64(5)
+        desc.clock_hz = np.float64(100_000_000)
         with pytest.raises(yaml.representer.RepresenterError):
             desc.save(str(tmp_path / "net.yaml"))
         assert list(tmp_path.iterdir()) == []
@@ -310,13 +314,14 @@ class TestNetworkDescription:
         assert (err.value.path, err.value.msg) == (path, f"must be integers, got {kind}")
 
     @pytest.mark.parametrize("addrs", [np.arange(3), np.arange(3, dtype=np.uint8),
-                                       (0, 1, 2), [np.int64(0), 1, np.int32(2)]])
+                                       (0, 1, 2), [np.int64(0), 1, np.int32(2)], range(3),
+                                       (np.int64(0), np.uint8(1), np.int32(2))])
     def test_noise_addrs_array_runs_as_the_list(self, tmp_path, addrs):
         """Noise addresses given as an integer array or another integer
-        sequence are kept as a list of Python ints: the source runs to the
+        sequence are kept as a tuple of Python ints: the source runs to the
         list's raster and round-trips through `save` and `load`."""
         src = NoiseSource(npu=1, addrs=addrs, low=0, high=60)
-        assert src.addrs == [0, 1, 2] and set(map(type, src.addrs)) == {int}
+        assert src.addrs == (0, 1, 2) and set(map(type, src.addrs)) == {int}
         listed = noisy_desc(0)
         listed.noise = [NoiseSource(npu=1, addrs=[0, 1, 2], low=0, high=60)]
         given = copy.copy(listed)
@@ -336,6 +341,46 @@ class TestNetworkDescription:
         with pytest.raises(ConfigError) as err:
             NoiseSource(npu=1, addrs=addrs, low=0, high=5)
         assert (err.value.path, err.value.msg) == ("stimulus.noise.addrs", msg)
+
+    @pytest.mark.parametrize("cls, field, value, path", [
+        (DcSource, "npu", [1], "stimulus.dc.npu"),
+        (DcSource, "addr", [0], "stimulus.dc.addr"),
+        (DcSource, "value", np.array([5]), "stimulus.dc.value"),
+        (NoiseSource, "low", [0], "stimulus.noise"),
+        (NoiseSource, "high", (5,), "stimulus.noise"),
+    ])
+    def test_source_scalar_is_one_integer(self, cls, field, value, path):
+        """A sequence given for a scalar source field is a ConfigError at the
+        field's path where the source is built, not a bare TypeError later."""
+        fields = {"npu": 1, "addr": 0, "value": 5} if cls is DcSource else {
+            "npu": 1, "addrs": [0], "low": 0, "high": 5}
+        with pytest.raises(ConfigError) as err:
+            cls(**{**fields, field: value})
+        assert (err.value.path, err.value.msg) == (
+            path, f"must be an integer, got shape {np.shape(value)}")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("dc", "value", 100.7),
+        ("dc", "npu", 3),
+        ("noise", "addrs", np.arange(3)),
+        ("noise", "addrs", [0, 1.5]),
+        ("noise", "npu", 3),
+    ])
+    def test_built_source_cannot_be_reassigned(self, tmp_path, kind, field, value):
+        """A source is a frozen value: reassigning a field raises before any
+        run or save can use it, no file is written, and the source keeps
+        its checked value."""
+        desc = minimal_desc(n2=4, dc=[DcSource(npu=1, addr=0, value=5)],
+                            noise=[NoiseSource(npu=2, addrs=[0, 1], low=0, high=9)])
+        src = getattr(desc, kind)[0]
+        before = dataclasses.astuple(src)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(src, field, value)
+            desc.save(str(tmp_path / "net.yaml"))
+        assert list(tmp_path.iterdir()) == []
+        assert dataclasses.astuple(src) == before
+        desc.save(str(tmp_path / "net.yaml"))
+        assert desc_equal(desc, NetworkDescription.load(str(tmp_path / "net.yaml")))
 
     def test_stimulus_address_validated(self):
         with pytest.raises(ConfigError, match="out of range"):
@@ -1055,7 +1100,7 @@ class TestRun:
         if loaded:
             desc.save(str(tmp_path / "net.yaml"))
             desc = NetworkDescription.load(str(tmp_path / "net.yaml"))
-            assert desc.noise[where == "last"].addrs == []
+            assert desc.noise[where == "last"].addrs == ()
         want = run(minimal_desc(n2=4, dc=desc.dc, noise=without), None, 40, 7)
         raster, rows, agg = run(desc, None, 40, 7)
         assert len(raster) and np.array_equal(raster, want[0])

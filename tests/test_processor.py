@@ -20,6 +20,7 @@ from snnemu.processor import (
     synapse_count,
 )
 from snnemu.synapse import GROUP_SIZE, SAT_DECAY_LO, Crossbar, sat_decay_table
+from scalar_ref import compile_crossbar
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
 
@@ -126,7 +127,7 @@ class TestScheduler:
 def per_npu_compile(npu1, weights1, npu2, weights2, gs_mode):
     """The compiled arrays of a chip, built one NPU at a time: the chip's
     rules (`check_chip`), then each NPU's crossbar compiled alone with its
-    global broadcast as its last row (`Crossbar.compile`) and placed into
+    global broadcast as its last row (`compile_crossbar`) and placed into
     the block, and each neuron's table row, offset, v_r and v_reset from
     the parameter sets deduplicated by equality."""
     check_chip(npu1, weights1, npu2, weights2, gs_mode)
@@ -138,7 +139,7 @@ def per_npu_compile(npu1, weights1, npu2, weights2, gs_mode):
            "_fixed": np.zeros((2, 5), dtype=np.int64), "_sd_off": np.zeros(n, dtype=np.int64)}
     for k, (cfg, w, n_ff) in enumerate(((npu1, weights1, 0), (npu2, weights2, t1))):
         total = cfg.total_neurons
-        xbar = Crossbar.compile(w, gs_mode == "auto", broadcast=cfg.global_neuron.effective_weight)
+        xbar = compile_crossbar(w, gs_mode == "auto", broadcast=cfg.global_neuron.effective_weight)
         out["weights"][: n_ff + total, n_ff : n_ff + total] = xbar.weights
         out["cost"][: n_ff + total, k] = xbar.cost
         out["_sd_off"][n_ff : n_ff + total] = exps.index(cfg.decay_a) * width - SAT_DECAY_LO

@@ -13,13 +13,12 @@ from snnemu.neuron import NeuronParams
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 from snnemu.synapse import (
     SAT_DECAY_LO,
-    Crossbar,
     WeightMemory,
     check_weights,
     decay_array,
     sat_decay_table,
 )
-from scalar_ref import decay_value, steps_to_fraction
+from scalar_ref import compile_crossbar, decay_value, steps_to_fraction
 from test_processor import on_chip, step
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
@@ -64,7 +63,7 @@ class TestPacking:
             check_weights(w)
 
     @pytest.mark.parametrize("build", [check_weights, WeightMemory.from_matrix,
-                                       lambda w: Crossbar.compile(w, True)])
+                                       lambda w: compile_crossbar(w, True)])
     @pytest.mark.parametrize("matrix, message", [
         (np.full((2, 8), 1.5), "weights must be integers, got float64"),
         ([[0] * 7 + [True]], "weights must be integers, got bool"),
@@ -82,7 +81,7 @@ class TestPacking:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_empty_matrix_compiles(self, sparse):
         """A matrix of no rows has no min or max and no bad weight."""
-        xbar = Crossbar.compile(np.zeros((0, 8), dtype=int), sparse)
+        xbar = compile_crossbar(np.zeros((0, 8), dtype=int), sparse)
         assert xbar.weights.shape == (0, 8) and xbar.cost.tolist() == []
 
     @given(st.lists(st.integers(-8, 7), min_size=1, max_size=300))
@@ -182,7 +181,7 @@ class TestWholeArray:
         want = np.array([mem.row_weights(r) for r in range(rows)] + [np.full(targets, -2)])
         for sparse, cost in ((True, [int((mem.words[r] != 0).sum()) for r in range(rows)]),
                              (False, [g] * rows)):
-            xbar = Crossbar.compile(w, sparse, broadcast=-2)
+            xbar = compile_crossbar(w, sparse, broadcast=-2)
             assert np.array_equal(xbar.weights, want.reshape(rows + 1, targets))
             assert xbar.cost.tolist() == cost + [1]
 
@@ -191,8 +190,8 @@ class TestWholeArray:
         word at group 69 of a 70-group row is read alone."""
         w = np.zeros((2, 8 * 70), dtype=int)
         w[0, 8 * 69] = 3
-        assert Crossbar.compile(w, True).cost.tolist() == [1, 0]
-        assert Crossbar.compile(w, False).cost.tolist() == [70, 70]
+        assert compile_crossbar(w, True).cost.tolist() == [1, 0]
+        assert compile_crossbar(w, False).cost.tolist() == [70, 70]
 
 
 class TestDecode:
@@ -233,21 +232,21 @@ class TestAccumulate:
     def test_single_row(self):
         row = [1, -8, 7] + [0] * 61
         y = np.zeros(64, dtype=np.int64)
-        xbar = Crossbar.compile([row], False)
+        xbar = compile_crossbar([row], False)
         xbar.mac(np.array([1]), y)
         assert xbar.reads(np.array([1])) == 8
         assert list(y) == row
 
     def test_saturation_at_boundary(self):
         y = np.full(8, 2040)
-        Crossbar.compile([[7] * 8, [7] * 8], False).mac(np.array([1, 1]), y)
+        compile_crossbar([[7] * 8, [7] * 8], False).mac(np.array([1, 1]), y)
         assert y[0] == 2054  # wide intermediate, not yet clamped
         table = sat_decay_table(tuple(range(8)))
         for a in range(8):
             assert list(table[a].take(y - SAT_DECAY_LO)) == [decay_value(2047, a)] * 8
 
     def test_source_out_of_range(self):
-        xbar = Crossbar.compile([[0] * 8], False)
+        xbar = compile_crossbar([[0] * 8], False)
         spikes = np.array([0, 0, 0, 1])  # a spike on source 3 of a 1-row matrix
         with pytest.raises(ValueError, match="expected 1 sources"):
             xbar.mac(spikes, np.zeros(8, dtype=np.int64))
@@ -257,13 +256,13 @@ class TestAccumulate:
         row = [5] * 8 + [0] * 8
         for sparse, reads in ((True, 1), (False, 2)):
             y = np.zeros(16, dtype=np.int64)
-            xbar = Crossbar.compile([row], sparse)
+            xbar = compile_crossbar([row], sparse)
             xbar.mac(np.array([1]), y)
             assert xbar.reads(np.array([1])) == reads
             assert list(y) == row
 
     def test_broadcast_row(self):
-        xbar = Crossbar.compile([[3] * 12], False, broadcast=-4)
+        xbar = compile_crossbar([[3] * 12], False, broadcast=-4)
         assert xbar.cost.tolist() == [2, 1]
         y = np.zeros(12, dtype=np.int64)
         xbar.mac(np.array([1, 1]), y)
@@ -279,7 +278,7 @@ class TestAccumulate:
         w = rng.integers(-8, 8, size=(n_src, n_tgt))
         spikes = rng.integers(0, 2, size=n_src)
         acc = np.zeros(n_tgt, dtype=np.int64)
-        xbar = Crossbar.compile(w, False)
+        xbar = compile_crossbar(w, False)
         xbar.mac(spikes, acc)
         total = xbar.reads(spikes)
         a = int(rng.integers(1, 8))
@@ -298,12 +297,12 @@ class TestGroupSparse:
         w[0, 12] = 3  # only group 1 of row 0 non-zero
         w[2, :8] = -8
         mem = WeightMemory.from_matrix(w)
-        cost = Crossbar.compile(w, True).cost
+        cost = compile_crossbar(w, True).cost
         assert cost.tolist() == [1, 0, 1] == (mem.words != 0).sum(axis=1).tolist()
 
     def test_spiking_row_reads_its_nonzero_groups(self):
         """A spiking row is charged its nonzero groups, 8 of 16 here."""
         w = np.ones((1, 128), dtype=int)
         w[:, (np.arange(128) // 8) % 2 == 0] = 0
-        xbar = Crossbar.compile(w, True)
+        xbar = compile_crossbar(w, True)
         assert xbar.reads(np.array([1])) == 8
