@@ -20,15 +20,16 @@ import stat
 import struct
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .neuron import NeuronParams
-from .npu import ConfigError, GlobalNeuronConfig, NpuConfig, PhaseCycles
+from .neuron import PARAM_FIELDS, NeuronParams
+from .npu import GlobalNeuronConfig, NpuConfig, PhaseCycles
 from .processor import DEFAULT_CLOCK_HZ, CycleReport, Processor, check_chip, cycle_totals
-from .synapse import WeightMemory, check_weights, int_array
+from .synapse import (ConfigError, WeightMemory, check_weights, int_array, int_fields, int_value,
+                      show_value)
 
 WEIGHT_MAGIC = b"SNNW"
 WEIGHT_VERSION = 1
@@ -43,13 +44,6 @@ MAX_ADDRESS = 128
 # libyaml's loader when PyYAML was built with it; it returns the same
 # documents as the pure-Python SafeLoader, several times faster.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-class _Dumper(yaml.SafeDumper):
-    """PyYAML's safe dumper, with numpy integers written as plain ints."""
-
-
-_Dumper.add_multi_representer(np.integer, lambda dumper, v: dumper.represent_int(int(v)))
 
 
 class StimulusError(ValueError):
@@ -204,32 +198,12 @@ def load_weight_image(path: str) -> list[WeightMemory]:
 # ---------------------------------------------------------------------------
 # network description
 
-def _store_ints(src, kind: str, names) -> None:
-    """Store each field `names` of a `kind` stimulus source in its one form:
-    `addrs` a tuple of Python ints, any other a Python int, by the integer
-    rule (`int_array`) at 1-D or 0-d, else a ConfigError at the path naming
-    the field's bounds. An int, or a list or tuple of ints, passes by type."""
-    for name in names:
-        value, many = getattr(src, name), name == "addrs"
-        if not many and type(value) is int:
-            continue
-        if many and type(value) in (list, tuple) and set(map(type, value)) <= {int}:
-            value = tuple(value)
-        else:
-            path = f"stimulus.{kind}" + ("" if name in ("low", "high") else f".{name}")
-            values = int_array(value, functools.partial(ConfigError, path))
-            if values.ndim != many:
-                what = "a list of integers" if many else "an integer"
-                raise ConfigError(path, f"must be {what}, got shape {values.shape}")
-            value = tuple(map(int, values.flat)) if many else int(values)
-        object.__setattr__(src, name, value)
-
-
 @dataclass(frozen=True)
 class NoiseSource:
     """Seeded external-event generator: one event per listed address per
     timestep with value drawn uniformly from [low, high]. A frozen value:
-    `addrs` is a tuple of Python ints, every other field a Python int."""
+    `addrs` is a tuple of Python ints (the 1-D `int_array` rule; a list or
+    tuple of ints passes by type), every other field a Python int."""
 
     npu: int
     addrs: tuple[int, ...]
@@ -237,13 +211,20 @@ class NoiseSource:
     high: int
 
     def __post_init__(self):
-        _store_ints(self, "noise", ("npu", "low", "high", "addrs"))
+        int_fields(self, ("npu", "low", "high"))
+        addrs = self.addrs
+        if type(addrs) in (list, tuple) and set(map(type, addrs)) <= {int}:
+            addrs = tuple(addrs)
+        else:
+            values = int_array(addrs, functools.partial(ConfigError, "addrs"))
+            if values.ndim != 1:
+                raise ConfigError("addrs", f"must be a list of integers, got shape {values.shape}")
+            addrs = tuple(map(int, values))
+        object.__setattr__(self, "addrs", addrs)
         if self.npu not in (1, 2):
-            raise ConfigError("stimulus.noise.npu", f"must be 1 or 2, got {self.npu}")
+            raise ConfigError("npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.low <= self.high <= 127:
-            raise ConfigError(
-                "stimulus.noise", f"need -128 <= low <= high <= 127, got [{self.low}, {self.high}]"
-            )
+            raise ValueError(f"need -128 <= low <= high <= 127, got [{self.low}, {self.high}]")
 
 
 @dataclass(frozen=True)
@@ -258,14 +239,11 @@ class DcSource:
     def __post_init__(self):
         # One test for three ints: an app builds a DC source per clue per solve.
         if not type(self.npu) is type(self.addr) is type(self.value) is int:
-            _store_ints(self, "dc", ("npu", "addr", "value"))
+            int_fields(self, ("npu", "addr", "value"))
         if self.npu not in (1, 2):
-            raise ConfigError("stimulus.dc.npu", f"must be 1 or 2, got {self.npu}")
+            raise ConfigError("npu", f"must be 1 or 2, got {self.npu}")
         if not -128 <= self.value <= 127:
-            raise ConfigError("stimulus.dc.value", f"must fit signed 8-bit, got {self.value}")
-
-
-PARAM_FIELDS = ("a_num", "b_num", "v_r", "v_t", "v_reset")
+            raise ConfigError("value", f"must fit signed 8-bit, got {self.value}")
 
 
 # libyaml's composer recurses once per nesting level and crashes the process
@@ -285,66 +263,56 @@ def _check_depth(text: str, path: str) -> None:
             raise ConfigError(path, "nested too deeply")
 
 
-def _show(value) -> str:
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
 def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(path, f"must be a mapping, got {_show(value)}")
+        raise ConfigError(path, f"must be a mapping, got {show_value(value)}")
     return value
 
 
 def _list(value, path: str) -> list:
     if not isinstance(value, list):
-        raise ConfigError(path, f"must be a list, got {_show(value)}")
+        raise ConfigError(path, f"must be a list, got {show_value(value)}")
     return value
 
 
-def _get(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(path, f"missing field '{key}'")
-    return d[key]
+def _fields(value, path: str, names, optional=()) -> dict:
+    """The mapping at `path`, which holds every key of `names` and no key
+    but those and `optional`."""
+    d = _mapping(value, path)
+    for key in names:
+        if key not in d:
+            raise ConfigError(path, f"missing field '{key}'")
+    for key in d:
+        if key not in names and key not in optional:
+            raise ConfigError(path, f"unknown field {show_value(key)}")
+    return d
 
 
-def _int(value, path: str) -> int:
-    if type(value) is not int:
-        raise ConfigError(path, f"must be an integer, got {_show(value)}")
-    return value
-
-
-def _ints(d: dict, keys, path: str) -> dict:
-    """The integer fields `keys` of mapping `d`."""
-    d = _mapping(d, path)
-    return {k: _int(_get(d, k, path), f"{path}.{k}") for k in keys}
-
-
-def _params_from_dict(d, path: str) -> NeuronParams:
-    values = _ints(d, PARAM_FIELDS, path)
+def _build(cls, path: str, fields: dict, rules_at: str | None = None):
+    """`cls(**fields)`, the type of the mapping at `path`: its ConfigError at
+    a field is named at `path.<field>`, any other ValueError (a rule over
+    several fields) at `rules_at`, by default `path`."""
     try:
-        return NeuronParams(**values)
+        return cls(**fields)
+    except ConfigError as e:
+        raise ConfigError(f"{path}.{e.path}", e.msg) from None
     except ValueError as e:
-        raise ConfigError(path, str(e)) from None
+        raise ConfigError(rules_at or path, str(e)) from None
 
 
-def _chop_from(chop, path: str) -> tuple[int, int] | None:
-    if chop is None:
-        return None
-    if not (isinstance(chop, list) and len(chop) == 2
-            and all(type(n) is int for n in chop)):
-        raise ConfigError(path, f"must be a list of two integers, got {chop!r}")
-    return tuple(chop)
+def _params(value, path: str) -> NeuronParams:
+    return _build(NeuronParams, path, _fields(value, path, PARAM_FIELDS))
 
 
 def _addrs_from(value, total: int, path: str) -> list[int]:
     """Noise addresses: a list of integers, or the half-open range {start,
     stop} with 0 <= start <= stop <= total, checked before it is expanded."""
     if not isinstance(value, dict):
-        return [_int(a, f"{path}[{j}]") for j, a in enumerate(_list(value, path))]
+        return [int_value(a, f"{path}[{j}]") for j, a in enumerate(_list(value, path))]
     if value.keys() != {"start", "stop"}:
-        raise ConfigError(path, f"need exactly the keys start and stop, got {_show(list(value))}")
-    start, stop = (_int(value[k], f"{path}.{k}") for k in ("start", "stop"))
+        raise ConfigError(path, f"need exactly the keys start and stop, "
+                                f"got {show_value(list(value))}")
+    start, stop = (int_value(value[k], f"{path}.{k}") for k in ("start", "stop"))
     if not 0 <= start <= stop <= total:
         raise ConfigError(path, f"need 0 <= start <= stop <= {total}, got {start}..{stop}")
     return list(range(start, stop))
@@ -358,17 +326,6 @@ def _addrs_to(addrs: tuple[int, ...]):
 
 def _params_to_dict(p: NeuronParams) -> dict:
     return {f: getattr(p, f) for f in PARAM_FIELDS}
-
-
-def _source(cls, d, keys, kind: str, i: int, **fields):
-    """Stimulus source `i` of `kind` (`cls` from the integer fields `keys` of
-    mapping `d`, plus `fields`), its errors named at its place in the file."""
-    path = f"stimulus.{kind}[{i}]"
-    values = _ints(d, keys, path)
-    try:
-        return cls(**values, **fields)
-    except ConfigError as e:  # at stimulus.<kind> or one of its fields
-        raise ConfigError(path + e.path.removeprefix(f"stimulus.{kind}"), e.msg) from None
 
 
 @dataclass
@@ -413,8 +370,9 @@ class NetworkDescription:
         return out
 
     def _check(self) -> None:
-        """What construction, and so `load`, checks: the clock, the chip
-        and the stimulus addresses."""
+        """What construction, and so `load`, checks: the clock, stored as a
+        Python int (`int_value`), the chip and the stimulus addresses."""
+        self.clock_hz = int_value(self.clock_hz, "clock_hz")
         if self.clock_hz < 1:
             raise ConfigError("clock_hz", f"must be at least 1, got {self.clock_hz}")
         check_chip(self.npu1, self.weights1, self.npu2, self.weights2, self.gs_mode)
@@ -466,50 +424,36 @@ class NetworkDescription:
 
     @staticmethod
     def _npu_from_dict(d, path: str) -> NpuConfig:
-        d = _mapping(d, path)
-        active = _int(_get(d, "active_neurons", path), f"{path}.active_neurons")
+        d = _fields(d, path, ("active_neurons", "neurons", "global", "max_neurons"),
+                    ("decay_a", "chop"))
+        active = int_value(d["active_neurons"], f"{path}.active_neurons")
         if not 1 <= active <= 128:
             raise ConfigError(f"{path}.active_neurons", f"must be 1..128, got {active}")
-        neurons = _get(d, "neurons", path)
+        neurons = d["neurons"]
         if isinstance(neurons, dict):
-            params = (_params_from_dict(neurons, f"{path}.neurons"),) * active
+            params = (_params(neurons, f"{path}.neurons"),) * active
         elif isinstance(neurons, list):
-            params = tuple(
-                _params_from_dict(nd, f"{path}.neurons[{i}]")
-                for i, nd in enumerate(neurons)
-            )
+            params = tuple(_params(nd, f"{path}.neurons[{i}]") for i, nd in enumerate(neurons))
         else:
-            raise ConfigError(
-                f"{path}.neurons",
-                f"must be a mapping or a list of mappings, got {_show(neurons)}",
-            )
+            raise ConfigError(f"{path}.neurons",
+                              f"must be a mapping or a list of mappings, got {show_value(neurons)}")
         gpath = f"{path}.global"
-        g = _mapping(_get(d, "global", path), gpath)
-        global_params = _params_from_dict(_get(g, "params", gpath), f"{gpath}.params")
-        try:
-            return NpuConfig(
-                max_neurons=_int(_get(d, "max_neurons", path), f"{path}.max_neurons"),
-                active_neurons=active,
-                params=params,
-                global_neuron=GlobalNeuronConfig(
-                    params=global_params,
-                    out_weight=_int(g.get("out_weight", 0), f"{gpath}.out_weight"),
-                    mode=g.get("mode", "excitatory"),
-                ),
-                decay_a=_int(d.get("decay_a", 3), f"{path}.decay_a"),
-                chop=_chop_from(d.get("chop"), f"{path}.chop"),
-            )
-        except ConfigError:
-            raise
-        except ValueError as e:
-            raise ConfigError(path, str(e)) from None
+        g = _fields(d["global"], gpath, ("params",), ("out_weight", "mode"))
+        # The global neuron's own rules (out_weight's range, mode) are named at its NPU.
+        global_neuron = _build(GlobalNeuronConfig, gpath,
+                               {**g, "params": _params(g["params"], f"{gpath}.params")},
+                               rules_at=path)
+        given = {k: d[k] for k in ("max_neurons", "decay_a", "chop") if k in d}
+        return _build(NpuConfig, path, {**given, "active_neurons": active, "params": params,
+                                        "global_neuron": global_neuron})
 
     def save(self, path: str) -> None:
         """Write the YAML description plus the weight image next to it.
         The description is checked as `load` checks it, and the YAML is
         rendered, before either file is written, so fields reassigned to
         values that `load` would reject, or that the YAML cannot hold, write
-        neither file; numpy integers are written as plain ints."""
+        neither file. Every integer field is a Python int once built, so the
+        safe dumper writes it as is."""
         self._check()
         weight_name = os.path.splitext(os.path.basename(path))[0] + ".weights.bin"
         doc = {
@@ -532,7 +476,7 @@ class NetworkDescription:
             ]
         if stim:
             doc["stimulus"] = stim
-        text = yaml.dump(doc, Dumper=_Dumper, sort_keys=False).encode()
+        text = yaml.safe_dump(doc, sort_keys=False).encode()
         save_weight_image(
             os.path.join(os.path.dirname(path) or ".", weight_name), self._matrices()
         )
@@ -558,36 +502,39 @@ class NetworkDescription:
             raise ConfigError(path, "not a mapping")
         version = doc.get("version")
         if type(version) is not int or version != CONFIG_VERSION:
-            raise ConfigError("version", f"unsupported config version {_show(version)}")
-        for key in ("npu1", "npu2", "weight_image"):
-            if key not in doc:
-                raise ConfigError(path, f"missing field '{key}'")
+            raise ConfigError("version", f"unsupported config version {show_value(version)}")
+        _fields(doc, path, ("npu1", "npu2", "weight_image"),
+                ("version", "clock_hz", "gs_mode", "stimulus"))
         npu1 = cls._npu_from_dict(doc["npu1"], "npu1")
         npu2 = cls._npu_from_dict(doc["npu2"], "npu2")
         if not isinstance(doc["weight_image"], str):
-            raise ConfigError("weight_image", f"must be a file name, got {_show(doc['weight_image'])}")
+            raise ConfigError("weight_image",
+                              f"must be a file name, got {show_value(doc['weight_image'])}")
         mems = load_weight_image(
             os.path.join(os.path.dirname(path) or ".", doc["weight_image"])
         )
         if len(mems) != 2:
             raise ConfigError("weight_image", f"expected 2 sections, got {len(mems)}")
         stim = doc.get("stimulus")
-        stim = {} if stim is None else _mapping(stim, "stimulus")
-        dc = [_source(DcSource, s, ("npu", "addr", "value"), "dc", i)
-              for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc"))]
-        noise = []
+        stim = {} if stim is None else _fields(stim, "stimulus", (), ("dc", "noise"))
+        dc, noise = [], []
+        for i, s in enumerate(_list(stim.get("dc", []), "stimulus.dc")):
+            at = f"stimulus.dc[{i}]"
+            dc.append(_build(DcSource, at, _fields(s, at, ("npu", "addr", "value"))))
         for i, s in enumerate(_list(stim.get("noise", []), "stimulus.noise")):
-            src = _source(NoiseSource, s, ("npu", "low", "high"), "noise", i, addrs=())
-            total = (npu1, npu2)[src.npu - 1].total_neurons
-            noise.append(replace(src, addrs=_addrs_from(
-                _get(s, "addrs", f"stimulus.noise[{i}]"), total, f"stimulus.noise[{i}].addrs")))
+            at = f"stimulus.noise[{i}]"
+            s = _fields(s, at, ("npu", "addrs", "low", "high"))
+            npu, addrs = s["npu"], ()
+            if npu in (1, 2) and type(npu) is int:  # else the one build raises the npu error
+                addrs = _addrs_from(s["addrs"], (npu1, npu2)[npu - 1].total_neurons, f"{at}.addrs")
+            noise.append(_build(NoiseSource, at, {**s, "addrs": addrs}))
         return cls(
             npu1=npu1,
             npu2=npu2,
             weights1=mems[0].unpack(),
             weights2=mems[1].unpack(),
             gs_mode=doc.get("gs_mode", "auto"),
-            clock_hz=_int(doc.get("clock_hz", DEFAULT_CLOCK_HZ), "clock_hz"),
+            clock_hz=doc.get("clock_hz", DEFAULT_CLOCK_HZ),
             dc=dc,
             noise=noise,
         )
@@ -713,7 +660,7 @@ def _parse_lines(path: str, lines, lineno: int) -> np.ndarray:
             row = []
         if len(row) != 4:
             raise StimulusError(f"{path}: line {lineno}: expected four integers "
-                                f"{STIMULUS_HEADER}, got {_show(line)}")
+                                f"{STIMULUS_HEADER}, got {show_value(line)}")
         rows.append(row)
     return _record_array(rows).reshape(-1, 4)
 
@@ -839,12 +786,15 @@ def save_cycles(path: str, cycles) -> None:
 BLOCK = 64
 
 
-def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None, block: int):
-    """A function from (t0, the (k, addresses) noise draws of steps
-    t0..t0+k-1, k <= `block`) to the block's dense external input,
-    (k, t1+t2) summed per neuron of the chip, and its (k, 2) event counts
-    per NPU: trace records, DC sources and noise sources. Every address is
-    checked here, before any step runs. Noise draws and trace records are
+def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None, block: int,
+                      seed: int):
+    """A function from (t0, k), k <= `block`, to the dense external input of
+    steps t0..t0+k-1, (k, t1+t2) summed per neuron of the chip, and its
+    (k, 2) event counts per NPU: trace records, DC sources and noise
+    sources. Noise values come from one NoiseDraws(seed, ...) that the
+    function owns, drawn each step source by source in declaration order,
+    so blocks are asked for in step order. Every address is checked here,
+    before any step runs. Noise draws and trace records are
     each added with one `np.add.at` on flat indices into the C-ordered
     input, which sums an address listed twice, overlapping sources and
     repeated records; the noise indices are built once, `block` steps
@@ -863,6 +813,8 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None, 
         base[ns.npu - 1] += len(ns.addrs)
     if cols.size:  # (block, addresses) flat indices, row-major as the draws
         noise_at = (np.arange(block)[:, None] * len(dc) + cols).ravel()
+        ranges = [(ns.low, ns.high) for ns in desc.noise]
+        noise = NoiseDraws(seed, np.repeat(ranges, [len(ns.addrs) for ns in desc.noise], axis=0))
 
     trace = stimulus.records if stimulus is not None and len(stimulus.records) else None
     if trace is not None:
@@ -876,13 +828,13 @@ def _compile_stimulus(desc: NetworkDescription, stimulus: StimulusTrace | None, 
         trace_t, trace_npu = trace[:, 0], trace[:, 1] - 1
         trace_col, trace_value = trace[:, 2] + np.array(offsets)[trace[:, 1]], trace[:, 3]
 
-    def inputs(t0: int, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k = len(draws)
+    def inputs(t0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         ext = np.empty((k, len(dc)), dtype=np.int64)
         ext[:] = dc
         counts = np.empty((k, 2), dtype=np.int64)
         counts[:] = base
         if cols.size:
+            draws = noise.draw(k)
             np.add.at(ext.reshape(-1), noise_at[: draws.size], draws.reshape(-1))
         if trace is not None:
             lo, hi = trace_t.searchsorted((t0, t0 + k))
@@ -910,18 +862,14 @@ def simulate(
     (k, t1+t2) spikes of steps t0..t0+k-1, NPU1's neurons first, and their
     (k, 2, 5) cycles from `Processor.cycles`.
 
-    The stimulus is compiled once, before step 0, and each block's input
-    with it at once. Noise values come from one NoiseDraws(seed, ...), drawn
-    each step source by source in declaration order."""
+    The stimulus is compiled once, before step 0, with the seed of its
+    noise (`_compile_stimulus`), and each block's input with it at once."""
     if block < 1:
         raise ValueError(f"block must be at least 1 step, got {block}")
     proc = desc.build_processor()
-    inputs = _compile_stimulus(desc, stimulus, min(block, steps))
-    ranges = np.array([(ns.low, ns.high) for ns in desc.noise], dtype=np.int64).reshape(-1, 2)
-    noise = NoiseDraws(seed, ranges.repeat([len(ns.addrs) for ns in desc.noise], axis=0))
+    inputs = _compile_stimulus(desc, stimulus, min(block, steps), seed)
     for t0 in range(0, steps, block):
-        ext, counts = inputs(t0, noise.draw(min(block, steps - t0)))
-        yield t0, *proc.advance(ext, counts)
+        yield t0, *proc.advance(*inputs(t0, min(block, steps - t0)))
 
 
 def raster_records(t0: int, spikes: np.ndarray, t1: int) -> np.ndarray:

@@ -15,14 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .synapse import SAT_MAX, SAT_MIN
+from .synapse import SAT_MAX, SAT_MIN, int_fields
 
 V_MAX = 255
+PARAM_FIELDS = ("a_num", "b_num", "v_r", "v_t", "v_reset")
 
 
 @dataclass(frozen=True)
 class NeuronParams:
-    """I-QIF parameters: slopes a = a_num/8 and b = b_num/8, plus potentials."""
+    """I-QIF parameters: slopes a = a_num/8 and b = b_num/8, plus potentials,
+    each stored as a Python int (`int_fields`)."""
 
     a_num: int
     b_num: int
@@ -31,6 +33,7 @@ class NeuronParams:
     v_reset: int
 
     def __post_init__(self):
+        int_fields(self, PARAM_FIELDS)
         if not 0 <= self.a_num <= 7:
             raise ValueError(f"a_num must be 0..7, got {self.a_num}")
         if not 0 <= self.b_num <= 7:

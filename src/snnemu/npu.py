@@ -12,14 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .neuron import NeuronParams
-
-
-class ConfigError(ValueError):
-    """Invalid network description; message starts with the field path."""
-
-    def __init__(self, path: str, msg: str):
-        super().__init__(f"{path}: {msg}")
-        self.path, self.msg = path, msg
+from .synapse import ConfigError, int_fields, int_value
 
 
 def _is_pow2(n: int) -> bool:
@@ -33,6 +26,7 @@ class GlobalNeuronConfig:
     mode: str = "excitatory"
 
     def __post_init__(self):
+        int_fields(self, ("out_weight",))
         if not -8 <= self.out_weight <= 7:
             raise ValueError(f"out_weight must fit signed 4-bit, got {self.out_weight}")
         if self.mode not in ("excitatory", "inhibitory"):
@@ -48,8 +42,9 @@ class GlobalNeuronConfig:
 @dataclass(frozen=True)
 class NpuConfig:
     """One NPU's configuration. It cannot change once built (`params` is
-    stored as a tuple), so a compiled chip can be reused for the same
-    object."""
+    stored as a tuple, `chop` as a tuple of two Python ints, each other
+    integer field as a Python int), so a compiled chip can be reused for
+    the same object."""
 
     max_neurons: int
     active_neurons: int
@@ -59,14 +54,19 @@ class NpuConfig:
     chop: tuple[int, int] | None = None
 
     def __post_init__(self):
+        int_fields(self, ("max_neurons", "active_neurons", "decay_a"))
         if type(self.params) is not tuple:
             object.__setattr__(self, "params", tuple(self.params))
-        if self.chop is not None and type(self.chop) is not tuple:
-            object.__setattr__(self, "chop", tuple(self.chop))
         if self.max_neurons not in (32, 128):
             raise ValueError(f"max_neurons must be 32 or 128, got {self.max_neurons}")
         if self.chop is not None:
-            n1, n2 = self.chop
+            try:
+                n1, n2 = self.chop if isinstance(self.chop, (list, tuple, np.ndarray)) else ()
+                n1, n2 = int_value(n1, "chop"), int_value(n2, "chop")
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    "chop", f"must be a list of two integers, got {self.chop!r}") from None
+            object.__setattr__(self, "chop", (n1, n2))
             if not (_is_pow2(n1) and _is_pow2(n2)):
                 raise ValueError(f"chop sizes must be powers of two, got {self.chop}")
             if n1 + n2 > self.max_neurons:

@@ -6,6 +6,9 @@ holding the lowest-indexed target. One word read costs one clock cycle in the
 cycle model. Targets are partitioned into groups of 8, one word each; a
 group-sparse read skips the words that are 0, so it sets a row's read cost
 and never its weights.
+
+Being the lowest module, it also holds the integer rule of every config
+field (`int_value`, `int_array`) and the `ConfigError` it raises.
 """
 
 from __future__ import annotations
@@ -34,6 +37,42 @@ SAT_DECAY_LO = SAT_MIN - EXT_BOUND - MAC_BOUND
 def group_count(n_targets: int) -> int:
     """8-target groups (one SRAM word each) of a row of `n_targets`."""
     return max(1, -(-n_targets // GROUP_SIZE))
+
+
+class ConfigError(ValueError):
+    """Invalid network description; message starts with the field path."""
+
+    def __init__(self, path: str, msg: str):
+        super().__init__(f"{path}: {msg}")
+        self.path, self.msg = path, msg
+
+
+def show_value(value) -> str:
+    """`repr(value)`, cut to 40 characters for an error message."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def int_value(value, path: str) -> int:
+    """`value` as a Python int, the one integer rule of a config field: an
+    int passes by its type, and a numpy integer scalar or a 0-d integer
+    array is taken as its Python int. A bool, float, str, list or any other
+    value raises ConfigError(path, "must be an integer, got <repr>")."""
+    if type(value) is int:
+        return value
+    if (isinstance(value, (np.integer, np.ndarray)) and value.shape == ()
+            and value.dtype.kind in "iu"):
+        return int(value)
+    raise ConfigError(path, f"must be an integer, got {show_value(value)}")
+
+
+def int_fields(obj, names) -> None:
+    """Store each field `names` of the frozen dataclass `obj` as a Python int
+    by `int_value`, raising at the field's own name."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            object.__setattr__(obj, name, int_value(value, name))
 
 
 def int_array(values, error) -> np.ndarray:

@@ -359,6 +359,33 @@ class TestErrorContract:
         assert self.inspect(config_path) == 2
         self.one_error_line(capsys, f"error: config: {message}")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(gs_mod="dense"), "{path}: unknown field 'gs_mod'"),
+        (lambda d: d["npu1"].update(decay=5), "npu1: unknown field 'decay'"),
+        (lambda d: d["npu2"]["neurons"].update(v_th=9), "npu2.neurons: unknown field 'v_th'"),
+        (lambda d: d["npu2"].update(neurons=[{**d["npu2"]["neurons"], "b": 1}]),
+         "npu2.neurons[0]: unknown field 'b'"),
+        (lambda d: d["npu1"]["global"].update(weight=2), "npu1.global: unknown field 'weight'"),
+        (lambda d: d["npu1"]["global"]["params"].update(vr=0),
+         "npu1.global.params: unknown field 'vr'"),
+        (lambda d: d["stimulus"].update(dcs=[]), "stimulus: unknown field 'dcs'"),
+        (lambda d: d["stimulus"]["dc"][0].update(addrs=[0]),
+         "stimulus.dc[0]: unknown field 'addrs'"),
+        (lambda d: d["stimulus"].update(noise=[{"npu": 1, "addrs": [0], "low": 0, "high": 1,
+                                                 "seed": 3}]),
+         "stimulus.noise[0]: unknown field 'seed'"),
+    ])
+    def test_unknown_field_is_an_error(self, config_path, capsys, edit, message):
+        """A key that the loader does not map, such as a misspelled one, is
+        rejected at its mapping, never dropped for the field's default."""
+        with open(config_path) as f:
+            doc = yaml.safe_load(f)
+        edit(doc)
+        with open(config_path, "w") as f:
+            yaml.safe_dump(doc, f)
+        assert self.inspect(config_path) == 2
+        assert capsys.readouterr() == ("", f"error: config: {message.format(path=config_path)}\n")
+
     @pytest.mark.parametrize("command", ["run", "inspect"])
     @pytest.mark.parametrize("rule, detail", [
         ("max_neurons", "npu1.max_neurons: NPU1 must be the 32-neuron unit, got 128"),

@@ -2,7 +2,8 @@
 text, weight-image bytes and puzzle text, and for the argv of all four
 subcommands. Every input either loads or makes the CLI exit 2 with exactly
 one `error: ...` line on stderr, never a traceback; only `sudoku` may also
-exit 1, for a puzzle it did not solve."""
+exit 1, for a puzzle it did not solve. A last fuzzer sets each integer
+field of each config type to a value of another kind."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from snnemu import apps
 from snnemu.cli import main
 from snnemu.neuron import NeuronParams
-from snnemu.netio import DcSource, NetworkDescription, NoiseSource
+from snnemu.netio import ConfigError, DcSource, NetworkDescription, NoiseSource
 from snnemu.npu import GlobalNeuronConfig, NpuConfig
 
 QUIET = NeuronParams(a_num=0, b_num=0, v_r=0, v_t=255, v_reset=0)
@@ -277,3 +278,85 @@ def test_argv(workdir, data):
             with open(name, "wb") as f:
                 f.write((workdir / name).read_bytes())
         assert_exit_status(*cli(*argv))
+
+
+# Each integer field of each config type, as (type, field, a valid value):
+# `chop` and `addrs` take the drawn value as their first element.
+INT_FIELDS = [
+    *((NeuronParams, f, v) for f, v in dict(a_num=1, b_num=2, v_r=3, v_t=200, v_reset=5).items()),
+    (GlobalNeuronConfig, "out_weight", -3),
+    *((NpuConfig, f, v) for f, v in dict(max_neurons=128, active_neurons=2, decay_a=4,
+                                         chop=1).items()),
+    *((DcSource, f, v) for f, v in dict(npu=1, addr=1, value=-7).items()),
+    *((NoiseSource, f, v) for f, v in dict(npu=2, addrs=0, low=-5, high=9).items()),
+    (NetworkDescription, "clock_hz", 1_000_000),
+]
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def field_values(valid: int):
+    """Values of every kind for an integer field whose valid value is
+    `valid`: a float, bool, str or 1-element list (never an integer), or
+    `valid` as a numpy integer scalar or 0-d array (always one)."""
+    fits = [t for t in NUMPY_INTS if np.iinfo(t).min <= valid <= np.iinfo(t).max]
+    return st.one_of(
+        st.floats() | st.just(float(valid)), st.booleans(), st.text(max_size=3) | st.just(str(valid)),
+        st.just([valid]), st.sampled_from(fits).map(lambda t: t(valid)),
+        st.sampled_from(fits).map(lambda t: np.array(valid, dtype=t)),
+    )
+
+
+def described(cls, field: str, value) -> tuple[NetworkDescription, object]:
+    """A description whose one `cls` object holds `value` at `field`, and
+    that object."""
+    def fields(kind, **base):
+        if kind is cls:
+            base[field] = [value, base[field][1]] if field in ("chop", "addrs") else value
+        return base
+
+    params = NeuronParams(**fields(NeuronParams, a_num=1, b_num=2, v_r=3, v_t=200, v_reset=5))
+    global_neuron = GlobalNeuronConfig(params=params, **fields(GlobalNeuronConfig, out_weight=-3,
+                                                              mode="inhibitory"))
+    npu2 = NpuConfig(params=[params] * 2, global_neuron=global_neuron,
+                     **fields(NpuConfig, max_neurons=128, active_neurons=2, decay_a=4,
+                              chop=[1, 1]))
+    weights2 = np.ones((4, 3), dtype=int)
+    weights2[3, 0] = 0  # chop: sub-population 2 never feeds 1
+    desc = NetworkDescription(
+        npu1=NpuConfig(max_neurons=32, active_neurons=1, params=[QUIET],
+                       global_neuron=GlobalNeuronConfig(params=QUIET)),
+        npu2=npu2, weights1=np.ones((1, 2), dtype=int), weights2=weights2,
+        dc=[DcSource(**fields(DcSource, npu=1, addr=1, value=-7))],
+        noise=[NoiseSource(**fields(NoiseSource, npu=2, addrs=[0, 2], low=-5, high=9))],
+        **fields(NetworkDescription, clock_hz=1_000_000),
+    )
+    owner = {NeuronParams: params, GlobalNeuronConfig: global_neuron, NpuConfig: npu2,
+             DcSource: desc.dc[0], NoiseSource: desc.noise[0], NetworkDescription: desc}
+    return desc, owner[cls]
+
+
+@FUZZ
+@given(data=st.data())
+def test_integer_fields(data):
+    """An integer field of a config type set to a float, bool, str or
+    1-element list is a ConfigError at the field's own name; set to a numpy
+    integer scalar or 0-d array, it is stored as a Python int, and the
+    description round-trips through `save` and `load`."""
+    cls, field, valid = data.draw(st.sampled_from(INT_FIELDS), label="field")
+    value = data.draw(field_values(valid), label="value")
+    # An element of `addrs` is read by `int_array`, which takes a numpy
+    # integer scalar but not a 0-d array in a list.
+    if not isinstance(value, np.integer if field == "addrs" else (np.integer, np.ndarray)):
+        with pytest.raises(ConfigError) as err:
+            described(cls, field, value)
+        assert err.value.path == field
+        return
+    desc, owner = described(cls, field, value)
+    stored = getattr(owner, field)
+    assert (stored[0] if field in ("chop", "addrs") else stored) == valid
+    assert set(map(type, stored if field in ("chop", "addrs") else [stored])) == {int}
+    with tempfile.TemporaryDirectory() as d:
+        desc.save(f"{d}/net.yaml")
+        loaded = NetworkDescription.load(f"{d}/net.yaml")
+    assert (loaded.npu2, loaded.dc, loaded.noise, loaded.clock_hz) == (
+        desc.npu2, desc.dc, desc.noise, desc.clock_hz)

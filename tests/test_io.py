@@ -193,7 +193,7 @@ class TestNetworkDescription:
     def test_unrepresentable_field_writes_no_file(self, tmp_path):
         """The YAML is rendered before either file is written."""
         desc = minimal_desc(dc=[DcSource(npu=1, addr=0, value=5)])
-        desc.clock_hz = np.float64(100_000_000)
+        desc.gs_mode = np.str_("auto")
         with pytest.raises(yaml.representer.RepresenterError):
             desc.save(str(tmp_path / "net.yaml"))
         assert list(tmp_path.iterdir()) == []
@@ -295,23 +295,24 @@ class TestNetworkDescription:
         with pytest.raises(ConfigError, match=f"clock_hz: must be at least 1, got {clock_hz}"):
             minimal_desc(clock_hz=clock_hz)
 
-    @pytest.mark.parametrize("cls, field, value, path, kind", [
-        (DcSource, "npu", True, "stimulus.dc.npu", "bool"),
-        (DcSource, "addr", 0.5, "stimulus.dc.addr", "float"),
-        (DcSource, "value", 100.7, "stimulus.dc.value", "float"),
-        (NoiseSource, "npu", True, "stimulus.noise.npu", "bool"),
-        (NoiseSource, "addrs", [1, 0.5], "stimulus.noise.addrs", "float"),
-        (NoiseSource, "low", 0.5, "stimulus.noise", "float"),
-        (NoiseSource, "high", "20", "stimulus.noise", "str"),
+    @pytest.mark.parametrize("cls, field, value, msg", [
+        (DcSource, "npu", True, "must be an integer, got True"),
+        (DcSource, "addr", 0.5, "must be an integer, got 0.5"),
+        (DcSource, "value", 100.7, "must be an integer, got 100.7"),
+        (NoiseSource, "npu", True, "must be an integer, got True"),
+        (NoiseSource, "addrs", [1, 0.5], "must be integers, got float"),
+        (NoiseSource, "low", 0.5, "must be an integer, got 0.5"),
+        (NoiseSource, "high", "20", "must be an integer, got '20'"),
     ])
-    def test_source_fields_are_integers(self, cls, field, value, path, kind):
+    def test_source_fields_are_integers(self, cls, field, value, msg):
         """A DC or noise source field that is not an integer (a bool, float
-        or str) is rejected where the source is built, never truncated."""
+        or str) is rejected at its name where the source is built, never
+        truncated."""
         fields = {"npu": 1, "addr": 0, "value": 100} if cls is DcSource else {
             "npu": 1, "addrs": [0, 1], "low": 0, "high": 20}
         with pytest.raises(ConfigError) as err:
             cls(**{**fields, field: value})
-        assert (err.value.path, err.value.msg) == (path, f"must be integers, got {kind}")
+        assert (err.value.path, err.value.msg) == (field, msg)
 
     @pytest.mark.parametrize("addrs", [np.arange(3), np.arange(3, dtype=np.uint8),
                                        (0, 1, 2), [np.int64(0), 1, np.int32(2)], range(3),
@@ -340,24 +341,23 @@ class TestNetworkDescription:
     def test_noise_addrs_not_a_list_of_integers(self, addrs, msg):
         with pytest.raises(ConfigError) as err:
             NoiseSource(npu=1, addrs=addrs, low=0, high=5)
-        assert (err.value.path, err.value.msg) == ("stimulus.noise.addrs", msg)
+        assert (err.value.path, err.value.msg) == ("addrs", msg)
 
-    @pytest.mark.parametrize("cls, field, value, path", [
-        (DcSource, "npu", [1], "stimulus.dc.npu"),
-        (DcSource, "addr", [0], "stimulus.dc.addr"),
-        (DcSource, "value", np.array([5]), "stimulus.dc.value"),
-        (NoiseSource, "low", [0], "stimulus.noise"),
-        (NoiseSource, "high", (5,), "stimulus.noise"),
+    @pytest.mark.parametrize("cls, field, value, shown", [
+        (DcSource, "npu", [1], "[1]"),
+        (DcSource, "addr", [0], "[0]"),
+        (DcSource, "value", np.array([5]), "array([5])"),
+        (NoiseSource, "low", [0], "[0]"),
+        (NoiseSource, "high", (5,), "(5,)"),
     ])
-    def test_source_scalar_is_one_integer(self, cls, field, value, path):
+    def test_source_scalar_is_one_integer(self, cls, field, value, shown):
         """A sequence given for a scalar source field is a ConfigError at the
-        field's path where the source is built, not a bare TypeError later."""
+        field's name where the source is built, not a bare TypeError later."""
         fields = {"npu": 1, "addr": 0, "value": 5} if cls is DcSource else {
             "npu": 1, "addrs": [0], "low": 0, "high": 5}
         with pytest.raises(ConfigError) as err:
             cls(**{**fields, field: value})
-        assert (err.value.path, err.value.msg) == (
-            path, f"must be an integer, got shape {np.shape(value)}")
+        assert (err.value.path, err.value.msg) == (field, f"must be an integer, got {shown}")
 
     @pytest.mark.parametrize("kind, field, value", [
         ("dc", "value", 100.7),
@@ -403,6 +403,47 @@ class TestNetworkDescription:
         assert err.value.path == where
         assert not (tmp_path / "net.yaml").exists()
         assert not (tmp_path / "net.weights.bin").exists()
+
+    @pytest.mark.parametrize("edit, field, value", [
+        (lambda d, v: setattr(d, "npu1", dataclasses.replace(
+            d.npu1, params=[dataclasses.replace(QUIET, a_num=v)])), "a_num", 1.5),
+        (lambda d, v: setattr(d, "npu1", dataclasses.replace(d.npu1, global_neuron=(
+            dataclasses.replace(d.npu1.global_neuron, out_weight=v)))), "out_weight", 2.5),
+        (lambda d, v: setattr(d, "npu1", dataclasses.replace(d.npu1, max_neurons=v)),
+         "max_neurons", 32.0),
+        (lambda d, v: setattr(d, "npu2", dataclasses.replace(d.npu2, decay_a=v)),
+         "decay_a", 2.5),
+        (lambda d, v: setattr(d, "npu2", dataclasses.replace(
+            d.npu2, active_neurons=v, params=[QUIET] * 8)), "active_neurons", 8.0),
+        (lambda d, v: setattr(d, "clock_hz", v), "clock_hz", 100.5),
+        (lambda d, v: setattr(d, "clock_hz", v), "clock_hz", True),
+    ])
+    def test_config_field_is_an_integer(self, tmp_path, edit, field, value):
+        """A config field set to a number that is not an integer is a
+        ConfigError at its own name, raised where its type is built (or,
+        for a reassigned clock, where it is saved), and no file is written;
+        it never runs as a rounded value or ends in a bare numpy error."""
+        desc = minimal_desc()
+        with pytest.raises(ConfigError) as err:
+            edit(desc, value)
+            desc.save(str(tmp_path / "net.yaml"))
+        assert (err.value.path, err.value.msg) == (field, f"must be an integer, got {value!r}")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_load_builds_each_noise_source_once(self, tmp_path, monkeypatch):
+        """`load` reads a noise source's npu first and parses its addresses
+        against that NPU, so each source is built, and checked, once."""
+        desc = minimal_desc(n1=2, n2=4, noise=[
+            NoiseSource(npu=2, addrs=[0, 1, 2], low=0, high=3),
+            NoiseSource(npu=1, addrs=[2, 0], low=-1, high=1),
+            NoiseSource(npu=2, addrs=[], low=0, high=0)])
+        desc.save(str(tmp_path / "net.yaml"))
+        built = []
+        post_init = NoiseSource.__post_init__
+        monkeypatch.setattr(NoiseSource, "__post_init__",
+                            lambda src: (built.append(src.npu), post_init(src)))
+        loaded = NetworkDescription.load(str(tmp_path / "net.yaml"))
+        assert built == [2, 1, 2] and loaded.noise == desc.noise
 
     def test_first_bad_noise_address_named(self):
         with pytest.raises(ConfigError, match="^" + re.escape(
