@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import re
 import stat
 import struct
 import zlib
@@ -263,6 +264,87 @@ def _check_depth(text: str, path: str) -> None:
             raise ConfigError(path, "nested too deeply")
 
 
+# A scalar of at most _TAG_CHARS characters keeps its resolved tag, in a memo
+# of at most _TAG_KEEP entries, emptied when full.
+_TAG_CHARS = 64
+_TAG_KEEP = 4096
+_tags: dict = {}
+
+
+class _TagMemo:
+    """A safe loader's mixin that resolves each short scalar once. A safe
+    loader has no path resolvers, so a scalar's tag depends on its text and
+    implicit flags alone; both of PyYAML's safe loaders resolve with the
+    same `Resolver`, so they share the memo."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is not yaml.ScalarNode or len(value) > _TAG_CHARS:
+            return super().resolve(kind, value, implicit)
+        key = kind, value, implicit
+        tag = _tags.get(key)
+        if tag is None:
+            if len(_tags) >= _TAG_KEEP:
+                _tags.clear()
+            tag = _tags[key] = super().resolve(kind, value, implicit)
+        return tag
+
+
+class _Loader(_TagMemo, _YAML_LOADER):
+    """The loader whose node tree `_document` builds."""
+
+
+_STR, _INT, _MAP, _SEQ = (f"tag:yaml.org,2002:{t}" for t in ("str", "int", "map", "seq"))
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+class _Unbuilt(Exception):
+    """A node outside the subset that `_built` builds."""
+
+
+def _built(node, depth: int, seen: set):
+    """The value of a composed node at nesting `depth`, where PyYAML's safe
+    constructor gives the same: a str scalar is its text, an int scalar in
+    plain decimal its int, a map whose keys are all str scalars a dict (the
+    last duplicate key wins) and a seq a list. Any other node, a collection
+    met twice (an alias, kept in `seen`) or one deeper than `_MAX_DEPTH`
+    raises `_Unbuilt`."""
+    kind, tag = type(node), node.tag
+    if kind is yaml.ScalarNode:
+        if tag == _STR:
+            return node.value
+        if tag == _INT and _DECIMAL.fullmatch(node.value):
+            return int(node.value)
+        raise _Unbuilt
+    if depth > _MAX_DEPTH or id(node) in seen:
+        raise _Unbuilt
+    seen.add(id(node))
+    if kind is yaml.MappingNode and tag == _MAP:
+        out = {}
+        for key, value in node.value:
+            if type(key) is not yaml.ScalarNode or key.tag != _STR:
+                raise _Unbuilt
+            out[key.value] = _built(value, depth + 1, seen)
+        return out
+    if kind is yaml.SequenceNode and tag == _SEQ:
+        return [_built(item, depth + 1, seen) for item in node.value]
+    raise _Unbuilt
+
+
+def _document(text: str, loader=_Loader):
+    """The document of `text`, as `yaml.load(text, Loader=_YAML_LOADER)`
+    reads it: built by `_built` from the node tree that `loader` composes,
+    or, when the tree holds a node outside its subset, by that call on the
+    whole text. A text that does not compose raises its YAMLError, as that
+    call would."""
+    node = yaml.compose(text, Loader=loader)
+    if node is None:
+        return None
+    try:
+        return _built(node, 1, set())
+    except _Unbuilt:
+        return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def _mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, f"must be a mapping, got {show_value(value)}")
@@ -495,7 +577,7 @@ class NetworkDescription:
         try:
             if len(text) >= _DEPTH_CHECK_CHARS:
                 _check_depth(text, path)
-            doc = yaml.load(text, Loader=_YAML_LOADER)
+            doc = _document(text)
         except yaml.YAMLError as e:
             raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
         if not isinstance(doc, dict):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .neuron import NeuronParams
-from .synapse import ConfigError, int_fields, int_value
+from .synapse import ConfigError, int_fields, int_value, show_value
 
 
 def _is_pow2(n: int) -> bool:
@@ -30,7 +30,7 @@ class GlobalNeuronConfig:
         if not -8 <= self.out_weight <= 7:
             raise ValueError(f"out_weight must fit signed 4-bit, got {self.out_weight}")
         if self.mode not in ("excitatory", "inhibitory"):
-            raise ValueError(f"mode must be excitatory or inhibitory, got {self.mode}")
+            raise ValueError(f"mode must be excitatory or inhibitory, got {show_value(self.mode)}")
 
     @property
     def effective_weight(self) -> int:

@@ -30,7 +30,7 @@ from .neuron import V_MAX, neuron_tables, next_membrane
 from .npu import (ConfigError, NpuConfig, PhaseCycles, check_chop_weights, chop_op_count,
                   dense_op_count)
 from .synapse import (EXT_BOUND, MAC_BOUND, SAT_DECAY_LO, WEIGHT_MIN, Crossbar, check_weights,
-                      group_cost, sat_decay_table)
+                      group_cost, sat_decay_table, show_value)
 
 DEFAULT_CLOCK_HZ = 100_000_000
 
@@ -236,7 +236,7 @@ def check_chip(npu1: NpuConfig, weights1, npu2: NpuConfig, weights2, gs_mode: st
     (NPU2's feedforward rows first), and no chopped NPU's sub-population 2
     feeds its sub-population 1."""
     if gs_mode not in ("auto", "dense"):
-        raise ConfigError("gs_mode", f"must be auto or dense, got {gs_mode}")
+        raise ConfigError("gs_mode", f"must be auto or dense, got {show_value(gs_mode)}")
     for k, cfg, w, n_ff, size in ((1, npu1, weights1, 0, 32),
                                   (2, npu2, weights2, npu1.total_neurons, 128)):
         if cfg.max_neurons != size:

@@ -80,16 +80,22 @@ def int_array(values, error) -> np.ndarray:
     int64 array is returned itself), or an object array of Python ints
     when one is past int64. An integer dtype decides for an array; a
     sequence is checked element by element, since numpy reads True as 1
-    and 2^63 as a float. A bool, float, str or any other non-integer
-    raises error("must be integers, got <its type>")."""
+    and 2^63 as a float; an element that is a 0-d integer array is taken
+    as its integer, as `int_value` takes it. A bool, float, str or any
+    other non-integer raises error("must be integers, got <its type>")."""
     if isinstance(values, np.ndarray) and values.dtype != object:
         if values.dtype.kind not in "iu":
             raise error(f"must be integers, got {values.dtype}")
         wide = values.dtype == np.uint64 and values.size and values.max() > 2**63 - 1
         return values.astype(object if wide else np.int64, copy=False)
     values = np.array(values, dtype=object)
-    bad = [k for k in set(map(type, values.flat))
-           if issubclass(k, bool) or not issubclass(k, (int, np.integer))]
+    types = set(map(type, values.flat))
+    if np.ndarray in types:
+        for i, x in enumerate(values.flat):
+            if type(x) is np.ndarray and x.shape == () and x.dtype.kind in "iu":
+                values.flat[i] = int(x)
+        types = set(map(type, values.flat))
+    bad = [k for k in types if issubclass(k, bool) or not issubclass(k, (int, np.integer))]
     if bad:
         raise error("must be integers, got " + next(type(x).__name__ for x in values.flat
                                                      if type(x) in bad))

@@ -349,6 +349,10 @@ class TestErrorContract:
             ({"start": 0, "stop": 2**70},
              f": need 0 <= start <= stop <= 2, got 0..{2**70}"),
         ]],
+        # A rejected mode is shown as its repr cut to 40 characters: one line.
+        (lambda d: d.update(gs_mode="x\ny"), r"gs_mode: must be auto or dense, got 'x\ny'"),
+        (lambda d: d["npu1"]["global"].update(mode="m" * 200),
+         "npu1: mode must be excitatory or inhibitory, got '" + "m" * 36 + "...\n"),
     ])
     def test_malformed_field_names_its_path(self, config_path, capsys, edit, message):
         with open(config_path) as f:
@@ -391,7 +395,7 @@ class TestErrorContract:
         ("max_neurons", "npu1.max_neurons: NPU1 must be the 32-neuron unit, got 128"),
         ("chop", "weights.npu1: chop violation: source 1 (sub-population 2) has weight "
                  "to target 0 (sub-population 1)"),
-        ("gs_mode", "gs_mode: must be auto or dense, got bogus"),
+        ("gs_mode", "gs_mode: must be auto or dense, got 'bogus'"),
     ])
     def test_chip_rule_broken_at_load(self, tmp_path, capsys, command, rule, detail):
         """A config that breaks a rule of the chip is rejected when it loads,

@@ -332,6 +332,20 @@ class TestNetworkDescription:
         given.save(str(tmp_path / "net.yaml"))
         assert NetworkDescription.load(str(tmp_path / "net.yaml")).noise == listed.noise
 
+    def test_zero_d_integer_array_address(self, tmp_path):
+        """A 0-d integer array in the address list is taken as its integer,
+        as `int_value` takes it for a scalar field; a 0-d bool or float
+        array is not an integer."""
+        src = NoiseSource(npu=1, addrs=[np.array(0, dtype=np.uint8), 2], low=0, high=1)
+        assert src.addrs == (0, 2) and set(map(type, src.addrs)) == {int}
+        desc = minimal_desc(n1=2, noise=[src])
+        desc.save(str(tmp_path / "net.yaml"))
+        assert NetworkDescription.load(str(tmp_path / "net.yaml")).noise == [src]
+        for bad in (np.array(True), np.array(0.0)):
+            with pytest.raises(ConfigError) as err:
+                NoiseSource(npu=1, addrs=[bad, 2], low=0, high=1)
+            assert (err.value.path, err.value.msg) == ("addrs", "must be integers, got ndarray")
+
     @pytest.mark.parametrize("addrs, msg", [
         (np.zeros((2, 3), dtype=np.int64), "must be a list of integers, got shape (2, 3)"),
         ([[0, 1]], "must be a list of integers, got shape (1, 2)"),
@@ -1331,7 +1345,7 @@ class TestChipCache:
         if built:
             desc.build_processor()
         desc.gs_mode = "bogus"
-        with pytest.raises(ConfigError, match="^gs_mode: must be auto or dense, got bogus$"):
+        with pytest.raises(ConfigError, match="^gs_mode: must be auto or dense, got 'bogus'$"):
             desc.build_processor() if call == "build_processor" else run(desc, None, 5)
 
     @pytest.mark.parametrize("route", ["direct", "caller", "base"])
