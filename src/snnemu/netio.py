@@ -264,35 +264,6 @@ def _check_depth(text: str, path: str) -> None:
             raise ConfigError(path, "nested too deeply")
 
 
-# A scalar of at most _TAG_CHARS characters keeps its resolved tag, in a memo
-# of at most _TAG_KEEP entries, emptied when full.
-_TAG_CHARS = 64
-_TAG_KEEP = 4096
-_tags: dict = {}
-
-
-class _TagMemo:
-    """A safe loader's mixin that resolves each short scalar once. A safe
-    loader has no path resolvers, so a scalar's tag depends on its text and
-    implicit flags alone; both of PyYAML's safe loaders resolve with the
-    same `Resolver`, so they share the memo."""
-
-    def resolve(self, kind, value, implicit):
-        if kind is not yaml.ScalarNode or len(value) > _TAG_CHARS:
-            return super().resolve(kind, value, implicit)
-        key = kind, value, implicit
-        tag = _tags.get(key)
-        if tag is None:
-            if len(_tags) >= _TAG_KEEP:
-                _tags.clear()
-            tag = _tags[key] = super().resolve(kind, value, implicit)
-        return tag
-
-
-class _Loader(_TagMemo, _YAML_LOADER):
-    """The loader whose node tree `_document` builds."""
-
-
 _STR, _INT, _MAP, _SEQ = (f"tag:yaml.org,2002:{t}" for t in ("str", "int", "map", "seq"))
 _DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
 
@@ -330,19 +301,21 @@ def _built(node, depth: int, seen: set):
     raise _Unbuilt
 
 
-def _document(text: str, loader=_Loader):
-    """The document of `text`, as `yaml.load(text, Loader=_YAML_LOADER)`
-    reads it: built by `_built` from the node tree that `loader` composes,
-    or, when the tree holds a node outside its subset, by that call on the
-    whole text. A text that does not compose raises its YAMLError, as that
-    call would."""
-    node = yaml.compose(text, Loader=loader)
-    if node is None:
-        return None
-    try:
-        return _built(node, 1, set())
-    except _Unbuilt:
-        return yaml.load(text, Loader=_YAML_LOADER)
+class _NodeBuilder:
+    """A safe loader's mixin that builds the composed document with `_built`
+    and, when the tree holds a node outside its subset, hands the tree to
+    PyYAML's safe constructor, so that `yaml.load` with it reads every text
+    as `yaml.load(text, Loader=_YAML_LOADER)` does."""
+
+    def construct_document(self, node):
+        try:
+            return _built(node, 1, set())
+        except _Unbuilt:
+            return super().construct_document(node)
+
+
+class _Loader(_NodeBuilder, _YAML_LOADER):
+    """The loader of `NetworkDescription.load`."""
 
 
 def _mapping(value, path: str) -> dict:
@@ -577,7 +550,7 @@ class NetworkDescription:
         try:
             if len(text) >= _DEPTH_CHECK_CHARS:
                 _check_depth(text, path)
-            doc = _document(text)
+            doc = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(path, "malformed YAML: " + " ".join(str(e).split())) from None
         if not isinstance(doc, dict):

@@ -1,10 +1,8 @@
-"""The config reader: `netio._document` builds a YAML document from the node
-tree that the loader composes, and must read every text as
+"""The config reader: `netio._Loader` builds a YAML document from the node
+tree that it composes, and must read every text as
 `yaml.load(text, Loader=netio._YAML_LOADER)` does, value for value and
 type for type, or raise the same error. The files that `save` writes never
-need that call."""
-
-from unittest import mock
+need PyYAML's constructor."""
 
 import numpy as np
 import pytest
@@ -56,6 +54,10 @@ def outcome(read, text):
 
 def reference(text):
     return yaml.load(text, Loader=netio._YAML_LOADER)
+
+
+def built(text, loader=netio._Loader):
+    return yaml.load(text, Loader=loader)
 
 
 # Scalars that resolve to every implicit tag and to the edges of the subset,
@@ -139,24 +141,25 @@ LONG_ADDRS = "addrs: [" + ", ".join(map(str, range(2500))) + "]\n"
 @example(text="a: &x [1]\nb: *y\n")
 @example(text="a: -" + "9" * 5_000)  # past int()'s digit limit
 def test_document_matches_yaml_load(text):
-    assert outcome(netio._document, text) == outcome(reference, text)
+    assert outcome(built, text) == outcome(reference, text)
 
 
 @pytest.mark.parametrize("kind", ["seq", "map"])
 @pytest.mark.parametrize("depth", [99, 100, 101, 500, 4_000])
 def test_nesting_past_the_depth_limit_reads_as_yaml_load(monkeypatch, depth, kind):
     """A document nested no deeper than `_MAX_DEPTH` is built from its
-    nodes; a deeper one is read by the `yaml.load` call, to the same
-    document."""
+    nodes; a deeper one by PyYAML's constructor, to the same document."""
     text = nested(depth, kind)
+    want = outcome(reference, text)
     calls = []
-    load = yaml.load
-    monkeypatch.setattr(yaml, "load", lambda *a, **k: calls.append(1) or load(*a, **k))
-    assert outcome(netio._document, text) == outcome(reference, text)
-    assert len(calls) == (depth > netio._MAX_DEPTH) + 1
+    construct = netio._YAML_LOADER.construct_document
+    monkeypatch.setattr(netio._YAML_LOADER, "construct_document",
+                        lambda *a: calls.append(1) or construct(*a))
+    assert outcome(built, text) == want
+    assert len(calls) == (depth > netio._MAX_DEPTH)
 
 
-PY_LOADER = type("PyLoader", (netio._TagMemo, yaml.SafeLoader), {})
+PY_LOADER = type("PyLoader", (netio._NodeBuilder, yaml.SafeLoader), {})
 
 
 @READER
@@ -167,20 +170,8 @@ def test_document_over_the_python_loader(text):
     """Where PyYAML is built without libyaml, `_YAML_LOADER` is its
     pure-Python safe loader, and the builder over that loader reads every
     text as `yaml.load` with it does."""
-    with mock.patch.object(netio, "_YAML_LOADER", yaml.SafeLoader):
-        got = outcome(lambda t: netio._document(t, PY_LOADER), text)
+    got = outcome(lambda t: built(t, PY_LOADER), text)
     assert got == outcome(lambda t: yaml.load(t, Loader=yaml.SafeLoader), text)
-
-
-def test_tag_memo_is_bounded(monkeypatch):
-    """The memo keeps scalars of at most `_TAG_CHARS` characters and is
-    emptied when it holds `_TAG_KEEP` of them."""
-    monkeypatch.setattr(netio, "_tags", {})
-    monkeypatch.setattr(netio, "_TAG_KEEP", 50)
-    text = "[" + ", ".join(map(str, range(120))) + ", " + "7" * (netio._TAG_CHARS + 1) + "]"
-    assert netio._document(text) == reference(text)
-    assert 0 < len(netio._tags) <= 50
-    assert all(len(value) <= netio._TAG_CHARS for _, value, _ in netio._tags)
 
 
 def chip_noise_network(seed: int) -> NetworkDescription:
@@ -208,7 +199,7 @@ def chip_noise_network(seed: int) -> NetworkDescription:
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("yaml.load called")
+    raise AssertionError("PyYAML's constructor called")
 
 
 @pytest.mark.parametrize("make", [
@@ -216,19 +207,19 @@ def refuse(*args, **kwargs):
     lambda: apps.build_sudoku_network(apps.random_puzzle(4, 0))[0],
     lambda: chip_noise_network(3),
 ], ids=["avoidance", "sudoku", "chip_noise"])
-def test_saved_config_never_calls_yaml_load(tmp_path, monkeypatch, make):
-    """Every config that `save` writes is read from its node tree alone."""
+def test_saved_config_is_built_from_its_nodes(tmp_path, monkeypatch, make):
+    """Every config that `save` writes is read by `_built` alone."""
     desc = make()
     desc.save(str(tmp_path / "net.yaml"))
-    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(netio._YAML_LOADER, "construct_document", refuse)
     assert desc_equal(NetworkDescription.load(str(tmp_path / "net.yaml")), desc)
 
 
-def test_golden_config_never_calls_yaml_load(tmp_path, monkeypatch):
+def test_golden_config_is_built_from_its_nodes(tmp_path, monkeypatch):
     config, _ = golden_inputs(str(tmp_path))
     with open(config) as f:
         text = f.read()
     want = flat(reference(text))
-    monkeypatch.setattr(yaml, "load", refuse)
-    assert flat(netio._document(text)) == want
+    monkeypatch.setattr(netio._YAML_LOADER, "construct_document", refuse)
+    assert flat(built(text)) == want
     NetworkDescription.load(config)
